@@ -90,7 +90,7 @@ let coverage () =
   let toy_stats = stats_of dfs in
   Bench_util.recordi ~section:sec ~metric:"toy_dfs_states" ~unit:"count"
     toy_stats.Check.Explore.distinct;
-  Bench_util.record ~section:sec ~metric:"toy_dfs_rate" ~unit:"schedules/s"
+  Bench_util.record ~section:sec ~metric:"toy_dfs_rate" ~unit:"schedules/s_wall"
     (float_of_int toy_stats.Check.Explore.runs /. Float.max 1e-6 toy_secs);
   let kernel_sys = Check.Harness.kernel_system () in
   let t0 = Sys.time () in
@@ -108,7 +108,7 @@ let coverage () =
   Bench_util.recordi ~section:sec ~metric:"kernel_random_states" ~unit:"count"
     k_stats.Check.Explore.distinct;
   Bench_util.record ~section:sec ~metric:"kernel_random_rate"
-    ~unit:"schedules/s"
+    ~unit:"schedules/s_wall"
     (float_of_int k_stats.Check.Explore.runs /. Float.max 1e-6 krn_secs);
   Bench_util.recordi ~section:sec ~metric:"kernel_random_decisions"
     ~unit:"count" k_stats.Check.Explore.decisions
@@ -144,14 +144,14 @@ let par_scaling () =
         Check.Explore.pp_outcome o rate;
       Bench_util.record ~section:sec
         ~metric:(Printf.sprintf "par_domains%d_rate" domains)
-        ~unit:"schedules/s" rate)
+        ~unit:"schedules/s_wall" rate)
     [ (1, o1, rate1); (2, o2, rate2); (4, o4, rate4) ];
   if outcome_bytes o1 <> outcome_bytes o2 || outcome_bytes o1 <> outcome_bytes o4
   then fail "bench_check: outcome differs across domain counts";
   let speedup = rate4 /. Float.max 1e-6 rate1 in
   Format.printf "  speedup 4v1: %.2fx (host offers %d domains)@." speedup
     (Par.available ());
-  Bench_util.record ~section:sec ~metric:"par_speedup_4v1_rate" ~unit:"x"
+  Bench_util.record ~section:sec ~metric:"par_speedup_4v1_rate" ~unit:"x_wall"
     speedup;
   (* Scaling needs cores: demand the issue's 2x only where four
      domains can actually run in parallel, and any gain at all on a

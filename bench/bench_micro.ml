@@ -210,7 +210,9 @@ let tests =
 (* BENCH_perf.json rows for the wall-clock numbers.  Unit "ns_wall",
    not "ns": simulated-time metrics are deterministic and gated against
    regressions; wall-clock ones move with the host and are recorded for
-   trend-reading only (scripts/perf_gate.sh skips them). *)
+   trend-reading only.  Every wall-clock row's unit ends in "_wall",
+   so scripts/perf_gate.sh and the CI determinism diff can tell them
+   apart by unit alone. *)
 let metric_slugs =
   [ ("multics T1: census apply_all", "census_apply_all");
     ("multics F2-F4: figures + loop analysis", "figures_loops");

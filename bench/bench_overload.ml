@@ -16,9 +16,9 @@
 
    Two more sub-experiments:
 
-     C6a  the plane wired but with every knob inert must be
-          bit-identical (clock and disk) to a kernel without it —
-          the same contract as C3's ctx-off rows
+     C6a  the default config, every overload knob inert: its clock and
+          disk checksum are the baseline rows the perf gate and the
+          determinism diff hold fixed
      C6d  a pack drops offline twice with circuit breakers armed:
           each window trips the breaker (fail-fast, no damage to
           idempotent reads), each recovery closes it through the
@@ -40,27 +40,21 @@ let base_config =
     core_frames = 24; use_io_sched = true; read_ahead = 2 }
 
 (* ------------------------------------------------------------------ *)
-(* C6a: the inert plane is free. *)
+(* C6a: the plane off. *)
 
-let bit_identity () =
-  Format.printf "C6a  inert overload plane vs none (bit-identity):@.";
-  let run overload =
-    let k = Bench_util.boot_new ~config:{ base_config with K.Kernel.overload } () in
-    for i = 0 to 3 do
-      ignore
-        (K.Kernel.spawn k ~pname:(Printf.sprintf "w%d" i)
-           (Bench_util.file_writer ~dir:">home"
-              ~name:(Printf.sprintf "f%d" i) ~pages:12))
-    done;
-    if not (K.Kernel.run_to_completion k) then fail "bench_overload: C6a stuck";
-    K.Kernel.shutdown k;
-    (K.Kernel.now k, Bench_util.disk_checksum k)
-  in
-  let t0, d0 = run None in
-  let t1, d1 = run (Some K.Kernel.default_overload) in
-  Format.printf "  clock %d = %d, disk checksum %d = %d@." t0 t1 d0 d1;
-  if t0 <> t1 then fail "bench_overload: inert plane moved the clock";
-  if d0 <> d1 then fail "bench_overload: inert plane changed the disk";
+let plane_off () =
+  Format.printf "C6a  overload plane off (default config):@.";
+  let k = Bench_util.boot_new ~config:base_config () in
+  for i = 0 to 3 do
+    ignore
+      (K.Kernel.spawn k ~pname:(Printf.sprintf "w%d" i)
+         (Bench_util.file_writer ~dir:">home"
+            ~name:(Printf.sprintf "f%d" i) ~pages:12))
+  done;
+  if not (K.Kernel.run_to_completion k) then fail "bench_overload: C6a stuck";
+  K.Kernel.shutdown k;
+  let t0 = K.Kernel.now k and d0 = Bench_util.disk_checksum k in
+  Format.printf "  clock %d, disk checksum %d@." t0 d0;
   Bench_util.recordi ~section:sec ~metric:"plane_off_elapsed_ns" t0;
   Bench_util.recordi ~section:sec ~metric:"plane_off_disk_checksum"
     ~unit:"hash" d0
@@ -84,16 +78,15 @@ let user_program i =
 
 let overload_run ~controlled =
   let overload =
-    if not controlled then None
+    if not controlled then K.Kernel.default_overload
     else
-      Some
-        { K.Kernel.default_overload with
-          K.Kernel.ov_deadline_ns = window;
-          ov_retry_budget = 8;
-          ov_breaker_threshold = 4;
-          ov_breaker_cooldown_ns = 10_000_000;
-          ov_brownout = true;
-          ov_brownout_tick_ns = 20_000_000 }
+      { K.Kernel.default_overload with
+        K.Kernel.ov_deadline_ns = window;
+        ov_retry_budget = 8;
+        ov_breaker_threshold = 4;
+        ov_breaker_cooldown_ns = 10_000_000;
+        ov_brownout = true;
+        ov_brownout_tick_ns = 20_000_000 }
   in
   let k =
     Bench_util.boot_new
@@ -252,10 +245,9 @@ let breakers () =
   Format.printf "@.C6d  circuit breakers across two offline windows:@.";
   let faults = Hw.Fault_inject.create () in
   let plane =
-    Some
-      { K.Kernel.default_overload with
-        K.Kernel.ov_breaker_threshold = 3;
-        ov_breaker_cooldown_ns = 2_000_000 }
+    { K.Kernel.default_overload with
+      K.Kernel.ov_breaker_threshold = 3;
+      ov_breaker_cooldown_ns = 2_000_000 }
   in
   let k = breaker_run faults plane in
   ignore
@@ -312,7 +304,7 @@ let breakers () =
 
 let run () =
   Bench_util.section sec "overload: deadlines, breakers, brownout";
-  bit_identity ();
+  plane_off ();
   goodput ();
   breakers ();
   Bench_util.write_section_metrics ~section:sec ~path:"BENCH_overload_c6.json"

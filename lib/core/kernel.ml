@@ -3,9 +3,8 @@ module Sync = Multics_sync
 module Aim = Multics_aim
 module Dg = Multics_depgraph
 
-(* End-to-end overload control.  Every field has an inert value; the
-   whole record is optional, and [None] (the default) leaves the kernel
-   bit-identical to one without the plane. *)
+(* End-to-end overload control.  Every field has an inert value, and
+   [default_overload] sets them all. *)
 type overload_config = {
   ov_deadline_ns : int;
   ov_retry_budget : int;
@@ -37,13 +36,11 @@ type config = {
   root_quota : int;
   use_path_cache : bool;
   use_io_sched : bool;
-  io_config : Hw.Io_sched.config option;
   read_ahead : int;
   trace : Multics_obs.Sink.mode;
-  ctx : bool;
   faults : Hw.Fault_inject.t;
   choice : Multics_choice.Choice.t option;
-  overload : overload_config option;
+  overload : overload_config;
 }
 
 let default_config =
@@ -52,12 +49,11 @@ let default_config =
     user_vps = 4; ast_slots = 64; pt_words = 64; max_processes = 16;
     max_quota_cells = 64; scheduler = Scheduler.Round_robin { quantum = 32 };
     use_cleaner_daemon = true; root_quota = 2048; use_path_cache = true;
-    use_io_sched = true; io_config = None; read_ahead = 2;
+    use_io_sched = true; read_ahead = 2;
     trace = Multics_obs.Sink.Counters;
-    ctx = true;
     faults = Hw.Fault_inject.none;
     choice = None;
-    overload = None }
+    overload = default_overload }
 
 let small_config =
   { default_config with
@@ -145,7 +141,7 @@ let rec boot_internal ?previous_disk cfg =
      the meter or schedules events — which is why switching [cfg.trace]
      cannot move simulated time (bench C3 asserts exactly that). *)
   let obs =
-    Multics_obs.Sink.create ~mode:cfg.trace ~ctx:cfg.ctx
+    Multics_obs.Sink.create ~mode:cfg.trace
       ~now:(fun () -> Hw.Machine.now machine)
       ()
   in
@@ -172,28 +168,19 @@ let rec boot_internal ?previous_disk cfg =
   let core = Core_segment.create ~machine ~meter ~reserved_frames:cfg.core_frames in
   let vp = Vp.create ?choice:cfg.choice ~machine ~meter ~tracer ~core ~n_vps:cfg.n_vps () in
   (* The overload plane's I/O knobs (retry budgets, jittered backoff,
-     circuit breakers) ride on the I/O scheduler's config: merge them
-     into whatever the caller asked for.  [overload = None] leaves the
-     config untouched — bit-identical to a kernel without the plane. *)
+     circuit breakers) ride on the I/O scheduler's config, the rest of
+     which derives from the disk's latencies. *)
+  let ov = cfg.overload in
   let io_config =
-    match cfg.overload with
-    | None -> cfg.io_config
-    | Some ov ->
-        let base =
-          match cfg.io_config with
-          | Some c -> c
-          | None -> Hw.Io_sched.config_of_disk machine.Hw.Machine.disk
-        in
-        Some
-          { base with
-            Hw.Io_sched.retry_budget = ov.ov_retry_budget;
-            backoff_jitter = ov.ov_backoff_jitter;
-            breaker_threshold = ov.ov_breaker_threshold;
-            breaker_cooldown_ns = ov.ov_breaker_cooldown_ns }
+    { (Hw.Io_sched.config_of_disk machine.Hw.Machine.disk) with
+      Hw.Io_sched.retry_budget = ov.ov_retry_budget;
+      backoff_jitter = ov.ov_backoff_jitter;
+      breaker_threshold = ov.ov_breaker_threshold;
+      breaker_cooldown_ns = ov.ov_breaker_cooldown_ns }
   in
   let volume =
-    Volume.create ~faults:cfg.faults ?choice:cfg.choice
-      ?io_config ~machine ~meter ~tracer ()
+    Volume.create ~faults:cfg.faults ?choice:cfg.choice ~io_config ~machine
+      ~meter ~tracer ()
   in
   (* A scheduled power failure freezes the machine at its instant: the
      write-behind buffer tears and no further event runs.  Planted only
@@ -312,9 +299,7 @@ let rec boot_internal ?previous_disk cfg =
       on_brownout = None }
   in
   User_process.set_interpreter user_process (interpreter t);
-  (match cfg.overload with
-  | Some ov when ov.ov_brownout -> arm_brownout t ov
-  | _ -> ());
+  if ov.ov_brownout then arm_brownout t ov;
   t
 
 (* ------------------------------------------------------------------ *)
@@ -780,10 +765,9 @@ let spawn t ?(principal = { Acl.user = "user"; project = "proj" })
     match deadline_ns with
     | Some _ as d -> d
     | None when ambient -> None
-    | None -> (
-        match t.cfg.overload with
-        | Some ov when ov.ov_deadline_ns > 0 -> Some ov.ov_deadline_ns
-        | _ -> None)
+    | None when t.cfg.overload.ov_deadline_ns > 0 ->
+        Some t.cfg.overload.ov_deadline_ns
+    | None -> None
   in
   let deadline =
     Option.map (fun d -> Hw.Machine.now t.machine + d) deadline_ns

@@ -40,8 +40,8 @@ type overload_config = {
 }
 
 val default_overload : overload_config
-(** Every knob inert (and brownout off) except a 50 ms recovery tick;
-    override fields from here. *)
+(** Every knob inert (and brownout off) except a 50 ms recovery tick —
+    the plane switched off; override fields from here. *)
 
 type config = {
   hw : Multics_hw.Hw_config.t;
@@ -63,13 +63,10 @@ type config = {
           [hw.assoc_mem_size]. *)
   use_io_sched : bool;
       (** Route page reads and write-behinds through the per-pack
-          elevator queues; [false] reproduces the seed's flat-latency
-          synchronous disk protocol. *)
-  io_config : Multics_hw.Io_sched.config option;
-      (** Override the I/O scheduler's policy knobs — batch bounds,
-          deadline, anticipation, ways, read priority.  [None] (the
-          default) derives them from the disk's latencies; see
-          {!Multics_hw.Io_sched.config_of_disk}. *)
+          elevator queues, whose policy knobs derive from the disk's
+          latencies (see {!Multics_hw.Io_sched.config_of_disk}); [false]
+          reproduces the seed's flat-latency synchronous disk
+          protocol. *)
   read_ahead : int;
       (** Records prefetched after two sequential missing-page faults on
           a segment; [0] disables read-ahead. *)
@@ -77,13 +74,12 @@ type config = {
       (** Observability: [Off] records nothing, [Counters] (the
           default) keeps counters, latency histograms and the flight
           ring, [Full] also records the event ring for timeline
-          export.  Never affects simulated time or disk contents. *)
-  ctx : bool;
-      (** Track request contexts: causal ids allocated at gate entry,
-          login and fault, propagated through dispatch, queues, locks
-          and I/O completions so every trace event joins back to the
-          request it serves.  [true] by default; clock- and
-          disk-neutral either way (bench C3's ctx rows assert it). *)
+          export.  [Counters] and [Full] also track request contexts:
+          causal ids allocated at gate entry, login and fault,
+          propagated through dispatch, queues, locks and I/O
+          completions so every trace event joins back to the request
+          it serves.  Never affects simulated time or disk contents
+          (bench C3 asserts it). *)
   faults : Multics_hw.Fault_inject.t;
       (** Deterministic fault plan for the disk subsystem (the default
           is the empty plan, which leaves every run bit-identical to a
@@ -98,12 +94,12 @@ type config = {
           scheduler pick, eventcount wakeup order, lock handoff order,
           and I/O completion delivery order — the explorer in
           [Multics_check] drives these to search the schedule space. *)
-  overload : overload_config option;
+  overload : overload_config;
       (** End-to-end overload control: deadlines, retry budgets,
-          circuit breakers and brownout.  [None] (the default) is
-          bit-identical — same clocks, same disk images — to a kernel
-          without the plane (bench C6 asserts it, the same contract as
-          C3's ctx rows). *)
+          circuit breakers and brownout.  The default,
+          {!default_overload}, leaves every knob inert.  Deadlines ride
+          on request contexts, so they need a [trace] mode other than
+          [Off]. *)
 }
 
 val default_config : config

@@ -4,7 +4,6 @@ type config = {
   max_batch : int;
   max_batch_cap : int;
   deadline_ns : int;
-  anticipate_ns : int;
   pack_ways : int;
   read_priority : bool;
   seek_ns : int;
@@ -20,21 +19,11 @@ type config = {
 (* The deadline follows the Linux deadline scheduler's proportions:
    write expiry there is ~400 flat I/O times; 256 is still aggressive
    and keeps the starvation-bound tests fast.  The overload knobs
-   (budget, jitter, breaker) default off: the plane disabled is
-   bit-identical to the scheduler before it existed. *)
-let default_config =
-  { max_batch = 8; max_batch_cap = 32; deadline_ns = 512_000_000;
-    anticipate_ns = 800_000; pack_ways = 8; read_priority = true;
-    seek_ns = 1_200_000; transfer_ns = 800_000;
-    retry_limit = 4; retry_backoff_ns = 400_000;
-    retry_budget = 0; backoff_jitter = false;
-    breaker_threshold = 0; breaker_cooldown_ns = 0 }
-
+   (budget, jitter, breaker) default off. *)
 let config_of_disk disk =
   { max_batch = 8;
     max_batch_cap = 32;
     deadline_ns = 256 * Disk.io_latency_ns disk;
-    anticipate_ns = 0;
     pack_ways = 8;
     read_priority = true;
     seek_ns = Disk.seek_latency_ns disk;
@@ -72,14 +61,11 @@ let is_read r = match r.op with Read _ -> true | Write _ -> false
 
 (* One independent actuator of a pack.  Several ways share the pack's
    queue but keep their own head positions, so a sequential stream can
-   hold one arm at its track while the others absorb unrelated work. *)
+   keep one arm at its track while the others absorb unrelated work. *)
 type way = {
   wid : int;
   mutable head : int;  (* record after the last one this arm served *)
   mutable w_busy : bool;
-  mutable streak : int;  (* consecutive batches continued without a seek *)
-  mutable holding : bool;  (* anticipatory hold in effect *)
-  mutable hold_gen : int;  (* invalidates stale hold-expiry events *)
 }
 
 (* Per-pack circuit breaker: [Br_open]'s payload is the absolute
@@ -116,7 +102,6 @@ type stats = {
   s_retries : int;
   s_gave_up : int;
   s_deadline_batches : int;
-  s_holds : int;
   s_grown : int;
   s_shrunk : int;
   s_buffer_hits : int;
@@ -159,7 +144,6 @@ type t = {
   mutable retries : int;
   mutable gave_up : int;
   mutable deadline_batches : int;
-  mutable holds : int;
   mutable grown : int;
   mutable shrunk : int;
   mutable buffer_hits : int;
@@ -196,7 +180,6 @@ let create ?config ?(faults = Fault_inject.none)
   assert (config.retry_limit > 0 && config.retry_backoff_ns > 0);
   assert (config.max_batch_cap >= config.max_batch);
   assert (config.pack_ways >= 1 && config.deadline_ns > 0);
-  assert (config.anticipate_ns >= 0);
   assert (config.retry_budget >= 0);
   assert (config.breaker_threshold = 0 || config.breaker_cooldown_ns > 0);
   { disk; config; schedule; faults; choice; now;
@@ -205,15 +188,14 @@ let create ?config ?(faults = Fault_inject.none)
           { id; breaker = Br_closed; consec_fails = 0; queue = []; depth = 0;
             ways =
               Array.init config.pack_ways (fun wid ->
-                  { wid; head = 0; w_busy = false; streak = 0;
-                    holding = false; hold_gen = 0 });
+                  { wid; head = 0; w_busy = false });
             inflight = []; retrying = []; cur_max = config.max_batch;
             kick_planted = false; busy_records = Hashtbl.create 16 });
     pending_writes = Hashtbl.create 64;
     applied_seq = Hashtbl.create 64;
     seq = 0; reads = 0; writes = 0; batches = 0; merges = 0;
     max_batch_seen = 0; queue_peak = 0; busy_ns = 0; cancelled = 0;
-    retries = 0; gave_up = 0; deadline_batches = 0; holds = 0;
+    retries = 0; gave_up = 0; deadline_batches = 0;
     grown = 0; shrunk = 0; buffer_hits = 0;
     timeouts = 0; fast_fails = 0; budget_denied = 0;
     br_opens = 0; br_probes = 0; br_closes = 0;
@@ -657,11 +639,7 @@ let release_records p batch =
    choice is nearest-first: the free way whose head is closest (in
    forward circular distance) to the first record the sweep would
    serve, ties to the lowest way id — a continuation always wins, so a
-   sequential stream keeps its arm.  A way that just served a
-   sequential run and would now have to seek away instead holds for
-   [anticipate_ns], betting the stream's next request is imminent; the
-   hold is one-shot per streak and other ways still serve the far
-   work, so it costs at most one hold per stream death. *)
+   sequential stream keeps its arm. *)
 let rec dispatch t p =
   (* Deadline checkpoint: cancel not-yet-issued reads whose context
      deadline has passed — the requester no longer wants the answer,
@@ -703,19 +681,9 @@ let rec dispatch t p =
     | None -> ()
     | Some (pool, rest, deadline_forced) ->
         let sorted = List.sort by_record_seq pool in
-        (* A near request ends a hold successfully: the arm was right
-           to wait.  Distance 0 is the no-seek continuation the hold
-           was betting on. *)
-        Array.iter
-          (fun w ->
-            if w.holding && way_distance t ~head:w.head sorted = 0 then begin
-              w.holding <- false;
-              w.hold_gen <- w.hold_gen + 1
-            end)
-          p.ways;
         let free =
           Array.fold_right
-            (fun w acc -> if w.w_busy || w.holding then acc else w :: acc)
+            (fun w acc -> if w.w_busy then acc else w :: acc)
             p.ways []
         in
         (* Write throttle: an unexpired write-only sweep never takes
@@ -730,44 +698,18 @@ let rec dispatch t p =
           && List.length free <= 1
         then ()
         else
-        let rec choose = function
-          | [] -> ()
-          | ways ->
-              let best =
-                List.fold_left
-                  (fun acc w ->
-                    let d = way_distance t ~head:w.head sorted in
-                    match acc with
-                    | Some (bd, (bw : way)) when (bd, bw.wid) <= (d, w.wid) ->
-                        acc
-                    | _ -> Some (d, w))
-                  None ways
-              in
-              match best with
-              | None -> ()
-              | Some (d, w) ->
-                  if
-                    d > 0 && w.streak > 0 && t.config.anticipate_ns > 0
-                    && not deadline_forced
-                  then begin
-                    (* Hold this arm; maybe another free way takes the
-                       far sweep. *)
-                    w.holding <- true;
-                    w.hold_gen <- w.hold_gen + 1;
-                    t.holds <- t.holds + 1;
-                    Multics_obs.Sink.count t.obs "io.hold";
-                    let gen = w.hold_gen in
-                    t.schedule ~delay:t.config.anticipate_ns (fun () ->
-                        if w.holding && w.hold_gen = gen then begin
-                          w.holding <- false;
-                          w.streak <- 0;  (* the stream died; stop betting *)
-                          dispatch t p
-                        end);
-                    choose (List.filter (fun x -> x != w) ways)
-                  end
-                  else launch t p w ~sorted ~rest ~deadline_forced
-        in
-        choose free
+          let best =
+            List.fold_left
+              (fun acc w ->
+                let d = way_distance t ~head:w.head sorted in
+                match acc with
+                | Some (bd, (bw : way)) when (bd, bw.wid) <= (d, w.wid) -> acc
+                | _ -> Some (d, w))
+              None free
+          in
+          match best with
+          | None -> ()
+          | Some (_, w) -> launch t p w ~sorted ~rest ~deadline_forced
   end
 
 and launch t p w ~sorted ~rest ~deadline_forced =
@@ -783,7 +725,7 @@ and launch t p w ~sorted ~rest ~deadline_forced =
   let batch, overflow = take_capped t ~cur_max ~head:w.head sweep in
   match batch with
   | [] -> ()
-  | first :: _ ->
+  | _ :: _ ->
       if deadline_forced then begin
         t.deadline_batches <- t.deadline_batches + 1;
         Multics_obs.Sink.count t.obs "io.deadline_batch"
@@ -795,9 +737,6 @@ and launch t p w ~sorted ~rest ~deadline_forced =
         t.shrunk <- t.shrunk + 1
       end;
       let cost = batch_cost t ~head:w.head batch in
-      let continued = first.record - (w.head - 1) >= 0
-                      && first.record - (w.head - 1) <= 1 in
-      w.streak <- (if continued then w.streak + 1 else 0);
       (match List.rev batch with
       | last :: _ -> w.head <- last.record + 1
       | [] -> ());
@@ -1050,13 +989,7 @@ let quiesce t =
             drain ()
       in
       drain ();
-      Array.iter
-        (fun w ->
-          w.w_busy <- false;
-          w.holding <- false;
-          w.hold_gen <- w.hold_gen + 1;
-          w.streak <- 0)
-        p.ways)
+      Array.iter (fun w -> w.w_busy <- false) p.ways)
     t.packs
 
 let crash t ~surviving_writes =
@@ -1105,13 +1038,7 @@ let crash t ~surviving_writes =
       p.inflight <- [];
       p.retrying <- [];
       Hashtbl.reset p.busy_records;
-      Array.iter
-        (fun w ->
-          w.w_busy <- false;
-          w.holding <- false;
-          w.hold_gen <- w.hold_gen + 1;
-          w.streak <- 0)
-        p.ways)
+      Array.iter (fun w -> w.w_busy <- false) p.ways)
     t.packs;
   Hashtbl.reset t.pending_writes;
   List.length ordered
@@ -1129,7 +1056,7 @@ let stats t =
     s_merges = t.merges; s_max_batch = t.max_batch_seen;
     s_queue_peak = t.queue_peak; s_busy_ns = t.busy_ns;
     s_cancelled = t.cancelled; s_retries = t.retries; s_gave_up = t.gave_up;
-    s_deadline_batches = t.deadline_batches; s_holds = t.holds;
+    s_deadline_batches = t.deadline_batches;
     s_grown = t.grown; s_shrunk = t.shrunk; s_buffer_hits = t.buffer_hits;
     s_timeouts = t.timeouts; s_fast_fails = t.fast_fails;
     s_budget_denied = t.budget_denied; s_breaker_opens = t.br_opens;

@@ -28,11 +28,7 @@
       their own head positions.  A new sweep goes to the free arm
       nearest (forward circular distance) its first record, ties to
       the lowest arm id, so a sequential stream keeps its arm while
-      the others absorb random traffic.  An arm that would have to
-      seek away right after serving a sequential run instead {e holds}
-      for [anticipate_ns] (one-shot per streak), betting the stream's
-      next request is imminent — the classic anticipatory-scheduling
-      bet, bounded by the hold length.
+      the others absorb random traffic.
 
     Two guards keep deferred writes from crowding out reads: an
     unexpired write-only sweep never takes a pack's {e last} free arm
@@ -57,9 +53,9 @@
     same-record requests execute in submission order even when
     different-record requests overlap arbitrarily.  Setting
     [pack_ways = 1], [max_batch_cap = max_batch],
-    [read_priority = false], a large [deadline_ns] and
-    [anticipate_ns = 0] recovers the single-arm pure-elevator
-    scheduler exactly (test/test_io.ml pins that configuration).
+    [read_priority = false] and a large [deadline_ns] recovers the
+    single-arm pure-elevator scheduler exactly (test/test_io.ml pins
+    that configuration).
 
     Latency model: a batch costs one seek per discontinuity plus one
     transfer per record.  An isolated single-record request therefore
@@ -94,8 +90,6 @@ type config = {
       (** adaptive ceiling; [= max_batch] disables growth *)
   deadline_ns : int;
       (** age at which a request preempts the sweep; bounds starvation *)
-  anticipate_ns : int;
-      (** sequential-stream hold length; [0] disables anticipation *)
   pack_ways : int;  (** independent actuators per pack *)
   read_priority : bool;  (** serve queued reads before write-behind *)
   seek_ns : int;  (** head reposition to a non-adjacent record *)
@@ -125,17 +119,14 @@ type config = {
           goes back out as a half-open probe *)
 }
 
-val default_config : config
-
 val config_of_disk : Disk.t -> config
 (** Splits the disk's flat record latency into seek and transfer so
     that [seek_ns + transfer_ns = Disk.io_latency_ns]; retries back off
     starting at one transfer time.  Policy defaults: 8 ways, read
     priority on, deadline at 256 flat latencies (the write-expiry
     scale of the classic deadline scheduler), batches adapting up to
-    4x [max_batch], anticipation off — holding an arm costs more than
-    a seek saves when reads already have priority; set [anticipate_ns]
-    explicitly to opt in. *)
+    4x [max_batch], and the overload knobs (retry budget, jitter,
+    breaker) off. *)
 
 type io_error =
   | Dead_record
@@ -268,7 +259,6 @@ type stats = {
   s_retries : int;  (** failed attempts that were retried *)
   s_gave_up : int;  (** requests that exhausted the retry budget *)
   s_deadline_batches : int;  (** sweeps forced by an expired request *)
-  s_holds : int;  (** anticipatory holds taken *)
   s_grown : int;  (** adaptive sweep-bound doublings *)
   s_shrunk : int;  (** adaptive sweep-bound halvings *)
   s_buffer_hits : int;

@@ -36,7 +36,6 @@ type t = {
   counter_tbl : (string, int ref) Hashtbl.t;
   mutable counter_order : string list;  (* newest first *)
   (* request contexts *)
-  track_ctx : bool;
   mutable cur : int;
   mutable ctx_n : int;  (* ids allocated so far; valid ids are 1..ctx_n *)
   mutable ctx_parent : int array;  (* indexed by id; 0 = root *)
@@ -54,12 +53,12 @@ type t = {
 }
 
 let create ?(mode = Counters) ?(capacity = 16384) ?(flight_capacity = 256)
-    ?(ctx = true) ~now () =
+    ~now () =
   { md = mode; clock = now; ring = Trace_buf.create ~capacity ();
     flight = Trace_buf.create ~capacity:flight_capacity ();
     histo_tbl = Hashtbl.create 32; histo_order = [];
     counter_tbl = Hashtbl.create 32; counter_order = [];
-    track_ctx = ctx; cur = 0; ctx_n = 0;
+    cur = 0; ctx_n = 0;
     ctx_parent = Array.make 64 0; ctx_root = Array.make 64 0;
     ctx_origin = Array.make 64 "";
     ctx_deadline = Array.make 64 0;
@@ -68,8 +67,7 @@ let create ?(mode = Counters) ?(capacity = 16384) ?(flight_capacity = 256)
     user_tbl = Hashtbl.create 16 }
 
 let disabled () =
-  create ~mode:Off ~capacity:1 ~flight_capacity:1 ~ctx:false
-    ~now:(fun () -> 0) ()
+  create ~mode:Off ~capacity:1 ~flight_capacity:1 ~now:(fun () -> 0) ()
 
 let mode t = t.md
 let set_mode t m = t.md <- m
@@ -98,7 +96,7 @@ let grow_ctx t =
   t.ctx_deadline <- cd
 
 let new_ctx t ?parent ?deadline ~origin () =
-  if t.md = Off || not t.track_ctx then 0
+  if t.md = Off then 0
   else begin
     let parent = match parent with Some p -> p | None -> t.cur in
     let id = t.ctx_n + 1 in
@@ -294,7 +292,7 @@ let last_dump t = t.last_dump
 (* Per-user attribution --------------------------------------------- *)
 
 let attribute t ~ctx ~cpu_ns ~ios =
-  if t.track_ctx && ctx > 0 && ctx <= t.ctx_n then begin
+  if ctx > 0 && ctx <= t.ctx_n then begin
     let user = t.ctx_origin.(t.ctx_root.(ctx)) in
     let u =
       match Hashtbl.find_opt t.user_tbl user with

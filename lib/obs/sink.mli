@@ -38,11 +38,11 @@ type span
 (** An open synchronous span.  Opaque; close it with {!span_end}. *)
 
 val create :
-  ?mode:mode -> ?capacity:int -> ?flight_capacity:int -> ?ctx:bool ->
+  ?mode:mode -> ?capacity:int -> ?flight_capacity:int ->
   now:(unit -> int) -> unit -> t
 (** [now] supplies simulated-time timestamps (wire it to the machine
     clock).  Default mode [Counters], default ring capacity 16384,
-    default flight-ring capacity 256, context tracking on ([ctx]). *)
+    default flight-ring capacity 256. *)
 
 val disabled : unit -> t
 (** A permanently-[Off] sink for components built without one. *)
@@ -68,8 +68,7 @@ val new_ctx : t -> ?parent:int -> ?deadline:int -> origin:string -> unit -> int
     absent = none); the child's effective deadline is the {e min} of
     its own and the parent's, so a deadline propagates down the causal
     tree and a child can only tighten it.  Returns 0 (and allocates
-    nothing) when [Off] or when the sink was created with
-    [~ctx:false]. *)
+    nothing) when [Off]. *)
 
 val current : t -> int
 (** The context ambient at this instant; stamped on every event. *)
@@ -99,9 +98,8 @@ val ctx_deadline : t -> int -> int
 
 val ctx_expired : t -> now:int -> int -> bool
 (** Whether the context carries a deadline that [now] has passed.
-    Context 0 (untracked) never expires — the overload plane is inert
-    when contexts are off, which is what keeps the plane-off run
-    bit-identical. *)
+    Context 0 (untracked, as every context is in [Off] mode) never
+    expires. *)
 
 (* Counters *)
 

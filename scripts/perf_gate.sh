@@ -6,8 +6,8 @@
 # more than TOLERANCE percent slower.  Simulated-time metrics are
 # deterministic — the discrete-event clock does not move with the host
 # — so a slowdown there is a real cost-model or scheduling change, not
-# noise.  Wall-clock rows (unit "ns_wall", the *_rate schedules/s
-# rows) and counts are never gated.
+# noise.  Rows are told apart by unit alone: wall-clock rows (every
+# unit ending in "_wall") and counts are never gated.
 #
 # usage: scripts/perf_gate.sh baseline.json current.json [tolerance_pct]
 #
@@ -52,7 +52,6 @@ awk -v tol="$tol" '
     for (i = 1; i <= n; i++) {
       k = keys[i]
       if (!(k in cur)) continue        # metric gone: section not re-run
-      if (k ~ /_rate$/) continue       # wall-clock throughput rows, never gated
       if (bunit[k] != "ns") continue   # only simulated time is gated
       b = base[k] + 0; c = cur[k] + 0
       if (b <= 0) continue

@@ -369,14 +369,13 @@ let overload_chaos_run seed =
         Hw.Fault_inject.random ~seed ~packs:3 ~records_per_pack:64
           ~horizon_ns:horizon;
       overload =
-        Some
-          { K.Kernel.ov_deadline_ns = max 1 (horizon / 2);
-            ov_retry_budget = 2;
-            ov_backoff_jitter = true;
-            ov_breaker_threshold = 3;
-            ov_breaker_cooldown_ns = 2_000_000;
-            ov_brownout = true;
-            ov_brownout_tick_ns = max 1 (horizon / 8) } }
+        { K.Kernel.ov_deadline_ns = max 1 (horizon / 2);
+          ov_retry_budget = 2;
+          ov_backoff_jitter = true;
+          ov_breaker_threshold = 3;
+          ov_breaker_cooldown_ns = 2_000_000;
+          ov_brownout = true;
+          ov_brownout_tick_ns = max 1 (horizon / 8) } }
   in
   let k = K.Kernel.boot config in
   K.Kernel.mkdir k ~path:">home" ~acl:open_acl ~label:low;

@@ -65,7 +65,7 @@ let test_elevator_order () =
    one at a time. *)
 let legacy ~max_batch =
   { Hw.Io_sched.max_batch; max_batch_cap = max_batch;
-    deadline_ns = max_int; anticipate_ns = 0; pack_ways = 1;
+    deadline_ns = max_int; pack_ways = 1;
     read_priority = false; seek_ns = 1_000; transfer_ns = 100;
     retry_limit = 3; retry_backoff_ns = 100;
     retry_budget = 0; backoff_jitter = false; breaker_threshold = 0;
@@ -194,7 +194,7 @@ let test_deadline_starvation_bound () =
   let deadline = 10_000 in
   let config =
     { Hw.Io_sched.max_batch = 4; max_batch_cap = 4; deadline_ns = deadline;
-      anticipate_ns = 0; pack_ways = 1; read_priority = true;
+      pack_ways = 1; read_priority = true;
       seek_ns = 1_000; transfer_ns = 100; retry_limit = 3;
       retry_backoff_ns = 100;
     retry_budget = 0; backoff_jitter = false; breaker_threshold = 0;
@@ -235,7 +235,7 @@ let test_deadline_starvation_bound () =
 let test_adaptive_batch_grow_shrink () =
   let config =
     { Hw.Io_sched.max_batch = 2; max_batch_cap = 8; deadline_ns = max_int;
-      anticipate_ns = 0; pack_ways = 1; read_priority = false;
+      pack_ways = 1; read_priority = false;
       seek_ns = 1_000; transfer_ns = 100; retry_limit = 3;
       retry_backoff_ns = 100;
     retry_budget = 0; backoff_jitter = false; breaker_threshold = 0;
@@ -288,7 +288,7 @@ let test_write_buffer_read_hit () =
 let test_cancel_quiesce_multiway () =
   let config =
     { Hw.Io_sched.max_batch = 4; max_batch_cap = 8; deadline_ns = 50_000;
-      anticipate_ns = 0; pack_ways = 4; read_priority = true;
+      pack_ways = 4; read_priority = true;
       seek_ns = 1_000; transfer_ns = 100; retry_limit = 3;
       retry_backoff_ns = 100;
     retry_budget = 0; backoff_jitter = false; breaker_threshold = 0;
@@ -318,6 +318,46 @@ let test_cancel_quiesce_multiway () =
   check Alcotest.int "read completed exactly once" 1 !reads;
   check Alcotest.int "cancellation counted" 1
     (Hw.Io_sched.stats io).Hw.Io_sched.s_cancelled
+
+(* Way choice on a two-arm pack: a sweep goes to the free arm nearest
+   (forward circular distance) its first record, ties to the lowest
+   way id.  A continuation of one arm's head therefore keeps that arm
+   and pays no seek, while a request behind it goes to the other arm
+   and leaves the stream's head where it was. *)
+let test_nearest_way () =
+  let config = { (legacy ~max_batch:1) with Hw.Io_sched.pack_ways = 2 } in
+  let machine, _disk, io = rig ~config () in
+  let costs = ref [] in
+  Hw.Io_sched.set_on_batch io (fun ~pack:_ ~size:_ ~cost_ns ->
+      costs := cost_ns :: !costs);
+  let read r =
+    Hw.Io_sched.submit_read io ~pack:0 ~record:r ~done_:(fun r ->
+        ignore (expect r))
+  in
+  let served records =
+    costs := [];
+    List.iter read records;
+    Hw.Machine.run machine;
+    List.rev !costs
+  in
+  let costs_are what expected records =
+    check Alcotest.(list int) what expected (served records)
+  in
+  (* Both heads at 0: record 10 is a tie, won by way 0. *)
+  costs_are "first request seeks" [ 1_100 ] [ 10 ];
+  costs_are "continuation keeps its arm, no seek" [ 100 ] [ 11 ];
+  (* Record 5 lies behind way 0's head (a wrap) but ahead of way 1's. *)
+  costs_are "far request seeks" [ 1_100 ] [ 5 ];
+  (* Both heads survived: each arm continues without a seek. *)
+  costs_are "stream arm still at its head" [ 100 ] [ 12 ];
+  costs_are "other arm took the far request" [ 100 ] [ 6 ];
+  (* Quiesce drains on way 0: record 13 costs no seek only if way 0 is
+     the arm the tie gave the stream to. *)
+  costs := [];
+  read 13;
+  Hw.Io_sched.quiesce io;
+  check Alcotest.(list int) "tie went to the lowest way id" [ 100 ] !costs;
+  Hw.Machine.run machine
 
 (* ------------------------------------------------------------------ *)
 (* Fault injection: transient errors are retried behind the caller's
@@ -512,6 +552,7 @@ let tests =
       test_write_buffer_read_hit;
     Alcotest.test_case "cancel+quiesce multiway" `Quick
       test_cancel_quiesce_multiway;
+    Alcotest.test_case "nearest way" `Quick test_nearest_way;
     Alcotest.test_case "transient retry" `Quick test_transient_retry;
     Alcotest.test_case "dead record" `Quick test_dead_record;
     Alcotest.test_case "pack offline" `Quick test_pack_offline;

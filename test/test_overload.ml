@@ -48,11 +48,7 @@ let disk_checksum k =
 (* Deadlines *)
 
 let test_deadline_expires_process () =
-  let config =
-    { K.Kernel.small_config with
-      K.Kernel.overload = Some K.Kernel.default_overload }
-  in
-  let k = boot ~config () in
+  let k = boot () in
   ignore
     (K.Kernel.spawn k ~pname:"slow" ~deadline_ns:50_000
        (busy_program ~i:0 ~touches:400));
@@ -73,9 +69,8 @@ let test_login_deadline_inherited () =
   let config =
     { K.Kernel.small_config with
       K.Kernel.overload =
-        Some
-          { K.Kernel.default_overload with
-            K.Kernel.ov_deadline_ns = 5_000_000_000 } }
+        { K.Kernel.default_overload with
+          K.Kernel.ov_deadline_ns = 5_000_000_000 } }
   in
   let k = boot ~config () in
   let svc =
@@ -212,10 +207,9 @@ let test_kernel_breaker_two_outages () =
     { K.Kernel.small_config with
       K.Kernel.faults;
       overload =
-        Some
-          { K.Kernel.default_overload with
-            K.Kernel.ov_breaker_threshold = 3;
-            ov_breaker_cooldown_ns = 2_000_000 };
+        { K.Kernel.default_overload with
+          K.Kernel.ov_breaker_threshold = 3;
+          ov_breaker_cooldown_ns = 2_000_000 };
       hw = Hw.Hw_config.with_frames Hw.Hw_config.kernel_multics 40;
       core_frames = 24;
       disk_packs = 1;
@@ -282,10 +276,9 @@ let test_brownout_ladder_steps () =
       records_per_pack = 512;
       max_processes = 32;
       overload =
-        Some
-          { K.Kernel.default_overload with
-            K.Kernel.ov_brownout = true;
-            ov_brownout_tick_ns = 20_000_000 } }
+        { K.Kernel.default_overload with
+          K.Kernel.ov_brownout = true;
+          ov_brownout_tick_ns = 20_000_000 } }
   in
   let k = boot ~config () in
   let transitions = ref [] in
@@ -332,14 +325,13 @@ let controlled_run () =
     { K.Kernel.small_config with
       K.Kernel.faults;
       overload =
-        Some
-          { K.Kernel.ov_deadline_ns = 0;
-            ov_retry_budget = 4;
-            ov_backoff_jitter = true;
-            ov_breaker_threshold = 3;
-            ov_breaker_cooldown_ns = 2_000_000;
-            ov_brownout = true;
-            ov_brownout_tick_ns = 5_000_000 };
+        { K.Kernel.ov_deadline_ns = 0;
+          ov_retry_budget = 4;
+          ov_backoff_jitter = true;
+          ov_breaker_threshold = 3;
+          ov_breaker_cooldown_ns = 2_000_000;
+          ov_brownout = true;
+          ov_brownout_tick_ns = 5_000_000 };
       hw = Hw.Hw_config.with_cpus Hw.Hw_config.kernel_multics 1 }
   in
   let k = boot ~config () in
