@@ -95,13 +95,25 @@ type metric = {
   m_metric : string;
   m_value : float;
   m_unit : string;
+  m_host : (int * string) option;
+      (* cores and OCaml version of the host a wall-clock row ran on *)
 }
 
 let metrics : metric list ref = ref []
 
+(* A wall-clock number means little without the machine behind it, so
+   every wall-clock row carries the host's core count and OCaml
+   version.  Simulated-time rows are host-independent and carry
+   neither. *)
 let record ~section ~metric ?(unit = "ns") value =
+  let m_host =
+    if String.ends_with ~suffix:"_wall" unit then
+      Some (Domain.recommended_domain_count (), Sys.ocaml_version)
+    else None
+  in
   metrics :=
-    { m_section = section; m_metric = metric; m_value = value; m_unit = unit }
+    { m_section = section; m_metric = metric; m_value = value; m_unit = unit;
+      m_host }
     :: !metrics
 
 let recordi ~section ~metric ?unit value =
@@ -134,12 +146,24 @@ let parse_row line =
     let n = String.length line in
     if n > 0 && line.[n - 1] = ',' then String.sub line 0 (n - 1) else line
   in
-  try
-    Scanf.sscanf line
-      "{\"section\": %S, \"metric\": %S, \"value\": %f, \"unit\": %S}"
-      (fun s m v u ->
-        Some { m_section = s; m_metric = m; m_value = v; m_unit = u })
-  with Scanf.Scan_failure _ | End_of_file | Failure _ -> None
+  let row s m v u m_host =
+    Some { m_section = s; m_metric = m; m_value = v; m_unit = u; m_host }
+  in
+  let scan fmt f =
+    try Scanf.sscanf line fmt f
+    with Scanf.Scan_failure _ | End_of_file | Failure _ -> None
+  in
+  match
+    scan
+      "{\"section\": %S, \"metric\": %S, \"value\": %f, \"unit\": %S, \
+       \"cores\": %d, \"ocaml\": %S}"
+      (fun s m v u cores ocaml -> row s m v u (Some (cores, ocaml)))
+  with
+  | Some _ as r -> r
+  | None ->
+      scan
+        "{\"section\": %S, \"metric\": %S, \"value\": %f, \"unit\": %S}"
+        (fun s m v u -> row s m v u None)
 
 let read_metrics ~path =
   match open_in path with
@@ -182,11 +206,18 @@ let write_metrics ~path =
   output_string oc "[\n";
   List.iteri
     (fun i m ->
+      let host =
+        match m.m_host with
+        | Some (cores, ocaml) ->
+            Printf.sprintf ", \"cores\": %d, \"ocaml\": \"%s\"" cores
+              (json_escape ocaml)
+        | None -> ""
+      in
       Printf.fprintf oc
         "  {\"section\": \"%s\", \"metric\": \"%s\", \"value\": %s, \
-         \"unit\": \"%s\"}%s\n"
+         \"unit\": \"%s\"%s}%s\n"
         (json_escape m.m_section) (json_escape m.m_metric)
-        (json_number m.m_value) (json_escape m.m_unit)
+        (json_number m.m_value) (json_escape m.m_unit) host
         (if i < n - 1 then "," else ""))
     rows;
   output_string oc "]\n";

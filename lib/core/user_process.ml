@@ -12,7 +12,7 @@ type proc = {
   trusted : bool;
   ring : int;
   vcpu : Hw.Cpu.t;
-  program : Workload.program;
+  mutable program : Workload.program;  (* emptied on reap *)
   mutable pc : int;
   regs : int array;
   mutable pstate : proc_state;
@@ -121,8 +121,12 @@ let touch_state t p =
            ~write:true)
 
 (* Release a finished process's kernel resources so its descriptor
-   segment and KST slots can serve new processes. *)
+   segment and KST slots can serve new processes.  The record itself
+   stays (callers read a finished process's state, registers and cpu
+   time by pid), but not its program, which is most of its size: a
+   long-running kernel would otherwise keep every program it ever ran. *)
 let reap t (p : proc) =
+  p.program <- [||];
   Address_space.destroy_space t.address_space ~caller:name ~proc:p.pid;
   Known_segment.destroy_kst t.known ~caller:name ~proc:p.pid;
   Segment.delete_by_uid t.segment ~caller:name ~uid:p.state_uid
@@ -369,11 +373,11 @@ let create_process ?deadline t ~caller ~pname ~principal ~label ~trusted ~ring
 let state_uids t =
   Hashtbl.fold (fun _ p acc -> p.state_uid :: acc) t.procs_tbl []
 
-let all_done t =
-  Hashtbl.fold
-    (fun _ p acc ->
-      acc && match p.pstate with P_done | P_failed _ -> true | _ -> false)
-    t.procs_tbl true
+(* Every process ends by [Finished] or [Failed], which count it; the
+   brownout tick asks this every period, so it must not walk every
+   process ever spawned.  (Not [next_pid]: a creation that fails after
+   taking its pid leaves no process.) *)
+let all_done t = t.completed + t.failed_count = Hashtbl.length t.procs_tbl
 
 let loads t = t.loads
 let unloads t = t.unloads

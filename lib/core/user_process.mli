@@ -26,7 +26,8 @@ type proc = {
   trusted : bool;
   ring : int;
   vcpu : Multics_hw.Cpu.t;  (** this process's register set *)
-  program : Workload.program;
+  mutable program : Workload.program;
+      (** the actions to run; emptied when the process finishes *)
   mutable pc : int;
   regs : int array;
   mutable pstate : proc_state;
@@ -93,7 +94,15 @@ val create_process :
     the same end-to-end deadline. *)
 
 val proc : t -> int -> proc
+(** A process's record, by pid, for the life of the manager.  A
+    finished ([P_done] or [P_failed]) process keeps its record with
+    [pstate], [pname], [principal], [regs] and [cpu_ns] intact.  Its
+    address space, KST, state segment and broadcast slot are released
+    when it finishes, and its [program] is emptied, so what a finished
+    process keeps is the record alone, about 0.5 KB. *)
+
 val procs : t -> proc list
+(** Every process ever created, by pid. *)
 
 val user_eventcount : t -> string -> Multics_sync.Eventcount.t
 (** Named user-level eventcounts (created on first use). *)
@@ -103,7 +112,8 @@ val state_uids : t -> Ids.uid list
     segments outside any directory, excluded from orphan scans. *)
 
 val all_done : t -> bool
-(** Every created process is [P_done] or [P_failed]. *)
+(** Every created process is [P_done] or [P_failed].  Constant time:
+    computed from the completion counts, not by walking the table. *)
 
 val scheduler : t -> Scheduler.t
 

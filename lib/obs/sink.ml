@@ -26,6 +26,23 @@ type slo = {
 
 type usage = { mutable u_cpu_ns : int; mutable u_ios : int }
 
+(* One chunk of the request-context store, indexed by id within the
+   chunk. *)
+type ctx_chunk = {
+  c_parent : int array;  (* 0 = root *)
+  c_root : int array;
+  c_origin : string array;
+  c_deadline : int array;  (* absolute ns; 0 = none *)
+}
+
+let chunk_bits = 10
+let chunk = 1 lsl chunk_bits
+let first_chunk = 64
+
+let make_chunk n =
+  { c_parent = Array.make n 0; c_root = Array.make n 0;
+    c_origin = Array.make n ""; c_deadline = Array.make n 0 }
+
 type t = {
   mutable md : mode;
   clock : unit -> int;
@@ -38,10 +55,8 @@ type t = {
   (* request contexts *)
   mutable cur : int;
   mutable ctx_n : int;  (* ids allocated so far; valid ids are 1..ctx_n *)
-  mutable ctx_parent : int array;  (* indexed by id; 0 = root *)
-  mutable ctx_root : int array;
-  mutable ctx_origin : string array;
-  mutable ctx_deadline : int array;  (* absolute ns; 0 = none *)
+  mutable ctx_cap : int;  (* ids below this have a slot *)
+  mutable ctx_chunks : ctx_chunk array;  (* chunk i holds ids i*chunk.. *)
   (* SLO watchdogs *)
   slo_tbl : (string, slo) Hashtbl.t;
   mutable slo_order : string list;  (* newest first *)
@@ -58,10 +73,8 @@ let create ?(mode = Counters) ?(capacity = 16384) ?(flight_capacity = 256)
     flight = Trace_buf.create ~capacity:flight_capacity ();
     histo_tbl = Hashtbl.create 32; histo_order = [];
     counter_tbl = Hashtbl.create 32; counter_order = [];
-    cur = 0; ctx_n = 0;
-    ctx_parent = Array.make 64 0; ctx_root = Array.make 64 0;
-    ctx_origin = Array.make 64 "";
-    ctx_deadline = Array.make 64 0;
+    cur = 0; ctx_n = 0; ctx_cap = first_chunk;
+    ctx_chunks = [| make_chunk first_chunk |];
     slo_tbl = Hashtbl.create 8; slo_order = []; on_breach = None;
     last_dump = None;
     user_tbl = Hashtbl.create 16 }
@@ -79,37 +92,61 @@ let flight t = t.flight
 
 (* Request contexts ------------------------------------------------- *)
 
+(* Contexts are never freed, so the store grows with every request.  It
+   grows by appending fixed chunks of [chunk] slots: nothing already
+   stored is copied, and at most one chunk stands reserved beyond the
+   last id.  Chunk 0 alone starts at [first_chunk] slots and doubles up
+   to [chunk], so a kernel that mints only a handful of contexts (every
+   explorer boot) stays as small as it was. *)
 let grow_ctx t =
-  let cap = Array.length t.ctx_parent in
-  let ncap = 2 * cap in
-  let cp = Array.make ncap 0 in
-  Array.blit t.ctx_parent 0 cp 0 cap;
-  t.ctx_parent <- cp;
-  let cr = Array.make ncap 0 in
-  Array.blit t.ctx_root 0 cr 0 cap;
-  t.ctx_root <- cr;
-  let co = Array.make ncap "" in
-  Array.blit t.ctx_origin 0 co 0 cap;
-  t.ctx_origin <- co;
-  let cd = Array.make ncap 0 in
-  Array.blit t.ctx_deadline 0 cd 0 cap;
-  t.ctx_deadline <- cd
+  let cap = t.ctx_cap in
+  if cap < chunk then begin
+    let c = t.ctx_chunks.(0) in
+    let n = 2 * cap in
+    let widen a fill =
+      let b = Array.make n fill in
+      Array.blit a 0 b 0 cap;
+      b
+    in
+    t.ctx_chunks.(0) <-
+      { c_parent = widen c.c_parent 0; c_root = widen c.c_root 0;
+        c_origin = widen c.c_origin ""; c_deadline = widen c.c_deadline 0 };
+    t.ctx_cap <- n
+  end
+  else begin
+    let i = cap lsr chunk_bits in
+    if i = Array.length t.ctx_chunks then begin
+      let dir = Array.make (2 * i) t.ctx_chunks.(0) in
+      Array.blit t.ctx_chunks 0 dir 0 i;
+      t.ctx_chunks <- dir
+    end;
+    t.ctx_chunks.(i) <- make_chunk chunk;
+    t.ctx_cap <- cap + chunk
+  end
+
+let chunk_of t id = t.ctx_chunks.(id lsr chunk_bits)
+let slot id = id land (chunk - 1)
+let known t id = id > 0 && id <= t.ctx_n
 
 let new_ctx t ?parent ?deadline ~origin () =
   if t.md = Off then 0
   else begin
     let parent = match parent with Some p -> p | None -> t.cur in
     let id = t.ctx_n + 1 in
-    if id >= Array.length t.ctx_parent then grow_ctx t;
+    if id >= t.ctx_cap then grow_ctx t;
     t.ctx_n <- id;
-    t.ctx_parent.(id) <- parent;
-    t.ctx_root.(id) <- (if parent > 0 then t.ctx_root.(parent) else id);
-    t.ctx_origin.(id) <- origin;
+    let c = chunk_of t id and i = slot id in
+    c.c_parent.(i) <- parent;
+    c.c_root.(i) <-
+      (if parent > 0 then (chunk_of t parent).c_root.(slot parent) else id);
+    c.c_origin.(i) <- origin;
     (* A child can tighten its inherited deadline but never loosen it:
        the effective deadline is the min of the parent's and its own. *)
-    let inherited = if parent > 0 then t.ctx_deadline.(parent) else 0 in
+    let inherited =
+      if parent > 0 then (chunk_of t parent).c_deadline.(slot parent) else 0
+    in
     let own = match deadline with Some d -> d | None -> 0 in
-    t.ctx_deadline.(id) <-
+    c.c_deadline.(i) <-
       (if inherited = 0 then own
        else if own = 0 then inherited
        else min inherited own);
@@ -119,20 +156,33 @@ let new_ctx t ?parent ?deadline ~origin () =
 let current t = t.cur
 let set_current t c = t.cur <- c
 let ctx_count t = t.ctx_n
-let ctx_parent t id = if id > 0 && id <= t.ctx_n then t.ctx_parent.(id) else 0
-let ctx_root t id = if id > 0 && id <= t.ctx_n then t.ctx_root.(id) else 0
-let ctx_origin t id = if id > 0 && id <= t.ctx_n then t.ctx_origin.(id) else ""
+
+let ctx_parent t id =
+  if known t id then (chunk_of t id).c_parent.(slot id) else 0
+
+let ctx_root t id = if known t id then (chunk_of t id).c_root.(slot id) else 0
+
+let ctx_origin t id =
+  if known t id then (chunk_of t id).c_origin.(slot id) else ""
 
 let ctx_deadline t id =
-  if id > 0 && id <= t.ctx_n then t.ctx_deadline.(id) else 0
+  if known t id then (chunk_of t id).c_deadline.(slot id) else 0
 
 let ctx_expired t ~now id =
-  id > 0 && id <= t.ctx_n
-  && t.ctx_deadline.(id) > 0
-  && now > t.ctx_deadline.(id)
+  let d = ctx_deadline t id in
+  d > 0 && now > d
 
 let rec ctx_chain t id =
-  if id <= 0 || id > t.ctx_n then [] else id :: ctx_chain t t.ctx_parent.(id)
+  if known t id then id :: ctx_chain t (ctx_parent t id) else []
+
+(* Directory slots past the last chunk repeat chunk 0; count it once. *)
+let ctx_words t =
+  let words = ref (Array.length t.ctx_chunks + 1) in
+  for i = 0 to max 1 (t.ctx_cap / chunk) - 1 do
+    let slots = Array.length t.ctx_chunks.(i).c_parent in
+    words := !words + 5 + (4 * (slots + 1))
+  done;
+  !words
 
 (* Counters --------------------------------------------------------- *)
 
@@ -253,32 +303,48 @@ let phase_code = function
   | Trace_buf.Instant -> "i"
   | Trace_buf.Counter -> "C"
 
-let pp_ctx_chain t ppf ctx =
-  List.iteri
-    (fun i id ->
-      if i > 0 then Format.fprintf ppf "<-";
-      Format.fprintf ppf "%d:%s" id (ctx_origin t id))
-    (ctx_chain t ctx)
-
+(* The dump is appended straight into a buffer: the explorer renders
+   one per schedule, and going through [Format] cost it more than a
+   quarter of its host time. *)
 let flight_dump t =
   let b = Buffer.create 1024 in
-  let ppf = Format.formatter_of_buffer b in
-  Format.fprintf ppf "flight recorder: %d events (%d overwritten)@."
-    (Trace_buf.length t.flight)
-    (Trace_buf.dropped t.flight);
-  Trace_buf.iter t.flight (fun ev ->
-      Format.fprintf ppf "%12d t%-2d %s %s:%s" ev.Trace_buf.ev_time
-        ev.Trace_buf.ev_tid
-        (phase_code ev.Trace_buf.ev_phase)
-        ev.Trace_buf.ev_cat ev.Trace_buf.ev_name;
-      if ev.Trace_buf.ev_id <> 0 then
-        Format.fprintf ppf " id=%d" ev.Trace_buf.ev_id;
-      if ev.Trace_buf.ev_arg <> 0 then
-        Format.fprintf ppf " arg=%d" ev.Trace_buf.ev_arg;
-      if ev.Trace_buf.ev_ctx <> 0 then
-        Format.fprintf ppf " ctx=%a" (pp_ctx_chain t) ev.Trace_buf.ev_ctx;
-      Format.fprintf ppf "@.");
-  Format.pp_print_flush ppf ();
+  let str = Buffer.add_string b and chr = Buffer.add_char b in
+  let num n = str (string_of_int n) in
+  let pad n = for _ = 1 to n do chr ' ' done in
+  let rec chain first id =
+    if known t id then begin
+      if not first then str "<-";
+      num id;
+      chr ':';
+      str (ctx_origin t id);
+      chain false (ctx_parent t id)
+    end
+  in
+  str "flight recorder: ";
+  num (Trace_buf.length t.flight);
+  str " events (";
+  num (Trace_buf.dropped t.flight);
+  str " overwritten)\n";
+  Trace_buf.iter t.flight
+    (fun { Trace_buf.ev_time; ev_phase; ev_cat; ev_name; ev_tid; ev_id;
+           ev_arg; ev_ctx } ->
+      (* time right-aligned in 12 columns, track left-aligned in 2 *)
+      let time = string_of_int ev_time and tid = string_of_int ev_tid in
+      pad (12 - String.length time);
+      str time;
+      str " t";
+      str tid;
+      pad (2 - String.length tid);
+      chr ' ';
+      str (phase_code ev_phase);
+      chr ' ';
+      str ev_cat;
+      chr ':';
+      str ev_name;
+      if ev_id <> 0 then (str " id="; num ev_id);
+      if ev_arg <> 0 then (str " arg="; num ev_arg);
+      if ev_ctx <> 0 then (str " ctx="; chain true ev_ctx);
+      chr '\n');
   Buffer.contents b
 
 let note_dump t ~reason =
@@ -292,8 +358,8 @@ let last_dump t = t.last_dump
 (* Per-user attribution --------------------------------------------- *)
 
 let attribute t ~ctx ~cpu_ns ~ios =
-  if ctx > 0 && ctx <= t.ctx_n then begin
-    let user = t.ctx_origin.(t.ctx_root.(ctx)) in
+  if known t ctx then begin
+    let user = ctx_origin t (ctx_root t ctx) in
     let u =
       match Hashtbl.find_opt t.user_tbl user with
       | Some u -> u

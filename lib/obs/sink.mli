@@ -14,7 +14,12 @@
     - {b request contexts} — small integer causal ids allocated at
       request entry points and stamped on every event ([ev_ctx]), with
       parent links so a request's full causal chain (read-ahead,
-      write-behind, retries spawned on its behalf) reconstructs;
+      write-behind, retries spawned on its behalf) reconstructs.
+      Contexts are never freed; the store grows by appending fixed
+      chunks of 1,024 slots (4 words each), so it never copies what it
+      holds and reserves at most one chunk beyond the last id.  The
+      first chunk starts at 64 slots and doubles up to 1,024, so a
+      kernel that mints a handful of contexts stays small;
     - {b SLO watchdogs} — simulated-time latency thresholds attached
       to histograms; a breach emits a structured ["slo"] anomaly event
       and is summarized by {!slos};
@@ -81,6 +86,11 @@ val set_current : t -> int -> unit
 
 val ctx_count : t -> int
 (** Contexts allocated so far (ids are [1..ctx_count]). *)
+
+val ctx_words : t -> int
+(** Heap words the context store holds: its arrays with their headers,
+    not the origin strings, which callers share.  About 4 per context,
+    plus at most one chunk reserved ahead. *)
 
 val ctx_parent : t -> int -> int
 (** Parent id, 0 for roots and unknown ids. *)

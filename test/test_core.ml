@@ -319,6 +319,58 @@ let test_aim_no_read_up () =
   check Alcotest.bool "audit saw denial" true
     (Aim.Audit.denials (K.Kernel.aim_audit k) > 0)
 
+(* A long-lived kernel's memory follows its live processes: 2,000
+   processes run to the end in waves, each still answers by pid with
+   its name, registers and cpu time, the oracle finds nothing wrong,
+   and what each finished process leaves behind is well under its
+   ~2.4 KB program. *)
+let test_finished_processes_released () =
+  let k = boot_with_home () in
+  K.Kernel.create_file k ~path:">home>f" ~acl:open_acl ~label:low;
+  let upm = K.Kernel.user_process k in
+  let steps = 100 and step_ns = 1_000 in
+  let job i =
+    K.Workload.concat
+      [ [| K.Workload.Initiate
+             { path = ">home>f"; reg = i mod K.Workload.n_registers } |];
+        K.Workload.compute_bound ~steps ~step_ns ]
+  in
+  let pids = ref [] in
+  let wave first =
+    for i = first to first + 7 do
+      pids := (i, K.Kernel.spawn k ~pname:(Printf.sprintf "job%d" i) (job i)) :: !pids
+    done;
+    if not (K.Kernel.run_to_completion k) then
+      Alcotest.failf "wave from job%d did not complete" first
+  in
+  let live_words () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  for w = 0 to 24 do wave (8 * w) done;
+  let live0 = live_words () in
+  for w = 25 to 249 do wave (8 * w) done;
+  let live1 = live_words () in
+  List.iter
+    (fun (i, pid) ->
+      let p = K.User_process.proc upm pid in
+      if p.K.User_process.pstate <> K.User_process.P_done then
+        Alcotest.failf "job%d not done" i;
+      if p.K.User_process.pname <> Printf.sprintf "job%d" i then
+        Alcotest.failf "pid %d answers as %s" pid p.K.User_process.pname;
+      if p.K.User_process.regs.(i mod K.Workload.n_registers) < 0 then
+        Alcotest.failf "job%d lost its initiated segment register" i;
+      if p.K.User_process.cpu_ns < steps * step_ns then
+        Alcotest.failf "job%d cpu_ns %d" i p.K.User_process.cpu_ns;
+      if p.K.User_process.program <> [||] then
+        Alcotest.failf "job%d kept its program" i)
+    !pids;
+  check Alcotest.int "all finished" 2_000 (K.User_process.completed upm);
+  check Alcotest.(list string) "oracle clean" [] (Multics_check.Oracle.check k);
+  let per_proc = (live1 - live0) * (Sys.word_size / 8) / (2_000 - 200) in
+  if per_proc >= 1_024 then
+    Alcotest.failf "each finished process keeps %d bytes" per_proc
+
 let test_aim_secret_can_read_down_not_write () =
   let k = boot () in
   K.Kernel.mkdir k ~path:">pub" ~acl:open_acl ~label:low;
@@ -534,6 +586,8 @@ let tests =
     Alcotest.test_case "write/read roundtrip" `Quick test_write_read_roundtrip;
     Alcotest.test_case "quota charged" `Quick test_quota_charged;
     Alcotest.test_case "quota enforced" `Quick test_quota_enforced;
+    Alcotest.test_case "finished processes released" `Quick
+      test_finished_processes_released;
     Alcotest.test_case "set_quota requires childless" `Quick
       test_set_quota_requires_childless;
     Alcotest.test_case "thrashing completes" `Quick test_thrashing_completes;

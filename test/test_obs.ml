@@ -322,6 +322,124 @@ let test_ctx_basics () =
     [ ("alice", (100, 3)) ]
     (Obs.Sink.by_user sink)
 
+(* The context store against a list of what was minted.  Each case
+   mints up to 3,000 contexts, so ids cross the first chunk's doublings
+   and several full-chunk boundaries; parents are drawn from anywhere
+   before (usually an earlier chunk), sometimes by way of the ambient
+   context, and deadlines are absent, tighter or looser than the
+   parent's.  The reference computes roots, chains and deadlines by
+   walking the recorded parents, not incrementally. *)
+type minted = { m_parent : int; m_own : int; m_origin : string }
+
+let test_ctx_store_model =
+  QCheck.Test.make ~name:"ctx store agrees with a list model" ~count:40
+    QCheck.(pair (int_range 1 3_000) int)
+    (fun (n, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let _, sink = rig ~mode:Obs.Sink.Counters () in
+      let users = [| "alice"; "bob"; "carol" |] in
+      let model = ref [] in
+      for id = 1 to n do
+        let parent =
+          if id = 1 || Random.State.int rng 4 = 0 then 0
+          else Random.State.int rng (id - 1) + 1
+        in
+        let own =
+          if Random.State.bool rng then 0 else 1 + Random.State.int rng 1_000
+        in
+        let origin =
+          if parent = 0 then users.(Random.State.int rng 3) else "gate"
+        in
+        let deadline = if own = 0 then None else Some own in
+        let got =
+          if Random.State.bool rng then
+            Obs.Sink.new_ctx sink ~parent ?deadline ~origin ()
+          else begin
+            Obs.Sink.set_current sink parent;
+            Obs.Sink.new_ctx sink ?deadline ~origin ()
+          end
+        in
+        if got <> id then Alcotest.failf "minted %d, expected %d" got id;
+        model := { m_parent = parent; m_own = own; m_origin = origin } :: !model
+      done;
+      let model = Array.of_list (List.rev !model) in
+      let entry id = model.(id - 1) in
+      let known id = id >= 1 && id <= n in
+      let rec chain id = if known id then id :: chain (entry id).m_parent else [] in
+      let root id = match List.rev (chain id) with r :: _ -> r | [] -> 0 in
+      let deadline id =
+        List.fold_left
+          (fun d c ->
+            let own = (entry c).m_own in
+            if own = 0 then d else if d = 0 then own else min d own)
+          0 (chain id)
+      in
+      let usage = Hashtbl.create 4 in
+      let probes = [ -1; 0; n + 1; n + 1_024 ] @ List.init n (fun i -> i + 1) in
+      List.iter
+        (fun id ->
+          let now = Random.State.int rng 1_100 in
+          let expect what e g =
+            if e <> g then Alcotest.failf "ctx %d: %s %d, expected %d" id what g e
+          in
+          expect "parent"
+            (if known id then (entry id).m_parent else 0)
+            (Obs.Sink.ctx_parent sink id);
+          expect "root" (root id) (Obs.Sink.ctx_root sink id);
+          expect "deadline" (deadline id) (Obs.Sink.ctx_deadline sink id);
+          let expired = deadline id > 0 && now > deadline id in
+          if Obs.Sink.ctx_expired sink ~now id <> expired then
+            Alcotest.failf "ctx %d: expired wrong at %d" id now;
+          if Obs.Sink.ctx_chain sink id <> chain id then
+            Alcotest.failf "ctx %d: chain differs" id;
+          let origin = if known id then (entry id).m_origin else "" in
+          if Obs.Sink.ctx_origin sink id <> origin then
+            Alcotest.failf "ctx %d: origin differs" id;
+          Obs.Sink.attribute sink ~ctx:id ~cpu_ns:id ~ios:1;
+          if known id then begin
+            let user = (entry (root id)).m_origin in
+            let cpu, ios =
+              Option.value ~default:(0, 0) (Hashtbl.find_opt usage user)
+            in
+            Hashtbl.replace usage user (cpu + id, ios + 1)
+          end)
+        probes;
+      let expected =
+        List.sort compare (Hashtbl.fold (fun u v acc -> (u, v) :: acc) usage [])
+      in
+      Obs.Sink.ctx_count sink = n && Obs.Sink.by_user sink = expected)
+
+(* The store reserves at most one chunk ahead of the ids it has handed
+   out; a doubling store would hold 8,192 slots here. *)
+let test_ctx_store_bounded () =
+  let _, sink = rig ~mode:Obs.Sink.Counters () in
+  for _ = 1 to 5_000 do
+    ignore (Obs.Sink.new_ctx sink ~parent:0 ~origin:"u" ())
+  done;
+  check Alcotest.bool "about 4 words a context" true
+    (Obs.Sink.ctx_words sink <= (4 * (5_000 + 1_024)) + 64)
+
+(* The flight dump's exact text: a wide timestamp and a two-digit track
+   fill their columns, a small one pads, and a context prints its whole
+   chain back to the root. *)
+let test_flight_dump_text () =
+  let clock, sink = rig ~mode:Obs.Sink.Counters () in
+  let root = Obs.Sink.new_ctx sink ~parent:0 ~origin:"alice" () in
+  let gate = Obs.Sink.new_ctx sink ~parent:root ~origin:"hcs_$initiate" () in
+  let fault = Obs.Sink.new_ctx sink ~parent:gate ~origin:"missing_page" () in
+  let ahead = Obs.Sink.new_ctx sink ~parent:fault ~origin:"read_ahead" () in
+  clock := 5;
+  Obs.Sink.instant sink ~tid:3 ~cat:"vp" ~name:"step" ();
+  clock := 123_456_789_012;
+  Obs.Sink.set_current sink ahead;
+  Obs.Sink.async_begin sink ~tid:12 ~arg:42 ~cat:"io" ~name:"batch" ~id:7 ();
+  check Alcotest.string "dump text"
+    "flight recorder: 2 events (0 overwritten)\n\
+    \           5 t3  i vp:step\n\
+     123456789012 t12 b io:batch id=7 arg=42 \
+     ctx=4:read_ahead<-3:missing_page<-2:hcs_$initiate<-1:alice\n"
+    (Obs.Sink.flight_dump sink)
+
 (* The cramped machine from the I/O tests: 40 pageable frames, a
    48-page file written then read back, so the read pass faults, the
    elevator serves it, and read-ahead prefetches.  Every record's
@@ -501,6 +619,9 @@ let tests =
     Alcotest.test_case "ctx alloc-free when off" `Quick
       test_ctx_off_allocation_free;
     Alcotest.test_case "ctx chains + attribution" `Quick test_ctx_basics;
+    QCheck_alcotest.to_alcotest test_ctx_store_model;
+    Alcotest.test_case "ctx store bounded" `Quick test_ctx_store_bounded;
+    Alcotest.test_case "flight dump text" `Quick test_flight_dump_text;
     Alcotest.test_case "ctx crosses faults, retries, read-ahead" `Quick
       test_ctx_propagation;
     Alcotest.test_case "critical path extraction" `Quick test_critical_path;
