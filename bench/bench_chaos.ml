@@ -59,9 +59,10 @@ let logical_image k =
               out :=
                 ( e.Hw.Disk.uid, pageno,
                   Array.to_list
-                    (Hw.Disk.read_record d
-                       ~pack:(Hw.Disk.pack_of_handle handle)
-                       ~record:(Hw.Disk.record_of_handle handle)) )
+                    (Hw.Page_image.to_words
+                       (Hw.Disk.read_record d
+                          ~pack:(Hw.Disk.pack_of_handle handle)
+                          ~record:(Hw.Disk.record_of_handle handle))) )
                 :: !out)
           e.Hw.Disk.file_map)
       (Hw.Disk.vtoc_entries d ~pack)
@@ -249,10 +250,11 @@ let crash_plan ~t_end ~t_checkpoint =
   let config = { base_config with K.Kernel.faults } in
   let k = Bench_util.boot_new ~config () in
   (* Shadow disk: last applied image per record, and whether that
-     application was acknowledged to the kernel. *)
+     application was acknowledged to the kernel.  Images are immutable,
+     so the shadow keeps the applied image itself. *)
   let shadow = Hashtbl.create 256 in
   K.Volume.set_on_apply (K.Kernel.volume k) (fun ~pack ~record ~acked img ->
-      Hashtbl.replace shadow (pack, record) (Array.copy img, acked));
+      Hashtbl.replace shadow (pack, record) (img, acked));
   ignore
     (K.Kernel.spawn k ~pname:"writer"
        (Bench_util.file_writer ~dir:">home" ~name:"big" ~pages:seq_pages));
@@ -296,7 +298,8 @@ let crash_plan ~t_end ~t_checkpoint =
     (fun (pack, record) (img, acked) ->
       if acked && not (Hw.Disk.record_is_free d ~pack ~record) then begin
         incr checked;
-        if Hw.Disk.read_record d ~pack ~record <> img then
+        if not (Hw.Page_image.equal (Hw.Disk.read_record d ~pack ~record) img)
+        then
           fail "bench_chaos: acked write to (%d,%d) lost at the crash" pack
             record
       end)

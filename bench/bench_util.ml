@@ -49,7 +49,7 @@ let disk_checksum k =
           (fun handle ->
             mix handle;
             if handle >= 0 then
-              Array.iter mix
+              Hw.Page_image.iter mix
                 (Hw.Disk.read_record d
                    ~pack:(Hw.Disk.pack_of_handle handle)
                    ~record:(Hw.Disk.record_of_handle handle)))
@@ -76,7 +76,7 @@ let disk_checksum_logical k =
         Array.iter
           (fun handle ->
             if handle >= 0 then
-              Array.iter mix
+              Hw.Page_image.iter mix
                 (Hw.Disk.read_record d
                    ~pack:(Hw.Disk.pack_of_handle handle)
                    ~record:(Hw.Disk.record_of_handle handle))

@@ -67,8 +67,28 @@ let () =
   Format.printf
     "The Multics Kernel Design Project (SOSP 1977) — experiment harness@.";
   Format.printf "sections: %s@." (String.concat ", " wanted);
-  List.iter
-    (fun (id, _desc, run) -> if List.mem id wanted then run ())
-    sections;
+  (* A section that fails its acceptance checks does not stop the run:
+     the later sections still run and BENCH_perf.json is still written.
+     The failed section's own rows are dropped, so the file keeps its
+     committed ones, and the run exits 2 naming it. *)
+  let failed =
+    List.filter_map
+      (fun (id, _desc, run) ->
+        if not (List.mem id wanted) then None
+        else
+          let saved = !Bench_util.metrics in
+          match run () with
+          | () -> None
+          | exception e ->
+              Bench_util.metrics := saved;
+              Format.printf "@.section %s FAILED: %s@." id
+                (Printexc.to_string e);
+              Some id)
+      sections
+  in
   Bench_util.write_metrics ~path:"BENCH_perf.json";
+  if failed <> [] then begin
+    Format.printf "@.failed sections: %s@." (String.concat ", " failed);
+    exit 2
+  end;
   Format.printf "@.done.@."

@@ -172,9 +172,9 @@ let run_breaker_full ?(bug = false) choice =
   in
   Hw.Io_sched.set_obs io obs;
   for r = 0 to 2 do
-    let img = Array.make Hw.Addr.page_size 0 in
-    img.(0) <- 100 + r;
-    Hw.Disk.write_record disk ~pack:0 ~record:r img
+    let words = Array.make Hw.Addr.page_size 0 in
+    words.(0) <- 100 + r;
+    Hw.Disk.write_record disk ~pack:0 ~record:r (Hw.Page_image.of_words words)
   done;
   let got = Array.make 3 None in
   for r = 0 to 2 do
@@ -193,7 +193,7 @@ let run_breaker_full ?(bug = false) choice =
           Format.asprintf "read %d failed: %a" r Hw.Io_sched.pp_io_error e
           :: !problems
     | Some (Ok img) ->
-        if img.(0) <> 100 + r then
+        if Hw.Page_image.get img 0 <> 100 + r then
           problems := Printf.sprintf "read %d returned wrong image" r :: !problems
   done;
   (match Hw.Io_sched.breaker_state io ~pack:0 with

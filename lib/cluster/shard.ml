@@ -268,7 +268,7 @@ let disk_hash_of_machine (m : Hw.Machine.t) =
           (fun handle ->
             mix handle;
             if handle >= 0 then
-              Array.iter mix
+              Hw.Page_image.iter mix
                 (Hw.Disk.read_record d
                    ~pack:(Hw.Disk.pack_of_handle handle)
                    ~record:(Hw.Disk.record_of_handle handle)))

@@ -69,7 +69,7 @@ val free_page_record : t -> caller:string -> pack:int -> record:int -> unit
 
 val read_page :
   t -> caller:string -> handle:int ->
-  (Multics_hw.Word.t array, Multics_hw.Io_sched.io_error) result
+  (Multics_hw.Page_image.t, Multics_hw.Io_sched.io_error) result
 (** Read the record named by an 18-bit handle.  The caller accounts for
     the I/O latency (the page frame manager overlaps it with waiting).
     A synchronous shim over the I/O scheduler: observes the
@@ -78,14 +78,14 @@ val read_page :
     the record is dead or its pack offline. *)
 
 val write_page :
-  t -> caller:string -> handle:int -> Multics_hw.Word.t array ->
+  t -> caller:string -> handle:int -> Multics_hw.Page_image.t ->
   (unit, Multics_hw.Io_sched.io_error) result
 (** Synchronous shim; supersedes any queued write-behind of the same
     record. *)
 
 val read_record_async :
   t -> caller:string -> handle:int ->
-  done_:((Multics_hw.Word.t array, Multics_hw.Io_sched.io_error) result ->
+  done_:((Multics_hw.Page_image.t, Multics_hw.Io_sched.io_error) result ->
          unit) ->
   unit
 (** Queue the read on the record's pack; [done_] fires from the batch
@@ -96,8 +96,9 @@ val read_record_async :
 val write_record_async :
   t -> caller:string ->
   ?done_:((unit, Multics_hw.Io_sched.io_error) result -> unit) ->
-  handle:int -> Multics_hw.Word.t array -> unit
-(** Queue a write-behind of a private copy of the image. *)
+  handle:int -> Multics_hw.Page_image.t -> unit
+(** Queue a write-behind of the image; the scheduler's buffer shares
+    it rather than copying it. *)
 
 val quiesce : t -> unit
 (** Apply every queued transfer immediately — shutdown's barrier, so a
@@ -110,7 +111,7 @@ val crash : t -> surviving_writes:int -> int
 
 val set_on_apply :
   t ->
-  (pack:int -> record:int -> acked:bool -> Multics_hw.Word.t array -> unit) ->
+  (pack:int -> record:int -> acked:bool -> Multics_hw.Page_image.t -> unit) ->
   unit
 (** Forwarded to [Io_sched.set_on_apply]; the chaos bench's shadow-disk
     hook. *)
@@ -132,7 +133,7 @@ val offline_signals : t -> int
     counts twice. *)
 
 val spare_record :
-  t -> caller:string -> old_handle:int -> Multics_hw.Word.t array ->
+  t -> caller:string -> old_handle:int -> Multics_hw.Page_image.t ->
   (int, [ `No_space ]) result
 (** Record sparing: the record behind [old_handle] went dead but the
     page image is still in core.  Retire the old record, allocate a

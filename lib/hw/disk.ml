@@ -17,7 +17,7 @@ type vtoc_entry = {
 }
 
 type pack = {
-  records : (int, Word.t array) Hashtbl.t;
+  records : (int, Page_image.t) Hashtbl.t;
   mutable free : int list;
   (* Mirror of [free] for O(1) membership tests; the list is kept for
      allocation order. *)
@@ -132,14 +132,13 @@ let read_record t ~pack ~record =
   let p = get_pack t pack in
   t.io_count <- t.io_count + 1;
   match Hashtbl.find_opt p.records record with
-  | Some img -> Array.copy img
-  | None -> Array.make Addr.page_size 0
+  | Some img -> img
+  | None -> Page_image.zero ()
 
 let write_record t ~pack ~record img =
-  assert (Array.length img = Addr.page_size);
   let p = get_pack t pack in
   t.io_count <- t.io_count + 1;
-  Hashtbl.replace p.records record (Array.copy img)
+  Hashtbl.replace p.records record img
 
 let io_latency_ns t = t.read_latency_ns
 

@@ -84,8 +84,15 @@ val record_is_torn : t -> pack:int -> record:int -> bool
 val torn_records : t -> pack:int -> int list
 (** Torn records on the pack, sorted. *)
 
-val read_record : t -> pack:int -> record:int -> Word.t array
-val write_record : t -> pack:int -> record:int -> Word.t array -> unit
+val read_record : t -> pack:int -> record:int -> Page_image.t
+(** The image the record holds: the very image last written to it, not
+    a copy (images are immutable, so the platter can share it with the
+    write buffer and every reader).  A never-written or freed record
+    reads as the shared {!Page_image.zero} page. *)
+
+val write_record : t -> pack:int -> record:int -> Page_image.t -> unit
+(** Store the caller's image as the record's contents, without copying
+    it. *)
 
 val io_latency_ns : t -> int
 (** Latency of one record transfer; callers schedule completion events. *)

@@ -44,8 +44,8 @@ let pp_io_error ppf = function
   | Breaker_open -> Format.fprintf ppf "breaker-open"
 
 type op =
-  | Read of ((Word.t array, io_error) result -> unit)
-  | Write of Word.t array * ((unit, io_error) result -> unit) option
+  | Read of ((Page_image.t, io_error) result -> unit)
+  | Write of Page_image.t * ((unit, io_error) result -> unit) option
 
 type req = {
   seq : int;
@@ -127,7 +127,7 @@ type t = {
      a read between two same-record writes, and it must see the newest
      image older than itself, which a latest-only table would have
      already dropped. *)
-  pending_writes : (int * int, (int * Word.t array) list) Hashtbl.t;
+  pending_writes : (int * int, (int * Page_image.t) list) Hashtbl.t;
   (* (pack, record) -> highest write seq applied to the platter.  A
      backoff-delayed retry can land after a newer same-record write;
      the stale image must be skipped, not applied. *)
@@ -166,7 +166,7 @@ type t = {
   mutable on_recover : pack:int -> unit;
   mutable on_batch : pack:int -> size:int -> cost_ns:int -> unit;
   mutable on_apply :
-    pack:int -> record:int -> acked:bool -> Word.t array -> unit;
+    pack:int -> record:int -> acked:bool -> Page_image.t -> unit;
   mutable obs : Multics_obs.Sink.t;
   mutable batch_seq : int;  (* async-span pairing ids for the exporter *)
 }
@@ -526,7 +526,7 @@ let rec execute_req ?(sync = false) t pack (r : req) =
             in
             let img =
               match buffered with
-              | Some (_, img) -> Array.copy img
+              | Some (_, img) -> img
               | None -> Disk.read_record t.disk ~pack ~record:r.record
             in
             breaker_note_success t (pack_state t pack);
@@ -843,12 +843,11 @@ let submit_read t ~pack ~record ~done_ =
          && not (Disk.record_is_dead t.disk ~pack ~record) ->
       t.buffer_hits <- t.buffer_hits + 1;
       Multics_obs.Sink.count t.obs "io.buffer_hit";
-      let copy = Array.copy img in
       let ctx = Multics_obs.Sink.current t.obs in
       t.schedule ~delay:0 (fun () ->
           let prev = Multics_obs.Sink.current t.obs in
           Multics_obs.Sink.set_current t.obs ctx;
-          done_ (Ok copy);
+          done_ (Ok img);
           Multics_obs.Sink.set_current t.obs prev)
   | _ -> ignore (submit t ~pack ~record (Read done_))
 
@@ -865,14 +864,14 @@ let submit_write t ?done_ ~pack ~record img =
     | None -> ()
   end
   else
-  let r = submit t ~pack ~record (Write (Array.copy img, done_)) in
+  let r = submit t ~pack ~record (Write (img, done_)) in
   let prev =
     match Hashtbl.find_opt t.pending_writes (pack, record) with
     | Some l -> l
     | None -> []
   in
   Hashtbl.replace t.pending_writes (pack, record)
-    ((r.seq, Array.copy img) :: prev)
+    ((r.seq, img) :: prev)
 
 let cancel_writes t ~pack ~record =
   let p = pack_state t pack in
@@ -896,7 +895,7 @@ let read_now t ~pack ~record =
     | Some ((_, img) :: _) ->
         (* Count the transfer the caller is paying for. *)
         ignore (Disk.read_record t.disk ~pack ~record);
-        Ok (Array.copy img)
+        Ok img
     | _ ->
         (* Inline bounded retry: the blocking shim cannot wait out a
            backoff, so it burns its attempts back to back. *)

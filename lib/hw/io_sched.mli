@@ -73,6 +73,13 @@
     buffer, which is what keeps the old blocking API bit-identical to
     the asynchronous one.
 
+    Images are {!Page_image.t}s and are shared, never copied: the
+    image a write submits is the one the buffer holds, the one every
+    buffer-hit or [read_now] reader receives, the one {!Disk} stores
+    and the one [on_apply] and [crash] pass along.  Immutability makes
+    that safe — a caller that goes on changing its frame after
+    submitting has changed the frame, not the snapshot it submitted.
+
     Errors: every completion is a [result].  Transient faults from the
     machine's {!Fault_inject} plan are retried in place with bounded
     exponential backoff charged to the simulated clock; after
@@ -160,18 +167,21 @@ val single_transfer_ns : t -> int
 
 val submit_read :
   t -> pack:int -> record:int ->
-  done_:((Word.t array, io_error) result -> unit) -> unit
+  done_:((Page_image.t, io_error) result -> unit) -> unit
 (** Queue a read; [done_] fires from the batch-completion event with
-    the record image, or from the final failed retry with the error. *)
+    the record image, or from the final failed retry with the error.
+    A read of a record with a pending write is a buffer hit: [done_]
+    fires at the current instant with the buffered image itself. *)
 
 val submit_write :
   t -> ?done_:((unit, io_error) result -> unit) -> pack:int -> record:int ->
-  Word.t array -> unit
-(** Queue a write of a private copy of the image (the write-behind
-    buffer); [done_ (Ok ())] fires when it reaches the platter — that
-    acknowledgement is the durability promise the crash bench checks. *)
+  Page_image.t -> unit
+(** Queue a write of the image and hold it in the write-behind buffer
+    until it lands — shared, not copied; [done_ (Ok ())] fires when it
+    reaches the platter — that acknowledgement is the durability
+    promise the crash bench checks. *)
 
-val read_now : t -> pack:int -> record:int -> (Word.t array, io_error) result
+val read_now : t -> pack:int -> record:int -> (Page_image.t, io_error) result
 (** Synchronous shim: the image the record will hold once every write
     submitted so far has been applied — the pending-write buffer if one
     exists, the platter otherwise.  Transient faults are retried back
@@ -179,7 +189,7 @@ val read_now : t -> pack:int -> record:int -> (Word.t array, io_error) result
     caller charges [single_transfer_ns] itself. *)
 
 val write_now :
-  t -> pack:int -> record:int -> Word.t array -> (unit, io_error) result
+  t -> pack:int -> record:int -> Page_image.t -> (unit, io_error) result
 (** Synchronous shim: apply immediately, superseding (cancelling) any
     queued write to the same record so a later flush cannot clobber
     this image with older data. *)
@@ -219,7 +229,7 @@ val set_on_batch : t -> (pack:int -> size:int -> cost_ns:int -> unit) -> unit
     one place. *)
 
 val set_on_apply :
-  t -> (pack:int -> record:int -> acked:bool -> Word.t array -> unit) -> unit
+  t -> (pack:int -> record:int -> acked:bool -> Page_image.t -> unit) -> unit
 (** Hook fired on every image actually applied to a platter, with
     [acked = false] for writes a crash applied without completing.
     The chaos bench builds its shadow disk here. *)

@@ -27,12 +27,11 @@ let write t a w =
 
 let read_frame t n =
   assert (n >= 0 && n < t.n_frames);
-  Array.sub t.data (Addr.frame_base n) Addr.page_size
+  Page_image.sub t.data ~pos:(Addr.frame_base n)
 
 let write_frame t n img =
   assert (n >= 0 && n < t.n_frames);
-  assert (Array.length img = Addr.page_size);
-  Array.blit img 0 t.data (Addr.frame_base n) Addr.page_size
+  Page_image.blit img t.data ~pos:(Addr.frame_base n)
 
 let zero_frame t n =
   assert (n >= 0 && n < t.n_frames);

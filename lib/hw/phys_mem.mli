@@ -19,11 +19,16 @@ val read : t -> Addr.abs -> Word.t
 
 val write : t -> Addr.abs -> Word.t -> unit
 
-val read_frame : t -> int -> Word.t array
-(** Copy of frame [n]'s 1024 words. *)
+val read_frame : t -> int -> Page_image.t
+(** Snapshot frame [n] into a new image: the one host copy of a
+    page-out.  Later stores into the frame do not reach the image, so
+    the page can be written behind while the frame is reused.  Like
+    {!write_frame} it is a transfer, not a processor reference, and
+    leaves {!reads}/{!writes} untouched. *)
 
-val write_frame : t -> int -> Word.t array -> unit
-(** Overwrite frame [n]; the array must have [Addr.page_size] words. *)
+val write_frame : t -> int -> Page_image.t -> unit
+(** Load an image into frame [n], overwriting all its words: the one
+    host copy of a page-in.  The image stays shared and unchanged. *)
 
 val zero_frame : t -> int -> unit
 

@@ -175,7 +175,8 @@ let disk_checksum k =
         acc :=
           Hashtbl.hash
             ( !acc, pack, record,
-              Array.to_list (Hw.Disk.read_record d ~pack ~record) )
+              Hw.Page_image.to_words (Hw.Disk.read_record d ~pack ~record)
+              |> Array.to_list )
     done
   done;
   !acc

@@ -211,7 +211,7 @@ let test_disk_io_count () =
   let disk = Hw.Disk.create ~packs:1 ~records_per_pack:4 ~read_latency_ns:10 in
   let r = Hw.Disk.alloc_record disk ~pack:0 in
   ignore (Hw.Disk.read_record disk ~pack:0 ~record:r);
-  Hw.Disk.write_record disk ~pack:0 ~record:r (Array.make Hw.Addr.page_size 0);
+  Hw.Disk.write_record disk ~pack:0 ~record:r (Hw.Page_image.zero ());
   check Alcotest.int "two transfers" 2 (Hw.Disk.io_count disk)
 
 let tests =

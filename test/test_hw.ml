@@ -272,13 +272,13 @@ let test_disk_alloc_full () =
 let test_disk_rw () =
   let disk = Hw.Disk.create ~packs:1 ~records_per_pack:4 ~read_latency_ns:10 in
   let r = Hw.Disk.alloc_record disk ~pack:0 in
-  let img = Array.make Hw.Addr.page_size 0 in
-  img.(0) <- 42;
-  img.(1023) <- 7;
-  Hw.Disk.write_record disk ~pack:0 ~record:r img;
+  let words = Array.make Hw.Addr.page_size 0 in
+  words.(0) <- 42;
+  words.(1023) <- 7;
+  Hw.Disk.write_record disk ~pack:0 ~record:r (Hw.Page_image.of_words words);
   let back = Hw.Disk.read_record disk ~pack:0 ~record:r in
-  check Alcotest.int "word 0" 42 back.(0);
-  check Alcotest.int "word 1023" 7 back.(1023)
+  check Alcotest.int "word 0" 42 (Hw.Page_image.get back 0);
+  check Alcotest.int "word 1023" 7 (Hw.Page_image.get back 1023)
 
 let test_disk_handles () =
   let h = Hw.Disk.handle ~pack:3 ~record:123 in

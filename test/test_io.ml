@@ -12,7 +12,10 @@ let check = Alcotest.check
 let page words =
   let img = Array.make Hw.Addr.page_size 0 in
   List.iteri (fun i w -> img.(i) <- w) words;
-  img
+  Hw.Page_image.of_words img
+
+let w0 img = Hw.Page_image.get img 0
+let words_of img = Array.to_list (Hw.Page_image.to_words img)
 
 let rig ?config ?faults () =
   let machine =
@@ -45,7 +48,7 @@ let test_elevator_order () =
   List.iter
     (fun r ->
       Hw.Io_sched.submit_read io ~pack:0 ~record:r ~done_:(fun r ->
-          order := (expect r).(0) :: !order))
+          order := w0 (expect r) :: !order))
     [ 5; 1; 9; 3; 7 ];
   Hw.Machine.run machine;
   check
@@ -122,21 +125,21 @@ let test_write_coherence () =
   Hw.Io_sched.submit_write io ~pack:0 ~record:7 (page [ 111 ]);
   (* The synchronous shim observes the queued image... *)
   let img = expect (Hw.Io_sched.read_now io ~pack:0 ~record:7) in
-  check Alcotest.int "read_now sees write-behind" 111 img.(0);
+  check Alcotest.int "read_now sees write-behind" 111 (w0 img);
   (* ...and so does a queued read submitted after the write. *)
   let seen = ref 0 in
   Hw.Io_sched.submit_read io ~pack:0 ~record:7 ~done_:(fun r ->
-      seen := (expect r).(0));
+      seen := w0 (expect r));
   (* A second write supersedes the first for later readers. *)
   Hw.Io_sched.submit_write io ~pack:0 ~record:7 (page [ 222 ]);
   let seen_after = ref 0 in
   Hw.Io_sched.submit_read io ~pack:0 ~record:7 ~done_:(fun r ->
-      seen_after := (expect r).(0));
+      seen_after := w0 (expect r));
   Hw.Machine.run machine;
   check Alcotest.int "read ordered before 2nd write" 111 !seen;
   check Alcotest.int "read ordered after 2nd write" 222 !seen_after;
   check Alcotest.int "disk has the final image" 222
-    (Hw.Disk.read_record disk ~pack:0 ~record:7).(0)
+    (w0 (Hw.Disk.read_record disk ~pack:0 ~record:7))
 
 let test_cancel_writes () =
   let machine, disk, io = rig () in
@@ -145,7 +148,7 @@ let test_cancel_writes () =
   Hw.Io_sched.cancel_writes io ~pack:0 ~record:3;
   Hw.Machine.run machine;
   check Alcotest.int "stale write never landed" 5
-    (Hw.Disk.read_record disk ~pack:0 ~record:3).(0);
+    (w0 (Hw.Disk.read_record disk ~pack:0 ~record:3));
   check Alcotest.int "cancellation counted" 1
     (Hw.Io_sched.stats io).Hw.Io_sched.s_cancelled
 
@@ -165,7 +168,7 @@ let test_cancel_before_free_ordering () =
   Hw.Io_sched.submit_write io ~pack:0 ~record:r2 (page [ 42 ]);
   Hw.Machine.run machine;
   check Alcotest.int "new owner's image intact — stale write never landed" 42
-    (Hw.Disk.read_record disk ~pack:0 ~record:r2).(0);
+    (w0 (Hw.Disk.read_record disk ~pack:0 ~record:r2));
   check Alcotest.int "old write was cancelled" 1
     (Hw.Io_sched.stats io).Hw.Io_sched.s_cancelled
 
@@ -175,7 +178,7 @@ let test_quiesce () =
   (* No events have run: the write is still queued. *)
   Hw.Io_sched.quiesce io;
   check Alcotest.int "quiesce applied the write" 42
-    (Hw.Disk.read_record disk ~pack:1 ~record:9).(0);
+    (w0 (Hw.Disk.read_record disk ~pack:1 ~record:9));
   (* The already-scheduled completion event must now be a no-op. *)
   Hw.Machine.run machine;
   let s = Hw.Io_sched.stats io in
@@ -219,7 +222,7 @@ let test_deadline_starvation_bound () =
   next_read 0;
   Hw.Machine.run machine;
   check Alcotest.int "write landed" 777
-    (Hw.Disk.read_record disk ~pack:0 ~record:50).(0);
+    (w0 (Hw.Disk.read_record disk ~pack:0 ~record:50));
   check Alcotest.bool "not before its deadline" true
     (!write_applied_at >= deadline);
   (* One read batch may be in flight at expiry, then the forced sweep
@@ -268,7 +271,7 @@ let test_write_buffer_read_hit () =
   Hw.Io_sched.submit_write io ~pack:0 ~record:5 (page [ 9 ]);
   let order = ref [] in
   Hw.Io_sched.submit_read io ~pack:0 ~record:5 ~done_:(fun r ->
-      order := ("hit", (expect r).(0)) :: !order);
+      order := ("hit", w0 (expect r)) :: !order);
   Hw.Io_sched.submit_read io ~pack:0 ~record:6 ~done_:(fun r ->
       ignore (expect r);
       order := ("arm", 0) :: !order);
@@ -281,7 +284,7 @@ let test_write_buffer_read_hit () =
   check Alcotest.int "counted as a buffer hit" 1
     (Hw.Io_sched.stats io).Hw.Io_sched.s_buffer_hits;
   check Alcotest.int "write-behind still lands" 9
-    (Hw.Disk.read_record disk ~pack:0 ~record:5).(0)
+    (w0 (Hw.Disk.read_record disk ~pack:0 ~record:5))
 
 (* Cancellation and the quiesce barrier under the multi-way deadline
    configuration — the paths the C2/C4 benches rely on. *)
@@ -302,16 +305,16 @@ let test_cancel_quiesce_multiway () =
   Hw.Io_sched.submit_write io ~pack:0 ~record:3 (page [ 33 ]);
   let reads = ref 0 in
   Hw.Io_sched.submit_read io ~pack:0 ~record:10 ~done_:(fun r ->
-      check Alcotest.int "read data" 10 (expect r).(0);
+      check Alcotest.int "read data" 10 (w0 (expect r));
       incr reads);
   Hw.Io_sched.cancel_writes io ~pack:0 ~record:2;
   Hw.Io_sched.quiesce io;
   check Alcotest.int "settled writes on the platter" 11
-    (Hw.Disk.read_record disk ~pack:0 ~record:1).(0);
+    (w0 (Hw.Disk.read_record disk ~pack:0 ~record:1));
   check Alcotest.int "cancelled write never landed" 22
-    (Hw.Disk.read_record disk ~pack:0 ~record:2).(0);
+    (w0 (Hw.Disk.read_record disk ~pack:0 ~record:2));
   check Alcotest.int "third write landed" 33
-    (Hw.Disk.read_record disk ~pack:0 ~record:3).(0);
+    (w0 (Hw.Disk.read_record disk ~pack:0 ~record:3));
   check Alcotest.int "read completed at the barrier" 1 !reads;
   (* Already-scheduled dispatch/completion events must now be no-ops. *)
   Hw.Machine.run machine;
@@ -371,7 +374,7 @@ let test_transient_retry () =
   Hw.Disk.write_record disk ~pack:0 ~record:4 (page [ 77 ]);
   let seen = ref 0 in
   Hw.Io_sched.submit_read io ~pack:0 ~record:4 ~done_:(fun r ->
-      seen := (expect r).(0));
+      seen := w0 (expect r));
   Hw.Machine.run machine;
   check Alcotest.int "read recovered after transient errors" 77 !seen;
   let s = Hw.Io_sched.stats io in
@@ -416,7 +419,7 @@ let test_pack_offline () =
   (* The other pack is untouched by pack 1's failure. *)
   Hw.Disk.write_record disk ~pack:0 ~record:3 (page [ 9 ]);
   check Alcotest.int "pack 0 still readable" 9
-    (expect (Hw.Io_sched.read_now io ~pack:0 ~record:3)).(0)
+    (w0 (expect (Hw.Io_sched.read_now io ~pack:0 ~record:3)))
 
 let test_crash_tears_writes () =
   let machine, disk, io = rig () in
@@ -433,9 +436,9 @@ let test_crash_tears_writes () =
   (* The survivor reached the platter; the other record is
      write-atomic, so it keeps its last complete image — torn. *)
   check Alcotest.int "survivor landed" 11
-    (Hw.Disk.read_record disk ~pack:0 ~record:1).(0);
+    (w0 (Hw.Disk.read_record disk ~pack:0 ~record:1));
   check Alcotest.int "torn record keeps the pre-crash image" 20
-    (Hw.Disk.read_record disk ~pack:0 ~record:2).(0);
+    (w0 (Hw.Disk.read_record disk ~pack:0 ~record:2));
   check Alcotest.bool "torn mark set for the salvager" true
     (Hw.Disk.record_is_torn disk ~pack:0 ~record:2);
   check Alcotest.bool "survivor is not torn" false
@@ -443,7 +446,130 @@ let test_crash_tears_writes () =
   (* The already-scheduled dispatch events must now be no-ops. *)
   Hw.Machine.run machine;
   check Alcotest.int "nothing more lands after the crash" 20
-    (Hw.Disk.read_record disk ~pack:0 ~record:2).(0)
+    (w0 (Hw.Disk.read_record disk ~pack:0 ~record:2))
+
+(* ------------------------------------------------------------------ *)
+(* Shared page images: a page-out snapshots its frame once, and the
+   scheduler, its readers and the platter all share that snapshot.
+   The frame is free for its next page at once, so nothing that holds
+   the snapshot may see the frame's later stores. *)
+
+let test_snapshot_outlives_frame () =
+  let frame = 3 in
+  let page_words =
+    List.init Hw.Addr.page_size (fun i -> ((i * 7919) + 1) land Hw.Word.mask)
+  in
+  (* Load the page, snapshot the frame, write the snapshot behind, then
+     let processor stores give the frame to another page. *)
+  let snapshot_then_reuse machine io ~record =
+    let mem = machine.Hw.Machine.mem in
+    Hw.Phys_mem.write_frame mem frame
+      (Hw.Page_image.of_words (Array.of_list page_words));
+    Hw.Io_sched.submit_write io ~pack:0 ~record
+      (Hw.Phys_mem.read_frame mem frame);
+    let base = Hw.Addr.frame_base frame in
+    for i = 0 to Hw.Addr.page_size - 1 do
+      Hw.Phys_mem.write mem (base + i) 0o777
+    done
+  in
+  let machine, disk, io = rig () in
+  snapshot_then_reuse machine io ~record:12;
+  let hit = ref [] in
+  Hw.Io_sched.submit_read io ~pack:0 ~record:12 ~done_:(fun r ->
+      hit := words_of (expect r));
+  check Alcotest.(list int) "read_now" page_words
+    (words_of (expect (Hw.Io_sched.read_now io ~pack:0 ~record:12)));
+  Hw.Machine.run machine;
+  check Alcotest.int "served from the write buffer" 1
+    (Hw.Io_sched.stats io).Hw.Io_sched.s_buffer_hits;
+  check Alcotest.(list int) "buffer-hit read" page_words !hit;
+  check Alcotest.(list int) "platter after the sweep" page_words
+    (words_of (Hw.Disk.read_record disk ~pack:0 ~record:12));
+  let machine, disk, io = rig () in
+  snapshot_then_reuse machine io ~record:12;
+  check Alcotest.int "one buffered write" 1
+    (Hw.Io_sched.crash io ~surviving_writes:1);
+  check Alcotest.(list int) "write surviving a crash" page_words
+    (words_of (Hw.Disk.read_record disk ~pack:0 ~record:12))
+
+(* A record nobody wrote reads as zeros, straight off the platter and
+   through the scheduler alike. *)
+let test_unwritten_record_reads_zero () =
+  let machine, disk, io = rig () in
+  let zeros = List.init Hw.Addr.page_size (fun _ -> 0) in
+  check Alcotest.(list int) "Disk.read_record" zeros
+    (words_of (Hw.Disk.read_record disk ~pack:0 ~record:40));
+  let got = ref [] in
+  Hw.Io_sched.submit_read io ~pack:0 ~record:41 ~done_:(fun r ->
+      got := words_of (expect r));
+  Hw.Machine.run machine;
+  check Alcotest.(list int) "submit_read" zeros !got
+
+(* The one-copy property, pinned.  A page-in through the scheduler
+   allocates no page on the major heap: the platter's image is shared
+   with the reader and loaded into the frame in place.  A page-out
+   allocates exactly one, the frame snapshot.  Any defensive copy on
+   either path adds a whole page (1,024 words) per transfer. *)
+let test_transfer_allocation () =
+  let n = 256 in
+  let disk =
+    Hw.Disk.create ~packs:1 ~records_per_pack:1024 ~read_latency_ns:2_000_000
+  in
+  let q = Hw.Event_queue.create () in
+  let clock = ref 0 in
+  let io =
+    Hw.Io_sched.create ~disk
+      ~now:(fun () -> !clock)
+      ~schedule:(fun ~delay fn -> Hw.Event_queue.add q ~time:(!clock + delay) fn)
+      ()
+  in
+  let rec pump () =
+    match Hw.Event_queue.pop q with
+    | Some (t, fn) ->
+        clock := t;
+        fn ();
+        pump ()
+    | None -> ()
+  in
+  let mem = Hw.Phys_mem.create ~frames:4 in
+  for r = 0 to n - 1 do
+    Hw.Disk.write_record disk ~pack:0 ~record:r (page [ r ])
+  done;
+  (* Promote the set-up's live data first, so a minor collection inside
+     a window only promotes what that window allocated. *)
+  let major_words () =
+    Gc.minor ();
+    let _, _, major = Gc.counters () in
+    major
+  in
+  let per_transfer before = (major_words () -. before) /. float_of_int n in
+  let loaded = ref 0 in
+  let before = major_words () in
+  for r = 0 to n - 1 do
+    Hw.Io_sched.submit_read io ~pack:0 ~record:r ~done_:(fun res ->
+        Hw.Phys_mem.write_frame mem (r land 3) (expect res);
+        incr loaded)
+  done;
+  pump ();
+  let per_read = per_transfer before in
+  let before = major_words () in
+  for r = 0 to n - 1 do
+    Hw.Phys_mem.write mem (Hw.Addr.frame_base (r land 3)) r;
+    Hw.Io_sched.submit_write io ~pack:0 ~record:(n + r)
+      (Hw.Phys_mem.read_frame mem (r land 3))
+  done;
+  pump ();
+  let per_write = per_transfer before in
+  check Alcotest.int "every read loaded" n !loaded;
+  check Alcotest.int "every write landed" (n - 1)
+    (w0 (Hw.Disk.read_record disk ~pack:0 ~record:(2 * n - 1)));
+  if per_read >= 64.0 then
+    Alcotest.failf "page-in: %.0f major-heap words per read (want < 64)"
+      per_read;
+  if per_write > 1.1 *. float_of_int Hw.Addr.page_size then
+    Alcotest.failf "page-out: %.0f major-heap words per write (want <= %.0f)"
+      per_write
+      (1.1 *. float_of_int Hw.Addr.page_size)
 
 (* ------------------------------------------------------------------ *)
 (* Kernel-level: the asynchronous protocol computes bit-identical disk
@@ -489,7 +615,7 @@ let disk_image k =
             if handle >= 0 then
               out :=
                 ( e.Hw.Disk.uid, index, pageno,
-                  Array.to_list
+                  words_of
                     (Hw.Disk.read_record d
                        ~pack:(Hw.Disk.pack_of_handle handle)
                        ~record:(Hw.Disk.record_of_handle handle)) )
@@ -557,6 +683,12 @@ let tests =
     Alcotest.test_case "dead record" `Quick test_dead_record;
     Alcotest.test_case "pack offline" `Quick test_pack_offline;
     Alcotest.test_case "crash tears writes" `Quick test_crash_tears_writes;
+    Alcotest.test_case "snapshot outlives its frame" `Quick
+      test_snapshot_outlives_frame;
+    Alcotest.test_case "unwritten record reads zero" `Quick
+      test_unwritten_record_reads_zero;
+    Alcotest.test_case "one host copy per transfer" `Quick
+      test_transfer_allocation;
     Alcotest.test_case "async equals sync" `Quick test_async_equals_sync;
     Alcotest.test_case "read-ahead hits" `Quick test_read_ahead_hits;
     Alcotest.test_case "read-ahead low water" `Quick test_read_ahead_low_water

@@ -206,16 +206,33 @@ let test_cpu_counters () =
   check Alcotest.int "translations counted" 1 cpu.Hw.Cpu.translations;
   check Alcotest.int "faults counted" 1 cpu.Hw.Cpu.faults
 
+(* Full random pages over three frames: loading a page into one frame
+   and snapshotting it gives the page back, its neighbours keep their
+   own pages, and neither transfer moves the processor's access
+   counters the cost model reads. *)
 let prop_frame_roundtrip =
+  let page =
+    QCheck.Gen.(array_size (return Hw.Addr.page_size) (int_bound Hw.Word.mask))
+  in
   qcheck
     (QCheck.Test.make ~name:"frame write/read roundtrip" ~count:50
-       QCheck.(list_of_size (QCheck.Gen.return 16) (int_bound Hw.Word.mask))
-       (fun words ->
-         let mem = Hw.Phys_mem.create ~frames:2 in
-         let img = Array.make Hw.Addr.page_size 0 in
-         List.iteri (fun i w -> img.(i * 8) <- w) words;
-         Hw.Phys_mem.write_frame mem 1 img;
-         Hw.Phys_mem.read_frame mem 1 = img))
+       (QCheck.make
+          QCheck.Gen.(triple (int_bound 2) (array_size (return 3) page) page))
+       (fun (n, backgrounds, words) ->
+         let mem = Hw.Phys_mem.create ~frames:3 in
+         let images = Array.map Hw.Page_image.of_words backgrounds in
+         Array.iteri (Hw.Phys_mem.write_frame mem) images;
+         Hw.Phys_mem.write_frame mem n (Hw.Page_image.of_words words);
+         let back = Hw.Phys_mem.read_frame mem n in
+         Hw.Page_image.to_words back = words
+         && List.for_all
+              (fun m ->
+                m = n
+                || Hw.Page_image.to_words (Hw.Phys_mem.read_frame mem m)
+                   = backgrounds.(m))
+              [ 0; 1; 2 ]
+         && Hw.Phys_mem.reads mem = 0
+         && Hw.Phys_mem.writes mem = 0))
 
 (* ------------------------------------------------------------------ *)
 (* Dependency graphs *)

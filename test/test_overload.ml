@@ -39,7 +39,8 @@ let disk_checksum k =
         acc :=
           Hashtbl.hash
             ( !acc, pack, record,
-              Array.to_list (Hw.Disk.read_record d ~pack ~record) )
+              Hw.Page_image.to_words (Hw.Disk.read_record d ~pack ~record)
+              |> Array.to_list )
     done
   done;
   !acc
@@ -126,7 +127,7 @@ let io_rig ?(budget = 0) ?(jitter = false) ?choice ~fail_times () =
   in
   Hw.Io_sched.set_obs io obs;
   Hw.Disk.write_record disk ~pack:0 ~record:0
-    (Array.make Hw.Addr.page_size 7);
+    (Hw.Page_image.of_words (Array.make Hw.Addr.page_size 7));
   (machine, obs, io)
 
 let test_retry_budget_denies () =

@@ -212,7 +212,7 @@ let test_torn_write_repaired () =
   check Alcotest.bool "mark cleared" false
     (Hw.Disk.record_is_torn disk ~pack:hp ~record:hr);
   check Alcotest.bool "pre-crash image kept" true
-    (before = Hw.Disk.read_record disk ~pack:hp ~record:hr)
+    (Hw.Page_image.equal before (Hw.Disk.read_record disk ~pack:hp ~record:hr))
 
 (* A power failure in the middle of a salvage: the first salvage has
    already applied some repairs (they are individually atomic) when the
@@ -327,7 +327,7 @@ let test_torn_quota_vtoc_same_instant () =
   check Alcotest.int "invariants clean after repair" 0
     (List.length (K.Invariants.check k));
   check Alcotest.bool "last complete image kept" true
-    (before = Hw.Disk.read_record disk ~pack:hp ~record:hr);
+    (Hw.Page_image.equal before (Hw.Disk.read_record disk ~pack:hp ~record:hr));
   (* The freshly registered cell survived the salvage and still meters:
      write two pages under it and the usage shows exactly two. *)
   check Alcotest.bool "cell survived salvage" true
