@@ -25,8 +25,6 @@ type config = {
   disk_packs : int;
   records_per_pack : int;
   core_frames : int;
-  n_vps : int;
-  user_vps : int;
   ast_slots : int;
   pt_words : int;
   max_processes : int;
@@ -45,8 +43,8 @@ type config = {
 
 let default_config =
   { hw = Hw.Hw_config.kernel_multics;
-    disk_packs = 4; records_per_pack = 1024; core_frames = 32; n_vps = 6;
-    user_vps = 4; ast_slots = 64; pt_words = 64; max_processes = 16;
+    disk_packs = 4; records_per_pack = 1024; core_frames = 32;
+    ast_slots = 64; pt_words = 64; max_processes = 16;
     max_quota_cells = 64; scheduler = Scheduler.Round_robin { quantum = 32 };
     use_cleaner_daemon = true; root_quota = 2048; use_path_cache = true;
     use_io_sched = true; read_ahead = 2;
@@ -60,6 +58,16 @@ let small_config =
     hw = Hw.Hw_config.with_frames Hw.Hw_config.kernel_multics 64;
     disk_packs = 3; records_per_pack = 64; core_frames = 24; ast_slots = 16;
     pt_words = 16; max_processes = 8; max_quota_cells = 16; root_quota = 128 }
+
+(* Fixed virtual processors: 0 runs the scheduler daemon, 1 the page
+   cleaner, and the rest multiplex user processes. *)
+let first_user_vp = 2
+let user_vps = 4
+let n_vps = first_user_vp + user_vps
+
+(* The brownout ladder's top rung, at which the Answering Service sheds
+   logins. *)
+let brownout_max_level = 3
 
 type t = {
   cfg : config;
@@ -166,7 +174,7 @@ let rec boot_internal ?previous_disk cfg =
   | None -> ());
   let aim_audit = Aim.Audit.create () in
   let core = Core_segment.create ~machine ~meter ~reserved_frames:cfg.core_frames in
-  let vp = Vp.create ?choice:cfg.choice ~machine ~meter ~tracer ~core ~n_vps:cfg.n_vps () in
+  let vp = Vp.create ?choice:cfg.choice ~machine ~meter ~tracer ~core ~n_vps () in
   (* The overload plane's I/O knobs (retry budgets, jittered backoff,
      circuit breakers) ride on the I/O scheduler's config, the rest of
      which derives from the disk's latencies. *)
@@ -280,12 +288,8 @@ let rec boot_internal ?previous_disk cfg =
   if cfg.use_cleaner_daemon then
     Vp.bind vp ~vp_id:1 ~name:Registry.page_frame_manager
       ~step:(Page_frame.cleaner_step page_frame);
-  let first_user_vp = 2 in
-  let user_vp_ids =
-    List.init (min cfg.user_vps (cfg.n_vps - first_user_vp)) (fun i ->
-        first_user_vp + i)
-  in
-  User_process.bind_user_vps user_process ~vp_ids:user_vp_ids;
+  User_process.bind_user_vps user_process
+    ~vp_ids:(List.init user_vps (fun i -> first_user_vp + i));
   (* The system address space, on every physical processor. *)
   Array.iter (Address_space.install_system_dbr address_space)
     machine.Hw.Machine.cpus;
@@ -308,9 +312,8 @@ let rec boot_internal ?previous_disk cfg =
    shedding ladder one rung at a time; a periodic tick with no new
    breaches walks it back down.  Rungs, cheapest shed first:
      1  read-ahead off            (prefetch is pure optional work)
-     2  elevator sweeps shrunk    (shorter batches, fairer queues)
-     3  cleaner daemon throttled  (fault path evicts inline)
-     4  logins shed by load class (whole sessions refused at the door)
+     2  cleaner daemon throttled  (fault path evicts inline)
+     3  logins shed by load class (whole sessions refused at the door)
    Recovery applies the same rungs in reverse. *)
 
 and total_breaches t =
@@ -322,8 +325,7 @@ and total_breaches t =
 
 and apply_brownout t level =
   Page_frame.set_read_ahead_enabled t.page_frame (level < 1);
-  Volume.set_batch_ceiling t.volume (if level >= 2 then 0 else max_int);
-  Page_frame.set_cleaner_throttled t.page_frame (level >= 3);
+  Page_frame.set_cleaner_throttled t.page_frame (level >= 2);
   (match t.on_brownout with Some f -> f level | None -> ());
   Multics_obs.Sink.counter_event t.obs ~cat:"kernel" ~name:"brownout_level"
     level
@@ -336,7 +338,7 @@ and arm_brownout t ov =
          convoy of late requests breaches many watchdogs at once, and
          shedding needs a tick to show up in the latency signal. *)
       if
-        t.brownout_level < 4
+        t.brownout_level < brownout_max_level
         && (t.brownout_level = 0
            || now - t.last_brownout_change >= ov.ov_brownout_tick_ns)
       then begin

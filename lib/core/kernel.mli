@@ -32,9 +32,8 @@ type overload_config = {
           probe.  Must be positive when breakers are enabled. *)
   ov_brownout : bool;
       (** Arm the graceful-degradation ladder: SLO breaches shed
-          read-ahead, then elevator batch size, then the cleaner
-          daemon, then logins by load class; quiet ticks recover in
-          reverse. *)
+          read-ahead, then the cleaner daemon, then logins by load
+          class; quiet ticks recover in reverse. *)
   ov_brownout_tick_ns : int;
       (** Escalation rate limit and recovery tick period. *)
 }
@@ -48,8 +47,6 @@ type config = {
   disk_packs : int;
   records_per_pack : int;
   core_frames : int;  (** frames reserved for core segments *)
-  n_vps : int;  (** fixed number of virtual processors *)
-  user_vps : int;  (** of which this many multiplex user processes *)
   ast_slots : int;
   pt_words : int;  (** maximum pages per activated segment *)
   max_processes : int;
@@ -215,9 +212,13 @@ val proc_timeouts : t -> int
     deadline had passed. *)
 
 val brownout_level : t -> int
-(** Current rung of the degradation ladder, 0 (full service) to 4
-    (shedding logins).  Always 0 unless the overload config armed
+(** Current rung of the degradation ladder, 0 (full service) to
+    {!brownout_max_level}.  Always 0 unless the overload config armed
     brownout. *)
+
+val brownout_max_level : int
+(** The ladder's top rung (3), at which the Answering Service sheds
+    logins: 1 turns read-ahead off, 2 throttles the cleaner daemon. *)
 
 val brownout_escalations : t -> int
 

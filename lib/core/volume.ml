@@ -165,8 +165,6 @@ let quiesce t = Hw.Io_sched.quiesce t.io
 let crash t ~surviving_writes = Hw.Io_sched.crash t.io ~surviving_writes
 let set_on_apply t f = Hw.Io_sched.set_on_apply t.io f
 let io_stats t = Hw.Io_sched.stats t.io
-let set_batch_ceiling t n = Hw.Io_sched.set_batch_ceiling t.io n
-let batch_ceiling t = Hw.Io_sched.batch_ceiling t.io
 let breaker_state t ~pack = Hw.Io_sched.breaker_state t.io ~pack
 let io_queue_depth t ~pack = Hw.Io_sched.queue_depth t.io ~pack
 let io_latency_ns t = Hw.Io_sched.single_transfer_ns t.io

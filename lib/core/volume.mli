@@ -152,13 +152,6 @@ val damaged_pages : t -> int
 val io_stats : t -> Multics_hw.Io_sched.stats
 val io_queue_depth : t -> pack:int -> int
 
-val set_batch_ceiling : t -> int -> unit
-(** Forwarded to {!Multics_hw.Io_sched.set_batch_ceiling} — the
-    brownout controller's lever on elevator sweep size (clamped to the
-    configured bounds). *)
-
-val batch_ceiling : t -> int
-
 val breaker_state : t -> pack:int -> [ `Closed | `Open | `Half_open ]
 (** The pack's circuit-breaker state, from the I/O scheduler. *)
 

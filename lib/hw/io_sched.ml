@@ -2,10 +2,7 @@ module Choice = Multics_choice.Choice
 
 type config = {
   max_batch : int;
-  max_batch_cap : int;
-  deadline_ns : int;
   pack_ways : int;
-  read_priority : bool;
   seek_ns : int;
   transfer_ns : int;
   retry_limit : int;
@@ -16,16 +13,10 @@ type config = {
   breaker_cooldown_ns : int;
 }
 
-(* The deadline follows the Linux deadline scheduler's proportions:
-   write expiry there is ~400 flat I/O times; 256 is still aggressive
-   and keeps the starvation-bound tests fast.  The overload knobs
-   (budget, jitter, breaker) default off. *)
+(* The overload knobs (budget, jitter, breaker) default off. *)
 let config_of_disk disk =
   { max_batch = 8;
-    max_batch_cap = 32;
-    deadline_ns = 256 * Disk.io_latency_ns disk;
     pack_ways = 8;
-    read_priority = true;
     seek_ns = Disk.seek_latency_ns disk;
     transfer_ns = Disk.transfer_latency_ns disk;
     retry_limit = 4;
@@ -82,7 +73,6 @@ type pack_state = {
   (* in-flight sweeps: batch, cost, live, span id, way *)
   mutable inflight : (req list * int * bool ref * int * way) list;
   mutable retrying : req list;  (* failed once, waiting out a backoff *)
-  mutable cur_max : int;  (* adaptive sweep bound, in [max_batch, cap] *)
   mutable kick_planted : bool;  (* one dispatch event per instant *)
   (* record -> number of in-flight requests touching it.  A record with
      in-flight work is barred from new sweeps, so same-record requests
@@ -102,8 +92,6 @@ type stats = {
   s_retries : int;
   s_gave_up : int;
   s_deadline_batches : int;
-  s_grown : int;
-  s_shrunk : int;
   s_buffer_hits : int;
   s_timeouts : int;
   s_fast_fails : int;
@@ -144,8 +132,6 @@ type t = {
   mutable retries : int;
   mutable gave_up : int;
   mutable deadline_batches : int;
-  mutable grown : int;
-  mutable shrunk : int;
   mutable buffer_hits : int;
   mutable timeouts : int;
   mutable fast_fails : int;
@@ -160,9 +146,6 @@ type t = {
      the dispatch-time cancellation sweep is guarded by it so the
      deadline-free hot path pays nothing. *)
   mutable has_deadlines : bool;
-  (* effective adaptive ceiling, in [max_batch, max_batch_cap]; the
-     brownout controller lowers it under overload. *)
-  mutable batch_ceiling : int;
   mutable on_recover : pack:int -> unit;
   mutable on_batch : pack:int -> size:int -> cost_ns:int -> unit;
   mutable on_apply :
@@ -178,8 +161,7 @@ let create ?config ?(faults = Fault_inject.none)
   in
   assert (config.max_batch > 0 && config.seek_ns >= 0 && config.transfer_ns > 0);
   assert (config.retry_limit > 0 && config.retry_backoff_ns > 0);
-  assert (config.max_batch_cap >= config.max_batch);
-  assert (config.pack_ways >= 1 && config.deadline_ns > 0);
+  assert (config.pack_ways >= 1);
   assert (config.retry_budget >= 0);
   assert (config.breaker_threshold = 0 || config.breaker_cooldown_ns > 0);
   { disk; config; schedule; faults; choice; now;
@@ -189,18 +171,16 @@ let create ?config ?(faults = Fault_inject.none)
             ways =
               Array.init config.pack_ways (fun wid ->
                   { wid; head = 0; w_busy = false });
-            inflight = []; retrying = []; cur_max = config.max_batch;
+            inflight = []; retrying = [];
             kick_planted = false; busy_records = Hashtbl.create 16 });
     pending_writes = Hashtbl.create 64;
     applied_seq = Hashtbl.create 64;
     seq = 0; reads = 0; writes = 0; batches = 0; merges = 0;
     max_batch_seen = 0; queue_peak = 0; busy_ns = 0; cancelled = 0;
-    retries = 0; gave_up = 0; deadline_batches = 0;
-    grown = 0; shrunk = 0; buffer_hits = 0;
+    retries = 0; gave_up = 0; deadline_batches = 0; buffer_hits = 0;
     timeouts = 0; fast_fails = 0; budget_denied = 0;
     br_opens = 0; br_probes = 0; br_closes = 0;
     budget_left = Hashtbl.create 16; has_deadlines = false;
-    batch_ceiling = config.max_batch_cap;
     on_recover = (fun ~pack:_ -> ());
     on_batch = (fun ~pack:_ ~size:_ ~cost_ns:_ -> ());
     on_apply = (fun ~pack:_ ~record:_ ~acked:_ _ -> ());
@@ -209,15 +189,12 @@ let create ?config ?(faults = Fault_inject.none)
 let set_on_batch t f = t.on_batch <- f
 let set_on_apply t f = t.on_apply <- f
 let set_on_recover t f = t.on_recover <- f
-
-let set_batch_ceiling t cap =
-  let cap = max t.config.max_batch (min cap t.config.max_batch_cap) in
-  t.batch_ceiling <- cap;
-  Array.iter (fun p -> if p.cur_max > cap then p.cur_max <- cap) t.packs
-
-let batch_ceiling t = t.batch_ceiling
 let set_obs t sink = t.obs <- sink
 let single_transfer_ns t = t.config.seek_ns + t.config.transfer_ns
+
+(* The deadline follows the Linux deadline scheduler's proportions:
+   write expiry there is ~400 flat I/O times; 256 is still aggressive. *)
+let deadline_ns t = 256 * single_transfer_ns t
 
 let pack_state t pack =
   assert (pack >= 0 && pack < Array.length t.packs);
@@ -355,62 +332,30 @@ let rec split_batch n acc rest =
   | [] -> (List.rev acc, [])
   | r :: tl -> split_batch (n - 1) (r :: acc) tl
 
-(* Take up to [cur_max] requests off a sweep, but past the baseline
-   [max_batch] only while the accumulated service cost stays under the
-   occupancy cap (the cost of a worst-case baseline batch).  A grown
-   batch may extend a sweep with cheap merged transfers; it may never
-   pin an arm under a long run of seeks, which is what would starve
-   reads of the arm during a random write flood. *)
-let take_capped t ~cur_max ~head sweep =
-  let cap = t.config.max_batch * (t.config.seek_ns + t.config.transfer_ns) in
-  let rec go n cost prev acc rest =
-    match rest with
-    | [] -> (List.rev acc, [])
-    | r :: tl ->
-        if n >= cur_max then (List.rev acc, rest)
-        else
-          let step =
-            if r.record - prev >= 0 && r.record - prev <= 1
-            then t.config.transfer_ns
-            else t.config.seek_ns + t.config.transfer_ns
-          in
-          if n >= t.config.max_batch && cost + step > cap then
-            (List.rev acc, rest)
-          else go (n + 1) (cost + step) r.record (r :: acc) tl
-  in
-  go 0 0 (head - 1) [] sweep
-
 (* The requests a new sweep may draw from, and those it must leave
    queued.  Deadline first: once any request has aged past
-   [deadline_ns] the sweep serves only expired requests, oldest region
-   of the queue — C-SCAN can orbit a hot region forever, this is the
-   starvation bound.  Otherwise reads go before write-behind: a VP is
-   blocked on every read while nobody waits for a write, and the
-   pending-write table keeps reordered readers coherent. *)
+   [deadline_ns] the sweep serves only expired requests — C-SCAN can
+   orbit a hot region forever, this is the starvation bound.
+   Otherwise, whenever any read is available, the sweep serves reads
+   only: a VP is blocked on every read while nobody waits for a write,
+   and the pending-write table keeps reordered readers coherent. *)
 let select_pool t p =
   let blocked, avail =
     List.partition (fun r -> Hashtbl.mem p.busy_records r.record) p.queue
   in
   if avail = [] then None
   else begin
-    let now = t.now () in
-    let expired =
-      List.filter (fun r -> now - r.submitted >= t.config.deadline_ns) avail
-    in
+    let now = t.now () and deadline = deadline_ns t in
+    let expired = List.filter (fun r -> now - r.submitted >= deadline) avail in
     match expired with
     | _ :: _ ->
-        let fresh =
-          List.filter (fun r -> now - r.submitted < t.config.deadline_ns) avail
-        in
+        let fresh = List.filter (fun r -> now - r.submitted < deadline) avail in
         Some (expired, blocked @ fresh, true)
-    | [] ->
-        if not t.config.read_priority then Some (avail, blocked, false)
-        else begin
-          let reads, writes = List.partition is_read avail in
-          match reads with
-          | [] -> Some (avail, blocked, false)
-          | _ -> Some (reads, blocked @ writes, false)
-        end
+    | [] -> (
+        let reads, writes = List.partition is_read avail in
+        match reads with
+        | [] -> Some (avail, blocked, false)
+        | _ -> Some (reads, blocked @ writes, false))
   end
 
 (* One seek per discontinuity, one transfer per record.  Same-record
@@ -670,13 +615,6 @@ let rec dispatch t p =
   (* While the breaker is open nothing dispatches; the cooldown event
      flips to half-open and re-enters here with the queue as probe. *)
   if (not (breaker_suppressed t p)) && p.depth > 0 then begin
-    (* Adaptive sweep bound: double under backlog, up to the cap (the
-       configured cap, possibly lowered by the brownout controller).
-       The shrink half lives in [launch] where the queue drains. *)
-    if p.depth > p.cur_max && p.cur_max < t.batch_ceiling then begin
-      p.cur_max <- min t.batch_ceiling (p.cur_max * 2);
-      t.grown <- t.grown + 1
-    end;
     match select_pool t p with
     | None -> ()
     | Some (pool, rest, deadline_forced) ->
@@ -714,15 +652,7 @@ let rec dispatch t p =
 
 and launch t p w ~sorted ~rest ~deadline_forced =
   let sweep = sweep_from ~head:w.head sorted in
-  (* Pure write sweeps stay at the baseline bound: adaptive growth
-     amortises seeks for a backlog somebody is waiting on, but a long
-     write sweep just occupies an arm readers may need — bounded
-     occupancy beats marginal seek savings when nobody blocks on the
-     result. *)
-  let cur_max =
-    if List.exists is_read sweep then p.cur_max else t.config.max_batch
-  in
-  let batch, overflow = take_capped t ~cur_max ~head:w.head sweep in
+  let batch, overflow = split_batch t.config.max_batch [] sweep in
   match batch with
   | [] -> ()
   | _ :: _ ->
@@ -732,10 +662,6 @@ and launch t p w ~sorted ~rest ~deadline_forced =
       end;
       p.queue <- rest @ overflow;
       p.depth <- p.depth - List.length batch;
-      if p.depth = 0 && p.cur_max > t.config.max_batch then begin
-        p.cur_max <- max t.config.max_batch (p.cur_max / 2);
-        t.shrunk <- t.shrunk + 1
-      end;
       let cost = batch_cost t ~head:w.head batch in
       (match List.rev batch with
       | last :: _ -> w.head <- last.record + 1
@@ -977,7 +903,7 @@ let quiesce t =
         | [] -> ()
         | sorted ->
             let sweep = sweep_from ~head:w.head sorted in
-            let batch, overflow = split_batch p.cur_max [] sweep in
+            let batch, overflow = split_batch t.config.max_batch [] sweep in
             p.queue <- overflow;
             p.depth <- p.depth - List.length batch;
             let cost = batch_cost t ~head:w.head batch in
@@ -1055,8 +981,7 @@ let stats t =
     s_merges = t.merges; s_max_batch = t.max_batch_seen;
     s_queue_peak = t.queue_peak; s_busy_ns = t.busy_ns;
     s_cancelled = t.cancelled; s_retries = t.retries; s_gave_up = t.gave_up;
-    s_deadline_batches = t.deadline_batches;
-    s_grown = t.grown; s_shrunk = t.shrunk; s_buffer_hits = t.buffer_hits;
+    s_deadline_batches = t.deadline_batches; s_buffer_hits = t.buffer_hits;
     s_timeouts = t.timeouts; s_fast_fails = t.fast_fails;
     s_budget_denied = t.budget_denied; s_breaker_opens = t.br_opens;
     s_breaker_probes = t.br_probes; s_breaker_closes = t.br_closes }

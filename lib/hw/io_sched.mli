@@ -9,38 +9,34 @@
     records into one chained transfer, and delivers completions through
     the machine's event queue.
 
-    Four policies ride on the basic elevator:
+    Every sweep takes at most [max_batch] requests.  Three policies
+    ride on the basic elevator:
 
-    - {b Deadline}: a request older than [deadline_ns] preempts the
-      sweep — the next batch serves only expired requests, in elevator
-      order among themselves.  C-SCAN can orbit a hot region forever
-      under sustained load; this is the starvation bound.
-    - {b Read priority}: when nothing has expired, a sweep takes
-      queued reads before write-behind — a processor is blocked on
-      every read, nobody waits for a write, and the pending-write
-      table keeps any reordered reader coherent.
-    - {b Adaptive batching}: the sweep bound starts at [max_batch],
-      doubles while the backlog exceeds it (up to [max_batch_cap]) and
-      halves back as the queue drains, so a flood is absorbed in long
-      seek-amortising sweeps without letting one lucky stream hog an
-      unbounded turn.
+    - {b Deadline}: a request older than 256 single transfers
+      ([256 * single_transfer_ns]) preempts the sweep — the next batch
+      serves only expired requests, in elevator order among
+      themselves.  C-SCAN can orbit a hot region forever under
+      sustained load, and read priority can hold a write back behind
+      a read stream forever; this is the starvation bound.
+    - {b Read priority}: when nothing has expired and any read is
+      available, a sweep serves reads only, leaving write-behind
+      queued — a processor is blocked on every read, nobody waits for
+      a write, and the pending-write table keeps any reordered reader
+      coherent.
     - {b Ways}: each pack has [pack_ways] independent actuators with
       their own head positions.  A new sweep goes to the free arm
       nearest (forward circular distance) its first record, ties to
       the lowest arm id, so a sequential stream keeps its arm while
       the others absorb random traffic.
 
-    Two guards keep deferred writes from crowding out reads: an
-    unexpired write-only sweep never takes a pack's {e last} free arm
-    (one actuator is always in reserve for the next read; a
+    One guard keeps deferred writes from crowding out reads: an
+    unexpired write-only sweep never takes a pack's {e last} free arm,
+    so one actuator is always in reserve for the next read.  A
     deadline-forced sweep is exempt — the starvation bound wins — as
     are single-actuator packs, where the rule would block writes
-    entirely), and
-    pure-write sweeps stay at the baseline [max_batch] rather than the
-    adaptive bound, so a write flood cannot earn itself longer turns.
-    A read of a record with a pending write-behind is served straight
-    from the buffered image ([s_buffer_hits]) without occupying an arm
-    at all.
+    entirely.  A read of a record with a pending write-behind is
+    served straight from the buffered image ([s_buffer_hits]) without
+    occupying an arm at all.
 
     Determinism: ordering is decided only by the queue discipline —
     the (record, submission-sequence) sort within a sweep, the
@@ -52,10 +48,11 @@
     request is barred from new sweeps until that batch completes, so
     same-record requests execute in submission order even when
     different-record requests overlap arbitrarily.  Setting
-    [pack_ways = 1], [max_batch_cap = max_batch],
-    [read_priority = false] and a large [deadline_ns] recovers the
-    single-arm pure-elevator scheduler exactly (test/test_io.ml pins
-    that configuration).
+    [pack_ways = 1] recovers the single-arm elevator.  It is the pure
+    elevator exactly for a queue of only reads or only writes whose
+    requests wait less than the deadline: read priority then has
+    nothing to reorder and the deadline never fires
+    (test/test_io.ml pins that configuration).
 
     Latency model: a batch costs one seek per discontinuity plus one
     transfer per record.  An isolated single-record request therefore
@@ -92,13 +89,8 @@
 type t
 
 type config = {
-  max_batch : int;  (** baseline sweep bound *)
-  max_batch_cap : int;
-      (** adaptive ceiling; [= max_batch] disables growth *)
-  deadline_ns : int;
-      (** age at which a request preempts the sweep; bounds starvation *)
+  max_batch : int;  (** sweep bound: requests per batch *)
   pack_ways : int;  (** independent actuators per pack *)
-  read_priority : bool;  (** serve queued reads before write-behind *)
   seek_ns : int;  (** head reposition to a non-adjacent record *)
   transfer_ns : int;  (** one record transfer *)
   retry_limit : int;
@@ -129,11 +121,10 @@ type config = {
 val config_of_disk : Disk.t -> config
 (** Splits the disk's flat record latency into seek and transfer so
     that [seek_ns + transfer_ns = Disk.io_latency_ns]; retries back off
-    starting at one transfer time.  Policy defaults: 8 ways, read
-    priority on, deadline at 256 flat latencies (the write-expiry
-    scale of the classic deadline scheduler), batches adapting up to
-    4x [max_batch], and the overload knobs (retry budget, jitter,
-    breaker) off. *)
+    starting at one transfer time.  Defaults: sweeps of 8, 8 ways, and
+    the overload knobs (retry budget, jitter, breaker) off.  The
+    deadline, 256 flat latencies, follows from the latencies (the
+    write-expiry scale of the classic deadline scheduler). *)
 
 type io_error =
   | Dead_record
@@ -240,13 +231,6 @@ val set_on_recover : t -> (pack:int -> unit) -> unit
     layer re-arms its one-shot [Pack_offline] signalling here, so a
     pack that goes offline twice signals twice. *)
 
-val set_batch_ceiling : t -> int -> unit
-(** Lower (or restore) the adaptive sweep bound's ceiling, clamped to
-    [[max_batch, max_batch_cap]]; packs already grown past it shrink
-    immediately.  The brownout controller's lever. *)
-
-val batch_ceiling : t -> int
-
 val breaker_state : t -> pack:int -> [ `Closed | `Open | `Half_open ]
 
 val set_obs : t -> Multics_obs.Sink.t -> unit
@@ -269,8 +253,6 @@ type stats = {
   s_retries : int;  (** failed attempts that were retried *)
   s_gave_up : int;  (** requests that exhausted the retry budget *)
   s_deadline_batches : int;  (** sweeps forced by an expired request *)
-  s_grown : int;  (** adaptive sweep-bound doublings *)
-  s_shrunk : int;  (** adaptive sweep-bound halvings *)
   s_buffer_hits : int;
       (** reads served from the write-behind buffer without an arm *)
   s_timeouts : int;

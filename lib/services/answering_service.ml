@@ -32,11 +32,12 @@ let create ~kernel ~variant =
       sessions = Hashtbl.create 16; login_count = 0; failure_count = 0;
       shed_threshold = 0; shed_count = 0 }
   in
-  (* Join the kernel's brownout ladder: its last rung (level 4) sheds
-     whole sessions, cheapest load class first.  The kernel calls up
-     through this hook, never depending on the services layer. *)
+  (* Join the kernel's brownout ladder: its top rung sheds whole
+     sessions, cheapest load class first.  The kernel calls up through
+     this hook, never depending on the services layer. *)
   K.Kernel.set_on_brownout kernel (fun level ->
-      t.shed_threshold <- (if level >= 4 then 1 else 0));
+      t.shed_threshold <-
+        (if level >= K.Kernel.brownout_max_level then 1 else 0));
   t
 
 let variant t = t.variant

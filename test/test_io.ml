@@ -56,26 +56,44 @@ let test_elevator_order () =
     "ascending sweep" [ 1; 3; 5; 7; 9 ] (List.rev !order);
   let s = Hw.Io_sched.stats io in
   check Alcotest.int "one batch" 1 s.Hw.Io_sched.s_batches;
-  check Alcotest.int "five reads" 5 s.Hw.Io_sched.s_reads
+  check Alcotest.int "five reads" 5 s.Hw.Io_sched.s_reads;
+  (* Read priority: a read submitted in the same instant as earlier
+     writes gets a sweep of its own, ahead of them, though the elevator
+     would reach its record last. *)
+  let served = ref [] in
+  List.iter
+    (fun r ->
+      Hw.Io_sched.submit_write io ~pack:0 ~record:r (page [ r ])
+        ~done_:(fun res ->
+          expect res;
+          served := Printf.sprintf "w%d" r :: !served))
+    [ 2; 4; 6 ];
+  Hw.Io_sched.submit_read io ~pack:0 ~record:8 ~done_:(fun res ->
+      ignore (expect res);
+      served := "r8" :: !served);
+  Hw.Machine.run machine;
+  check
+    Alcotest.(list string)
+    "read served by the first sweep" [ "r8"; "w2"; "w4"; "w6" ]
+    (List.rev !served)
 
 (* Seek-optimality of the sweep's cost: one seek per discontinuity,
    adjacent records chain for free, and a batch that continues at the
    arm's position pays no initial seek. *)
 
-(* The single-arm pure-elevator configuration: every new policy off.
-   The cost-model and bound tests pin the original scheduler exactly
-   under this config; the policy tests below turn the knobs back on
-   one at a time. *)
-let legacy ~max_batch =
-  { Hw.Io_sched.max_batch; max_batch_cap = max_batch;
-    deadline_ns = max_int; pack_ways = 1;
-    read_priority = false; seek_ns = 1_000; transfer_ns = 100;
+(* One arm, round latencies and the overload knobs off.  Fed only
+   reads that wait less than the deadline, this is the pure elevator:
+   read priority has no writes to reorder and the deadline never
+   fires.  The cost-model and bound tests pin that scheduler exactly;
+   the policy tests below add arms or mix in writes. *)
+let single_arm ~max_batch =
+  { Hw.Io_sched.max_batch; pack_ways = 1; seek_ns = 1_000; transfer_ns = 100;
     retry_limit = 3; retry_backoff_ns = 100;
     retry_budget = 0; backoff_jitter = false; breaker_threshold = 0;
     breaker_cooldown_ns = 0 }
 
 let test_batch_cost_model () =
-  let config = legacy ~max_batch:8 in
+  let config = single_arm ~max_batch:8 in
   let machine, _disk, io = rig ~config () in
   let costs = ref [] in
   Hw.Io_sched.set_on_batch io (fun ~pack:_ ~size:_ ~cost_ns ->
@@ -99,7 +117,7 @@ let test_batch_cost_model () =
    remainder, and the queue depth statistic sees the backlog. *)
 
 let test_batch_bounds () =
-  let config = legacy ~max_batch:4 in
+  let config = single_arm ~max_batch:4 in
   let machine, _disk, io = rig ~config () in
   let sizes = ref [] in
   Hw.Io_sched.set_on_batch io (fun ~pack:_ ~size ~cost_ns:_ ->
@@ -185,24 +203,19 @@ let test_quiesce () =
   check Alcotest.int "applied exactly once" 1 s.Hw.Io_sched.s_batches
 
 (* ------------------------------------------------------------------ *)
-(* Policy knobs: the deadline starvation bound, adaptive batch sizing,
-   and the write-buffer read fast path. *)
+(* Policies: the deadline starvation bound, the write throttle, and
+   the write-buffer read fast path. *)
 
 (* Under read priority on a single arm, a self-sustaining read stream
    would starve a queued write forever; the deadline preempts the sweep
    and bounds the wait.  The stream refills the queue from inside each
    completion, so no dispatch ever sees an empty read pool — the write
-   lands only because it expires. *)
+   lands only because it expires, 256 single transfers after it was
+   submitted.  The stream must outlast that: 10,000 mostly sequential
+   reads take about 1.25 ms. *)
 let test_deadline_starvation_bound () =
-  let deadline = 10_000 in
-  let config =
-    { Hw.Io_sched.max_batch = 4; max_batch_cap = 4; deadline_ns = deadline;
-      pack_ways = 1; read_priority = true;
-      seek_ns = 1_000; transfer_ns = 100; retry_limit = 3;
-      retry_backoff_ns = 100;
-    retry_budget = 0; backoff_jitter = false; breaker_threshold = 0;
-    breaker_cooldown_ns = 0 }
-  in
+  let deadline = 256 * (1_000 + 100) in
+  let config = single_arm ~max_batch:4 in
   let machine, disk, io = rig ~config () in
   for r = 0 to 40 do
     Hw.Disk.write_record disk ~pack:0 ~record:r (page [ r ])
@@ -217,7 +230,7 @@ let test_deadline_starvation_bound () =
     Hw.Io_sched.submit_read io ~pack:0 ~record:(i mod 40) ~done_:(fun r ->
         ignore (expect r);
         incr rounds;
-        if !rounds < 200 then next_read (i + 1))
+        if !rounds < 10_000 then next_read (i + 1))
   in
   next_read 0;
   Hw.Machine.run machine;
@@ -232,36 +245,37 @@ let test_deadline_starvation_bound () =
   check Alcotest.bool "served by a deadline-forced sweep" true
     ((Hw.Io_sched.stats io).Hw.Io_sched.s_deadline_batches >= 1)
 
-(* A backlog doubles the sweep bound up to the cap; draining the queue
-   halves it back.  20 reads against max_batch=2, cap=8: the first
-   dispatch grows 2->4, the second 4->8, then 8+8 drain the rest. *)
-let test_adaptive_batch_grow_shrink () =
-  let config =
-    { Hw.Io_sched.max_batch = 2; max_batch_cap = 8; deadline_ns = max_int;
-      pack_ways = 1; read_priority = false;
-      seek_ns = 1_000; transfer_ns = 100; retry_limit = 3;
-      retry_backoff_ns = 100;
-    retry_budget = 0; backoff_jitter = false; breaker_threshold = 0;
-    breaker_cooldown_ns = 0 }
-  in
-  let machine, disk, io = rig ~config () in
-  for r = 0 to 19 do
-    Hw.Disk.write_record disk ~pack:0 ~record:r (page [ r ])
-  done;
-  let sizes = ref [] in
-  Hw.Io_sched.set_on_batch io (fun ~pack:_ ~size ~cost_ns:_ ->
-      sizes := size :: !sizes);
-  for r = 0 to 19 do
-    Hw.Io_sched.submit_read io ~pack:0 ~record:r ~done_:(fun r ->
-        ignore (expect r))
-  done;
+(* The write throttle on a two-arm pack: while one arm serves a read,
+   a write-only sweep may not take the other, last free arm.  A read
+   arriving next is served on that arm at once; the write goes out
+   only when both arms are free.  Without the throttle the write would
+   hold the second arm and the late read would wait for a sweep to
+   finish (done at 2,200 instead of 1,600). *)
+let test_write_throttle () =
+  let config = { (single_arm ~max_batch:8) with Hw.Io_sched.pack_ways = 2 } in
+  let machine, _disk, io = rig ~config () in
+  let at = ref [] in
+  let note what = at := (what, Hw.Machine.now machine) :: !at in
+  (* t=0: read 20 takes arm 0 until 1,100; write 5 must wait. *)
+  Hw.Io_sched.submit_read io ~pack:0 ~record:20 ~done_:(fun r ->
+      ignore (expect r);
+      note "read 20");
+  Hw.Io_sched.submit_write io ~pack:0 ~record:5 (page [ 5 ]) ~done_:(fun r ->
+      expect r;
+      note "write 5");
+  let held = ref (-1) in
+  Hw.Machine.schedule machine ~delay:500 (fun () ->
+      held := Hw.Io_sched.queue_depth io ~pack:0;
+      Hw.Io_sched.submit_read io ~pack:0 ~record:30 ~done_:(fun r ->
+          ignore (expect r);
+          note "read 30"));
   Hw.Machine.run machine;
-  check Alcotest.(list int) "sweep bound doubled to the cap" [ 4; 8; 8 ]
-    (List.rev !sizes);
-  let s = Hw.Io_sched.stats io in
-  check Alcotest.int "two doublings" 2 s.Hw.Io_sched.s_grown;
-  check Alcotest.int "halved on drain" 1 s.Hw.Io_sched.s_shrunk;
-  check Alcotest.int "largest sweep at the cap" 8 s.Hw.Io_sched.s_max_batch
+  check Alcotest.int "write held off the last free arm" 1 !held;
+  check
+    Alcotest.(list (pair string int))
+    "late read served at once; write after both arms free"
+    [ ("read 20", 1_100); ("read 30", 1_600); ("write 5", 2_700) ]
+    (List.rev !at)
 
 (* A read of a record with a pending write-behind never needs an arm:
    it is served the buffered image at once, before any batch lands. *)
@@ -286,17 +300,10 @@ let test_write_buffer_read_hit () =
   check Alcotest.int "write-behind still lands" 9
     (w0 (Hw.Disk.read_record disk ~pack:0 ~record:5))
 
-(* Cancellation and the quiesce barrier under the multi-way deadline
-   configuration — the paths the C2/C4 benches rely on. *)
+(* Cancellation and the quiesce barrier on a multi-way pack — the
+   paths the C2/C4 benches rely on. *)
 let test_cancel_quiesce_multiway () =
-  let config =
-    { Hw.Io_sched.max_batch = 4; max_batch_cap = 8; deadline_ns = 50_000;
-      pack_ways = 4; read_priority = true;
-      seek_ns = 1_000; transfer_ns = 100; retry_limit = 3;
-      retry_backoff_ns = 100;
-    retry_budget = 0; backoff_jitter = false; breaker_threshold = 0;
-    breaker_cooldown_ns = 0 }
-  in
+  let config = { (single_arm ~max_batch:4) with Hw.Io_sched.pack_ways = 4 } in
   let machine, disk, io = rig ~config () in
   Hw.Disk.write_record disk ~pack:0 ~record:2 (page [ 22 ]);
   Hw.Disk.write_record disk ~pack:0 ~record:10 (page [ 10 ]);
@@ -328,7 +335,7 @@ let test_cancel_quiesce_multiway () =
    and pays no seek, while a request behind it goes to the other arm
    and leaves the stream's head where it was. *)
 let test_nearest_way () =
-  let config = { (legacy ~max_batch:1) with Hw.Io_sched.pack_ways = 2 } in
+  let config = { (single_arm ~max_batch:1) with Hw.Io_sched.pack_ways = 2 } in
   let machine, _disk, io = rig ~config () in
   let costs = ref [] in
   Hw.Io_sched.set_on_batch io (fun ~pack:_ ~size:_ ~cost_ns ->
@@ -672,8 +679,7 @@ let tests =
     Alcotest.test_case "quiesce" `Quick test_quiesce;
     Alcotest.test_case "deadline starvation bound" `Quick
       test_deadline_starvation_bound;
-    Alcotest.test_case "adaptive batch grow/shrink" `Quick
-      test_adaptive_batch_grow_shrink;
+    Alcotest.test_case "write throttle" `Quick test_write_throttle;
     Alcotest.test_case "write-buffer read hit" `Quick
       test_write_buffer_read_hit;
     Alcotest.test_case "cancel+quiesce multiway" `Quick

@@ -309,7 +309,8 @@ let test_brownout_ladder_steps () =
         check Alcotest.int
           (Printf.sprintf "one rung at a time (%d -> %d)" prev l)
           1 (abs (l - prev));
-        check Alcotest.bool "within the ladder" true (l >= 0 && l <= 4);
+        check Alcotest.bool "within the ladder" true
+          (l >= 0 && l <= K.Kernel.brownout_max_level);
         one_rung l rest
   in
   one_rung 0 steps
