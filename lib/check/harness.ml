@@ -17,12 +17,9 @@ let run_eventcount_full ?(bug = false) ?(events = 2) choice =
       ()
   in
   Hw.Machine.set_obs machine obs;
-  let meter = K.Meter.create () in
-  let tracer = K.Tracer.create () in
+  let meter = K.Meter.create ~declared:(Multics_depgraph.Graph.create ()) in
   let core = K.Core_segment.create ~machine ~meter ~reserved_frames:4 in
-  let vp =
-    K.Vp.create ~choice ~machine ~meter ~tracer ~core ~n_vps:2 ()
-  in
+  let vp = K.Vp.create ~choice ~machine ~meter ~core ~n_vps:2 () in
   let ec = Sync.Eventcount.create ~name:"harness" ~obs ~choice () in
   let produced = ref 0 in
   K.Vp.bind vp ~vp_id:0 ~name:"producer" ~step:(fun _ ->

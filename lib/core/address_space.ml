@@ -8,7 +8,6 @@ type space = {
 type t = {
   machine : Hw.Machine.t;
   meter : Meter.t;
-  tracer : Tracer.t;
   core : Core_segment.t;
   segment : Segment.t;
   known : Known_segment.t;
@@ -23,11 +22,11 @@ type t = {
 let name = Registry.address_space_manager
 
 let entry t ~caller ns =
-  Tracer.call t.tracer ~from:caller ~to_:name;
+  Meter.call t.meter ~from:caller ~to_:name;
   Meter.charge t.meter ~manager:name (Registry.language name)
     (Cost.kernel_call + ns)
 
-let create ~machine ~meter ~tracer ~core ~segment ~known ~max_spaces =
+let create ~machine ~meter ~core ~segment ~known ~max_spaces =
   assert (max_spaces > 0);
   let system_segnos =
     machine.Hw.Machine.config.Hw.Hw_config.system_segno_split
@@ -43,7 +42,7 @@ let create ~machine ~meter ~tracer ~core ~segment ~known ~max_spaces =
           ~name:(Printf.sprintf "descriptor_segment_%d" i)
           ~words:dseg_words)
   in
-  { machine; meter; tracer; core; segment; known; system_region;
+  { machine; meter; core; segment; known; system_region;
     system_segnos; dseg_words; pool;
     pool_free = List.init max_spaces (fun i -> i);
     spaces = Hashtbl.create 16 }
@@ -100,7 +99,7 @@ let disconnect_segno t proc segno =
     s.connected <- List.filter (fun n -> n <> segno) s.connected;
     (* The severed SDW may be cached in an associative memory. *)
     Hw.Machine.flush_all_tlbs t.machine;
-    Tracer.note_cache t.tracer ~cache:"sdw_am" ~event:"disconnect_flush"
+    Multics_obs.Sink.count (Hw.Machine.obs t.machine) "sdw_am:disconnect_flush"
   end
 
 let destroy_space t ~caller ~proc =

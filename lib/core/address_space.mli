@@ -15,7 +15,7 @@
 type t
 
 val create :
-  machine:Multics_hw.Machine.t -> meter:Meter.t -> tracer:Tracer.t ->
+  machine:Multics_hw.Machine.t -> meter:Meter.t ->
   core:Core_segment.t -> segment:Segment.t -> known:Known_segment.t ->
   max_spaces:int -> t
 

@@ -54,7 +54,6 @@ type dir = {
 type t = {
   machine : Hw.Machine.t;
   meter : Meter.t;
-  tracer : Tracer.t;
   segment : Segment.t;
   quota : Quota_cell.t;
   quota_volume : Volume.t;
@@ -76,11 +75,11 @@ let lang = Cost.Pl1
 let charge t ns = Meter.charge t.meter ~manager:name lang ns
 
 let entry_charge t ~caller ns =
-  Tracer.call t.tracer ~from:caller ~to_:name;
+  Meter.call t.meter ~from:caller ~to_:name;
   charge t (Cost.kernel_call + ns)
 
-let create ~machine ~meter ~tracer ~segment ~quota ~volume ~known ~audit =
-  { machine; meter; tracer; segment; quota; quota_volume = volume; known; audit;
+let create ~machine ~meter ~segment ~quota ~volume ~known ~audit =
+  { machine; meter; segment; quota; quota_volume = volume; known; audit;
     dirs = Hashtbl.create 32; owner_of = Hashtbl.create 64; root = None;
     mythical_count = 0; offline = Hashtbl.create 4; change_hooks = [] }
 

@@ -49,7 +49,7 @@ type target = {
 type t
 
 val create :
-  machine:Multics_hw.Machine.t -> meter:Meter.t -> tracer:Tracer.t ->
+  machine:Multics_hw.Machine.t -> meter:Meter.t ->
   segment:Segment.t -> quota:Quota_cell.t -> volume:Volume.t ->
   known:Known_segment.t -> audit:Multics_aim.Audit.t -> t
 

@@ -5,7 +5,6 @@ type outcome = Retry | Wait of Sync.Eventcount.t * int | Error of string
 
 type t = {
   meter : Meter.t;
-  tracer : Tracer.t;
   page_frame : Page_frame.t;
   known : Known_segment.t;
   address_space : Address_space.t;
@@ -17,8 +16,8 @@ type t = {
 (* Fault reflection enters through the same layer as gates. *)
 let name = Registry.gate
 
-let create ~meter ~tracer ~page_frame ~known ~address_space ~gate ~obs =
-  { meter; tracer; page_frame; known; address_space; gate; obs; handled = 0 }
+let create ~meter ~page_frame ~known ~address_space ~gate ~obs =
+  { meter; page_frame; known; address_space; gate; obs; handled = 0 }
 
 let of_pfm = function
   | Page_frame.Wait (ec, v) -> Wait (ec, v)

@@ -16,7 +16,7 @@ type outcome =
 type t
 
 val create :
-  meter:Meter.t -> tracer:Tracer.t -> page_frame:Page_frame.t ->
+  meter:Meter.t -> page_frame:Page_frame.t ->
   known:Known_segment.t -> address_space:Address_space.t -> gate:Gate.t ->
   obs:Multics_obs.Sink.t -> t
 

@@ -2,7 +2,6 @@ type gate_info = { g_max_ring : int; mutable g_calls : int }
 
 type t = {
   meter : Meter.t;
-  tracer : Tracer.t;
   signals : Upward_signal.t;
   directory : Directory.t;
   obs : Multics_obs.Sink.t;
@@ -14,8 +13,8 @@ type t = {
 
 let name = Registry.gate
 
-let create ~meter ~tracer ~signals ~directory ~obs =
-  { meter; tracer; signals; directory; obs; gates = Hashtbl.create 64;
+let create ~meter ~signals ~directory ~obs =
+  { meter; signals; directory; obs; gates = Hashtbl.create 64;
     order = []; total = 0; violations = 0 }
 
 let define t ~name:gate_name ~max_ring =

@@ -11,7 +11,7 @@
 type t
 
 val create :
-  meter:Meter.t -> tracer:Tracer.t -> signals:Upward_signal.t ->
+  meter:Meter.t -> signals:Upward_signal.t ->
   directory:Directory.t -> obs:Multics_obs.Sink.t -> t
 
 val define : t -> name:string -> max_ring:int -> unit

@@ -69,11 +69,16 @@ let n_vps = first_user_vp + user_vps
    logins. *)
 let brownout_max_level = 3
 
+(* The dependency graph every kernel's call census is audited against.
+   Built once, when the module initialises and before any domain can
+   boot a kernel, and only read afterwards: the explorer boots
+   thousands of kernels, and they all share it. *)
+let declared = Registry.declared_graph ()
+
 type t = {
   cfg : config;
   machine : Hw.Machine.t;
   meter : Meter.t;
-  tracer : Tracer.t;
   obs : Multics_obs.Sink.t;
   core : Core_segment.t;
   vp : Vp.t;
@@ -143,8 +148,7 @@ let rec boot_internal ?previous_disk cfg =
     Hw.Machine.create ~disk_packs:cfg.disk_packs
       ~records_per_pack:cfg.records_per_pack ?disk:previous_disk cfg.hw
   in
-  let meter = Meter.create () in
-  let tracer = Tracer.create () in
+  let meter = Meter.create ~declared in
   (* The sink reads the machine clock through a thunk and never charges
      the meter or schedules events — which is why switching [cfg.trace]
      cannot move simulated time (bench C3 asserts exactly that). *)
@@ -154,7 +158,6 @@ let rec boot_internal ?previous_disk cfg =
       ()
   in
   Hw.Machine.set_obs machine obs;
-  Meter.register_users meter (fun () -> Multics_obs.Sink.by_user obs);
   (* SLO watchdogs: simulated-time latency thresholds on the service
      histograms.  Purely observational — a breach bumps a counter and
      drops an instant in the flight ring, never touching the clock. *)
@@ -174,7 +177,7 @@ let rec boot_internal ?previous_disk cfg =
   | None -> ());
   let aim_audit = Aim.Audit.create () in
   let core = Core_segment.create ~machine ~meter ~reserved_frames:cfg.core_frames in
-  let vp = Vp.create ?choice:cfg.choice ~machine ~meter ~tracer ~core ~n_vps () in
+  let vp = Vp.create ?choice:cfg.choice ~machine ~meter ~core ~n_vps () in
   (* The overload plane's I/O knobs (retry budgets, jittered backoff,
      circuit breakers) ride on the I/O scheduler's config, the rest of
      which derives from the disk's latencies. *)
@@ -188,7 +191,7 @@ let rec boot_internal ?previous_disk cfg =
   in
   let volume =
     Volume.create ~faults:cfg.faults ?choice:cfg.choice ~io_config ~machine
-      ~meter ~tracer ()
+      ~meter ()
   in
   (* A scheduled power failure freezes the machine at its instant: the
      write-behind buffer tears and no further event runs.  Planted only
@@ -204,11 +207,11 @@ let rec boot_internal ?previous_disk cfg =
           Hw.Machine.halt machine)
   | None -> ());
   let quota =
-    Quota_cell.create ~machine ~meter ~tracer ~core ~volume
+    Quota_cell.create ~machine ~meter ~core ~volume
       ~max_cells:cfg.max_quota_cells
   in
   let page_frame =
-    Page_frame.create ?choice:cfg.choice ~machine ~meter ~tracer ~core
+    Page_frame.create ?choice:cfg.choice ~machine ~meter ~core
       ~volume ~quota ~use_cleaner_daemon:cfg.use_cleaner_daemon
       ~use_io_sched:cfg.use_io_sched ~read_ahead:cfg.read_ahead ()
   in
@@ -224,58 +227,35 @@ let rec boot_internal ?previous_disk cfg =
   in
   let uid_supply = Ids.generator ~start:uid_start () in
   let segment =
-    Segment.create ~machine ~meter ~tracer ~core ~volume ~quota ~page_frame
+    Segment.create ~machine ~meter ~core ~volume ~quota ~page_frame
       ~signals ~ast_slots:cfg.ast_slots ~pt_words:cfg.pt_words ~uid_supply
   in
   let known =
-    Known_segment.create ~machine ~meter ~tracer ~segment
+    Known_segment.create ~machine ~meter ~segment
       ~first_user_segno:cfg.hw.Hw.Hw_config.system_segno_split
   in
   let address_space =
-    Address_space.create ~machine ~meter ~tracer ~core ~segment ~known
+    Address_space.create ~machine ~meter ~core ~segment ~known
       ~max_spaces:cfg.max_processes
   in
   let user_process =
-    User_process.create ?choice:cfg.choice ~machine ~meter ~tracer ~known
+    User_process.create ?choice:cfg.choice ~machine ~meter ~known
       ~address_space ~segment ~vp ~policy:cfg.scheduler
       ~state_pack:(cfg.disk_packs - 1) ()
   in
   let directory =
-    Directory.create ~machine ~meter ~tracer ~segment ~quota ~volume ~known
+    Directory.create ~machine ~meter ~segment ~quota ~volume ~known
       ~audit:aim_audit
   in
-  let gate = Gate.create ~meter ~tracer ~signals ~directory ~obs in
+  let gate = Gate.create ~meter ~signals ~directory ~obs in
   List.iter (fun (g, ring) -> Gate.define gate ~name:g ~max_ring:ring)
     gate_table;
   let name_space =
-    Name_space.create ~use_cache:cfg.use_path_cache ~obs ~meter ~tracer ~gate
+    Name_space.create ~use_cache:cfg.use_path_cache ~obs ~meter ~gate
       ~directory ()
   in
-  Meter.register_cache meter ~name:"sdw_am" (fun () ->
-      List.fold_left
-        (fun acc (cpu : Hw.Cpu.t) ->
-          { Meter.c_hits = acc.Meter.c_hits + Hw.Assoc_mem.hits cpu.Hw.Cpu.tlb;
-            c_misses = acc.Meter.c_misses + Hw.Assoc_mem.misses cpu.Hw.Cpu.tlb;
-            c_invalidations =
-              acc.Meter.c_invalidations + Hw.Assoc_mem.flushes cpu.Hw.Cpu.tlb })
-        (* Reaped processes' vCPUs leave the broadcast set; their
-           counters persist in the machine's retired totals. *)
-        { Meter.c_hits = machine.Hw.Machine.retired_tlb_hits;
-          c_misses = machine.Hw.Machine.retired_tlb_misses;
-          c_invalidations = machine.Hw.Machine.retired_tlb_flushes }
-        (Hw.Machine.all_cpus machine));
-  Meter.register_cache meter ~name:"pathname" (fun () ->
-      { Meter.c_hits = Name_space.cache_hits name_space;
-        c_misses = Name_space.cache_misses name_space;
-        c_invalidations = Name_space.cache_invalidations name_space });
-  Meter.register_cache meter ~name:"read_ahead" (fun () ->
-      let hits = Page_frame.prefetch_hits page_frame in
-      { Meter.c_hits = hits;
-        c_misses = max 0 (Page_frame.prefetch_issued page_frame - hits);
-        c_invalidations = Page_frame.prefetch_dropped page_frame });
   let fault_dispatch =
-    Fault_dispatch.create ~meter ~tracer ~page_frame ~known ~address_space
-      ~gate ~obs
+    Fault_dispatch.create ~meter ~page_frame ~known ~address_space ~gate ~obs
   in
   (match previous_disk with
   | None ->
@@ -295,7 +275,7 @@ let rec boot_internal ?previous_disk cfg =
     machine.Hw.Machine.cpus;
   Core_segment.freeze core;
   let t =
-    { cfg; machine; meter; tracer; obs; core; vp; volume; quota; page_frame;
+    { cfg; machine; meter; obs; core; vp; volume; quota; page_frame;
       signals; segment; known; address_space; user_process; directory; gate;
       name_space; fault_dispatch; aim_audit; started = false; denials = 0;
       shed_calls = 0; proc_timeouts = 0; brownout_level = 0;
@@ -656,7 +636,6 @@ let reboot cfg ~from =
 
 let machine t = t.machine
 let meter t = t.meter
-let tracer t = t.tracer
 let obs t = t.obs
 let core t = t.core
 let vp t = t.vp
@@ -809,18 +788,20 @@ type cache_report = {
 }
 
 let stats t =
-  let find name =
-    match List.assoc_opt name (Meter.cache_stats t.meter) with
-    | Some c -> c
-    | None -> { Meter.c_hits = 0; c_misses = 0; c_invalidations = 0 }
+  let m = t.machine in
+  (* Reaped processes' vCPUs leave the broadcast set; their counters
+     persist in the machine's retired totals. *)
+  let tlb read retired =
+    List.fold_left
+      (fun acc (cpu : Hw.Cpu.t) -> acc + read cpu.Hw.Cpu.tlb)
+      retired (Hw.Machine.all_cpus m)
   in
-  let am = find "sdw_am" and path = find "pathname" in
-  { tlb_hits = am.Meter.c_hits;
-    tlb_misses = am.Meter.c_misses;
-    tlb_flushes = am.Meter.c_invalidations;
-    path_hits = path.Meter.c_hits;
-    path_misses = path.Meter.c_misses;
-    path_invalidations = path.Meter.c_invalidations }
+  { tlb_hits = tlb Hw.Assoc_mem.hits m.Hw.Machine.retired_tlb_hits;
+    tlb_misses = tlb Hw.Assoc_mem.misses m.Hw.Machine.retired_tlb_misses;
+    tlb_flushes = tlb Hw.Assoc_mem.flushes m.Hw.Machine.retired_tlb_flushes;
+    path_hits = Name_space.cache_hits t.name_space;
+    path_misses = Name_space.cache_misses t.name_space;
+    path_invalidations = Name_space.cache_invalidations t.name_space }
 
 type io_report = {
   io_reads : int;
@@ -872,10 +853,7 @@ let io_stats t =
     io_breaker_probes = s.Hw.Io_sched.s_breaker_probes;
     io_breaker_closes = s.Hw.Io_sched.s_breaker_closes }
 
-let dependency_audit t =
-  Tracer.audit t.tracer ~declared:(Registry.declared_graph ())
-
-let meter_snapshot t = Meter.snapshot t.meter
+let dependency_audit t = Meter.calls t.meter
 
 let pp_slos ppf t =
   match Multics_obs.Sink.slos t.obs with
@@ -919,24 +897,14 @@ let pp_histos ppf t =
 let histo_report t = Format.asprintf "%a" pp_histos t
 
 let chrome_trace t =
-  let ring = Multics_obs.Sink.buf t.obs in
-  (* Export from a copy so bridging the dependency tracer's census in
-     never pollutes the live ring. *)
-  let edges = Tracer.observed t.tracer in
-  let cevents = Tracer.cache_events t.tracer in
-  let buf =
-    Multics_obs.Trace_buf.create
-      ~capacity:
-        (max 1
-           (Multics_obs.Trace_buf.length ring
-           + List.length edges + List.length cevents))
-      ()
+  let census =
+    List.map
+      (fun (from, to_, count) -> ("dep:" ^ from ^ "->" ^ to_, count))
+      (Dg.Conformance.observed (dependency_audit t))
   in
-  Multics_obs.Trace_buf.iter ring (Multics_obs.Trace_buf.record buf);
-  Tracer.to_trace_buf t.tracer ~now:(now t) ~buf;
   Multics_obs.Trace_export.chrome_json
-    ~counters:(Multics_obs.Sink.counters t.obs)
-    buf
+    ~counters:(Multics_obs.Sink.counters t.obs @ census)
+    (Multics_obs.Sink.buf t.obs)
 
 let pp_report ppf t =
   Format.fprintf ppf "Kernel/Multics after %d simulated us@." (now t / 1000);
@@ -1002,16 +970,23 @@ let pp_report ppf t =
     (Gate.registered t.gate) (Gate.user_callable t.gate)
     (Gate.calls_total t.gate);
   Format.fprintf ppf "  caches:@.";
-  List.iter
-    (fun (cache, c) ->
-      Format.fprintf ppf
-        "    %-12s %8d hits %8d misses %6d invalidations (%.1f%% hit)@." cache
-        c.Meter.c_hits c.Meter.c_misses c.Meter.c_invalidations
-        (100.0 *. Meter.hit_rate c))
-    (Meter.cache_stats t.meter);
+  let pp_cache cache hits misses invalidations =
+    let lookups = hits + misses in
+    Format.fprintf ppf
+      "    %-12s %8d hits %8d misses %6d invalidations (%.1f%% hit)@." cache
+      hits misses invalidations
+      (if lookups = 0 then 0.0
+       else 100.0 *. (float_of_int hits /. float_of_int lookups))
+  in
+  let c = stats t in
+  pp_cache "sdw_am" c.tlb_hits c.tlb_misses c.tlb_flushes;
+  pp_cache "pathname" c.path_hits c.path_misses c.path_invalidations;
+  pp_cache "read_ahead" io.prefetch_hits
+    (max 0 (io.prefetch_issued - io.prefetch_hits))
+    io.prefetch_dropped;
   pp_histos ppf t;
   pp_slos ppf t;
-  (match Meter.by_user t.meter with
+  (match Multics_obs.Sink.by_user t.obs with
   | [] -> ()
   | users ->
       Format.fprintf ppf "  usage by user:@.";

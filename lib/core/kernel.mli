@@ -138,7 +138,6 @@ val reboot : config -> from:t -> t
 (* Component accessors. *)
 val machine : t -> Multics_hw.Machine.t
 val meter : t -> Meter.t
-val tracer : t -> Tracer.t
 val obs : t -> Multics_obs.Sink.t
 val core : t -> Core_segment.t
 val vp : t -> Vp.t
@@ -271,12 +270,8 @@ val io_stats : t -> io_report
     manager's read-ahead accounting. *)
 
 val dependency_audit : t -> Multics_depgraph.Conformance.t
-(** Observed cross-manager calls vs. the declared graph of {!Registry}. *)
-
-val meter_snapshot : t -> Meter.snapshot
-(** Freeze the cost meter for later {!Meter.diff} delta assertions.
-    [snap_users] carries per-user attribution (cpu ns and I/Os joined
-    from request contexts back to accounting principals). *)
+(** Observed cross-manager calls vs. the declared graph of {!Registry}:
+    the meter's live census ({!Meter.calls}), not a copy. *)
 
 val trace_report : t -> string
 (** The event ring as a human-readable timeline (empty unless the
@@ -304,8 +299,9 @@ val histo_report : t -> string
 
 val chrome_trace : t -> string
 (** The event ring as Chrome [trace_event] JSON (chrome://tracing or
-    Perfetto), with the dependency tracer's call-edge census and the
-    sink's counters appended as counter samples.  A missing-page
+    Perfetto), with the sink's counters and the meter's call census
+    appended as counter samples, one [dep:<from>-><to>] counter per
+    observed call edge.  A missing-page
     fault's life — fault span, transit async span, elevator submit,
     batch async span, eventcount wakeup — reads as one nested group. *)
 

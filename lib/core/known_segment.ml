@@ -15,7 +15,6 @@ type kst = {
 type t = {
   machine : Multics_hw.Machine.t;
   meter : Meter.t;
-  tracer : Tracer.t;
   segment : Segment.t;
   first_user_segno : int;
   ksts : (int, kst) Hashtbl.t;
@@ -24,12 +23,12 @@ type t = {
 let name = Registry.known_segment_manager
 
 let entry t ~caller ns =
-  Tracer.call t.tracer ~from:caller ~to_:name;
+  Meter.call t.meter ~from:caller ~to_:name;
   Meter.charge t.meter ~manager:name (Registry.language name)
     (Cost.kernel_call + ns)
 
-let create ~machine ~meter ~tracer ~segment ~first_user_segno =
-  { machine; meter; tracer; segment; first_user_segno;
+let create ~machine ~meter ~segment ~first_user_segno =
+  { machine; meter; segment; first_user_segno;
     ksts = Hashtbl.create 16 }
 
 let create_kst t ~caller ~proc =

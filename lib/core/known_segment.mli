@@ -20,7 +20,7 @@ type kst_entry = {
 type t
 
 val create :
-  machine:Multics_hw.Machine.t -> meter:Meter.t -> tracer:Tracer.t ->
+  machine:Multics_hw.Machine.t -> meter:Meter.t ->
   segment:Segment.t -> first_user_segno:int -> t
 
 val create_kst : t -> caller:string -> proc:int -> unit

@@ -1,34 +1,13 @@
-type cache_stats = {
-  c_hits : int;
-  c_misses : int;
-  c_invalidations : int;
-}
-
 type t = {
   mutable pending : int;
   mutable total : int;
   per_manager : (string, int) Hashtbl.t;
-  (* Caches report through thunks so the registry never goes stale;
-     list order is registration order, for stable reports. *)
-  mutable caches : (string * (unit -> cache_stats)) list;
-  (* Per-user attribution reports through a thunk too (the sink owns
-     the live table); [None] until the kernel registers it. *)
-  mutable users : (unit -> (string * (int * int)) list) option;
+  calls : Multics_depgraph.Conformance.t;
 }
 
-let create () =
-  { pending = 0; total = 0; per_manager = Hashtbl.create 16; caches = [];
-    users = None }
-
-let register_cache t ~name read = t.caches <- t.caches @ [ (name, read) ]
-let register_users t read = t.users <- Some read
-let by_user t = match t.users with None -> [] | Some read -> read ()
-
-let cache_stats t = List.map (fun (n, read) -> (n, read ())) t.caches
-
-let hit_rate c =
-  let lookups = c.c_hits + c.c_misses in
-  if lookups = 0 then 0.0 else float_of_int c.c_hits /. float_of_int lookups
+let create ~declared =
+  { pending = 0; total = 0; per_manager = Hashtbl.create 16;
+    calls = Multics_depgraph.Conformance.create ~declared }
 
 let charge_raw t ~manager ns =
   assert (ns >= 0);
@@ -57,36 +36,7 @@ let by_manager t =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.per_manager []
   |> List.sort compare
 
-type snapshot = {
-  snap_total : int;
-  snap_managers : (string * int) list;
-  snap_users : (string * (int * int)) list;
-}
+let call t ~from ~to_ =
+  Multics_depgraph.Conformance.record_call t.calls ~from ~to_
 
-let snapshot t =
-  { snap_total = t.total; snap_managers = by_manager t;
-    snap_users = by_user t }
-
-let diff ~before ~after =
-  let base m =
-    Option.value ~default:0 (List.assoc_opt m before.snap_managers)
-  in
-  let base_user u =
-    Option.value ~default:(0, 0) (List.assoc_opt u before.snap_users)
-  in
-  { snap_total = after.snap_total - before.snap_total;
-    snap_managers =
-      List.filter_map
-        (fun (m, v) -> if v = base m then None else Some (m, v - base m))
-        after.snap_managers;
-    snap_users =
-      List.filter_map
-        (fun (u, (c, i)) ->
-          let bc, bi = base_user u in
-          if c = bc && i = bi then None else Some (u, (c - bc, i - bi)))
-        after.snap_users }
-
-let reset t =
-  t.pending <- 0;
-  t.total <- 0;
-  Hashtbl.reset t.per_manager
+let calls t = t.calls

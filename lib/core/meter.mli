@@ -1,13 +1,23 @@
-(** Accumulates the simulated cost of kernel work performed during one
-    dispatch step, and per-manager totals for the benches.
+(** The kernel's own instruments: the simulated cost of kernel work,
+    and the census of calls between object managers.
 
     The event-driven machine advances the clock between steps; kernel
     code that runs "inline" during a step charges the meter, and the
-    dispatcher folds the accumulated charge into the step's duration. *)
+    dispatcher folds the accumulated charge into the step's duration.
+
+    Every call from one manager into another is recorded straight into
+    a {!Multics_depgraph.Conformance.t} over the declared dependency
+    graph (see {!Registry}).  This is the executable version of the
+    paper's integrity audit: an undeclared call edge is exactly the
+    drift an auditor reading Kernel/Multics would have to hunt for by
+    hand.  The meter is not part of the observability sink: its pending
+    cost is simulated time, and the audit runs in every trace mode. *)
 
 type t
 
-val create : unit -> t
+val create : declared:Multics_depgraph.Graph.t -> t
+(** A meter whose call census is audited against [declared]; an empty
+    graph counts calls with nothing declared.  The graph is only read. *)
 
 val charge : t -> manager:string -> Cost.language -> int -> unit
 (** Add [Cost.scale lang ns] to the pending step cost and to the
@@ -31,45 +41,9 @@ val total : t -> int
 val by_manager : t -> (string * int) list
 (** Sorted by manager name. *)
 
-type cache_stats = {
-  c_hits : int;
-  c_misses : int;
-  c_invalidations : int;  (** flush / whole-cache-drop events *)
-}
+val call : t -> from:string -> to_:string -> unit
+(** Record one call edge from manager [from] into manager [to_].
+    Self-calls are ignored. *)
 
-val register_cache : t -> name:string -> (unit -> cache_stats) -> unit
-(** Register a cache's live counters under [name]; the thunk is read
-    whenever stats are reported. *)
-
-val cache_stats : t -> (string * cache_stats) list
-(** In registration order. *)
-
-val hit_rate : cache_stats -> float
-(** Hits over lookups; 0 when there were no lookups. *)
-
-val register_users : t -> (unit -> (string * (int * int)) list) -> unit
-(** Register the per-user attribution source ([(user, (cpu_ns, ios))],
-    sorted by user) — the kernel wires the observability sink's
-    request-context join here so {!snapshot} can report usage by
-    accounting principal. *)
-
-val by_user : t -> (string * (int * int)) list
-(** The registered attribution, [[]] when none is registered. *)
-
-type snapshot = {
-  snap_total : int;
-  snap_managers : (string * int) list;  (** sorted by manager name *)
-  snap_users : (string * (int * int)) list;
-      (** per-user [(cpu_ns, ios)], sorted by user; empty unless
-          attribution is registered *)
-}
-
-val snapshot : t -> snapshot
-(** Freeze the totals, for later per-manager delta assertions. *)
-
-val diff : before:snapshot -> after:snapshot -> snapshot
-(** Per-manager deltas between two snapshots; managers or users whose
-    totals did not move are omitted. *)
-
-val reset : t -> unit
-(** Clears meters; registered caches stay registered. *)
+val calls : t -> Multics_depgraph.Conformance.t
+(** The live census, not a copy: calls recorded later show up in it. *)

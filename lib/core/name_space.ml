@@ -2,7 +2,6 @@ module Aim = Multics_aim
 
 type t = {
   meter : Meter.t;
-  tracer : Tracer.t;
   obs : Multics_obs.Sink.t;
   gate : Gate.t;
   directory : Directory.t;
@@ -28,14 +27,14 @@ let cache_capacity = 512
 let clear_cache t =
   Hashtbl.reset t.cache;
   t.cache_invalidations <- t.cache_invalidations + 1;
-  Tracer.note_cache t.tracer ~cache:"pathname" ~event:"invalidate"
+  Multics_obs.Sink.count t.obs "pathname:invalidate"
 
-let create ?(use_cache = true) ?obs ~meter ~tracer ~gate ~directory () =
+let create ?(use_cache = true) ?obs ~meter ~gate ~directory () =
   let obs =
     match obs with Some s -> s | None -> Multics_obs.Sink.disabled ()
   in
   let t =
-    { meter; tracer; obs; gate; directory; use_cache;
+    { meter; obs; gate; directory; use_cache;
       cache = Hashtbl.create 64; cache_hits = 0; cache_misses = 0;
       cache_invalidations = 0; search_count = 0 }
   in
@@ -61,7 +60,7 @@ let gated_search t ~subject ~ring ~dir_uid ~component =
   Multics_obs.Sink.count t.obs "ns.search";
   (* The user-ring walker is a small, simple program. *)
   Meter.charge t.meter ~manager:name Cost.Pl1 (Cost.kernel_call / 2);
-  Tracer.call t.tracer ~from:name ~to_:Registry.gate;
+  Meter.call t.meter ~from:name ~to_:Registry.gate;
   match
     Gate.call t.gate ~name:"hcs_$fs_search" ~caller_ring:ring (fun () ->
         Directory.search t.directory ~caller:Registry.gate ~subject ~dir_uid
@@ -108,7 +107,7 @@ let initiate t ~subject ~ring ~path =
   match resolve_parent t ~subject ~ring ~path with
   | Error `Bad_path -> Error `Bad_path
   | Ok (dir_uid, leaf) -> (
-      Tracer.call t.tracer ~from:name ~to_:Registry.gate;
+      Meter.call t.meter ~from:name ~to_:Registry.gate;
       match
         Gate.call t.gate ~name:"hcs_$initiate" ~caller_ring:ring (fun () ->
             Directory.initiate_target t.directory ~caller:Registry.gate

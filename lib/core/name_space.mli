@@ -14,7 +14,7 @@ type t
 
 val create :
   ?use_cache:bool -> ?obs:Multics_obs.Sink.t ->
-  meter:Meter.t -> tracer:Tracer.t -> gate:Gate.t -> directory:Directory.t ->
+  meter:Meter.t -> gate:Gate.t -> directory:Directory.t ->
   unit -> t
 (** [use_cache] (default true) enables the pathname resolution cache:
     (subject, ring, directory uid, component) -> real entry uid.  Only

@@ -37,7 +37,6 @@ type transit = {
 type t = {
   machine : Hw.Machine.t;
   meter : Meter.t;
-  tracer : Tracer.t;
   obs : Multics_obs.Sink.t;
   volume : Volume.t;
   quota : Quota_cell.t;
@@ -82,17 +81,17 @@ let lang = Cost.Pl1
 let charge t ns = Meter.charge t.meter ~manager:name lang ns
 
 let entry t ~caller ns =
-  Tracer.call t.tracer ~from:caller ~to_:name;
+  Meter.call t.meter ~from:caller ~to_:name;
   charge t (Cost.kernel_call + ns)
 
-let create ?choice ~machine ~meter ~tracer ~core ~volume ~quota
+let create ?choice ~machine ~meter ~core ~volume ~quota
     ~use_cleaner_daemon ?(use_io_sched = true) ?(read_ahead = 0) () =
   let n = Core_segment.first_reserved_frame core in
   assert (n > 0);
   assert (read_ahead >= 0);
   let frame_region = Core_segment.alloc core ~name:"frame_table" ~words:n in
   let obs = Hw.Machine.obs machine in
-  { machine; meter; tracer; obs; volume; quota;
+  { machine; meter; obs; volume; quota;
     frames =
       Array.init n (fun _ ->
           { used_by = -1; record_handle = -1; quota_cell = Quota_cell.no_cell;
@@ -615,7 +614,7 @@ let add_zero_page t ~caller ~ptw_abs ~record_handle ~quota_cell =
       charge t Cost.ptw_update
 
 let fault_in_sync t ~caller ~ptw_abs =
-  Tracer.call t.tracer ~from:caller ~to_:name;
+  Meter.call t.meter ~from:caller ~to_:name;
   (* Raw probes: directory persist/restore funnels every payload word
      through here, and the common outcome (`Ok, page already in core)
      needs three bit tests of the fetched word, not a decoded record. *)
@@ -672,7 +671,7 @@ let fault_in_sync t ~caller ~ptw_abs =
   end
 
 let flush_page t ~caller ~ptw_abs =
-  Tracer.call t.tracer ~from:caller ~to_:name;
+  Meter.call t.meter ~from:caller ~to_:name;
   (* Raw probes: shutdown/checkpoint walk every descriptor through
      here, and the decision needs one bit test and the frame field of
      the fetched word, not a decoded record. *)

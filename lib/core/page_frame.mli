@@ -21,7 +21,7 @@ type t
 
 val create :
   ?choice:Multics_choice.Choice.t ->
-  machine:Multics_hw.Machine.t -> meter:Meter.t -> tracer:Tracer.t ->
+  machine:Multics_hw.Machine.t -> meter:Meter.t ->
   core:Core_segment.t -> volume:Volume.t -> quota:Quota_cell.t ->
   use_cleaner_daemon:bool -> ?use_io_sched:bool -> ?read_ahead:int -> unit ->
   t

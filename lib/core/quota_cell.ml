@@ -15,7 +15,6 @@ type cell = {
 type t = {
   machine : Hw.Machine.t;
   meter : Meter.t;
-  tracer : Tracer.t;
   core : Core_segment.t;
   volume : Volume.t;
   cache_region : Core_segment.region;  (* 2 words per cell: limit, used *)
@@ -27,16 +26,16 @@ type t = {
 let name = Registry.quota_cell_manager
 
 let entry t ~caller base =
-  Tracer.call t.tracer ~from:caller ~to_:name;
+  Meter.call t.meter ~from:caller ~to_:name;
   Meter.charge t.meter ~manager:name (Registry.language name)
     (Cost.kernel_call + base)
 
-let create ~machine ~meter ~tracer ~core ~volume ~max_cells =
+let create ~machine ~meter ~core ~volume ~max_cells =
   assert (max_cells > 0);
   let cache_region =
     Core_segment.alloc core ~name:"quota_cell_cache" ~words:(2 * max_cells)
   in
-  { machine; meter; tracer; core; volume; cache_region;
+  { machine; meter; core; volume; cache_region;
     cells =
       Array.init max_cells (fun _ ->
           { home_pack = 0; home_index = 0; limit = 0; used = 0; live = false });

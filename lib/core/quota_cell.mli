@@ -18,7 +18,7 @@ val no_cell : handle
     segments); charge/uncharge against it always succeed. *)
 
 val create :
-  machine:Multics_hw.Machine.t -> meter:Meter.t -> tracer:Tracer.t ->
+  machine:Multics_hw.Machine.t -> meter:Meter.t ->
   core:Core_segment.t -> volume:Volume.t -> max_cells:int -> t
 
 val register :

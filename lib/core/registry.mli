@@ -1,7 +1,7 @@
 (** The declared dependency structure of this kernel implementation.
 
     These are the names used by every manager when charging the meter
-    and recording trace edges, and the dependency declarations the
+    and recording call edges, and the dependency declarations the
     runtime conformance audit checks observed calls against.  The graph
     is the implementation's own (it differs from the paper's Figure 4 in
     merging the segment and active-segment managers and in adding the

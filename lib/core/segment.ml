@@ -16,7 +16,6 @@ type grow_error = [ `Over_quota | `No_space | `Damaged ]
 type t = {
   machine : Hw.Machine.t;
   meter : Meter.t;
-  tracer : Tracer.t;
   obs : Multics_obs.Sink.t;
   core : Core_segment.t;
   volume : Volume.t;
@@ -41,17 +40,17 @@ let lang = Cost.Pl1
 let charge t ns = Meter.charge t.meter ~manager:name lang ns
 
 let entry t ~caller ns =
-  Tracer.call t.tracer ~from:caller ~to_:name;
+  Meter.call t.meter ~from:caller ~to_:name;
   charge t (Cost.kernel_call + ns)
 
-let create ~machine ~meter ~tracer ~core ~volume ~quota ~page_frame ~signals
+let create ~machine ~meter ~core ~volume ~quota ~page_frame ~signals
     ~ast_slots ~pt_words ~uid_supply =
   assert (ast_slots > 0 && pt_words > 0);
   assert (pt_words <= Hw.Addr.max_pages_per_segment);
   let pt_region =
     Core_segment.alloc core ~name:"page_tables" ~words:(ast_slots * pt_words)
   in
-  { machine; meter; tracer; obs = Hw.Machine.obs machine; core; volume;
+  { machine; meter; obs = Hw.Machine.obs machine; core; volume;
     quota; page_frame; signals;
     n_slots = ast_slots; pt_words; pt_region;
     ast =
@@ -109,7 +108,7 @@ let sever_connections t e =
   (* A changed descriptor may be cached in some processor's associative
      memory; the trailer walk ends with a broadcast AM clear. *)
   Hw.Machine.flush_all_tlbs t.machine;
-  Tracer.note_cache t.tracer ~cache:"sdw_am" ~event:"setfaults_flush"
+  Multics_obs.Sink.count t.obs "sdw_am:setfaults_flush"
 
 let build_page_table t slot (vtoc : Hw.Disk.vtoc_entry) =
   for pageno = 0 to t.pt_words - 1 do
@@ -188,7 +187,7 @@ let deactivate t ~caller ~slot =
    file map, as [build_page_table] would if the segment were activated
    now. *)
 let heal_damaged t ~caller =
-  Tracer.call t.tracer ~from:caller ~to_:name;
+  Meter.call t.meter ~from:caller ~to_:name;
   let disk = t.machine.Hw.Machine.disk in
   let healed = ref 0 in
   Array.iteri
@@ -245,7 +244,7 @@ let find_slot t =
       | None -> None)
 
 let activate t ~caller ~uid ~cell =
-  Tracer.call t.tracer ~from:caller ~to_:name;
+  Meter.call t.meter ~from:caller ~to_:name;
   match find_active t ~uid with
   | Some slot ->
       (* Already active: an AST hash hit. *)

@@ -24,7 +24,7 @@ type grow_error = [ `Over_quota | `No_space | `Damaged ]
     crash write; the salvager repairs the segment at the next boot. *)
 
 val create :
-  machine:Multics_hw.Machine.t -> meter:Meter.t -> tracer:Tracer.t ->
+  machine:Multics_hw.Machine.t -> meter:Meter.t ->
   core:Core_segment.t -> volume:Volume.t -> quota:Quota_cell.t ->
   page_frame:Page_frame.t -> signals:Upward_signal.t -> ast_slots:int ->
   pt_words:int -> uid_supply:(unit -> Ids.uid) -> t

@@ -37,7 +37,6 @@ type interp_outcome =
 type t = {
   machine : Hw.Machine.t;
   meter : Meter.t;
-  tracer : Tracer.t;
   obs : Multics_obs.Sink.t;
   known : Known_segment.t;
   address_space : Address_space.t;
@@ -65,13 +64,13 @@ let lang = Cost.Pl1
 let charge t ns = Meter.charge t.meter ~manager:name lang ns
 
 let entry t ~caller ns =
-  Tracer.call t.tracer ~from:caller ~to_:name;
+  Meter.call t.meter ~from:caller ~to_:name;
   charge t (Cost.kernel_call + ns)
 
-let create ?choice ~machine ~meter ~tracer ~known ~address_space ~segment ~vp
+let create ?choice ~machine ~meter ~known ~address_space ~segment ~vp
     ~policy ~state_pack () =
   let obs = Hw.Machine.obs machine in
-  { machine; meter; tracer; obs; known; address_space; segment; vp;
+  { machine; meter; obs; known; address_space; segment; vp;
     sched = Scheduler.create ?choice policy;
     up_choice = choice;
     procs_tbl = Hashtbl.create 32; next_pid = 1;

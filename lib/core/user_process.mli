@@ -65,7 +65,7 @@ type t
 
 val create :
   ?choice:Multics_choice.Choice.t ->
-  machine:Multics_hw.Machine.t -> meter:Meter.t -> tracer:Tracer.t ->
+  machine:Multics_hw.Machine.t -> meter:Meter.t ->
   known:Known_segment.t -> address_space:Address_space.t ->
   segment:Segment.t -> vp:Vp.t -> policy:Scheduler.policy ->
   state_pack:int -> unit -> t

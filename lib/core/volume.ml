@@ -3,7 +3,6 @@ module Hw = Multics_hw
 type t = {
   machine : Hw.Machine.t;
   meter : Meter.t;
-  tracer : Tracer.t;
   io : Hw.Io_sched.t;
   locator : (int, int * int) Hashtbl.t;  (* uid -> (pack, vtoc index) *)
   mutable full_pack_count : int;
@@ -23,12 +22,12 @@ let note_online t ~pack =
   end
 
 let entry t ~caller base_cost =
-  Tracer.call t.tracer ~from:caller ~to_:name;
+  Meter.call t.meter ~from:caller ~to_:name;
   Meter.charge t.meter ~manager:name (Registry.language name)
     (Cost.kernel_call + base_cost)
 
 let create ?(faults = Hw.Fault_inject.none) ?choice ?io_config ~machine
-    ~meter ~tracer () =
+    ~meter () =
   let io =
     Hw.Io_sched.create ?config:io_config ~disk:machine.Hw.Machine.disk
       ~faults ?choice
@@ -39,14 +38,13 @@ let create ?(faults = Hw.Fault_inject.none) ?choice ?io_config ~machine
      step: record it under this manager without touching the pending
      step cost.  This is the only place batch latency is charged. *)
   Hw.Io_sched.set_on_batch io (fun ~pack:_ ~size:_ ~cost_ns ->
-      Meter.charge_async meter ~manager:name cost_ns;
-      Tracer.note_cache tracer ~cache:"disk_io" ~event:"batch");
+      Meter.charge_async meter ~manager:name cost_ns);
   (* The machine's sink is installed before any manager is created, so
      capturing it here wires the elevator's batch spans to the kernel's
      trace. *)
   Hw.Io_sched.set_obs io (Hw.Machine.obs machine);
   let t =
-    { machine; meter; tracer; io; locator = Hashtbl.create 64;
+    { machine; meter; io; locator = Hashtbl.create 64;
       full_pack_count = 0; signals = None;
       offline_signalled = Hashtbl.create 4; offline_signal_count = 0;
       spared = 0; damaged = 0 }

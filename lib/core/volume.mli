@@ -19,7 +19,7 @@ type t
 val create :
   ?faults:Multics_hw.Fault_inject.t -> ?choice:Multics_choice.Choice.t ->
   ?io_config:Multics_hw.Io_sched.config ->
-  machine:Multics_hw.Machine.t -> meter:Meter.t -> tracer:Tracer.t -> unit -> t
+  machine:Multics_hw.Machine.t -> meter:Meter.t -> unit -> t
 (** [faults] is handed to the I/O scheduler; the empty plan (the
     default) makes every error path unreachable.  [choice] is handed to
     the I/O scheduler's completion-delivery choice point.  [io_config]

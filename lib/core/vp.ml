@@ -28,7 +28,6 @@ type cpu_slot = {
 type t = {
   machine : Hw.Machine.t;
   meter : Meter.t;
-  tracer : Tracer.t;
   obs : Multics_obs.Sink.t;
   vps : vp array;
   step_fns : (vp -> run_result) option array;
@@ -42,13 +41,13 @@ type t = {
   mutable ww_saves : int;
 }
 
-let create ?(choice = Choice.default) ~machine ~meter ~tracer ~core ~n_vps () =
+let create ?(choice = Choice.default) ~machine ~meter ~core ~n_vps () =
   assert (n_vps > 0);
   (* One state word per VP, kept in a core segment: the whole point of
      the fixed-number design is that these states are always in primary
      memory. *)
   let state_region = Core_segment.alloc core ~name:"vp_states" ~words:n_vps in
-  { machine; meter; tracer; obs = Hw.Machine.obs machine;
+  { machine; meter; obs = Hw.Machine.obs machine;
     vps =
       Array.init n_vps (fun vp_id ->
           { vp_id; vp_state = `Idle; bound_to = None; steps = 0; waits = 0;
@@ -249,6 +248,3 @@ let cpu_idle_ns t =
 
 let cpu_busy_ns t =
   Array.fold_left (fun acc c -> acc + c.busy_ns) 0 t.cpus
-
-(* Silence unused-field warnings for tracer/meter fields used elsewhere. *)
-let _ = fun t -> (t.tracer, t.meter, t.state_region)

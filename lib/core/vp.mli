@@ -37,7 +37,7 @@ type t
 
 val create :
   ?choice:Multics_choice.Choice.t ->
-  machine:Multics_hw.Machine.t -> meter:Meter.t -> tracer:Tracer.t ->
+  machine:Multics_hw.Machine.t -> meter:Meter.t ->
   core:Core_segment.t -> n_vps:int -> unit -> t
 (** [choice] (default inert) governs which ready VP a free CPU
     dispatches — the affinity-then-round-robin scan under the inert

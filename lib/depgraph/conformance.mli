@@ -1,8 +1,8 @@
 (** Runtime dependency conformance.
 
     The kernel's managers declare their dependencies up front (the
-    design); a recorder traces actual cross-manager calls as they happen
-    (the implementation).  The audit compares the two: every observed
+    design); the kernel's meter records actual cross-manager calls here
+    as they happen (the implementation).  The audit compares the two: every observed
     call edge must be covered by a declared dependency, or the
     implementation has drifted from the auditable structure — the
     failure mode the paper's whole methodology exists to prevent. *)

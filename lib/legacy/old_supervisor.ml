@@ -61,8 +61,7 @@ let boot cfg =
     <= cfg.reserved_frames * Hw.Addr.page_size);
   let st =
     { machine;
-      meter = K.Meter.create ();
-      tracer = K.Tracer.create ();
+      meter = K.Meter.create ~declared:(Dg.Graph.create ());
       ast =
         Array.init cfg.ast_slots (fun i ->
             { oe_index = i; oe_uid = -1; oe_pack = 0; oe_vtoc = 0;
@@ -511,7 +510,7 @@ let observed_graph t =
   let g = Dg.Graph.create ~name:"legacy supervisor (observed)" () in
   List.iter
     (fun (from, to_, _count) -> Dg.Graph.add_edge g ~from ~to_ Dg.Dep_kind.Shared_data)
-    (K.Tracer.observed t.st.tracer);
+    (Dg.Conformance.observed (K.Meter.calls t.st.meter));
   g
 
 let pp_report ppf t =

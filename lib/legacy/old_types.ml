@@ -91,7 +91,6 @@ type stats = {
 type state = {
   machine : Hw.Machine.t;
   meter : K.Meter.t;
-  tracer : K.Tracer.t;
   ast : ast_entry array;
   pt_words : int;
   frames : frame_entry array;
@@ -118,4 +117,4 @@ let fresh_uid t =
 
 let charge_asm t ~manager ns = K.Meter.charge t.meter ~manager K.Cost.Asm ns
 let charge_pl1 t ~manager ns = K.Meter.charge t.meter ~manager K.Cost.Pl1 ns
-let share t ~from ~to_ = K.Tracer.call t.tracer ~from ~to_
+let share t ~from ~to_ = K.Meter.call t.meter ~from ~to_

@@ -10,10 +10,12 @@
     superficial structure of Figure 2 and finds exactly the paper's
     extra edges.
 
-    The legacy supervisor reuses the cost model, meter, tracer, ACLs and
-    workload definitions of [multics_kernel] — instruments, not kernel
-    structure — and runs on the legacy hardware configuration (no
-    descriptor lock bit, no quota-fault bit, single DBR). *)
+    The legacy supervisor reuses the cost model, meter, ACLs and workload
+    definitions of [multics_kernel] — instruments, not kernel structure —
+    and runs on the legacy hardware configuration (no descriptor lock
+    bit, no quota-fault bit, single DBR).  Its meter declares nothing:
+    the call census records every shared-data edge, and
+    [Old_supervisor.observed_graph] reads it back. *)
 
 module K = Multics_kernel
 
@@ -110,7 +112,6 @@ type stats = {
 type state = {
   machine : Multics_hw.Machine.t;
   meter : K.Meter.t;
-  tracer : K.Tracer.t;
   ast : ast_entry array;
   pt_words : int;
   frames : frame_entry array;

@@ -20,7 +20,8 @@
     Tasks must themselves be self-contained: a task may allocate and
     mutate freely but must not touch state shared with another task
     (the kernel's boot path satisfies this — every [Kernel.boot]
-    builds its own machine, meter, tracer, sink and choice state; see
+    builds its own machine, meter, sink and choice state, and only
+    reads the declared dependency graph they share; see
     test/test_par.ml for the proof).
 
     A task that raises aborts the farm: every worker still runs to

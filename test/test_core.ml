@@ -549,7 +549,27 @@ let test_runtime_conformance () =
         v.Dg.Conformance.v_to)
     violations;
   check Alcotest.bool "no undeclared call edges" true
-    (Dg.Conformance.conforms conf)
+    (Dg.Conformance.conforms conf);
+  (* An empty census would conform too: demand the edges this load
+     must have exercised, across four layers. *)
+  let observed = Dg.Conformance.observed conf in
+  List.iter
+    (fun (from, to_) ->
+      check Alcotest.bool
+        (Printf.sprintf "%s -> %s observed" from to_)
+        true
+        (List.exists (fun (f, t, n) -> f = from && t = to_ && n > 0) observed))
+    K.Registry.
+      [ (segment_manager, page_frame_manager);
+        (page_frame_manager, disk_pack_manager);
+        (known_segment_manager, segment_manager);
+        (gate, directory_manager) ];
+  (* And the audit is live: one upward call on the booted kernel's
+     meter breaks it. *)
+  K.Meter.call (K.Kernel.meter k) ~from:K.Registry.page_frame_manager
+    ~to_:K.Registry.segment_manager;
+  check Alcotest.bool "an upward call is caught" false
+    (Dg.Conformance.conforms (K.Kernel.dependency_audit k))
 
 (* ------------------------------------------------------------------ *)
 (* Segment relocation updates the directory (whole-path check) *)

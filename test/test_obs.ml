@@ -1,13 +1,15 @@
 (* The observability layer: the ring buffer, the log2 histograms, the
-   sink's three modes, the lock/eventcount latency plumbing, meter
-   snapshots, tracer determinism — and the property everything else
-   rests on: tracing never moves the simulated clock. *)
+   sink's three modes, the lock/eventcount latency plumbing, request
+   contexts, the Chrome export with its call-census counters — and the
+   property everything else rests on: tracing never moves the simulated
+   clock. *)
 
 module K = Multics_kernel
 module Hw = Multics_hw
 module Obs = Multics_obs
 module Sync = Multics_sync
 module Aim = Multics_aim
+module Dg = Multics_depgraph
 
 let check = Alcotest.check
 
@@ -194,54 +196,6 @@ let test_ec_wait_time () =
   check Alcotest.int "waited 2500" 2_500 (Obs.Histo.max_value h)
 
 (* ------------------------------------------------------------------ *)
-(* Meter snapshots. *)
-
-let test_meter_snapshot_diff () =
-  let m = K.Meter.create () in
-  K.Meter.charge_raw m ~manager:"pfm" 100;
-  K.Meter.charge_raw m ~manager:"gate" 40;
-  let before = K.Meter.snapshot m in
-  K.Meter.charge_raw m ~manager:"pfm" 60;
-  let after = K.Meter.snapshot m in
-  let d = K.Meter.diff ~before ~after in
-  check Alcotest.int "delta total" 60 d.K.Meter.snap_total;
-  check
-    Alcotest.(list (pair string int))
-    "only moved managers" [ ("pfm", 60) ] d.K.Meter.snap_managers
-
-(* ------------------------------------------------------------------ *)
-(* Tracer: deterministic output order, and the trace-buffer bridge. *)
-
-let test_tracer_deterministic () =
-  let tr = K.Tracer.create () in
-  K.Tracer.note_cache tr ~cache:"sdw" ~event:"hit";
-  K.Tracer.note_cache tr ~cache:"path" ~event:"miss";
-  K.Tracer.note_cache tr ~cache:"sdw" ~event:"hit";
-  check
-    Alcotest.(list (pair string int))
-    "cache events sorted"
-    [ ("path:miss", 1); ("sdw:hit", 2) ]
-    (K.Tracer.cache_events tr);
-  K.Tracer.call tr ~from:"gate" ~to_:"pfm";
-  K.Tracer.call tr ~from:"gate" ~to_:"pfm";
-  K.Tracer.call tr ~from:"dir" ~to_:"seg";
-  let buf = Obs.Trace_buf.create ~capacity:64 () in
-  K.Tracer.to_trace_buf tr ~now:99 ~buf;
-  let names =
-    List.filter_map
-      (fun e ->
-        if e.Obs.Trace_buf.ev_cat = "dep" then
-          Some (e.Obs.Trace_buf.ev_name, e.Obs.Trace_buf.ev_arg)
-        else None)
-      (Obs.Trace_buf.events buf)
-  in
-  check
-    Alcotest.(list (pair string int))
-    "edges bridged in order"
-    [ ("dir->seg", 1); ("gate->pfm", 2) ]
-    names
-
-(* ------------------------------------------------------------------ *)
 (* The tentpole invariant: booting with tracing Off and Full runs the
    same workload to the same simulated nanosecond. *)
 
@@ -277,8 +231,28 @@ let test_trace_clock_neutral () =
     (String.length (K.Kernel.histo_report k) > 0);
   check Alcotest.bool "timeline" true
     (String.length (K.Kernel.trace_report k) > 0);
-  check Alcotest.bool "chrome trace" true
-    (String.length (K.Kernel.chrome_trace k) > 0)
+  (* The meter's call census rides along as one counter per observed
+     call edge, named dep:<from>-><to> and carrying the edge's count. *)
+  let dep_lines =
+    String.split_on_char '\n' (K.Kernel.chrome_trace k)
+    |> List.filter (fun l ->
+           Astring.String.is_prefix ~affix:"{\"name\":\"dep:" l)
+  in
+  let edges = Dg.Conformance.observed (K.Kernel.dependency_audit k) in
+  check Alcotest.bool "census observed" true (edges <> []);
+  check Alcotest.int "one dep counter per edge" (List.length edges)
+    (List.length dep_lines);
+  List.iter
+    (fun (from, to_, count) ->
+      let name = Printf.sprintf "{\"name\":\"dep:%s->%s\"," from to_ in
+      let value = Printf.sprintf "\"args\":{\"value\":%d}}" count in
+      check Alcotest.bool (name ^ value) true
+        (List.exists
+           (fun l ->
+             Astring.String.is_prefix ~affix:name l
+             && Astring.String.is_infix ~affix:value l)
+           dep_lines))
+    edges
 
 (* ------------------------------------------------------------------ *)
 (* Request contexts: allocation discipline and causal propagation. *)
@@ -533,8 +507,7 @@ let test_ctx_propagation () =
        prefetches);
   (* 4. The join shows up in accounting: the default principal owns
      both cpu time and I/Os. *)
-  let users = K.Meter.snapshot (K.Kernel.meter k) in
-  (match List.assoc_opt "user" users.K.Meter.snap_users with
+  (match Obs.Sink.user_usage obs ~user:"user" with
   | None -> Alcotest.fail "no per-user attribution row"
   | Some (cpu_ns, ios) ->
       check Alcotest.bool "cpu attributed" true (cpu_ns > 0);
@@ -611,9 +584,6 @@ let tests =
     Alcotest.test_case "lock hold/wait histograms" `Quick
       test_lock_hold_time;
     Alcotest.test_case "eventcount wait histogram" `Quick test_ec_wait_time;
-    Alcotest.test_case "meter snapshot diff" `Quick test_meter_snapshot_diff;
-    Alcotest.test_case "tracer deterministic + bridge" `Quick
-      test_tracer_deterministic;
     Alcotest.test_case "trace off/on clock equality" `Quick
       test_trace_clock_neutral;
     Alcotest.test_case "ctx alloc-free when off" `Quick

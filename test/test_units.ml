@@ -4,6 +4,7 @@
 module K = Multics_kernel
 module Hw = Multics_hw
 module Sync = Multics_sync
+module Dg = Multics_depgraph
 
 let check = Alcotest.check
 let qcheck t = QCheck_alcotest.to_alcotest t
@@ -11,8 +12,11 @@ let qcheck t = QCheck_alcotest.to_alcotest t
 (* ------------------------------------------------------------------ *)
 (* Meter *)
 
+(* Nothing declared: these fixtures only count calls. *)
+let new_meter () = K.Meter.create ~declared:(Dg.Graph.create ())
+
 let test_meter () =
-  let m = K.Meter.create () in
+  let m = new_meter () in
   K.Meter.charge m ~manager:"a" K.Cost.Asm 100;
   K.Meter.charge m ~manager:"a" K.Cost.Pl1 100;
   K.Meter.charge m ~manager:"b" K.Cost.Pl1 50;
@@ -22,7 +26,17 @@ let test_meter () =
   check Alcotest.int "total keeps" 400 (K.Meter.total m);
   check
     (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int))
-    "by manager" [ ("a", 300); ("b", 100) ] (K.Meter.by_manager m)
+    "by manager" [ ("a", 300); ("b", 100) ] (K.Meter.by_manager m);
+  K.Meter.call m ~from:"b" ~to_:"a";
+  K.Meter.call m ~from:"b" ~to_:"a";
+  K.Meter.call m ~from:"a" ~to_:"a";
+  check
+    (Alcotest.list
+       (Alcotest.triple Alcotest.string Alcotest.string Alcotest.int))
+    "call census, self-calls ignored" [ ("b", "a", 2) ]
+    (Dg.Conformance.observed (K.Meter.calls m));
+  check Alcotest.bool "nothing declared, so the edge is undeclared" false
+    (Dg.Conformance.conforms (K.Meter.calls m))
 
 let test_cost_scale () =
   check Alcotest.int "asm is 1x" 1000 (K.Cost.scale K.Cost.Asm 1000);
@@ -65,7 +79,7 @@ let core_fixture () =
   let machine =
     Hw.Machine.create (Hw.Hw_config.with_frames Hw.Hw_config.kernel_multics 16)
   in
-  let meter = K.Meter.create () in
+  let meter = new_meter () in
   K.Core_segment.create ~machine ~meter ~reserved_frames:4
 
 let test_core_segment_alloc () =
@@ -150,12 +164,11 @@ let quota_fixture () =
     Hw.Machine.create ~disk_packs:1 ~records_per_pack:16
       (Hw.Hw_config.with_frames Hw.Hw_config.kernel_multics 16)
   in
-  let meter = K.Meter.create () in
-  let tracer = K.Tracer.create () in
+  let meter = new_meter () in
   let core = K.Core_segment.create ~machine ~meter ~reserved_frames:4 in
-  let volume = K.Volume.create ~machine ~meter ~tracer () in
+  let volume = K.Volume.create ~machine ~meter () in
   let quota =
-    K.Quota_cell.create ~machine ~meter ~tracer ~core ~volume ~max_cells:4
+    K.Quota_cell.create ~machine ~meter ~core ~volume ~max_cells:4
   in
   (machine, volume, quota)
 
@@ -293,10 +306,9 @@ let vp_fixture () =
   let machine =
     Hw.Machine.create (Hw.Hw_config.with_frames Hw.Hw_config.kernel_multics 16)
   in
-  let meter = K.Meter.create () in
-  let tracer = K.Tracer.create () in
+  let meter = new_meter () in
   let core = K.Core_segment.create ~machine ~meter ~reserved_frames:4 in
-  let vp = K.Vp.create ~machine ~meter ~tracer ~core ~n_vps:3 () in
+  let vp = K.Vp.create ~machine ~meter ~core ~n_vps:3 () in
   (machine, vp)
 
 let test_vp_run_and_stop () =
