@@ -80,12 +80,10 @@ let overload_run ~controlled =
   let overload =
     if not controlled then K.Kernel.default_overload
     else
-      { K.Kernel.default_overload with
-        K.Kernel.ov_deadline_ns = window;
+      { K.Kernel.ov_deadline_ns = window;
         ov_retry_budget = 8;
         ov_breaker_threshold = 4;
         ov_breaker_cooldown_ns = 10_000_000;
-        ov_brownout = true;
         ov_brownout_tick_ns = 20_000_000 }
   in
   let k =

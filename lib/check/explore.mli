@@ -3,8 +3,8 @@
 
     The simulation is a discrete-event system whose only nondeterminism
     is funnelled through {!Multics_choice.Choice} points (VP dispatch,
-    the level-2 scheduler pick, eventcount wakeup order, lock handoff,
-    I/O completion delivery).  A {e system under test} is therefore just
+    the level-2 scheduler pick, eventcount wakeup order, I/O completion
+    delivery and retry backoff).  A {e system under test} is therefore just
     a function from a choice strategy to a list of oracle violations:
     boot fresh state, drive it to quiescence, check invariants.  Every
     run is independent, so exploring the schedule space is a stateless

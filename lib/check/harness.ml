@@ -117,7 +117,7 @@ let kernel_system ?config ?(n_procs = 2) () =
 
 (* ------------------------------------------------------------------ *)
 (* The breaker harness: the I/O scheduler alone, under transient
-   faults, with the circuit breaker and jittered-backoff knobs armed.
+   faults, with the circuit breaker armed.
 
    One pack, one arm, three reads submitted in one instant — one
    sweep.  Records 0 and 2 each fail their first attempt; record 1 is
@@ -157,7 +157,6 @@ let run_breaker_full ?(bug = false) choice =
   let config =
     { (Hw.Io_sched.config_of_disk disk) with
       Hw.Io_sched.pack_ways = 1;
-      backoff_jitter = true;
       retry_limit = 8;
       breaker_threshold = (if bug then 2 else 3);
       breaker_cooldown_ns = 2 * Hw.Disk.io_latency_ns disk }

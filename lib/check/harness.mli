@@ -36,8 +36,8 @@ val run_breaker : ?bug:bool -> Multics_choice.Choice.t -> string list
 (** One run of the breaker harness (default no bug); returns oracle
     violations.  The I/O scheduler alone: one pack, one arm, three
     reads in one sweep, records 0 and 2 transiently failing once, with
-    jittered backoff and a circuit breaker armed (threshold 3, safely
-    above the two-fault noise; [bug] drops it to the noise floor, 2).
+    a circuit breaker armed (threshold 3, safely above the two-fault
+    noise; [bug] drops it to the noise floor, 2).
     The strategy's choices are exactly the overload plane's:
     completion delivery order (["io.deliver"]) and retry jitter
     (["io.backoff"]).  Always checked: both transients recover, all

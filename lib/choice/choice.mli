@@ -3,11 +3,10 @@
     The simulation is deterministic, which is exactly what makes
     systematic schedule exploration tractable: every place the real
     system would race — which ready virtual processor a CPU dispatches,
-    which eventcount waiter an [advance] fires first, which waiter a
-    lock hands off to, in what order a disk sweep's completions are
-    delivered — is a {e choice point}.  A component consults its
-    [Choice.t] at each such point; the strategy answers with an index
-    into the alternatives.
+    which eventcount waiter an [advance] fires first, in what order a
+    disk sweep's completions are delivered — is a {e choice point}.  A
+    component consults its [Choice.t] at each such point; the strategy
+    answers with an index into the alternatives.
 
     The inert {!default} strategy is special: components test
     {!is_active} and, when it is false, run their original code path

@@ -10,26 +10,24 @@ type shard_spec =
 
 type config = {
   shards : shard_spec list;
-  vnodes : int;
-  link_latency_ns : int;
   rgate_quota : int;
   choice : Multics_choice.Choice.t option;
-  max_barriers : int;
 }
 
-let config ?(vnodes = 64) ?(link_latency_ns = 1_000_000)
-    ?(rgate_quota = 64) ?choice ?(max_barriers = 2_000_000) shards =
+let config ?(rgate_quota = 64) ?choice shards =
   if shards = [] then invalid_arg "Cluster.config: no shards";
-  if link_latency_ns <= 0 then
-    invalid_arg "Cluster.config: link latency must be positive";
-  { shards; vnodes; link_latency_ns; rgate_quota; choice; max_barriers }
+  { shards; rgate_quota; choice }
+
+(* The one-way link latency, which is also the barrier quantum. *)
+let quantum = 1_000_000
+
+(* Runaway guard: [run] raises past this many barriers. *)
+let max_barriers = 2_000_000
 
 type t = {
-  c_cfg : config;
   c_shards : Shard.t array;
   c_ring : Ring.t;
   c_link : Link.t;
-  c_quantum : int;
   mutable c_now : int;
   mutable c_barriers : int;
   mutable c_closed : int;
@@ -53,11 +51,9 @@ let create cfg =
          cfg.shards)
   in
   let time = ref 0 in
-  { c_cfg = cfg;
-    c_shards = shards;
-    c_ring = Ring.create ~shards:(Array.length shards) ~vnodes:cfg.vnodes ();
-    c_link = Link.create ~latency_ns:cfg.link_latency_ns ?choice:cfg.choice ();
-    c_quantum = cfg.link_latency_ns;
+  { c_shards = shards;
+    c_ring = Ring.create ~shards:(Array.length shards) ();
+    c_link = Link.create ~latency_ns:quantum ?choice:cfg.choice ();
     c_now = 0; c_barriers = 0; c_closed = 0; c_active = [];
     c_sink = Obs.Sink.create ~now:(fun () -> !time) ();
     c_time = time }
@@ -238,20 +234,20 @@ let next_instant t =
 let run ?(domains = 1) t =
   let n = Array.length t.c_shards in
   while busy t do
-    if t.c_barriers >= t.c_cfg.max_barriers then
+    if t.c_barriers >= max_barriers then
       failwith "Cluster.run: barrier limit exceeded";
     (* Fast-forward quiet stretches: jump to the quantum-grid point
        covering the next event, so the grid (and hence delivery
        timing) never depends on how long the system idled. *)
     let barrier =
-      let default = t.c_now + t.c_quantum in
+      let default = t.c_now + quantum in
       match next_instant t with
       | None -> default
       | Some m ->
           if m <= default then default
           else
             t.c_now
-            + (t.c_quantum * ((m - t.c_now + t.c_quantum - 1) / t.c_quantum))
+            + (quantum * ((m - t.c_now + quantum - 1) / quantum))
     in
     (* Phase 1 — every shard runs its own events up to the barrier,
        farmed over domains.  Shard quanta touch only shard-local

@@ -44,20 +44,17 @@ type shard_spec =
 
 type config = {
   shards : shard_spec list;
-  vnodes : int;  (** ring virtual nodes per shard *)
-  link_latency_ns : int;  (** one-way latency = barrier quantum *)
   rgate_quota : int;  (** quota cell on each shard's [>rgate] *)
   choice : Multics_choice.Choice.t option;
       (** drives the ["net.deliver"] delivery-order point *)
-  max_barriers : int;  (** runaway guard; {!run} raises past it *)
 }
 
 val config :
-  ?vnodes:int -> ?link_latency_ns:int -> ?rgate_quota:int ->
-  ?choice:Multics_choice.Choice.t -> ?max_barriers:int ->
-  shard_spec list -> config
-(** Defaults: 64 vnodes, 1 ms links, 64-page rgate quota, inert
-    delivery order, 2_000_000 barriers. *)
+  ?rgate_quota:int -> ?choice:Multics_choice.Choice.t -> shard_spec list ->
+  config
+(** Defaults: 64-page rgate quota, inert delivery order.  Every cluster
+    has the ring's 64 virtual nodes per shard and 1 ms links (the
+    one-way latency, which is also the barrier quantum). *)
 
 type t
 
@@ -98,7 +95,7 @@ val run : ?domains:int -> t -> unit
     farms the per-shard quanta over [Par] (byte-identical at any
     value).  Quiet stretches fast-forward to the next event on the
     quantum grid, so an idle cluster costs nothing.  Raises [Failure]
-    past [max_barriers]. *)
+    past 2,000,000 barriers, a runaway guard. *)
 
 type stats = {
   st_logins : int;

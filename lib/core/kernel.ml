@@ -8,17 +8,14 @@ module Dg = Multics_depgraph
 type overload_config = {
   ov_deadline_ns : int;
   ov_retry_budget : int;
-  ov_backoff_jitter : bool;
   ov_breaker_threshold : int;
   ov_breaker_cooldown_ns : int;
-  ov_brownout : bool;
   ov_brownout_tick_ns : int;
 }
 
 let default_overload =
-  { ov_deadline_ns = 0; ov_retry_budget = 0; ov_backoff_jitter = false;
-    ov_breaker_threshold = 0; ov_breaker_cooldown_ns = 0; ov_brownout = false;
-    ov_brownout_tick_ns = 50_000_000 }
+  { ov_deadline_ns = 0; ov_retry_budget = 0; ov_breaker_threshold = 0;
+    ov_breaker_cooldown_ns = 0; ov_brownout_tick_ns = 0 }
 
 type config = {
   hw : Hw.Hw_config.t;
@@ -105,7 +102,6 @@ type t = {
   mutable brownout_escalations : int;
   mutable last_brownout_change : int;  (* simulated instant *)
   mutable breach_snapshot : int;  (* slo breach total at last quiet tick *)
-  mutable on_brownout : (int -> unit) option;  (* services layer hook *)
 }
 
 let root_subject =
@@ -144,6 +140,17 @@ let gate_table =
     ("phcs_$set_kst_attributes", 1); ("hphcs_$syserr_log", 1) ]
 
 let rec boot_internal ?previous_disk cfg =
+  let ov = cfg.overload in
+  (* Deadlines and retry budgets ride on request contexts and brownout
+     on SLO samples; [Off] keeps neither, so it would disarm them
+     silently and move the clock.  Breakers need neither. *)
+  if
+    cfg.trace = Multics_obs.Sink.Off
+    && (ov.ov_deadline_ns > 0 || ov.ov_retry_budget > 0
+       || ov.ov_brownout_tick_ns > 0)
+  then
+    invalid_arg
+      "Kernel.boot: trace Off disarms deadlines, retry budgets and brownout";
   let machine =
     Hw.Machine.create ~disk_packs:cfg.disk_packs
       ~records_per_pack:cfg.records_per_pack ?disk:previous_disk cfg.hw
@@ -163,8 +170,6 @@ let rec boot_internal ?previous_disk cfg =
      drops an instant in the flight ring, never touching the clock. *)
   Multics_obs.Sink.set_slo obs ~histo:"pfm.page_read"
     ~threshold_ns:40_000_000;
-  Multics_obs.Sink.set_slo obs ~histo:"lock.hold:ptl"
-    ~threshold_ns:40_000_000;
   Multics_obs.Sink.set_slo obs ~histo:"io.queue_age"
     ~threshold_ns:250_000_000;
   Multics_obs.Sink.set_slo obs ~histo:"as.login" ~threshold_ns:30_000_000;
@@ -178,14 +183,12 @@ let rec boot_internal ?previous_disk cfg =
   let aim_audit = Aim.Audit.create () in
   let core = Core_segment.create ~machine ~meter ~reserved_frames:cfg.core_frames in
   let vp = Vp.create ?choice:cfg.choice ~machine ~meter ~core ~n_vps () in
-  (* The overload plane's I/O knobs (retry budgets, jittered backoff,
-     circuit breakers) ride on the I/O scheduler's config, the rest of
-     which derives from the disk's latencies. *)
-  let ov = cfg.overload in
+  (* The overload plane's I/O knobs (retry budgets, circuit breakers)
+     ride on the I/O scheduler's config, the rest of which derives from
+     the disk's latencies. *)
   let io_config =
     { (Hw.Io_sched.config_of_disk machine.Hw.Machine.disk) with
       Hw.Io_sched.retry_budget = ov.ov_retry_budget;
-      backoff_jitter = ov.ov_backoff_jitter;
       breaker_threshold = ov.ov_breaker_threshold;
       breaker_cooldown_ns = ov.ov_breaker_cooldown_ns }
   in
@@ -279,11 +282,10 @@ let rec boot_internal ?previous_disk cfg =
       signals; segment; known; address_space; user_process; directory; gate;
       name_space; fault_dispatch; aim_audit; started = false; denials = 0;
       shed_calls = 0; proc_timeouts = 0; brownout_level = 0;
-      brownout_escalations = 0; last_brownout_change = 0; breach_snapshot = 0;
-      on_brownout = None }
+      brownout_escalations = 0; last_brownout_change = 0; breach_snapshot = 0 }
   in
   User_process.set_interpreter user_process (interpreter t);
-  if ov.ov_brownout then arm_brownout t ov;
+  if ov.ov_brownout_tick_ns > 0 then arm_brownout t ov;
   t
 
 (* ------------------------------------------------------------------ *)
@@ -294,7 +296,9 @@ let rec boot_internal ?previous_disk cfg =
      1  read-ahead off            (prefetch is pure optional work)
      2  cleaner daemon throttled  (fault path evicts inline)
      3  logins shed by load class (whole sessions refused at the door)
-   Recovery applies the same rungs in reverse. *)
+   Recovery applies the same rungs in reverse.  The kernel applies the
+   first two itself; the Answering Service reads [brownout_level] at
+   each login for the third. *)
 
 and total_breaches t =
   List.fold_left
@@ -306,12 +310,10 @@ and total_breaches t =
 and apply_brownout t level =
   Page_frame.set_read_ahead_enabled t.page_frame (level < 1);
   Page_frame.set_cleaner_throttled t.page_frame (level >= 2);
-  (match t.on_brownout with Some f -> f level | None -> ());
   Multics_obs.Sink.counter_event t.obs ~cat:"kernel" ~name:"brownout_level"
     level
 
 and arm_brownout t ov =
-  assert (ov.ov_brownout_tick_ns > 0);
   Multics_obs.Sink.set_on_breach t.obs (fun _histo ->
       let now = Hw.Machine.now t.machine in
       (* Rate-limit escalation to one rung per tick period: a single
@@ -776,7 +778,6 @@ let shed_calls t = t.shed_calls
 let proc_timeouts t = t.proc_timeouts
 let brownout_level t = t.brownout_level
 let brownout_escalations t = t.brownout_escalations
-let set_on_brownout t f = t.on_brownout <- Some f
 
 type cache_report = {
   tlb_hits : int;

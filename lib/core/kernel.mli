@@ -20,27 +20,22 @@ type overload_config = {
       (** I/O retries allowed per request root before further failures
           are shed as [Timed_out]; [0] = unlimited (the seed's
           per-record retry limit still applies). *)
-  ov_backoff_jitter : bool;
-      (** Deterministic jittered exponential backoff between I/O
-          retries, drawn from the ["io.backoff"] choice point — the
-          explorer can enumerate it. *)
   ov_breaker_threshold : int;
       (** Consecutive I/O failures on one pack that trip its circuit
           breaker; [0] disables breakers. *)
   ov_breaker_cooldown_ns : int;
       (** Simulated time an open breaker waits before the half-open
           probe.  Must be positive when breakers are enabled. *)
-  ov_brownout : bool;
-      (** Arm the graceful-degradation ladder: SLO breaches shed
-          read-ahead, then the cleaner daemon, then logins by load
-          class; quiet ticks recover in reverse. *)
   ov_brownout_tick_ns : int;
-      (** Escalation rate limit and recovery tick period. *)
+      (** Arms the graceful-degradation ladder when positive: SLO
+          breaches shed read-ahead, then the cleaner daemon, then
+          logins by load class, at most one rung per tick period; each
+          quiet tick recovers one rung.  [0] disables brownout. *)
 }
 
 val default_overload : overload_config
-(** Every knob inert (and brownout off) except a 50 ms recovery tick —
-    the plane switched off; override fields from here. *)
+(** Every knob [0]: the plane switched off; override fields from
+    here. *)
 
 type config = {
   hw : Multics_hw.Hw_config.t;
@@ -73,10 +68,11 @@ type config = {
           ring, [Full] also records the event ring for timeline
           export.  [Counters] and [Full] also track request contexts:
           causal ids allocated at gate entry, login and fault,
-          propagated through dispatch, queues, locks and I/O
-          completions so every trace event joins back to the request
-          it serves.  Never affects simulated time or disk contents
-          (bench C3 asserts it). *)
+          propagated through dispatch, queues and I/O completions so
+          every trace event joins back to the request it serves.
+          Never affects simulated time or disk contents (bench C3
+          asserts it): {!boot} refuses [Off] with an overload plane
+          that needs contexts or SLO samples. *)
   faults : Multics_hw.Fault_inject.t;
       (** Deterministic fault plan for the disk subsystem (the default
           is the empty plan, which leaves every run bit-identical to a
@@ -88,15 +84,15 @@ type config = {
           every nondeterministic choice point on its built-in
           deterministic path, bit-identical to a kernel without the
           hook).  [Some c] threads [c] into VP dispatch, the level-2
-          scheduler pick, eventcount wakeup order, lock handoff order,
-          and I/O completion delivery order — the explorer in
+          scheduler pick, eventcount wakeup order, I/O completion
+          delivery order and retry backoff — the explorer in
           [Multics_check] drives these to search the schedule space. *)
   overload : overload_config;
       (** End-to-end overload control: deadlines, retry budgets,
           circuit breakers and brownout.  The default,
-          {!default_overload}, leaves every knob inert.  Deadlines ride
-          on request contexts, so they need a [trace] mode other than
-          [Off]. *)
+          {!default_overload}, leaves every knob inert.  Deadlines and
+          retry budgets ride on request contexts and brownout on SLO
+          samples, so they need a [trace] mode other than [Off]. *)
 }
 
 val default_config : config
@@ -108,6 +104,8 @@ val small_config : config
 type t
 
 val boot : config -> t
+(** Raises [Invalid_argument] when [trace] is [Off] and the overload
+    config sets a deadline, a retry budget or a brownout tick. *)
 
 val shutdown : t -> unit
 (** Orderly shutdown: persist the directory hierarchy into its backing
@@ -217,14 +215,11 @@ val brownout_level : t -> int
 
 val brownout_max_level : int
 (** The ladder's top rung (3), at which the Answering Service sheds
-    logins: 1 turns read-ahead off, 2 throttles the cleaner daemon. *)
+    logins: 1 turns read-ahead off, 2 throttles the cleaner daemon.
+    The services layer reads {!brownout_level}; the kernel calls
+    nothing above it. *)
 
 val brownout_escalations : t -> int
-
-val set_on_brownout : t -> (int -> unit) -> unit
-(** Hook called with the new level on every brownout change — how the
-    services layer above (the Answering Service) joins the ladder
-    without the kernel depending upward on it. *)
 
 type cache_report = {
   tlb_hits : int;  (** SDW associative-memory hits, all CPUs *)
@@ -294,8 +289,7 @@ val last_flight_dump : t -> (string * string) option
 
 val histo_report : t -> string
 (** Every latency histogram — page-read transits, I/O batches, VP
-    steps, eventcount waits, lock holds — one line each with p50, p95
-    and max. *)
+    steps, eventcount waits — one line each with p50, p95 and max. *)
 
 val chrome_trace : t -> string
 (** The event ring as Chrome [trace_event] JSON (chrome://tracing or

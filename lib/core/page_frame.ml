@@ -27,11 +27,6 @@ type transit = {
   mutable prefetch : bool;  (* no demand fault has joined yet *)
   t_start : int;  (* sink clock at read submission *)
   t_ctx : int;  (* request context of the fault/read-ahead behind the read *)
-  ptl : Sync.Lock.t;
-      (* The per-transit page-table lock, held for the read's whole
-         flight.  Purely accounting: its hold time is the transit
-         latency and joiners' failed try_acquires are the contention
-         the paper's page-table lock would have seen. *)
 }
 
 type t = {
@@ -388,9 +383,6 @@ type service_outcome =
 
 let join_transit t transit =
   Multics_obs.Sink.count t.obs "pfm.transit_join";
-  (* A joiner finds the page-table lock held by the read in flight:
-     exactly the contention a shared page-table lock records. *)
-  ignore (Sync.Lock.try_acquire transit.ptl ~owner:name);
   if transit.prefetch then begin
     (* A demand fault arrived while the read-ahead was still in the
        air: the prefetch hid (part of) this fault's latency. *)
@@ -413,15 +405,12 @@ let start_read t ~ptw_abs ~frame ~record_handle ~cell ~prefetch =
   e.prefetched <- false;
   mirror t frame;
   let ec =
-    Sync.Eventcount.create
-      ~name:(Printf.sprintf "pfm.transit.%d" ptw_abs)
-      ~histo:"ec.wait:pfm.transit" ~obs:t.obs ?choice:t.pf_choice ()
+    Sync.Eventcount.create ~histo:"ec.wait:pfm.transit" ~obs:t.obs
+      ?choice:t.pf_choice ()
   in
-  let ptl = Sync.Lock.create ~name:"ptl" ~obs:t.obs ?choice:t.pf_choice () in
-  ignore (Sync.Lock.try_acquire ptl ~owner:name);
   let transit =
     { ec; expected = 1; frame; prefetch;
-      t_start = Multics_obs.Sink.now t.obs; ptl;
+      t_start = Multics_obs.Sink.now t.obs;
       t_ctx = Multics_obs.Sink.current t.obs }
   in
   Hashtbl.replace t.transits ptw_abs transit;
@@ -477,7 +466,6 @@ let start_read t ~ptw_abs ~frame ~record_handle ~cell ~prefetch =
       ();
     Multics_obs.Sink.add_latency t.obs ~name:"pfm.page_read"
       (Multics_obs.Sink.now t.obs - transit.t_start);
-    Sync.Lock.release ptl;
     (match result with Error _ -> release_frame t frame | Ok _ -> ());
     Sync.Eventcount.advance ec;
     Multics_obs.Sink.set_current t.obs prev_ctx

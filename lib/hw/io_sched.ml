@@ -8,12 +8,11 @@ type config = {
   retry_limit : int;
   retry_backoff_ns : int;
   retry_budget : int;
-  backoff_jitter : bool;
   breaker_threshold : int;
   breaker_cooldown_ns : int;
 }
 
-(* The overload knobs (budget, jitter, breaker) default off. *)
+(* The overload knobs (budget, breaker) default off. *)
 let config_of_disk disk =
   { max_batch = 8;
     pack_ways = 8;
@@ -22,7 +21,6 @@ let config_of_disk disk =
     retry_limit = 4;
     retry_backoff_ns = Disk.transfer_latency_ns disk;
     retry_budget = 0;
-    backoff_jitter = false;
     breaker_threshold = 0;
     breaker_cooldown_ns = 0 }
 
@@ -518,17 +516,13 @@ and attempt_failed t pack (r : req) ~sync =
       let p = pack_state t pack in
       p.retrying <- r :: p.retrying;
       let base = t.config.retry_backoff_ns * (1 lsl (r.attempts - 1)) in
-      let backoff =
-        if not t.config.backoff_jitter then base
-        else
-          (* Deterministic jitter in quarter-steps of the base delay,
-             drawn through the choice plane: the inert strategy picks
-             0 (no jitter, bit-identical to the unjittered scheduler),
-             the seeded-LCG strategy spreads colliding retries, and
-             the explorer enumerates all four delays. *)
-          let k = Choice.pick t.choice ~domain:"io.backoff" ~ids:jitter_ids in
-          base + (k * base / 4)
-      in
+      (* Deterministic jitter in quarter-steps of the base delay, drawn
+         through the choice plane: the inert strategy picks 0 (the
+         plain exponential backoff), the seeded-LCG strategy spreads
+         colliding retries, and the explorer enumerates all four
+         delays. *)
+      let k = Choice.pick t.choice ~domain:"io.backoff" ~ids:jitter_ids in
+      let backoff = base + (k * base / 4) in
       t.schedule ~delay:backoff (fun () ->
           p.retrying <- List.filter (fun x -> x != r) p.retrying;
           execute_req t pack r)

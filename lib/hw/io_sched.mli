@@ -96,19 +96,17 @@ type config = {
   retry_limit : int;
       (** consecutive failed attempts before a record is declared dead *)
   retry_backoff_ns : int;
-      (** first retry delay; doubles on each further failure *)
+      (** first retry delay; doubles on each further failure.  Each
+          delay gains a deterministic jitter of 0-3 quarter-steps,
+          drawn through the choice plane's ["io.backoff"] domain: the
+          inert strategy draws 0, the explorer enumerates the four
+          delays, the seeded-LCG strategy spreads colliding
+          retries. *)
   retry_budget : int;
       (** total backoff retries a root request context may consume
           across all its requests; past it the request sees
           [Timed_out].  [0] disables (unlimited, the pre-plane
           behaviour). *)
-  backoff_jitter : bool;
-      (** add deterministic jitter (quarter-steps of the base delay,
-          drawn through the choice plane's ["io.backoff"] domain) to
-          each retry backoff.  Inert strategies draw 0, so the flag is
-          bit-identical to [false] until a live strategy is plugged —
-          the explorer enumerates the four delays, the seeded-LCG
-          strategy spreads colliding retries. *)
   breaker_threshold : int;
       (** consecutive failed service attempts that trip a pack's
           circuit breaker ([Pack_offline] trips immediately);
@@ -122,7 +120,7 @@ val config_of_disk : Disk.t -> config
 (** Splits the disk's flat record latency into seek and transfer so
     that [seek_ns + transfer_ns = Disk.io_latency_ns]; retries back off
     starting at one transfer time.  Defaults: sweeps of 8, 8 ways, and
-    the overload knobs (retry budget, jitter, breaker) off.  The
+    the overload knobs (retry budget, breaker) off.  The
     deadline, 256 flat latencies, follows from the latencies (the
     write-expiry scale of the classic deadline scheduler). *)
 

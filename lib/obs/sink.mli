@@ -80,7 +80,7 @@ val current : t -> int
 
 val set_current : t -> int -> unit
 (** Install the ambient context.  Callers crossing an asynchronous
-    boundary (queue, eventcount, lock handoff, I/O completion) capture
+    boundary (queue, eventcount, I/O completion) capture
     {!current} at enqueue and re-install it around the dequeued work,
     restoring the previous value after. *)
 

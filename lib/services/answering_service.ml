@@ -20,25 +20,13 @@ type t = {
   sessions : (int, session) Hashtbl.t;
   mutable login_count : int;
   mutable failure_count : int;
-  (* Overload shedding: logins with [load_class >= shed_threshold] are
-     refused before any authentication work.  0 = shedding disabled. *)
-  mutable shed_threshold : int;
-  mutable shed_count : int;
+  mutable shed_count : int;  (* logins refused by brownout's top rung *)
 }
 
 let create ~kernel ~variant =
-  let t =
-    { kernel; variant; users = Hashtbl.create 16; acct = Accounting.create ();
-      sessions = Hashtbl.create 16; login_count = 0; failure_count = 0;
-      shed_threshold = 0; shed_count = 0 }
-  in
-  (* Join the kernel's brownout ladder: its top rung sheds whole
-     sessions, cheapest load class first.  The kernel calls up through
-     this hook, never depending on the services layer. *)
-  K.Kernel.set_on_brownout kernel (fun level ->
-      t.shed_threshold <-
-        (if level >= K.Kernel.brownout_max_level then 1 else 0));
-  t
+  { kernel; variant; users = Hashtbl.create 16; acct = Accounting.create ();
+    sessions = Hashtbl.create 16; login_count = 0; failure_count = 0;
+    shed_count = 0 }
 
 let variant t = t.variant
 
@@ -81,10 +69,15 @@ let login ?(load_class = 0) ?deadline_ns t ~user ~password ~program =
      Login runs inline (the simulated clock does not advance), so the
      latency sample is the metered-cost delta across the call. *)
   let obs = K.Kernel.obs t.kernel in
-  if t.shed_threshold > 0 && load_class >= t.shed_threshold then begin
-    (* Brownout's last rung: refuse whole sessions, cheapest first.
-       No authentication work is charged — the point of shedding at
-       the front door is that a refused login costs almost nothing. *)
+  if
+    K.Kernel.brownout_level t.kernel >= K.Kernel.brownout_max_level
+    && load_class >= 1
+  then begin
+    (* Brownout's top rung: refuse every session but the interactive
+       class.  The service reads the kernel's ladder; the kernel calls
+       nothing up here.  No authentication work is charged — the point
+       of shedding at the front door is that a refused login costs
+       almost nothing. *)
     t.shed_count <- t.shed_count + 1;
     Multics_obs.Sink.count obs "as.login_shed";
     Error `Shed
@@ -134,11 +127,6 @@ let login ?(load_class = 0) ?deadline_ns t ~user ~password ~program =
   result
   end
 
-let set_shed_threshold t n =
-  assert (n >= 0);
-  t.shed_threshold <- n
-
-let shed_threshold t = t.shed_threshold
 let shed_logins t = t.shed_count
 
 let logout t ~pid =

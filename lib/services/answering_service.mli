@@ -14,8 +14,8 @@
 type variant = Monolithic | Split
 
 type login_error = [ `Bad_password | `No_such_user | `Shed ]
-(** [`Shed]: refused by the overload controller before authentication
-    — the session's load class is at or above the shed threshold. *)
+(** [`Shed]: refused before authentication — the kernel's brownout
+    ladder is at its top rung and the session's load class is not 0. *)
 
 type t
 
@@ -36,19 +36,13 @@ val login :
     "answering_service" / "login_server".
 
     [load_class] (default 0) ranks the session for overload shedding:
-    0 = interactive/premium (shed last), higher classes are shed first
-    once {!set_shed_threshold} arms a threshold.  [deadline_ns]
+    0 = interactive/premium, never shed; every higher class is refused
+    with [`Shed] while {!Multics_kernel.Kernel.brownout_level} is at
+    {!Multics_kernel.Kernel.brownout_max_level}.  [deadline_ns]
     (relative simulated time) stamps the login's root context and is
     inherited by the spawned process: the whole session becomes one
     end-to-end request that the kernel's deadline checkpoints can
     cancel. *)
-
-val set_shed_threshold : t -> int -> unit
-(** Refuse logins with [load_class >= n] before any authentication
-    work; [0] (the default) disables shedding.  Flipped by the kernel's
-    brownout controller at its last rung. *)
-
-val shed_threshold : t -> int
 
 val shed_logins : t -> int
 (** Logins refused with [`Shed]. *)

@@ -9,7 +9,6 @@ type waiter = {
 }
 
 type t = {
-  ec_name : string;
   ec_obs : Multics_obs.Sink.t;
   ec_histo : string;  (* wait-time histogram key, built once at create *)
   ec_choice : Choice.t;
@@ -26,10 +25,9 @@ let create ?(name = "ec") ?histo ?obs ?(choice = Choice.default) () =
   let ec_histo =
     match histo with Some h -> h | None -> "ec.wait:" ^ name
   in
-  { ec_name = name; ec_obs; ec_histo; ec_choice = choice; value = 0;
+  { ec_obs; ec_histo; ec_choice = choice; value = 0;
     pending = []; advance_count = 0; wait_seq = 0 }
 
-let name t = t.ec_name
 let read t = t.value
 
 (* The wakeup runs on behalf of the waiter: re-install the context it

@@ -17,12 +17,11 @@ val create :
 (** [obs], when given, receives per-wakeup wait-time samples in the
     histogram named [histo] (default ["ec.wait:" ^ name]) — the time
     between a waiter's registration and the advance that fired it.
-    Pass [histo] explicitly for short-lived eventcounts (page-transit
-    counts) so samples pool instead of spawning a histogram each.
-    [choice] (default inert) governs the order waiters fire when one
-    [advance] readies several at once — the schedule explorer's hook. *)
-
-val name : t -> string
+    [name] serves only that default.  Short-lived eventcounts (page
+    transits) pass one shared [histo] instead, so their samples pool
+    in one histogram.  [choice] (default inert) governs the order
+    waiters fire when one [advance] readies several at once — the
+    schedule explorer's hook. *)
 
 val read : t -> int
 (** Current value; initially 0. *)

@@ -181,12 +181,12 @@ let prop_fuzz_deterministic =
 
 (* ------------------------------------------------------------------ *)
 (* Schedule fuzz: the same programs under a random-schedule strategy —
-   wakeup order, lock handoffs, dispatch picks and I/O completion
-   delivery are all decided by a seeded PRNG instead of the built-in
-   deterministic rules.  Whatever the interleaving, the conservation
-   laws hold: pages in quota cells and frames in the free pool are
-   neither created nor destroyed.  Failures print the schedule seed, so
-   a broken interleaving replays exactly. *)
+   wakeup order, dispatch picks and I/O completion delivery are all
+   decided by a seeded PRNG instead of the built-in deterministic
+   rules.  Whatever the interleaving, the conservation laws hold: pages
+   in quota cells and frames in the free pool are neither created nor
+   destroyed.  Failures print the schedule seed, so a broken
+   interleaving replays exactly. *)
 
 let scheduled_arb =
   QCheck.make
@@ -357,10 +357,10 @@ let prop_fuzz_fault_plans_deterministic =
 (* Chaos + overload: the same seeded random fault plans with the full
    overload plane armed — a config-wide deadline at half the fault-free
    horizon (so some sessions genuinely expire), a small retry budget,
-   jittered backoff, breakers and brownout.  Whatever the plan sheds,
-   the live machine conserves its resources (a shed request puts its
-   frames and quota pages back), salvage restores the global
-   invariants, and the run is a pure function of the seed. *)
+   breakers and brownout.  Whatever the plan sheds, the live machine
+   conserves its resources (a shed request puts its frames and quota
+   pages back), salvage restores the global invariants, and the run is
+   a pure function of the seed. *)
 
 let overload_chaos_run seed =
   let horizon = Lazy.force chaos_horizon in
@@ -372,10 +372,8 @@ let overload_chaos_run seed =
       overload =
         { K.Kernel.ov_deadline_ns = max 1 (horizon / 2);
           ov_retry_budget = 2;
-          ov_backoff_jitter = true;
           ov_breaker_threshold = 3;
           ov_breaker_cooldown_ns = 2_000_000;
-          ov_brownout = true;
           ov_brownout_tick_ns = max 1 (horizon / 8) } }
   in
   let k = K.Kernel.boot config in

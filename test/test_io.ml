@@ -89,8 +89,7 @@ let test_elevator_order () =
 let single_arm ~max_batch =
   { Hw.Io_sched.max_batch; pack_ways = 1; seek_ns = 1_000; transfer_ns = 100;
     retry_limit = 3; retry_backoff_ns = 100;
-    retry_budget = 0; backoff_jitter = false; breaker_threshold = 0;
-    breaker_cooldown_ns = 0 }
+    retry_budget = 0; breaker_threshold = 0; breaker_cooldown_ns = 0 }
 
 let test_batch_cost_model () =
   let config = single_arm ~max_batch:8 in

@@ -1,5 +1,5 @@
 (* The observability layer: the ring buffer, the log2 histograms, the
-   sink's three modes, the lock/eventcount latency plumbing, request
+   sink's three modes, the eventcount latency plumbing, request
    contexts, the Chrome export with its call-census counters — and the
    property everything else rests on: tracing never moves the simulated
    clock. *)
@@ -155,32 +155,7 @@ let test_chrome_json_pairs () =
   check Alcotest.bool "microsecond ts" true (has "\"ts\":1.500")
 
 (* ------------------------------------------------------------------ *)
-(* Lock hold / wait plumbing over the fake clock. *)
-
-let test_lock_hold_time () =
-  let clock, sink = rig ~mode:Obs.Sink.Counters () in
-  let lk = Sync.Lock.create ~name:"ptl" ~obs:sink () in
-  check Alcotest.bool "acquired" true (Sync.Lock.try_acquire lk ~owner:"a");
-  check Alcotest.bool "contended" false (Sync.Lock.try_acquire lk ~owner:"b");
-  let woke = ref false in
-  check Alcotest.bool "queued" false
-    (Sync.Lock.acquire_or_wait lk ~owner:"c" ~notify:(fun () ->
-         woke := true));
-  clock := 4_000;
-  Sync.Lock.release lk;
-  check Alcotest.bool "handed off" true !woke;
-  clock := 5_000;
-  Sync.Lock.release lk;
-  let hold = Obs.Sink.histo sink ~name:"lock.hold:ptl" in
-  let wait = Obs.Sink.histo sink ~name:"lock.wait:ptl" in
-  check Alcotest.int "two holds" 2 (Obs.Histo.count hold);
-  check Alcotest.int "first hold 4000" 4_000 (Obs.Histo.max_value hold);
-  check Alcotest.int "c waited 4000" 4_000 (Obs.Histo.max_value wait);
-  check
-    Alcotest.(list (pair string int))
-    "counters"
-    [ ("lock.acquire", 2); ("lock.contention", 2) ]
-    (Obs.Sink.counters sink)
+(* Eventcount wait plumbing over the fake clock. *)
 
 let test_ec_wait_time () =
   let clock, sink = rig ~mode:Obs.Sink.Counters () in
@@ -581,8 +556,6 @@ let tests =
     Alcotest.test_case "span nesting + timeline" `Quick
       test_sink_full_nesting;
     Alcotest.test_case "chrome json pairs" `Quick test_chrome_json_pairs;
-    Alcotest.test_case "lock hold/wait histograms" `Quick
-      test_lock_hold_time;
     Alcotest.test_case "eventcount wait histogram" `Quick test_ec_wait_time;
     Alcotest.test_case "trace off/on clock equality" `Quick
       test_trace_clock_neutral;

@@ -101,7 +101,7 @@ let test_login_deadline_inherited () =
 (* ------------------------------------------------------------------ *)
 (* Retry budget and jittered backoff, at the I/O scheduler *)
 
-let io_rig ?(budget = 0) ?(jitter = false) ?choice ~fail_times () =
+let io_rig ?(budget = 0) ?choice ~fail_times () =
   let hw = Hw.Hw_config.with_cpus Hw.Hw_config.kernel_multics 1 in
   let machine = Hw.Machine.create ~disk_packs:1 ~records_per_pack:8 hw in
   let obs =
@@ -117,8 +117,7 @@ let io_rig ?(budget = 0) ?(jitter = false) ?choice ~fail_times () =
   let config =
     { (Hw.Io_sched.config_of_disk disk) with
       Hw.Io_sched.retry_limit = 8;
-      retry_budget = budget;
-      backoff_jitter = jitter }
+      retry_budget = budget }
   in
   let io =
     Hw.Io_sched.create ~config ~faults ?choice
@@ -154,8 +153,8 @@ let test_retry_budget_denies () =
     st.Hw.Io_sched.s_retries
 
 let test_backoff_jitter_inert_then_scripted () =
-  let completion ~jitter ?choice () =
-    let machine, _obs, io = io_rig ~jitter ?choice ~fail_times:1 () in
+  let completion ?choice () =
+    let machine, _obs, io = io_rig ?choice ~fail_times:1 () in
     let done_at = ref (-1) in
     Hw.Io_sched.submit_read io ~pack:0 ~record:0 ~done_:(fun r ->
         (match r with
@@ -166,14 +165,12 @@ let test_backoff_jitter_inert_then_scripted () =
     check Alcotest.bool "read completed" true (!done_at >= 0);
     !done_at
   in
-  let plain = completion ~jitter:false () in
-  (* The jitter flag without a live strategy draws 0: bit-identical. *)
-  check Alcotest.int "jitter armed but inert is free" plain
-    (completion ~jitter:true ());
+  let plain = completion () in
+  (* A live strategy that draws 0 waits the plain backoff. *)
+  check Alcotest.int "a zero draw is free" plain
+    (completion ~choice:(Choice.record_default ()) ());
   (* A live strategy picking the largest quarter-step delays the retry. *)
-  let jittered =
-    completion ~jitter:true ~choice:(Choice.scripted [ 3 ]) ()
-  in
+  let jittered = completion ~choice:(Choice.scripted [ 3 ]) () in
   check Alcotest.bool "scripted jitter pushes the retry later" true
     (jittered > plain)
 
@@ -278,13 +275,9 @@ let test_brownout_ladder_steps () =
       max_processes = 32;
       overload =
         { K.Kernel.default_overload with
-          K.Kernel.ov_brownout = true;
-          ov_brownout_tick_ns = 20_000_000 } }
+          K.Kernel.ov_brownout_tick_ns = 20_000_000 } }
   in
   let k = boot ~config () in
-  let transitions = ref [] in
-  K.Kernel.set_on_brownout k (fun level ->
-      transitions := level :: !transitions);
   for i = 0 to 17 do
     ignore
       (K.Kernel.spawn k
@@ -298,7 +291,21 @@ let test_brownout_ladder_steps () =
               K.Workload.random_touches ~seg_reg:0 ~pages:16 ~count:90
                 ~write_pct:25 ~seed:(1000 + i) ]))
   done;
-  ignore (K.Kernel.run_to_completion k);
+  (* Record every rung the ladder visits: the level can change at most
+     once per event (escalation is rate-limited, recovery ticks are
+     events of their own), so polling it after each step sees each
+     change. *)
+  let transitions = ref [] and last = ref 0 in
+  K.Kernel.start k;
+  while Hw.Machine.step (K.Kernel.machine k) do
+    let level = K.Kernel.brownout_level k in
+    if level <> !last then begin
+      transitions := level :: !transitions;
+      last := level
+    end
+  done;
+  check Alcotest.bool "every session finished" true
+    (K.User_process.all_done (K.Kernel.user_process k));
   check Alcotest.bool "overload escalated the ladder" true
     (K.Kernel.brownout_escalations k >= 1);
   let steps = List.rev !transitions in
@@ -315,8 +322,83 @@ let test_brownout_ladder_steps () =
   in
   one_rung 0 steps
 
+(* The top rung is the one that reaches above the kernel: the
+   Answering Service reads the ladder at each login and refuses every
+   class but 0.  Breaching ready-wait samples drive the ladder by hand:
+   one a tick apart escalates one rung each, and a second mid-tick
+   after each keeps the recovery tick from stepping back down. *)
+let test_brownout_top_rung_sheds () =
+  let tick = 1_000_000 in
+  let config =
+    { K.Kernel.small_config with
+      K.Kernel.overload =
+        { K.Kernel.default_overload with
+          K.Kernel.ov_brownout_tick_ns = tick } }
+  in
+  let k = boot ~config () in
+  let svc =
+    S.Answering_service.create ~kernel:k ~variant:S.Answering_service.Split
+  in
+  let login ~load_class user =
+    S.Answering_service.register_user svc ~user ~password:"pw"
+      ~clearance:low;
+    S.Answering_service.login ~load_class svc ~user ~password:"pw"
+      ~program:(K.Workload.compute_bound ~steps:50 ~step_ns:100_000)
+  in
+  let admitted tag r = check Alcotest.bool tag true (Result.is_ok r) in
+  let breach ~at =
+    Hw.Machine.schedule_at (K.Kernel.machine k) ~time:at (fun () ->
+        Obs.Sink.add_latency (K.Kernel.obs k) ~name:"sched.ready_wait"
+          30_000_000)
+  in
+  for rung = 0 to K.Kernel.brownout_max_level - 1 do
+    breach ~at:((rung * tick) + (tick / 2));
+    breach ~at:((rung * tick) + (3 * tick / 4))
+  done;
+  let level_at tag ~until expect =
+    K.Kernel.run ~until k;
+    check Alcotest.int tag expect (K.Kernel.brownout_level k)
+  in
+  admitted "class 1 admitted at rung 0" (login ~load_class:1 "a");
+  level_at "rung 1 after the first breach" ~until:(5 * tick / 8) 1;
+  admitted "class 1 admitted at rung 1" (login ~load_class:1 "b");
+  level_at "top rung after three ticks" ~until:(23 * tick / 8)
+    K.Kernel.brownout_max_level;
+  admitted "class 0 admitted at the top rung" (login ~load_class:0 "c");
+  check Alcotest.bool "class 1 shed at the top rung" true
+    (login ~load_class:1 "d" = Error `Shed);
+  check Alcotest.int "one login shed" 1
+    (S.Answering_service.shed_logins svc)
+
+(* [Off] keeps no request contexts and no SLO samples, so it would
+   silently disarm deadlines, retry budgets and brownout: boot refuses
+   the combination.  Breakers need neither, so they stay allowed. *)
+let test_trace_off_refuses_plane () =
+  let off overload =
+    { K.Kernel.small_config with K.Kernel.trace = Obs.Sink.Off; overload }
+  in
+  let d = K.Kernel.default_overload in
+  List.iter
+    (fun (tag, overload) ->
+      match K.Kernel.boot (off overload) with
+      | _ -> Alcotest.failf "trace Off booted with %s" tag
+      | exception Invalid_argument _ -> ())
+    [ ("a deadline", { d with K.Kernel.ov_deadline_ns = 250_000_000 });
+      ("a retry budget", { d with K.Kernel.ov_retry_budget = 8 });
+      ("a brownout tick", { d with K.Kernel.ov_brownout_tick_ns = 20_000_000 })
+    ];
+  let boots tag overload =
+    check Alcotest.bool tag false
+      (K.Kernel.halted (K.Kernel.boot (off overload)))
+  in
+  boots "breakers alone boot with trace Off"
+    { d with
+      K.Kernel.ov_breaker_threshold = 4;
+      ov_breaker_cooldown_ns = 10_000_000 };
+  boots "the default plane boots with trace Off" d
+
 (* ------------------------------------------------------------------ *)
-(* Determinism: the full plane — deadlines, budget, jitter, breakers,
+(* Determinism: the full plane — deadlines, budget, breakers,
    brownout, plus a transient fault — run twice is byte-identical in
    clock, io_report and disk image. *)
 
@@ -329,10 +411,8 @@ let controlled_run () =
       overload =
         { K.Kernel.ov_deadline_ns = 0;
           ov_retry_budget = 4;
-          ov_backoff_jitter = true;
           ov_breaker_threshold = 3;
           ov_breaker_cooldown_ns = 2_000_000;
-          ov_brownout = true;
           ov_brownout_tick_ns = 5_000_000 };
       hw = Hw.Hw_config.with_cpus Hw.Hw_config.kernel_multics 1 }
   in
@@ -386,6 +466,10 @@ let tests =
       test_kernel_breaker_two_outages;
     Alcotest.test_case "brownout ladder steps one rung" `Quick
       test_brownout_ladder_steps;
+    Alcotest.test_case "brownout top rung sheds logins" `Quick
+      test_brownout_top_rung_sheds;
+    Alcotest.test_case "trace Off refuses a plane it would disarm" `Quick
+      test_trace_off_refuses_plane;
     Alcotest.test_case "full plane double run byte-identical" `Quick
       test_double_run_byte_identical;
     Alcotest.test_case "explorer domain-count independent" `Quick

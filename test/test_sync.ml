@@ -1,4 +1,4 @@
-(* Tests for eventcounts, sequencers, locks and message queues. *)
+(* Tests for eventcounts, sequencers and message queues. *)
 
 module Sync = Multics_sync
 
@@ -77,40 +77,6 @@ let test_sequencer_eventcount_mutex () =
   check (Alcotest.list Alcotest.string) "fifo" [ "p1"; "p2"; "p3" ]
     (List.rev !order)
 
-let test_lock_mutual_exclusion () =
-  let l = Sync.Lock.create ~name:"ptl" () in
-  check Alcotest.bool "first" true (Sync.Lock.try_acquire l ~owner:"a");
-  check Alcotest.bool "second refused" false (Sync.Lock.try_acquire l ~owner:"b");
-  check (Alcotest.option Alcotest.string) "holder" (Some "a")
-    (Sync.Lock.holder l);
-  Sync.Lock.release l;
-  check (Alcotest.option Alcotest.string) "free" None (Sync.Lock.holder l)
-
-let test_lock_queue_fifo () =
-  let l = Sync.Lock.create () in
-  let log = ref [] in
-  assert (Sync.Lock.try_acquire l ~owner:"a");
-  let wait tag =
-    ignore
-      (Sync.Lock.acquire_or_wait l ~owner:tag ~notify:(fun () ->
-           log := tag :: !log))
-  in
-  wait "b";
-  wait "c";
-  check Alcotest.int "contentions" 2 (Sync.Lock.contentions l);
-  Sync.Lock.release l;
-  check (Alcotest.option Alcotest.string) "b now holds" (Some "b")
-    (Sync.Lock.holder l);
-  Sync.Lock.release l;
-  Sync.Lock.release l;
-  check (Alcotest.list Alcotest.string) "fifo handoff" [ "b"; "c" ] (List.rev !log);
-  check (Alcotest.option Alcotest.string) "free at end" None (Sync.Lock.holder l)
-
-let test_lock_release_unheld () =
-  let l = Sync.Lock.create ~name:"x" () in
-  Alcotest.check_raises "unheld" (Invalid_argument "Lock.release: x not held")
-    (fun () -> Sync.Lock.release l)
-
 let test_msg_queue_fifo () =
   let q = Sync.Msg_queue.create ~capacity:2 () in
   check Alcotest.bool "send 1" true (Result.is_ok (Sync.Msg_queue.send q 1));
@@ -167,9 +133,6 @@ let tests =
     Alcotest.test_case "sequencer" `Quick test_sequencer;
     Alcotest.test_case "sequencer+eventcount mutex" `Quick
       test_sequencer_eventcount_mutex;
-    Alcotest.test_case "lock mutual exclusion" `Quick test_lock_mutual_exclusion;
-    Alcotest.test_case "lock queue fifo" `Quick test_lock_queue_fifo;
-    Alcotest.test_case "lock release unheld" `Quick test_lock_release_unheld;
     Alcotest.test_case "msg queue fifo" `Quick test_msg_queue_fifo;
     Alcotest.test_case "msg queue eventcount" `Quick test_msg_queue_eventcount;
     qcheck prop_msg_queue_conservation ]
