@@ -1,16 +1,20 @@
 (* C3: observability must be free.
 
    The tracing sink never charges the meter and never touches the event
-   queue, so switching [trace] between [Off] and [Full] must not move
-   the simulated clock by a single nanosecond or change a single word on
-   disk.  This section runs the C2 sequential sweep — a writer fills a
-   48-page file through write-behind, a reader sweeps it back through
-   missing-page faults — once per trace mode and FAILS unless:
+   queue, so switching [trace] between [Counters] and [Full] must not
+   move the simulated clock by a single nanosecond or change a single
+   word on disk.  Both modes keep the request contexts and SLO
+   watchdogs the overload plane reads, so the mode cannot disarm
+   control either.  This section runs two legs once per trace mode and
+   FAILS unless:
 
-     - all three modes finish with identical simulated clocks;
-     - all three leave bit-identical disks (Bench_util.disk_checksum) —
-       [Off] allocates no request contexts, so Off vs Counters also
-       shows context tracking is free;
+     - the C2 sequential sweep — a writer fills a 48-page file through
+       write-behind, a reader sweeps it back through missing-page
+       faults — finishes with identical simulated clocks and leaves
+       bit-identical disks (Bench_util.disk_checksum);
+     - C6's controlled overload run (deadlines, retry budget, breakers,
+       brownout) acts, and gives an identical clock, disk, goodput,
+       process timeouts, brownout escalations and shed logins;
      - the [Full] ring actually captured the fault story: paired
        ["pfm"/"page_read"] transits, paired ["io"/"batch"] dispatches,
        and at least one batch nested inside a page-read transit.
@@ -22,6 +26,7 @@
    chrome://tracing or Perfetto. *)
 
 module K = Multics_kernel
+module S = Multics_services
 module Hw = Multics_hw
 module Obs = Multics_obs
 
@@ -74,6 +79,34 @@ let check_same what f a b =
          "bench_obs: trace=%s and trace=%s diverge on %s — tracing \
           perturbed the simulation"
          a.r_label b.r_label what)
+
+(* The armed-plane leg: what C6's controlled run shows at its window's
+   end.  The disk is read as it stands, with sessions still running. *)
+type armed = {
+  a_clock : int;
+  a_disk : int;
+  a_goodput : int;
+  a_timeouts : int;
+  a_escalations : int;
+  a_shed : int;
+}
+
+let armed_mode ~label mode =
+  let k, svc, goodput, _p95, _late =
+    Bench_overload.overload_run ~trace:mode ~controlled:true
+  in
+  let a =
+    { a_clock = K.Kernel.now k; a_disk = Bench_util.disk_checksum k;
+      a_goodput = goodput; a_timeouts = K.Kernel.proc_timeouts k;
+      a_escalations = K.Kernel.brownout_escalations k;
+      a_shed = S.Answering_service.shed_logins svc }
+  in
+  Format.printf
+    "  armed plane trace=%-10s clock %12s   disk %016x   goodput %d, %d \
+     timeouts, %d escalations, %d logins shed@."
+    label (Bench_util.fmt_us a.a_clock) a.a_disk a.a_goodput a.a_timeouts
+    a.a_escalations a.a_shed;
+  a
 
 (* The ring overwrites its oldest events, so a begin may be gone while
    its end survives; pair conservatively, newest events backwards. *)
@@ -138,14 +171,20 @@ let export_trace k ~path =
 let run () =
   Bench_util.section sec
     "observability: structured tracing is clock- and disk-neutral";
-  let off = run_mode ~label:"off" Obs.Sink.Off in
   let counters = run_mode ~label:"counters" Obs.Sink.Counters in
   let full = run_mode ~label:"full" Obs.Sink.Full in
-  check_same "final simulated clock" (fun r -> r.r_clock) off counters;
-  check_same "final simulated clock" (fun r -> r.r_clock) off full;
-  check_same "disk contents" (fun r -> r.r_disk) off counters;
-  check_same "disk contents" (fun r -> r.r_disk) off full;
-  Format.printf "  off/counters/full clocks and disks identical@.@.";
+  check_same "final simulated clock" (fun r -> r.r_clock) counters full;
+  check_same "disk contents" (fun r -> r.r_disk) counters full;
+  Format.printf "  counters/full clocks and disks identical@.@.";
+  let armed_counters = armed_mode ~label:"counters" Obs.Sink.Counters in
+  let armed_full = armed_mode ~label:"full" Obs.Sink.Full in
+  if armed_counters.a_timeouts = 0 || armed_counters.a_escalations = 0 then
+    failwith "bench_obs: the armed overload plane never acted";
+  if armed_counters <> armed_full then
+    failwith
+      "bench_obs: trace=counters and trace=full diverge with the overload \
+       plane armed — the trace mode reached control";
+  Format.printf "  armed plane identical under counters and full@.@.";
   let transits, batches = check_nesting full.r_kernel in
   export_trace full.r_kernel ~path:"BENCH_trace_c3.json";
   Format.printf "@.%s@." (K.Kernel.histo_report full.r_kernel);
@@ -163,10 +202,10 @@ let run () =
         (Obs.Histo.percentile h ~pct:50);
       Bench_util.recordi ~section:sec ~metric:"page_read_p95_ns"
         (Obs.Histo.percentile h ~pct:95));
-  Bench_util.recordi ~section:sec ~metric:"clock_off_ns" off.r_clock;
+  Bench_util.recordi ~section:sec ~metric:"clock_counters_ns" counters.r_clock;
   Bench_util.recordi ~section:sec ~metric:"clock_full_ns" full.r_clock;
   Bench_util.recordi ~section:sec ~metric:"clock_skew_ns"
-    (full.r_clock - off.r_clock);
+    (full.r_clock - counters.r_clock);
   Bench_util.recordi ~section:sec ~metric:"ctx_count" ~unit:"count"
     (Obs.Sink.ctx_count (K.Kernel.obs full.r_kernel));
   Bench_util.recordi ~section:sec ~metric:"ring_transit_pairs" ~unit:"count"

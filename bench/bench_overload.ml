@@ -7,8 +7,8 @@
                    almost none finishes inside the window
      controlled    the overload plane on: deadlines cancel hopeless
                    work at the checkpoints, the brownout ladder sheds
-                   optional work (read-ahead, batch size, cleaner,
-                   then whole logins by load class)
+                   optional work (read-ahead, cleaner, then whole
+                   logins by load class)
 
    Acceptance: the controlled run's goodput — sessions completed
    within the window — is at least twice the uncontrolled run's, with
@@ -76,7 +76,9 @@ let user_program i =
       K.Workload.random_touches ~seg_reg:0 ~pages:user_pages ~count:90
         ~write_pct:25 ~seed:(1000 + i) ]
 
-let overload_run ~controlled =
+(* [trace] is the sink mode: C6 runs under [Counters], and C3 runs the
+   controlled plane under both modes and demands identical results. *)
+let overload_run ~trace ~controlled =
   let overload =
     if not controlled then K.Kernel.default_overload
     else
@@ -91,6 +93,7 @@ let overload_run ~controlled =
       ~config:
         { base_config with
           K.Kernel.overload;
+          trace;
           hw = Hw.Hw_config.with_frames Hw.Hw_config.kernel_multics 72;
           core_frames = 44;
           disk_packs = 2;
@@ -136,18 +139,6 @@ let overload_run ~controlled =
       done);
   K.Kernel.run ~until:window k;
   let goodput = K.User_process.completed (K.Kernel.user_process k) in
-  (if Sys.getenv_opt "C6_PROBE" <> None then begin
-     Format.printf "  [probe] at window: completed %d@." goodput;
-     List.iter
-       (fun (s : Obs.Sink.slo_view) ->
-         Format.printf "  [probe] slo %s: %d breaches, worst %d us@."
-           s.Obs.Sink.sv_histo s.Obs.Sink.sv_breaches
-           (s.Obs.Sink.sv_worst / 1000))
-       (Obs.Sink.slos (K.Kernel.obs k));
-     ignore (K.Kernel.run_to_completion k);
-     Format.printf "  [probe] makespan %d ns, completed %d@." (K.Kernel.now k)
-       (K.User_process.completed (K.Kernel.user_process k))
-   end);
   let p95 =
     Obs.Histo.percentile
       (Obs.Sink.histo (K.Kernel.obs k) ~name:"pfm.page_read")
@@ -158,11 +149,15 @@ let overload_run ~controlled =
 let goodput () =
   Format.printf "@.C6b  uncontrolled overload (%d+%d sessions, %d us window):@."
     n_users late_users (window / 1000);
-  let _k_off, _, good_off, p95_off, _ = overload_run ~controlled:false in
+  let _k_off, _, good_off, p95_off, _ =
+    overload_run ~trace:Obs.Sink.Counters ~controlled:false
+  in
   Format.printf "  goodput %d/%d, page-read p95 %d us@." good_off
     (n_users + late_users) (p95_off / 1000);
   Format.printf "@.C6c  controlled overload (deadlines + brownout):@.";
-  let k_on, svc, good_on, p95_on, late_shed = overload_run ~controlled:true in
+  let k_on, svc, good_on, p95_on, late_shed =
+    overload_run ~trace:Obs.Sink.Counters ~controlled:true
+  in
   let io = K.Kernel.io_stats k_on in
   Format.printf "  goodput %d/%d, page-read p95 %d us@." good_on
     (n_users + late_users) (p95_on / 1000);

@@ -15,7 +15,7 @@ let sections =
     ("A1", "design-choice ablations", Bench_ablation.run);
     ("C1", "associative memories: off vs on + equality", Bench_cache.run);
     ("C2", "batched disk I/O: sync vs async vs read-ahead", Bench_io.run);
-    ("C3", "observability: trace off vs full equality", Bench_obs.run);
+    ("C3", "observability: trace counters vs full equality", Bench_obs.run);
     ("C4", "chaos: fault injection, sparing, crash recovery", Bench_chaos.run);
     ("C5", "schedule exploration: model-checking scheduler", Bench_check.run);
     ("C6", "overload: deadlines, breakers, brownout", Bench_overload.run);

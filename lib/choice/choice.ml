@@ -18,7 +18,7 @@ type t = {
 }
 
 let make policy =
-  { policy; trace = []; n_decisions = 0; obs = Multics_obs.Sink.disabled () }
+  { policy; trace = []; n_decisions = 0; obs = Multics_obs.Sink.detached () }
 
 let default = make Inert
 
@@ -57,10 +57,8 @@ let pick t ~domain ~ids =
     let chosen = decide t n in
     t.trace <- { ev_domain = domain; ev_ids = ids; ev_chosen = chosen } :: t.trace;
     t.n_decisions <- t.n_decisions + 1;
-    if Multics_obs.Sink.counting t.obs then begin
-      Multics_obs.Sink.count t.obs "choice.pick";
-      Multics_obs.Sink.instant t.obs ~arg:chosen ~cat:"check" ~name:domain ()
-    end;
+    Multics_obs.Sink.count t.obs "choice.pick";
+    Multics_obs.Sink.instant t.obs ~arg:chosen ~cat:"check" ~name:domain ();
     chosen
   end
 

@@ -141,16 +141,6 @@ let gate_table =
 
 let rec boot_internal ?previous_disk cfg =
   let ov = cfg.overload in
-  (* Deadlines and retry budgets ride on request contexts and brownout
-     on SLO samples; [Off] keeps neither, so it would disarm them
-     silently and move the clock.  Breakers need neither. *)
-  if
-    cfg.trace = Multics_obs.Sink.Off
-    && (ov.ov_deadline_ns > 0 || ov.ov_retry_budget > 0
-       || ov.ov_brownout_tick_ns > 0)
-  then
-    invalid_arg
-      "Kernel.boot: trace Off disarms deadlines, retry budgets and brownout";
   let machine =
     Hw.Machine.create ~disk_packs:cfg.disk_packs
       ~records_per_pack:cfg.records_per_pack ?disk:previous_disk cfg.hw
@@ -645,8 +635,6 @@ let volume t = t.volume
 let quota t = t.quota
 let page_frame t = t.page_frame
 let segment t = t.segment
-let known t = t.known
-let address_space t = t.address_space
 let user_process t = t.user_process
 let directory t = t.directory
 let gate t = t.gate
@@ -884,7 +872,6 @@ let trace_report t =
     pp_slos t
 
 let flight_dump t = Multics_obs.Sink.flight_dump t.obs
-let last_flight_dump t = Multics_obs.Sink.last_dump t.obs
 
 let pp_histos ppf t =
   match Multics_obs.Sink.histos t.obs with
@@ -934,9 +921,9 @@ let pp_report ppf t =
   let io = io_stats t in
   Format.fprintf ppf
     "  disk i/o: %d reads, %d writes in %d batches (mean %.1f, max %d), %d \
-     merges, queue peak %d@."
+     merges, queue peak %d, arm busy %d us@."
     io.io_reads io.io_writes io.io_batches io.io_mean_batch io.io_max_batch
-    io.io_merges io.io_queue_peak;
+    io.io_merges io.io_queue_peak (io.io_busy_ns / 1000);
   Format.fprintf ppf
     "  read-ahead: %d issued, %d hits, %d dropped at low water@."
     io.prefetch_issued io.prefetch_hits io.prefetch_dropped;

@@ -63,16 +63,16 @@ type config = {
       (** Records prefetched after two sequential missing-page faults on
           a segment; [0] disables read-ahead. *)
   trace : Multics_obs.Sink.mode;
-      (** Observability: [Off] records nothing, [Counters] (the
-          default) keeps counters, latency histograms and the flight
-          ring, [Full] also records the event ring for timeline
-          export.  [Counters] and [Full] also track request contexts:
-          causal ids allocated at gate entry, login and fault,
-          propagated through dispatch, queues and I/O completions so
-          every trace event joins back to the request it serves.
-          Never affects simulated time or disk contents (bench C3
-          asserts it): {!boot} refuses [Off] with an overload plane
-          that needs contexts or SLO samples. *)
+      (** Observability: [Counters] (the default) keeps counters,
+          latency histograms, SLO watchdogs, request contexts and the
+          flight ring; [Full] also records the event ring for timeline
+          export.  Request contexts are causal ids allocated at gate
+          entry, login and fault, propagated through dispatch, queues
+          and I/O completions so every trace event joins back to the
+          request it serves; the overload plane's deadlines and retry
+          budgets ride on them in either mode.  Never affects
+          simulated time or disk contents (bench C3 asserts it, with
+          the overload plane armed too). *)
   faults : Multics_hw.Fault_inject.t;
       (** Deterministic fault plan for the disk subsystem (the default
           is the empty plan, which leaves every run bit-identical to a
@@ -92,7 +92,7 @@ type config = {
           circuit breakers and brownout.  The default,
           {!default_overload}, leaves every knob inert.  Deadlines and
           retry budgets ride on request contexts and brownout on SLO
-          samples, so they need a [trace] mode other than [Off]. *)
+          samples, which every [trace] mode keeps. *)
 }
 
 val default_config : config
@@ -104,8 +104,6 @@ val small_config : config
 type t
 
 val boot : config -> t
-(** Raises [Invalid_argument] when [trace] is [Off] and the overload
-    config sets a deadline, a retry budget or a brownout tick. *)
 
 val shutdown : t -> unit
 (** Orderly shutdown: persist the directory hierarchy into its backing
@@ -143,8 +141,6 @@ val volume : t -> Volume.t
 val quota : t -> Quota_cell.t
 val page_frame : t -> Page_frame.t
 val segment : t -> Segment.t
-val known : t -> Known_segment.t
-val address_space : t -> Address_space.t
 val user_process : t -> User_process.t
 val directory : t -> Directory.t
 val gate : t -> Gate.t
@@ -155,8 +151,6 @@ val config : t -> config
 
 val root_subject : Directory.subject
 (** The system administrator: trusted, system-low. *)
-
-val subject_of : User_process.proc -> Directory.subject
 
 (* Administrative file-system helpers (run as root through gates). *)
 val mkdir : t -> path:string -> acl:Acl.t -> label:Multics_aim.Label.t -> unit
@@ -243,7 +237,9 @@ type io_report = {
   io_mean_batch : float;
   io_max_batch : int;
   io_queue_peak : int;  (** deepest any pack's queue ever got *)
-  io_busy_ns : int;  (** total arm time charged by the latency model *)
+  io_busy_ns : int;
+      (** total arm busy time from the latency model: device time, which
+          the meter's kernel time leaves out *)
   prefetch_issued : int;
   prefetch_hits : int;
   prefetch_dropped : int;  (** suppressed at the free-pool low-water mark *)
@@ -280,12 +276,10 @@ val slo_report : t -> string
 
 val flight_dump : t -> string
 (** The always-on flight recorder's current contents, rendered
-    deterministically (one line per event with its causal chain).
-    Non-empty whenever tracing is not [Off]. *)
-
-val last_flight_dump : t -> (string * string) option
-(** [(reason, dump)] snapshotted at the last automatic dump point —
-    kernel halt, salvager entry or invariant violation. *)
+    deterministically (one line per event with its causal chain).  The
+    dump snapshotted at the last automatic dump point (kernel halt,
+    salvager entry, invariant violation) is
+    [Multics_obs.Sink.last_dump (obs t)]. *)
 
 val histo_report : t -> string
 (** Every latency histogram — page-read transits, I/O batches, VP

@@ -18,12 +18,6 @@ let charge_raw t ~manager ns =
 
 let charge t ~manager lang ns = charge_raw t ~manager (Cost.scale lang ns)
 
-let charge_async t ~manager ns =
-  assert (ns >= 0);
-  t.total <- t.total + ns;
-  let old = Option.value ~default:0 (Hashtbl.find_opt t.per_manager manager) in
-  Hashtbl.replace t.per_manager manager (old + ns)
-
 let take_pending t =
   let p = t.pending in
   t.pending <- 0;

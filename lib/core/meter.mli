@@ -4,6 +4,9 @@
     The event-driven machine advances the clock between steps; kernel
     code that runs "inline" during a step charges the meter, and the
     dispatcher folds the accumulated charge into the step's duration.
+    Device time is not kernel time: a disk arm's sweep advances the
+    clock through the event queue and is recorded by the I/O
+    scheduler's [s_busy_ns], never here.
 
     Every call from one manager into another is recorded straight into
     a {!Multics_depgraph.Conformance.t} over the declared dependency
@@ -25,13 +28,6 @@ val charge : t -> manager:string -> Cost.language -> int -> unit
 
 val charge_raw : t -> manager:string -> int -> unit
 (** Charge without language scaling (e.g. pure waiting). *)
-
-val charge_async : t -> manager:string -> int -> unit
-(** Record time spent by autonomous hardware (a disk arm sweeping a
-    batch) in the totals WITHOUT adding to the pending step cost.
-    Batch completions run inside event handlers, not dispatch steps;
-    folding their latency into whichever virtual processor happens to
-    run next would misattribute it. *)
 
 val take_pending : t -> int
 (** Return and reset the cost accumulated since the last call. *)

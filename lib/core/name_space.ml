@@ -31,7 +31,7 @@ let clear_cache t =
 
 let create ?(use_cache = true) ?obs ~meter ~gate ~directory () =
   let obs =
-    match obs with Some s -> s | None -> Multics_obs.Sink.disabled ()
+    match obs with Some s -> s | None -> Multics_obs.Sink.detached ()
   in
   let t =
     { meter; obs; gate; directory; use_cache;

@@ -10,7 +10,7 @@ type t = {
 }
 
 let create ~meter =
-  { meter; queue = []; raised = 0; obs = Multics_obs.Sink.disabled () }
+  { meter; queue = []; raised = 0; obs = Multics_obs.Sink.detached () }
 
 let set_obs t sink = t.obs <- sink
 

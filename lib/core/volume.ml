@@ -34,14 +34,11 @@ let create ?(faults = Hw.Fault_inject.none) ?choice ?io_config ~machine
       ~now:(fun () -> Hw.Machine.now machine)
       ~schedule:(Hw.Machine.schedule machine) ()
   in
-  (* The arm's busy time is hardware time, not any virtual processor's
-     step: record it under this manager without touching the pending
-     step cost.  This is the only place batch latency is charged. *)
-  Hw.Io_sched.set_on_batch io (fun ~pack:_ ~size:_ ~cost_ns ->
-      Meter.charge_async meter ~manager:name cost_ns);
-  (* The machine's sink is installed before any manager is created, so
-     capturing it here wires the elevator's batch spans to the kernel's
-     trace. *)
+  (* The arm's busy time is device time, not kernel time: the
+     scheduler's own [s_busy_ns] keeps it, and nothing books it into
+     the meter.  The machine's sink is installed before any manager is
+     created, so capturing it here wires the elevator's batch spans to
+     the kernel's trace. *)
   Hw.Io_sched.set_obs io (Hw.Machine.obs machine);
   let t =
     { machine; meter; io; locator = Hashtbl.create 64;
@@ -61,7 +58,6 @@ let locate t ~uid = Hashtbl.find_opt t.locator (Ids.to_int uid)
 
 
 let disk t = t.machine.Hw.Machine.disk
-let n_packs t = Hw.Disk.n_packs (disk t)
 
 let rebuild_locator t =
   Hashtbl.reset t.locator;
@@ -75,7 +71,6 @@ let rebuild_locator t =
       (Hw.Disk.vtoc_entries d ~pack)
   done;
   !max_uid
-let free_records t ~pack = Hw.Disk.free_records (disk t) ~pack
 
 let create_segment t ~caller ?(process_state = false) ~uid ~pack ~is_directory
     ~label () =
@@ -164,7 +159,6 @@ let crash t ~surviving_writes = Hw.Io_sched.crash t.io ~surviving_writes
 let set_on_apply t f = Hw.Io_sched.set_on_apply t.io f
 let io_stats t = Hw.Io_sched.stats t.io
 let breaker_state t ~pack = Hw.Io_sched.breaker_state t.io ~pack
-let io_queue_depth t ~pack = Hw.Io_sched.queue_depth t.io ~pack
 let io_latency_ns t = Hw.Io_sched.single_transfer_ns t.io
 
 (* ------------------------------------------------------------------ *)

@@ -30,9 +30,6 @@ val set_signals : t -> Upward_signal.t -> unit
 (** Wire the upward-signal queue; until then offline events are only
     counted. *)
 
-val n_packs : t -> int
-val free_records : t -> pack:int -> int
-
 val create_segment :
   t -> caller:string -> ?process_state:bool -> uid:Ids.uid -> pack:int ->
   is_directory:bool -> label:int -> unit -> int
@@ -119,13 +116,9 @@ val set_on_apply :
 val note_offline : t -> pack:int -> unit
 (** Record that [pack] was seen offline; raises
     {!Upward_signal.Pack_offline} the first time (once per offline
-    window — {!note_online} re-arms it). *)
-
-val note_online : t -> pack:int -> unit
-(** The pack serves again (the breaker's half-open probe succeeded, or
-    an operator says so): re-arm the one-shot offline signalling, so a
-    pack that goes offline twice signals twice.  Wired automatically
-    to the I/O scheduler's breaker-close hook. *)
+    window: when the pack's breaker closes after a successful half-open
+    probe, the one-shot signal re-arms, so a pack that goes offline
+    twice signals twice). *)
 
 val offline_signals : t -> int
 (** Offline windows signalled so far — monotone: a pack that goes
@@ -150,7 +143,6 @@ val mark_damaged : t -> caller:string -> pack:int -> index:int -> unit
 val damaged_pages : t -> int
 
 val io_stats : t -> Multics_hw.Io_sched.stats
-val io_queue_depth : t -> pack:int -> int
 
 val breaker_state : t -> pack:int -> [ `Closed | `Open | `Half_open ]
 (** The pack's circuit-breaker state, from the I/O scheduler. *)

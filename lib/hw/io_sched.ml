@@ -138,14 +138,13 @@ type t = {
   mutable br_probes : int;
   mutable br_closes : int;
   (* root context -> remaining retries; populated lazily, only when
-     [retry_budget > 0] and contexts are on. *)
+     [retry_budget > 0] and the request carries a context. *)
   budget_left : (int, int) Hashtbl.t;
   (* set the first time a submitted request carries a context deadline;
      the dispatch-time cancellation sweep is guarded by it so the
      deadline-free hot path pays nothing. *)
   mutable has_deadlines : bool;
   mutable on_recover : pack:int -> unit;
-  mutable on_batch : pack:int -> size:int -> cost_ns:int -> unit;
   mutable on_apply :
     pack:int -> record:int -> acked:bool -> Page_image.t -> unit;
   mutable obs : Multics_obs.Sink.t;
@@ -180,11 +179,9 @@ let create ?config ?(faults = Fault_inject.none)
     br_opens = 0; br_probes = 0; br_closes = 0;
     budget_left = Hashtbl.create 16; has_deadlines = false;
     on_recover = (fun ~pack:_ -> ());
-    on_batch = (fun ~pack:_ ~size:_ ~cost_ns:_ -> ());
     on_apply = (fun ~pack:_ ~record:_ ~acked:_ _ -> ());
-    obs = Multics_obs.Sink.disabled (); batch_seq = 0 }
+    obs = Multics_obs.Sink.detached (); batch_seq = 0 }
 
-let set_on_batch t f = t.on_batch <- f
 let set_on_apply t f = t.on_apply <- f
 let set_on_recover t f = t.on_recover <- f
 let set_obs t sink = t.obs <- sink
@@ -293,7 +290,8 @@ let jitter_ids = [| 0; 1; 2; 3 |]
 (* Per-root-context retry budget: every backoff retry consumes one
    token from the requester's root context, so one luckless request
    tree cannot monopolise a struggling pack.  Disabled
-   ([retry_budget = 0]) or with contexts off (ctx 0) always allows. *)
+   ([retry_budget = 0]) or for a request with no context (ctx 0)
+   always allows. *)
 let budget_allows t (r : req) =
   t.config.retry_budget = 0 || r.req_ctx = 0
   ||
@@ -551,8 +549,7 @@ let finish_batch ?(sync = false) t p batch cost =
     List.iter (execute_req ~sync t p.id) batch
   else deliver_chosen ~sync t p batch;
   Multics_obs.Sink.count t.obs "io.batch";
-  Multics_obs.Sink.add_latency t.obs ~name:"io.batch" cost;
-  t.on_batch ~pack:p.id ~size ~cost_ns:cost
+  Multics_obs.Sink.add_latency t.obs ~name:"io.batch" cost
 
 let bar_records p batch =
   List.iter

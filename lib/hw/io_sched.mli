@@ -58,7 +58,9 @@
     transfer per record.  An isolated single-record request therefore
     costs [seek_ns + transfer_ns], which equals the disk's flat
     [io_latency_ns] — the synchronous cost model is a special case of
-    the batched one, so no path double-charges.
+    the batched one, so no path double-charges.  A sweep's latency is
+    device time: it advances the clock at the sweep's completion and
+    accumulates in [s_busy_ns], and no kernel meter books it.
 
     Coherence: the scheduler keeps a per-record buffer of every
     submitted-but-unapplied write image.  A read (queued or immediate)
@@ -212,11 +214,6 @@ val crash : t -> surviving_writes:int -> int
     which is the structural guarantee behind "every acked write
     survives reboot". *)
 
-val set_on_batch : t -> (pack:int -> size:int -> cost_ns:int -> unit) -> unit
-(** Hook fired once per completed batch — the owner charges the batch
-    latency to its accounting there, so the cost model lives in exactly
-    one place. *)
-
 val set_on_apply :
   t -> (pack:int -> record:int -> acked:bool -> Page_image.t -> unit) -> unit
 (** Hook fired on every image actually applied to a platter, with
@@ -246,7 +243,9 @@ type stats = {
   s_merges : int;  (** adjacent-record transfers chained without a seek *)
   s_max_batch : int;  (** largest sweep *)
   s_queue_peak : int;  (** deepest any pack's queue got *)
-  s_busy_ns : int;  (** summed batch latencies *)
+  s_busy_ns : int;
+      (** summed batch latencies: the arms' busy time, the one place
+          device time is recorded *)
   s_cancelled : int;  (** writes dropped by {!cancel_writes}/supersede *)
   s_retries : int;  (** failed attempts that were retried *)
   s_gave_up : int;  (** requests that exhausted the retry budget *)

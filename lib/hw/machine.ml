@@ -28,7 +28,7 @@ let create ?(disk_packs = 4) ?(records_per_pack = 1024) ?disk
     now = 0;
     extra_cpus = [];
     retired_tlb_hits = 0; retired_tlb_misses = 0; retired_tlb_flushes = 0;
-    obs = Multics_obs.Sink.disabled ();
+    obs = Multics_obs.Sink.detached ();
     halted = false }
 
 let now t = t.now

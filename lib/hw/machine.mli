@@ -23,8 +23,9 @@ type t = {
   mutable retired_tlb_misses : int;
   mutable retired_tlb_flushes : int;
   mutable obs : Multics_obs.Sink.t;
-      (** Observability sink; starts life {!Multics_obs.Sink.disabled}
-          until the kernel installs its own with [set_obs]. *)
+      (** Observability sink; starts life as a
+          {!Multics_obs.Sink.detached} placeholder until the kernel
+          installs its own with [set_obs]. *)
   mutable halted : bool;
       (** Power failed: no further events run; see {!halt}. *)
 }

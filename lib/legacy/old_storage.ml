@@ -492,7 +492,10 @@ let service_page_fault t (p : oproc) ~ptw_abs =
           t.stats.st_page_reads <- t.stats.st_page_reads + 1;
           let latency = Hw.Disk.io_latency_ns (disk t) in
           t.fault_intervals <- (now t + latency) :: t.fault_intervals;
-          let ec = Sync.Eventcount.create ~name:"old.transit" () in
+          let ec =
+            Sync.Eventcount.create ~name:"old.transit"
+              ~obs:(Hw.Machine.obs t.machine) ()
+          in
           Hw.Machine.schedule t.machine ~delay:latency (fun () ->
               let img =
                 Hw.Disk.read_record (disk t)

@@ -167,7 +167,10 @@ let user_eventcount t name =
   match Hashtbl.find_opt t.user_ecs name with
   | Some ec -> ec
   | None ->
-      let ec = Sync.Eventcount.create ~name:("old.user." ^ name) () in
+      let ec =
+        Sync.Eventcount.create ~name:("old.user." ^ name)
+          ~obs:(Hw.Machine.obs t.st.machine) ()
+      in
       Hashtbl.replace t.user_ecs name ec;
       ec
 

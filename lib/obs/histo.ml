@@ -42,9 +42,6 @@ let count t = t.count
 let sum t = t.sum
 let max_value t = t.max_v
 
-let mean t =
-  if t.count = 0 then 0.0 else float_of_int t.sum /. float_of_int t.count
-
 let percentile t ~pct =
   if t.count = 0 then 0
   else begin

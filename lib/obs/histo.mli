@@ -18,7 +18,6 @@ val add : t -> int -> unit
 val count : t -> int
 val sum : t -> int
 val max_value : t -> int
-val mean : t -> float
 
 val percentile : t -> pct:int -> int
 (** [percentile t ~pct:50] = p50, [~pct:95] = p95.  0 when empty. *)

@@ -1,8 +1,6 @@
-type mode = Off | Counters | Full
+type mode = Counters | Full
 
 type span = { sp_cat : string; sp_name : string; sp_tid : int; sp_t0 : int }
-
-let null_span = { sp_cat = ""; sp_name = ""; sp_tid = 0; sp_t0 = -1 }
 
 type slo_view = {
   sv_histo : string;
@@ -44,7 +42,7 @@ let make_chunk n =
     c_origin = Array.make n ""; c_deadline = Array.make n 0 }
 
 type t = {
-  mutable md : mode;
+  md : mode;
   clock : unit -> int;
   ring : Trace_buf.t;
   flight : Trace_buf.t;
@@ -79,13 +77,7 @@ let create ?(mode = Counters) ?(capacity = 16384) ?(flight_capacity = 256)
     last_dump = None;
     user_tbl = Hashtbl.create 16 }
 
-let disabled () =
-  create ~mode:Off ~capacity:1 ~flight_capacity:1 ~now:(fun () -> 0) ()
-
-let mode t = t.md
-let set_mode t m = t.md <- m
-let counting t = t.md <> Off
-let recording t = t.md = Full
+let detached () = create ~capacity:1 ~flight_capacity:1 ~now:(fun () -> 0) ()
 let now t = t.clock ()
 let buf t = t.ring
 let flight t = t.flight
@@ -129,29 +121,26 @@ let slot id = id land (chunk - 1)
 let known t id = id > 0 && id <= t.ctx_n
 
 let new_ctx t ?parent ?deadline ~origin () =
-  if t.md = Off then 0
-  else begin
-    let parent = match parent with Some p -> p | None -> t.cur in
-    let id = t.ctx_n + 1 in
-    if id >= t.ctx_cap then grow_ctx t;
-    t.ctx_n <- id;
-    let c = chunk_of t id and i = slot id in
-    c.c_parent.(i) <- parent;
-    c.c_root.(i) <-
-      (if parent > 0 then (chunk_of t parent).c_root.(slot parent) else id);
-    c.c_origin.(i) <- origin;
-    (* A child can tighten its inherited deadline but never loosen it:
-       the effective deadline is the min of the parent's and its own. *)
-    let inherited =
-      if parent > 0 then (chunk_of t parent).c_deadline.(slot parent) else 0
-    in
-    let own = match deadline with Some d -> d | None -> 0 in
-    c.c_deadline.(i) <-
-      (if inherited = 0 then own
-       else if own = 0 then inherited
-       else min inherited own);
-    id
-  end
+  let parent = match parent with Some p -> p | None -> t.cur in
+  let id = t.ctx_n + 1 in
+  if id >= t.ctx_cap then grow_ctx t;
+  t.ctx_n <- id;
+  let c = chunk_of t id and i = slot id in
+  c.c_parent.(i) <- parent;
+  c.c_root.(i) <-
+    (if parent > 0 then (chunk_of t parent).c_root.(slot parent) else id);
+  c.c_origin.(i) <- origin;
+  (* A child can tighten its inherited deadline but never loosen it:
+     the effective deadline is the min of the parent's and its own. *)
+  let inherited =
+    if parent > 0 then (chunk_of t parent).c_deadline.(slot parent) else 0
+  in
+  let own = match deadline with Some d -> d | None -> 0 in
+  c.c_deadline.(i) <-
+    (if inherited = 0 then own
+     else if own = 0 then inherited
+     else min inherited own);
+  id
 
 let current t = t.cur
 let set_current t c = t.cur <- c
@@ -187,12 +176,11 @@ let ctx_words t =
 (* Counters --------------------------------------------------------- *)
 
 let count t name =
-  if t.md <> Off then
-    match Hashtbl.find_opt t.counter_tbl name with
-    | Some r -> incr r
-    | None ->
-        Hashtbl.replace t.counter_tbl name (ref 1);
-        t.counter_order <- name :: t.counter_order
+  match Hashtbl.find_opt t.counter_tbl name with
+  | Some r -> incr r
+  | None ->
+      Hashtbl.replace t.counter_tbl name (ref 1);
+      t.counter_order <- name :: t.counter_order
 
 let counters t =
   List.rev_map
@@ -257,37 +245,30 @@ let breach t s ns =
 let set_on_breach t f = t.on_breach <- Some f
 
 let add_latency t ~name ns =
-  if t.md <> Off then begin
-    Histo.add (histo t ~name) ns;
-    match Hashtbl.find_opt t.slo_tbl name with
-    | Some s when ns > s.slo_threshold -> breach t s ns
-    | _ -> ()
-  end
+  Histo.add (histo t ~name) ns;
+  match Hashtbl.find_opt t.slo_tbl name with
+  | Some s when ns > s.slo_threshold -> breach t s ns
+  | _ -> ()
 
 let span_begin t ?(tid = 0) ~cat ~name () =
-  if t.md = Off then null_span
-  else begin
-    emit t ~phase:Trace_buf.Span_begin ~cat ~name ~tid ~id:0 ~arg:0;
-    { sp_cat = cat; sp_name = name; sp_tid = tid; sp_t0 = t.clock () }
-  end
+  emit t ~phase:Trace_buf.Span_begin ~cat ~name ~tid ~id:0 ~arg:0;
+  { sp_cat = cat; sp_name = name; sp_tid = tid; sp_t0 = t.clock () }
 
 let span_end t ?histo:hname sp =
-  if t.md <> Off && sp.sp_t0 >= 0 then begin
-    emit t ~phase:Trace_buf.Span_end ~cat:sp.sp_cat ~name:sp.sp_name
-      ~tid:sp.sp_tid ~id:0 ~arg:0;
-    match hname with
-    | Some name -> add_latency t ~name (t.clock () - sp.sp_t0)
-    | None -> ()
-  end
+  emit t ~phase:Trace_buf.Span_end ~cat:sp.sp_cat ~name:sp.sp_name
+    ~tid:sp.sp_tid ~id:0 ~arg:0;
+  match hname with
+  | Some name -> add_latency t ~name (t.clock () - sp.sp_t0)
+  | None -> ()
 
 let instant t ?(tid = 0) ?(arg = 0) ~cat ~name () =
-  if t.md <> Off then emit t ~phase:Trace_buf.Instant ~cat ~name ~tid ~id:0 ~arg
+  emit t ~phase:Trace_buf.Instant ~cat ~name ~tid ~id:0 ~arg
 
 let async_begin t ?(tid = 0) ?(arg = 0) ~cat ~name ~id () =
-  if t.md <> Off then emit t ~phase:Trace_buf.Async_begin ~cat ~name ~tid ~id ~arg
+  emit t ~phase:Trace_buf.Async_begin ~cat ~name ~tid ~id ~arg
 
 let async_end t ?(tid = 0) ?(arg = 0) ~cat ~name ~id () =
-  if t.md <> Off then emit t ~phase:Trace_buf.Async_end ~cat ~name ~tid ~id ~arg
+  emit t ~phase:Trace_buf.Async_end ~cat ~name ~tid ~id ~arg
 
 let counter_event t ~cat ~name value =
   if t.md = Full then
@@ -348,10 +329,8 @@ let flight_dump t =
   Buffer.contents b
 
 let note_dump t ~reason =
-  if t.md <> Off then begin
-    count t "flight.dump";
-    t.last_dump <- Some (reason, flight_dump t)
-  end
+  count t "flight.dump";
+  t.last_dump <- Some (reason, flight_dump t)
 
 let last_dump t = t.last_dump
 

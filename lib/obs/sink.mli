@@ -1,16 +1,16 @@
 (** The kernel-wide observability sink.
 
-    One sink per system instance collects telemetry, gated by a single
-    mode knob:
+    One sink per system instance collects telemetry.  Everything but
+    the big event ring is always on; the mode decides only whether
+    that ring records:
 
-    - {b counters} — named monotonic counts ([Counters] and [Full]);
-    - {b latency histograms} — log2 {!Histo}s keyed by name
-      ([Counters] and [Full]);
+    - {b counters} — named monotonic counts;
+    - {b latency histograms} — log2 {!Histo}s keyed by name;
     - {b the event ring} — a bounded {!Trace_buf} of timestamped
       span/instant/async events ([Full] only);
-    - {b the flight recorder} — a small, always-on ring of the same
-      events, recorded in [Counters] too, cheap enough to leave armed
-      in production runs and snapshotted on halt/salvage/violation;
+    - {b the flight recorder} — a small ring of the same events, cheap
+      enough to leave armed in production runs and snapshotted on
+      halt/salvage/violation;
     - {b request contexts} — small integer causal ids allocated at
       request entry points and stamped on every event ([ev_ctx]), with
       parent links so a request's full causal chain (read-ahead,
@@ -26,16 +26,15 @@
     - {b per-user attribution} — cpu/IO usage accumulated against the
       root context's origin (the accounting principal).
 
-    Everything is a no-op in [Off] mode: [span_begin] returns a shared
-    dead span, [new_ctx] returns 0, nothing allocates, nothing is
-    written.  The sink NEVER touches the cost meter or the event
-    queue, so enabling tracing cannot perturb simulated time — the
-    property bench C3 asserts. *)
+    Request contexts carry the deadlines the overload plane enforces,
+    and the SLO watchdogs feed its brownout ladder, so every sink keeps
+    them: no mode can disarm control.  The sink NEVER touches the cost
+    meter or the event queue, so switching the mode cannot perturb
+    simulated time — the property bench C3 asserts. *)
 
 type mode =
-  | Off  (** record nothing *)
-  | Counters  (** counters, histograms and the flight ring *)
-  | Full  (** everything, including the big event ring *)
+  | Counters  (** counters, histograms, contexts and the flight ring *)
+  | Full  (** all of that, plus the big event ring *)
 
 type t
 
@@ -49,17 +48,11 @@ val create :
     clock).  Default mode [Counters], default ring capacity 16384,
     default flight-ring capacity 256. *)
 
-val disabled : unit -> t
-(** A permanently-[Off] sink for components built without one. *)
-
-val mode : t -> mode
-val set_mode : t -> mode -> unit
-
-val counting : t -> bool
-(** [mode <> Off]. *)
-
-val recording : t -> bool
-(** [mode = Full]. *)
+val detached : unit -> t
+(** A placeholder for components built without a sink: a [Counters]
+    sink with one-slot rings and a clock stuck at 0, which nothing
+    reads.  A kernel installs its own sink in its components before
+    they do any work it reports. *)
 
 val now : t -> int
 
@@ -72,8 +65,7 @@ val new_ctx : t -> ?parent:int -> ?deadline:int -> origin:string -> unit -> int
     name for roots.  [deadline] is an absolute simulated instant (0 or
     absent = none); the child's effective deadline is the {e min} of
     its own and the parent's, so a deadline propagates down the causal
-    tree and a child can only tighten it.  Returns 0 (and allocates
-    nothing) when [Off]. *)
+    tree and a child can only tighten it. *)
 
 val current : t -> int
 (** The context ambient at this instant; stamped on every event. *)
@@ -108,8 +100,7 @@ val ctx_deadline : t -> int -> int
 
 val ctx_expired : t -> now:int -> int -> bool
 (** Whether the context carries a deadline that [now] has passed.
-    Context 0 (untracked, as every context is in [Off] mode) never
-    expires. *)
+    Context 0 (no request) never expires. *)
 
 (* Counters *)
 
@@ -120,18 +111,15 @@ val count : t -> string -> unit
 val counters : t -> (string * int) list
 (** In first-use order. *)
 
-(* Spans and events (big ring [Full] only; flight ring when counting) *)
-
-val null_span : span
+(* Spans and events (flight ring always; big ring [Full] only) *)
 
 val span_begin : t -> ?tid:int -> cat:string -> name:string -> unit -> span
-(** Open a span.  Returns {!null_span} when [Off]; otherwise the span
-    carries its start time even in [Counters] mode so [span_end] can
-    feed a histogram. *)
+(** Open a span.  It carries its start time in either mode so
+    [span_end] can feed a histogram. *)
 
 val span_end : t -> ?histo:string -> span -> unit
 (** Close a span: records the [Span_end] event, and adds the duration
-    to histogram [histo] when given and counting. *)
+    to histogram [histo] when given. *)
 
 val instant : t -> ?tid:int -> ?arg:int -> cat:string -> name:string -> unit -> unit
 
@@ -152,8 +140,8 @@ val histo : t -> name:string -> Histo.t
 (** The named histogram, created on first use. *)
 
 val add_latency : t -> name:string -> int -> unit
-(** [Histo.add (histo t ~name) ns] when counting; no-op when [Off].
-    Checks the named SLO watchdog, if one is installed. *)
+(** [Histo.add (histo t ~name) ns], then checks the named SLO
+    watchdog, if one is installed. *)
 
 val histos : t -> Histo.t list
 (** In first-use order. *)
@@ -190,7 +178,7 @@ val set_on_breach : t -> (string -> unit) -> unit
 (* Flight recorder *)
 
 val flight : t -> Trace_buf.t
-(** The always-on ring of final events ([Counters] and [Full]). *)
+(** The always-on ring of final events. *)
 
 val flight_dump : t -> string
 (** Deterministic text rendering of the flight ring: one line per
@@ -207,7 +195,7 @@ val last_dump : t -> (string * string) option
 
 val attribute : t -> ctx:int -> cpu_ns:int -> ios:int -> unit
 (** Accumulate usage against the root origin of [ctx] (no-op for
-    ctx 0 and untracked sinks). *)
+    ctx 0 and ids this sink never minted). *)
 
 val by_user : t -> (string * (int * int)) list
 (** [(user, (cpu_ns, ios))], sorted by user for deterministic output. *)

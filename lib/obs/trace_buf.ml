@@ -34,7 +34,6 @@ let record t ev =
   if t.len < t.cap then t.len <- t.len + 1 else t.dropped <- t.dropped + 1
 
 let length t = t.len
-let capacity t = t.cap
 let dropped t = t.dropped
 
 let iter t f =

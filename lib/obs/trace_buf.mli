@@ -31,7 +31,6 @@ val create : ?capacity:int -> unit -> t
 
 val record : t -> event -> unit
 val length : t -> int
-val capacity : t -> int
 
 val dropped : t -> int
 (** Events overwritten because the ring was full. *)

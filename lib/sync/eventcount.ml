@@ -14,19 +14,18 @@ type t = {
   ec_choice : Choice.t;
   mutable value : int;
   mutable pending : waiter list;  (* newest first *)
-  mutable advance_count : int;
   mutable wait_seq : int;
 }
 
 let create ?(name = "ec") ?histo ?obs ?(choice = Choice.default) () =
   let ec_obs =
-    match obs with Some s -> s | None -> Multics_obs.Sink.disabled ()
+    match obs with Some s -> s | None -> Multics_obs.Sink.detached ()
   in
   let ec_histo =
     match histo with Some h -> h | None -> "ec.wait:" ^ name
   in
   { ec_obs; ec_histo; ec_choice = choice; value = 0;
-    pending = []; advance_count = 0; wait_seq = 0 }
+    pending = []; wait_seq = 0 }
 
 let read t = t.value
 
@@ -36,11 +35,9 @@ let read t = t.value
 let fire t w =
   let prev = Multics_obs.Sink.current t.ec_obs in
   Multics_obs.Sink.set_current t.ec_obs w.w_ctx;
-  if Multics_obs.Sink.counting t.ec_obs then begin
-    Multics_obs.Sink.add_latency t.ec_obs ~name:t.ec_histo
-      (Multics_obs.Sink.now t.ec_obs - w.since);
-    Multics_obs.Sink.instant t.ec_obs ~cat:"sync" ~name:"ec_wakeup" ()
-  end;
+  Multics_obs.Sink.add_latency t.ec_obs ~name:t.ec_histo
+    (Multics_obs.Sink.now t.ec_obs - w.since);
+  Multics_obs.Sink.instant t.ec_obs ~cat:"sync" ~name:"ec_wakeup" ();
   w.notify ();
   Multics_obs.Sink.set_current t.ec_obs prev
 
@@ -60,7 +57,6 @@ let rec fire_chosen t = function
 
 let advance t =
   t.value <- t.value + 1;
-  t.advance_count <- t.advance_count + 1;
   Multics_obs.Sink.count t.ec_obs "ec.advance";
   Multics_obs.Sink.instant t.ec_obs ~cat:"sync" ~name:"ec_advance"
     ~arg:t.value ();
@@ -95,4 +91,3 @@ let await t ~value ~notify =
   end
 
 let waiters t = List.length t.pending
-let advances t = t.advance_count

@@ -39,6 +39,3 @@ val await : t -> value:int -> notify:(unit -> unit) -> bool
 
 val waiters : t -> int
 (** Number of registered, unfired waiters. *)
-
-val advances : t -> int
-(** Total number of [advance] calls, for accounting. *)

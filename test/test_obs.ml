@@ -1,5 +1,5 @@
 (* The observability layer: the ring buffer, the log2 histograms, the
-   sink's three modes, the eventcount latency plumbing, request
+   sink's two modes, the eventcount latency plumbing, request
    contexts, the Chrome export with its call-census counters — and the
    property everything else rests on: tracing never moves the simulated
    clock. *)
@@ -75,23 +75,8 @@ let test_histo_percentiles () =
     (Obs.Histo.percentile (Obs.Histo.create ~name:"e") ~pct:50)
 
 (* ------------------------------------------------------------------ *)
-(* Sink modes.  Off records nothing at all; Counters counts and times
-   but keeps the ring empty; Full records the ring too. *)
-
-let test_sink_off () =
-  let clock, sink = rig ~mode:Obs.Sink.Off () in
-  Obs.Sink.count sink "x";
-  let sp = Obs.Sink.span_begin sink ~cat:"c" ~name:"n" () in
-  clock := 500;
-  Obs.Sink.span_end sink ~histo:"h" sp;
-  Obs.Sink.instant sink ~cat:"c" ~name:"i" ();
-  Obs.Sink.add_latency sink ~name:"h" 99;
-  check Alcotest.bool "not counting" false (Obs.Sink.counting sink);
-  check Alcotest.(list (pair string int)) "no counters" []
-    (Obs.Sink.counters sink);
-  check Alcotest.int "no histos" 0 (List.length (Obs.Sink.histos sink));
-  check Alcotest.int "empty ring" 0
-    (Obs.Trace_buf.length (Obs.Sink.buf sink))
+(* Sink modes.  Counters counts and times but keeps the big ring
+   empty; Full records the ring too. *)
 
 let test_sink_counters_mode () =
   let clock, sink = rig ~mode:Obs.Sink.Counters () in
@@ -171,8 +156,8 @@ let test_ec_wait_time () =
   check Alcotest.int "waited 2500" 2_500 (Obs.Histo.max_value h)
 
 (* ------------------------------------------------------------------ *)
-(* The tentpole invariant: booting with tracing Off and Full runs the
-   same workload to the same simulated nanosecond. *)
+(* The tentpole invariant: booting with tracing at Counters and Full
+   runs the same workload to the same simulated nanosecond. *)
 
 let low = Aim.Label.system_low
 let open_acl = [ K.Acl.entry "*" K.Acl.rwe ]
@@ -194,9 +179,9 @@ let run_small mode =
   (t, k)
 
 let test_trace_clock_neutral () =
-  let t_off, _ = run_small Obs.Sink.Off in
+  let t_counters, _ = run_small Obs.Sink.Counters in
   let t_full, k = run_small Obs.Sink.Full in
-  check Alcotest.int "identical clocks" t_off t_full;
+  check Alcotest.int "identical clocks" t_counters t_full;
   check Alcotest.bool "ring saw events" true
     (Obs.Trace_buf.length (Obs.Sink.buf (K.Kernel.obs k)) > 0);
   check Alcotest.bool "histos populated" true
@@ -231,19 +216,6 @@ let test_trace_clock_neutral () =
 
 (* ------------------------------------------------------------------ *)
 (* Request contexts: allocation discipline and causal propagation. *)
-
-let test_ctx_off_allocation_free () =
-  let sink = Obs.Sink.create ~mode:Obs.Sink.Off ~now:(fun () -> 0) () in
-  ignore (Obs.Sink.new_ctx sink ~origin:"warmup" ());
-  let before = Gc.minor_words () in
-  for _ = 1 to 1000 do
-    ignore (Obs.Sink.new_ctx sink ~origin:"req" ())
-  done;
-  let delta = Gc.minor_words () -. before in
-  (* A handful of words of slack for the boxed floats of the
-     measurement itself; the ctx path must contribute nothing. *)
-  check Alcotest.bool "allocation-free in Off mode" true (delta < 64.0);
-  check Alcotest.int "no ids handed out" 0 (Obs.Sink.ctx_count sink)
 
 let test_ctx_basics () =
   let _, sink = rig ~mode:Obs.Sink.Counters () in
@@ -551,7 +523,6 @@ let tests =
   [ Alcotest.test_case "ring wraparound" `Quick test_ring_wraparound;
     Alcotest.test_case "histo bucket edges" `Quick test_histo_buckets;
     Alcotest.test_case "histo percentiles" `Quick test_histo_percentiles;
-    Alcotest.test_case "sink off is inert" `Quick test_sink_off;
     Alcotest.test_case "counters mode" `Quick test_sink_counters_mode;
     Alcotest.test_case "span nesting + timeline" `Quick
       test_sink_full_nesting;
@@ -559,8 +530,6 @@ let tests =
     Alcotest.test_case "eventcount wait histogram" `Quick test_ec_wait_time;
     Alcotest.test_case "trace off/on clock equality" `Quick
       test_trace_clock_neutral;
-    Alcotest.test_case "ctx alloc-free when off" `Quick
-      test_ctx_off_allocation_free;
     Alcotest.test_case "ctx chains + attribution" `Quick test_ctx_basics;
     QCheck_alcotest.to_alcotest test_ctx_store_model;
     Alcotest.test_case "ctx store bounded" `Quick test_ctx_store_bounded;

@@ -131,7 +131,7 @@ let io_rig ?(budget = 0) ?choice ~fail_times () =
 
 let test_retry_budget_denies () =
   let machine, obs, io = io_rig ~budget:1 ~fail_times:3 () in
-  (* Budgets are charged to the request's root context; ctx 0 (off)
+  (* Budgets are charged to the request's root context; ctx 0 (no request)
      always passes, so mint one. *)
   let ctx = Obs.Sink.new_ctx obs ~parent:0 ~origin:"test" () in
   Obs.Sink.set_current obs ctx;
@@ -370,32 +370,36 @@ let test_brownout_top_rung_sheds () =
   check Alcotest.int "one login shed" 1
     (S.Answering_service.shed_logins svc)
 
-(* [Off] keeps no request contexts and no SLO samples, so it would
-   silently disarm deadlines, retry budgets and brownout: boot refuses
-   the combination.  Breakers need neither, so they stay allowed. *)
-let test_trace_off_refuses_plane () =
-  let off overload =
-    { K.Kernel.small_config with K.Kernel.trace = Obs.Sink.Off; overload }
+(* Deadlines ride on request contexts, which every trace mode keeps:
+   an explicit spawn deadline and an explicit login deadline both
+   expire, at the same instant, whatever the mode. *)
+let test_explicit_deadlines_every_mode () =
+  let run trace =
+    let k = boot ~config:{ K.Kernel.small_config with K.Kernel.trace } () in
+    let svc =
+      S.Answering_service.create ~kernel:k ~variant:S.Answering_service.Split
+    in
+    S.Answering_service.register_user svc ~user:"alice" ~password:"pw"
+      ~clearance:low;
+    ignore
+      (K.Kernel.spawn k ~pname:"slow" ~deadline_ns:50_000
+         (busy_program ~i:0 ~touches:400));
+    (match
+       S.Answering_service.login ~deadline_ns:200_000 svc ~user:"alice"
+         ~password:"pw"
+         ~program:(busy_program ~i:1 ~touches:400)
+     with
+    | Ok _ -> ()
+    | Error _ -> Alcotest.fail "login should succeed");
+    ignore (K.Kernel.run_to_completion k);
+    (K.Kernel.proc_timeouts k, K.Kernel.now k)
   in
-  let d = K.Kernel.default_overload in
   List.iter
-    (fun (tag, overload) ->
-      match K.Kernel.boot (off overload) with
-      | _ -> Alcotest.failf "trace Off booted with %s" tag
-      | exception Invalid_argument _ -> ())
-    [ ("a deadline", { d with K.Kernel.ov_deadline_ns = 250_000_000 });
-      ("a retry budget", { d with K.Kernel.ov_retry_budget = 8 });
-      ("a brownout tick", { d with K.Kernel.ov_brownout_tick_ns = 20_000_000 })
-    ];
-  let boots tag overload =
-    check Alcotest.bool tag false
-      (K.Kernel.halted (K.Kernel.boot (off overload)))
-  in
-  boots "breakers alone boot with trace Off"
-    { d with
-      K.Kernel.ov_breaker_threshold = 4;
-      ov_breaker_cooldown_ns = 10_000_000 };
-  boots "the default plane boots with trace Off" d
+    (fun (tag, trace) ->
+      let timeouts, clock = run trace in
+      check Alcotest.int (tag ^ ": both sessions timed out") 2 timeouts;
+      check Alcotest.int (tag ^ ": clock") 264_629 clock)
+    [ ("counters", Obs.Sink.Counters); ("full", Obs.Sink.Full) ]
 
 (* ------------------------------------------------------------------ *)
 (* Determinism: the full plane — deadlines, budget, breakers,
@@ -468,8 +472,8 @@ let tests =
       test_brownout_ladder_steps;
     Alcotest.test_case "brownout top rung sheds logins" `Quick
       test_brownout_top_rung_sheds;
-    Alcotest.test_case "trace Off refuses a plane it would disarm" `Quick
-      test_trace_off_refuses_plane;
+    Alcotest.test_case "explicit deadlines hold in every trace mode" `Quick
+      test_explicit_deadlines_every_mode;
     Alcotest.test_case "full plane double run byte-identical" `Quick
       test_double_run_byte_identical;
     Alcotest.test_case "explorer domain-count independent" `Quick
