@@ -10,7 +10,7 @@
 
 let sections =
   [ ("T1", "kernel size table + census", Bench_size.run);
-    ("F2", "figures 2-4 and conformance audits", Bench_figures.run);
+    ("F2", "figures 2-4 and dependency audits", Bench_figures.run);
     ("P1", "performance experiments P1-P5, S2, S3, S5", Bench_perf.run);
     ("A1", "design-choice ablations", Bench_ablation.run);
     ("C1", "associative memories: off vs on + equality", Bench_cache.run);

@@ -110,7 +110,7 @@ let () =
   Format.printf "accounting:@.%a" S.Accounting.pp
     (S.Answering_service.accounting svc);
 
-  (* 6. The integrity audit: observed manager calls vs. the declared
-     loop-free structure. *)
-  Format.printf "@.%a" Multics_depgraph.Conformance.report
-    (K.Kernel.dependency_audit k)
+  (* 6. The integrity audit: the managers' references, read from the
+     code, vs. the declared loop-free structure. *)
+  Format.printf "@.%a" Multics_check.Static_audit.pp
+    (Multics_check.Static_audit.lib_core ())

@@ -17,7 +17,7 @@ let run_eventcount_full ?(bug = false) ?(events = 2) choice =
       ()
   in
   Hw.Machine.set_obs machine obs;
-  let meter = K.Meter.create ~declared:(Multics_depgraph.Graph.create ()) in
+  let meter = K.Meter.create () in
   let core = K.Core_segment.create ~machine ~meter ~reserved_frames:4 in
   let vp = K.Vp.create ~choice ~machine ~meter ~core ~n_vps:2 () in
   let ec = Sync.Eventcount.create ~name:"harness" ~obs ~choice () in
@@ -39,7 +39,7 @@ let run_eventcount_full ?(bug = false) ?(events = 2) choice =
            wakeup-waiting switch makes schedule-proof. *)
       else if bug then K.Vp.Wait (ec, r + 2, step_cost)
       else K.Vp.Wait (ec, r + 1, step_cost));
-  K.Vp.start vp;
+  K.Vp.kick vp;
   Hw.Machine.run machine;
   (* Quiescent: the event queue is drained.  Both VPs must have stopped
      and their wired state words must agree with the manager. *)

@@ -6,7 +6,6 @@ let no_access = { read = false; write = false; execute = false }
 let r = { read = true; write = false; execute = false }
 let rw = { read = true; write = true; execute = false }
 let rwe = { read = true; write = true; execute = true }
-let re = { read = true; write = false; execute = true }
 
 type entry = { who_user : string; who_project : string; mode : mode }
 
@@ -30,8 +29,6 @@ let permits acl p access =
   | `Read -> mode.read
   | `Write -> mode.write
   | `Execute -> mode.execute
-
-let pp_principal ppf p = Format.fprintf ppf "%s.%s" p.user p.project
 
 let pp_mode ppf m =
   Format.fprintf ppf "%s%s%s"

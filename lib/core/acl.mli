@@ -16,7 +16,6 @@ val no_access : mode
 val r : mode
 val rw : mode
 val rwe : mode
-val re : mode
 
 type entry = { who_user : string; who_project : string; mode : mode }
 (** ["*"] in either position matches anything. *)
@@ -32,5 +31,4 @@ val check : t -> principal -> mode
 
 val permits : t -> principal -> [ `Read | `Write | `Execute ] -> bool
 
-val pp_principal : Format.formatter -> principal -> unit
 val pp : Format.formatter -> t -> unit

@@ -8,12 +8,10 @@ type space = {
 type t = {
   machine : Hw.Machine.t;
   meter : Meter.t;
-  core : Core_segment.t;
   segment : Segment.t;
   known : Known_segment.t;
   system_region : Core_segment.region;
   system_segnos : int;
-  dseg_words : int;
   pool : Core_segment.region array;
   mutable pool_free : int list;
   spaces : (int, space * int) Hashtbl.t;  (* proc -> (space, pool slot) *)
@@ -21,8 +19,7 @@ type t = {
 
 let name = Registry.address_space_manager
 
-let entry t ~caller ns =
-  Meter.call t.meter ~from:caller ~to_:name;
+let entry t ns =
   Meter.charge t.meter ~manager:name (Registry.language name)
     (Cost.kernel_call + ns)
 
@@ -42,8 +39,7 @@ let create ~machine ~meter ~core ~segment ~known ~max_spaces =
           ~name:(Printf.sprintf "descriptor_segment_%d" i)
           ~words:dseg_words)
   in
-  { machine; meter; core; segment; known; system_region;
-    system_segnos; dseg_words; pool;
+  { machine; meter; segment; known; system_region; system_segnos; pool;
     pool_free = List.init max_spaces (fun i -> i);
     spaces = Hashtbl.create 16 }
 
@@ -54,8 +50,8 @@ let system_table t =
 let install_system_dbr t (cpu : Hw.Cpu.t) =
   cpu.Hw.Cpu.system_dbr <- Some (system_table t)
 
-let create_space t ~caller ~proc =
-  entry t ~caller Cost.directory_entry_op;
+let create_space t ~proc =
+  entry t Cost.directory_entry_op;
   if Hashtbl.mem t.spaces proc then
     invalid_arg "Address_space.create_space: process already has a space";
   match t.pool_free with
@@ -92,7 +88,7 @@ let disconnect_segno t proc segno =
     | Some e -> (
         match Segment.find_active t.segment ~uid:e.Known_segment.ke_uid with
         | Some slot ->
-            Segment.unregister_connection t.segment ~caller:name ~slot ~sdw_abs
+            Segment.unregister_connection t.segment ~slot ~sdw_abs
         | None -> ())
     | None -> ());
     Hw.Sdw.write_at t.machine.Hw.Machine.mem sdw_abs Hw.Sdw.invalid;
@@ -102,8 +98,8 @@ let disconnect_segno t proc segno =
     Multics_obs.Sink.count (Hw.Machine.obs t.machine) "sdw_am:disconnect_flush"
   end
 
-let destroy_space t ~caller ~proc =
-  entry t ~caller Cost.directory_entry_op;
+let destroy_space t ~proc =
+  entry t Cost.directory_entry_op;
   let s = space t proc in
   List.iter (fun segno -> disconnect_segno t proc segno) s.connected;
   (match Hashtbl.find_opt t.spaces proc with
@@ -111,11 +107,11 @@ let destroy_space t ~caller ~proc =
   | None -> ());
   Hashtbl.remove t.spaces proc
 
-let handle_missing_segment t ~caller ~proc ~segno =
-  entry t ~caller Cost.fault_entry;
+let handle_missing_segment t ~proc ~segno =
+  entry t Cost.fault_entry;
   if segno < t.system_segnos then `Error "missing system segment"
   else
-    match Known_segment.ensure_active t.known ~caller:name ~proc ~segno with
+    match Known_segment.ensure_active t.known ~proc ~segno with
     | Error `Not_known -> `Error "segment fault on unknown segment number"
     | Error `Gone -> `Error "segment fault on deleted segment"
     | Error `No_slot -> `Error "active segment table full"
@@ -131,15 +127,12 @@ let handle_missing_segment t ~caller ~proc ~segno =
         in
         let sdw_abs = sdw_abs t proc segno in
         Hw.Sdw.write_at t.machine.Hw.Machine.mem sdw_abs sdw;
-        Segment.register_connection t.segment ~caller:name ~slot ~sdw_abs;
+        Segment.register_connection t.segment ~slot ~sdw_abs;
         let s = space t proc in
         if not (List.mem segno s.connected) then
           s.connected <- segno :: s.connected;
         `Retry
 
-let disconnect t ~caller ~proc:p ~segno =
-  entry t ~caller Cost.directory_entry_op;
+let disconnect t ~proc:p ~segno =
+  entry t Cost.directory_entry_op;
   disconnect_segno t p segno
-
-let connections t =
-  Hashtbl.fold (fun _ (s, _) acc -> acc + List.length s.connected) t.spaces 0

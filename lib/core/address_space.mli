@@ -19,27 +19,20 @@ val create :
   core:Core_segment.t -> segment:Segment.t -> known:Known_segment.t ->
   max_spaces:int -> t
 
-val system_table : t -> Multics_hw.Cpu.dbr
-(** The per-processor system descriptor table (shared here: our CPUs are
-    identical, one table suffices). *)
-
 val install_system_dbr : t -> Multics_hw.Cpu.t -> unit
 
-val create_space : t -> caller:string -> proc:int -> unit
+val create_space : t -> proc:int -> unit
 (** Raises [Failure] when the descriptor-segment pool is exhausted. *)
 
-val destroy_space : t -> caller:string -> proc:int -> unit
+val destroy_space : t -> proc:int -> unit
 
 val dbr_of : t -> proc:int -> Multics_hw.Cpu.dbr
 
 val handle_missing_segment :
-  t -> caller:string -> proc:int -> segno:int ->
+  t -> proc:int -> segno:int ->
   [ `Retry | `Error of string ]
 (** Connect the faulting segment number: KST lookup, activation, SDW
     construction from the recorded grant, connection registration. *)
 
-val disconnect : t -> caller:string -> proc:int -> segno:int -> unit
+val disconnect : t -> proc:int -> segno:int -> unit
 (** Fault the SDW and unregister the connection (termination). *)
-
-val connections : t -> int
-(** Total live SDW connections, for tests. *)

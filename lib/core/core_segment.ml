@@ -8,9 +8,7 @@ type t = {
   pool_base : Hw.Addr.abs;
   pool_words : int;
   first_frame : int;
-  n_frames : int;
   mutable next : int;  (* offset of first free word in the pool *)
-  mutable region_list : region list;
   mutable is_frozen : bool;
 }
 
@@ -24,11 +22,9 @@ let create ~machine ~meter ~reserved_frames =
   { machine; meter;
     pool_base = Hw.Addr.frame_base first_frame;
     pool_words = reserved_frames * Hw.Addr.page_size;
-    first_frame; n_frames = reserved_frames; next = 0; region_list = [];
-    is_frozen = false }
+    first_frame; next = 0; is_frozen = false }
 
 let first_reserved_frame t = t.first_frame
-let reserved_frames t = t.n_frames
 
 let alloc t ~name:region_name ~words =
   if t.is_frozen then
@@ -39,12 +35,10 @@ let alloc t ~name:region_name ~words =
       (Printf.sprintf "Core_segment.alloc: pool exhausted allocating %S" region_name);
   let region = { region_name; base = t.pool_base + t.next; words } in
   t.next <- t.next + words;
-  t.region_list <- region :: t.region_list;
   region
 
 let freeze t = t.is_frozen <- true
 let frozen t = t.is_frozen
-let regions t = List.rev t.region_list
 
 let check region i =
   if i < 0 || i >= region.words then
@@ -67,5 +61,3 @@ let write t region i w =
 let abs_of region i =
   check region i;
   region.base + i
-
-let words_used t = t.next

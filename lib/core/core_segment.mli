@@ -19,7 +19,6 @@ val create :
     [first_reserved_frame]. *)
 
 val first_reserved_frame : t -> int
-val reserved_frames : t -> int
 
 val alloc : t -> name:string -> words:int -> region
 (** Raises [Failure] after {!freeze} or when the reserved pool is
@@ -27,7 +26,6 @@ val alloc : t -> name:string -> words:int -> region
 
 val freeze : t -> unit
 val frozen : t -> bool
-val regions : t -> region list
 
 val read : t -> region -> int -> Multics_hw.Word.t
 (** [read t r i] reads word [i] of the region; bounds-checked. *)
@@ -37,5 +35,3 @@ val write : t -> region -> int -> Multics_hw.Word.t -> unit
 val abs_of : region -> int -> Multics_hw.Addr.abs
 (** Absolute address of word [i], for handing to the hardware (page
     tables, descriptor tables). *)
-
-val words_used : t -> int

@@ -39,7 +39,6 @@ type dentry = {
 
 type dir = {
   d_uid : Ids.uid;
-  d_parent : Ids.uid option;
   d_label : Aim.Label.t;
   mutable d_acl : Acl.t;
   d_entries : (string, dentry) Hashtbl.t;
@@ -52,12 +51,10 @@ type dir = {
 }
 
 type t = {
-  machine : Hw.Machine.t;
   meter : Meter.t;
   segment : Segment.t;
   quota : Quota_cell.t;
   quota_volume : Volume.t;
-  known : Known_segment.t;
   audit : Aim.Audit.t;
   dirs : (int, dir) Hashtbl.t;  (* uid -> dir *)
   owner_of : (int, int) Hashtbl.t;  (* entry uid -> owning dir uid *)
@@ -74,12 +71,10 @@ let lang = Cost.Pl1
 
 let charge t ns = Meter.charge t.meter ~manager:name lang ns
 
-let entry_charge t ~caller ns =
-  Meter.call t.meter ~from:caller ~to_:name;
-  charge t (Cost.kernel_call + ns)
+let entry_charge t ns = charge t (Cost.kernel_call + ns)
 
-let create ~machine ~meter ~segment ~quota ~volume ~known ~audit =
-  { machine; meter; segment; quota; quota_volume = volume; known; audit;
+let create ~meter ~segment ~quota ~volume ~audit =
+  { meter; segment; quota; quota_volume = volume; audit;
     dirs = Hashtbl.create 32; owner_of = Hashtbl.create 64; root = None;
     mythical_count = 0; offline = Hashtbl.create 4; change_hooks = [] }
 
@@ -99,7 +94,7 @@ let touch_entries t dir ~upto ~write =
   match Segment.find_active t.segment ~uid:dir.d_uid with
   | None -> (
       match
-        Segment.activate t.segment ~caller:name ~uid:dir.d_uid ~cell:dir.d_cell
+        Segment.activate t.segment ~uid:dir.d_uid ~cell:dir.d_cell
       with
       | Ok _ -> ()
       | Error _ -> ())
@@ -109,7 +104,7 @@ let touch_entries t dir ~upto ~write =
   | Some slot ->
       let last_page = upto * words_per_entry / Hw.Addr.page_size in
       for pageno = 0 to last_page do
-        ignore (Segment.kernel_touch t.segment ~caller:name ~slot ~pageno ~write)
+        ignore (Segment.kernel_touch t.segment ~slot ~pageno ~write)
       done;
       charge t (Cost.directory_entry_op * (1 + (upto / 16)))
 
@@ -127,20 +122,20 @@ let can_modify_dir t subject dir =
   && Aim.Flow.check ~audit:t.audit (flow_subject subject)
        ~object_label:dir.d_label ~object_name:"directory" `Modify
 
-let create_root t ~caller ~quota_limit =
-  entry_charge t ~caller Cost.directory_entry_op;
+let create_root t ~quota_limit =
+  entry_charge t Cost.directory_entry_op;
   assert (t.root = None);
   let label = Aim.Label.system_low in
   let uid, index =
-    Segment.create_segment t.segment ~caller:name ~pack:0 ~is_directory:true
+    Segment.create_segment t.segment ~pack:0 ~is_directory:true
       ~label:(Aim.Label.encode label) ()
   in
   let cell =
-    Quota_cell.register t.quota ~caller:name ~pack:0 ~vtoc_index:index
+    Quota_cell.register t.quota ~pack:0 ~vtoc_index:index
       ~limit:quota_limit ~used:0
   in
   let dir =
-    { d_uid = uid; d_parent = None; d_label = label;
+    { d_uid = uid; d_label = label;
       d_acl = [ Acl.entry "*" Acl.rwe ];
       d_entries = Hashtbl.create 16; d_next_slot = 0; d_cell = cell;
       d_own_cell = Some cell }
@@ -158,8 +153,8 @@ let mythical t ~parent ~name:entry_name =
   t.mythical_count <- t.mythical_count + 1;
   Ids.mythical ~parent ~name:entry_name
 
-let search t ~caller ~subject ~dir_uid ~name:entry_name =
-  entry_charge t ~caller Cost.directory_entry_op;
+let search t ~subject ~dir_uid ~name:entry_name =
+  entry_charge t Cost.directory_entry_op;
   if Ids.is_mythical dir_uid then
     (* A mythical identifier is always accepted and always matches. *)
     `Found (mythical t ~parent:dir_uid ~name:entry_name)
@@ -206,8 +201,8 @@ let effective_mode t subject (de : dentry) =
 let cell_for_children dir =
   match dir.d_own_cell with Some cell -> cell | None -> dir.d_cell
 
-let initiate_target t ~caller ~subject ~dir_uid ~name:entry_name =
-  entry_charge t ~caller Cost.directory_entry_op;
+let initiate_target t ~subject ~dir_uid ~name:entry_name =
+  entry_charge t Cost.directory_entry_op;
   if Ids.is_mythical dir_uid then Error `No_access
   else
     match find_dir t dir_uid with
@@ -224,9 +219,8 @@ let initiate_target t ~caller ~subject ~dir_uid ~name:entry_name =
                 { t_uid = de.de_uid; t_cell = cell_for_children dir;
                   t_mode = mode; t_label = de.de_label })
 
-let create_entry t ~caller ~subject ~dir_uid ~name:entry_name ~kind ~acl ~label
-    =
-  entry_charge t ~caller Cost.directory_entry_op;
+let create_entry t ~subject ~dir_uid ~name:entry_name ~kind ~acl ~label =
+  entry_charge t Cost.directory_entry_op;
   if Ids.is_mythical dir_uid then Error `No_access
   else
     match find_dir t dir_uid with
@@ -246,7 +240,7 @@ let create_entry t ~caller ~subject ~dir_uid ~name:entry_name ~kind ~acl ~label
             | None -> (0, 0)
           in
           let uid, index =
-            Segment.create_segment t.segment ~caller:name ~pack
+            Segment.create_segment t.segment ~pack
               ~is_directory:(kind = K_directory)
               ~label:(Aim.Label.encode label) ()
           in
@@ -261,14 +255,14 @@ let create_entry t ~caller ~subject ~dir_uid ~name:entry_name ~kind ~acl ~label
           Hashtbl.replace t.owner_of (Ids.to_int uid) (Ids.to_int dir_uid);
           if kind = K_directory then
             Hashtbl.replace t.dirs (Ids.to_int uid)
-              { d_uid = uid; d_parent = Some dir_uid; d_label = label;
+              { d_uid = uid; d_label = label;
                 d_acl = acl; d_entries = Hashtbl.create 8; d_next_slot = 0;
                 d_cell = cell_for_children dir; d_own_cell = None };
           Ok uid
         end
 
-let delete_entry t ~caller ~subject ~dir_uid ~name:entry_name =
-  entry_charge t ~caller Cost.directory_entry_op;
+let delete_entry t ~subject ~dir_uid ~name:entry_name =
+  entry_charge t Cost.directory_entry_op;
   match find_dir t dir_uid with
   | None -> Error `No_access
   | Some dir ->
@@ -289,11 +283,11 @@ let delete_entry t ~caller ~subject ~dir_uid ~name:entry_name =
               | Some own ->
                   let back = Quota_cell.limit t.quota own in
                   ignore
-                    (Quota_cell.move_quota t.quota ~caller:name ~from:own
+                    (Quota_cell.move_quota t.quota ~from:own
                        ~to_:dir.d_cell back);
-                  Quota_cell.unregister t.quota ~caller:name own
+                  Quota_cell.unregister t.quota own
               | None -> ());
-              Segment.delete_segment t.segment ~caller:name ~pack:de.de_pack
+              Segment.delete_segment t.segment ~pack:de.de_pack
                 ~index:de.de_index ~cell:(cell_for_children dir);
               touch_entries t dir ~upto:(de.de_slot + 1) ~write:true;
               Hashtbl.remove dir.d_entries entry_name;
@@ -303,8 +297,8 @@ let delete_entry t ~caller ~subject ~dir_uid ~name:entry_name =
               Ok ()
             end))
 
-let list_names t ~caller ~subject ~dir_uid =
-  entry_charge t ~caller Cost.directory_entry_op;
+let list_names t ~subject ~dir_uid =
+  entry_charge t Cost.directory_entry_op;
   match find_dir t dir_uid with
   | None -> Error `No_access
   | Some dir ->
@@ -324,8 +318,8 @@ let list_names t ~caller ~subject ~dir_uid =
         Ok infos
       end
 
-let set_acl t ~caller ~subject ~dir_uid ~name:entry_name ~acl =
-  entry_charge t ~caller Cost.acl_check;
+let set_acl t ~subject ~dir_uid ~name:entry_name ~acl =
+  entry_charge t Cost.acl_check;
   match find_dir t dir_uid with
   | None -> Error `No_access
   | Some dir -> (
@@ -343,8 +337,8 @@ let set_acl t ~caller ~subject ~dir_uid ~name:entry_name ~acl =
             notify_change t;
             Ok ())
 
-let set_quota t ~caller ~subject ~dir_uid ~name:entry_name ~limit =
-  entry_charge t ~caller Cost.quota_check;
+let set_quota t ~subject ~dir_uid ~name:entry_name ~limit =
+  entry_charge t Cost.quota_check;
   match find_dir t dir_uid with
   | None -> Error `No_access
   | Some dir -> (
@@ -361,15 +355,15 @@ let set_quota t ~caller ~subject ~dir_uid ~name:entry_name ~limit =
                 if Hashtbl.length child.d_entries > 0 then Error `Has_children
                 else begin
                   let cell =
-                    Quota_cell.register t.quota ~caller:name ~pack:de.de_pack
+                    Quota_cell.register t.quota ~pack:de.de_pack
                       ~vtoc_index:de.de_index ~limit:0 ~used:0
                   in
                   match
-                    Quota_cell.move_quota t.quota ~caller:name
+                    Quota_cell.move_quota t.quota
                       ~from:dir.d_cell ~to_:cell limit
                   with
                   | Error `Over_quota ->
-                      Quota_cell.unregister t.quota ~caller:name cell;
+                      Quota_cell.unregister t.quota cell;
                       Error `Over_quota
                   | Ok () ->
                       de.de_own_cell <- Some cell;
@@ -377,8 +371,8 @@ let set_quota t ~caller ~subject ~dir_uid ~name:entry_name ~limit =
                       Ok ()
                 end))
 
-let clear_quota t ~caller ~subject ~dir_uid ~name:entry_name =
-  entry_charge t ~caller Cost.quota_check;
+let clear_quota t ~subject ~dir_uid ~name:entry_name =
+  entry_charge t Cost.quota_check;
   match find_dir t dir_uid with
   | None -> Error `No_access
   | Some dir -> (
@@ -394,16 +388,16 @@ let clear_quota t ~caller ~subject ~dir_uid ~name:entry_name =
                 else begin
                   let remaining = Quota_cell.limit t.quota own in
                   ignore
-                    (Quota_cell.move_quota t.quota ~caller:name ~from:own
+                    (Quota_cell.move_quota t.quota ~from:own
                        ~to_:dir.d_cell remaining);
-                  Quota_cell.unregister t.quota ~caller:name own;
+                  Quota_cell.unregister t.quota own;
                   de.de_own_cell <- None;
                   child.d_own_cell <- None;
                   Ok ()
                 end))
 
-let handle_segment_moved t ~caller ~uid ~new_pack ~new_index =
-  entry_charge t ~caller Cost.directory_entry_op;
+let handle_segment_moved t ~uid ~new_pack ~new_index =
+  entry_charge t Cost.directory_entry_op;
   match Hashtbl.find_opt t.owner_of (Ids.to_int uid) with
   | None -> ()
   | Some owner -> (
@@ -424,22 +418,18 @@ let handle_segment_moved t ~caller ~uid ~new_pack ~new_index =
               end)
             dir.d_entries)
 
-(* The Pack_offline upward signal lands here: remember the pack so
-   name-space operations can refuse segments homed on it, and let the
-   resolution caches above drop entries that point there. *)
-let note_pack_offline t ~caller ~pack =
-  entry_charge t ~caller Cost.directory_entry_op;
+(* The Pack_offline upward signal lands here: the first time a pack is
+   reported, let the resolution caches above drop entries that point
+   there. *)
+let note_pack_offline t ~pack =
+  entry_charge t Cost.directory_entry_op;
   if not (Hashtbl.mem t.offline pack) then begin
     Hashtbl.replace t.offline pack ();
     notify_change t
   end
 
-let offline_packs t = Hashtbl.length t.offline
-
-let pack_is_offline t ~pack = Hashtbl.mem t.offline pack
-
-let quota_usage t ~caller ~dir_uid ~name:entry_name =
-  entry_charge t ~caller Cost.quota_check;
+let quota_usage t ~dir_uid ~name:entry_name =
+  entry_charge t Cost.quota_check;
   match find_dir t dir_uid with
   | None -> None
   | Some dir -> (
@@ -514,7 +504,7 @@ let acl_of_wire wire =
 
 let dir_slot t dir =
   match
-    Segment.activate t.segment ~caller:name ~uid:dir.d_uid ~cell:dir.d_cell
+    Segment.activate t.segment ~uid:dir.d_uid ~cell:dir.d_cell
   with
   | Ok slot -> slot
   | Error _ -> failwith "Directory: cannot activate directory segment"
@@ -532,7 +522,7 @@ let write_bytes t slot bytes =
   let put index value =
     let pageno = index / Hw.Addr.page_size in
     let offset = index mod Hw.Addr.page_size in
-    match Segment.write_word t.segment ~caller:name ~slot ~pageno ~offset value with
+    match Segment.write_word t.segment ~slot ~pageno ~offset value with
     | Ok () -> ()
     | Error e ->
         failwith
@@ -551,7 +541,7 @@ let read_bytes t slot =
   let get index =
     let pageno = index / Hw.Addr.page_size in
     let offset = index mod Hw.Addr.page_size in
-    match Segment.read_word t.segment ~caller:name ~slot ~pageno ~offset with
+    match Segment.read_word t.segment ~slot ~pageno ~offset with
     | Ok w -> w
     | Error _ -> failwith "Directory.restore: unreadable directory segment"
   in
@@ -569,8 +559,8 @@ let read_bytes t slot =
   done;
   bytes
 
-let persist t ~caller =
-  entry_charge t ~caller Cost.vtoc_write;
+let persist t =
+  entry_charge t Cost.vtoc_write;
   Hashtbl.iter
     (fun _ dir ->
       let entries =
@@ -587,11 +577,11 @@ let persist t ~caller =
       write_bytes t (dir_slot t dir) bytes)
     t.dirs
 
-let restore t ~caller =
-  entry_charge t ~caller Cost.vtoc_read;
+let restore t =
+  entry_charge t Cost.vtoc_read;
   assert (t.root = None);
   let volume_vtoc ~pack ~index =
-    Volume.vtoc t.quota_volume ~caller:name ~pack ~index
+    Volume.vtoc t.quota_volume ~pack ~index
   in
   (* The root is VTOC entry 0 of pack 0 by construction. *)
   let root_vtoc = volume_vtoc ~pack:0 ~index:0 in
@@ -599,11 +589,11 @@ let restore t ~caller =
   let root_cell =
     match root_vtoc.Hw.Disk.quota with
     | Some q ->
-        Quota_cell.register t.quota ~caller:name ~pack:0 ~vtoc_index:0
+        Quota_cell.register t.quota ~pack:0 ~vtoc_index:0
           ~limit:q.Hw.Disk.limit ~used:q.Hw.Disk.used
     | None -> failwith "Directory.restore: root has no quota cell"
   in
-  let rec restore_dir ~uid ~parent ~inherited_cell ~label ~fallback_acl =
+  let rec restore_dir ~uid ~inherited_cell ~label ~fallback_acl =
     let pack, index =
       match Volume.locate t.quota_volume ~uid with
       | Some home -> home
@@ -616,18 +606,18 @@ let restore t ~caller =
         match vtoc.Hw.Disk.quota with
         | Some q ->
             Some
-              (Quota_cell.register t.quota ~caller:name ~pack ~vtoc_index:index
+              (Quota_cell.register t.quota ~pack ~vtoc_index:index
                  ~limit:q.Hw.Disk.limit ~used:q.Hw.Disk.used)
         | None -> None
     in
     let dir =
-      { d_uid = uid; d_parent = parent; d_label = label;
+      { d_uid = uid; d_label = label;
         d_acl = fallback_acl; d_entries = Hashtbl.create 8; d_next_slot = 0;
         d_cell = inherited_cell; d_own_cell = own_cell }
     in
     Hashtbl.replace t.dirs (Ids.to_int uid) dir;
     let slot =
-      match Segment.activate t.segment ~caller:name ~uid ~cell:inherited_cell with
+      match Segment.activate t.segment ~uid ~cell:inherited_cell with
       | Ok slot -> slot
       | Error _ -> failwith "Directory.restore: cannot activate"
     in
@@ -661,7 +651,7 @@ let restore t ~caller =
         dir.d_next_slot <- dir.d_next_slot + 1;
         Hashtbl.replace t.owner_of pe.pe_uid (Ids.to_int uid);
         if pe.pe_is_dir then begin
-          restore_dir ~uid:de_uid ~parent:(Some uid) ~inherited_cell:child_cell
+          restore_dir ~uid:de_uid ~inherited_cell:child_cell
             ~label:de.de_label ~fallback_acl:de.de_acl;
           (* Re-link the child's own cell into its entry. *)
           match Hashtbl.find_opt t.dirs pe.pe_uid with
@@ -670,13 +660,8 @@ let restore t ~caller =
         end)
       payload.pd_entries
   in
-  restore_dir ~uid:root_uid ~parent:None ~inherited_cell:root_cell
+  restore_dir ~uid:root_uid ~inherited_cell:root_cell
     ~label:Aim.Label.system_low ~fallback_acl:[ Acl.entry "*" Acl.rwe ];
   t.root <- Some root_uid
-
-let entry_count t ~dir_uid =
-  match find_dir t dir_uid with
-  | None -> 0
-  | Some dir -> Hashtbl.length dir.d_entries
 
 let mythical_answers t = t.mythical_count

@@ -49,11 +49,10 @@ type target = {
 type t
 
 val create :
-  machine:Multics_hw.Machine.t -> meter:Meter.t ->
-  segment:Segment.t -> quota:Quota_cell.t -> volume:Volume.t ->
-  known:Known_segment.t -> audit:Multics_aim.Audit.t -> t
+  meter:Meter.t -> segment:Segment.t -> quota:Quota_cell.t ->
+  volume:Volume.t -> audit:Multics_aim.Audit.t -> t
 
-val create_root : t -> caller:string -> quota_limit:int -> Ids.uid
+val create_root : t -> quota_limit:int -> Ids.uid
 (** Build the root directory (">") on pack 0 as a quota directory
     holding the system's entire storage quota. *)
 
@@ -65,21 +64,21 @@ val on_change : t -> (unit -> unit) -> unit
     manager's resolution cache registers its invalidation here. *)
 
 val search :
-  t -> caller:string -> subject:subject -> dir_uid:Ids.uid -> name:string ->
+  t -> subject:subject -> dir_uid:Ids.uid -> name:string ->
   [ `Found of Ids.uid | `No_entry ]
 (** The single-directory search primitive.  [`No_entry] escapes only
     when the caller can read the directory; otherwise the answer is
     always [`Found] — possibly of a mythical identifier. *)
 
 val initiate_target :
-  t -> caller:string -> subject:subject -> dir_uid:Ids.uid -> name:string ->
+  t -> subject:subject -> dir_uid:Ids.uid -> name:string ->
   (target, [ `No_access ]) result
 (** Resolve a directory entry for use.  Nonexistence, a mythical
     directory identifier and inadequate access are deliberately
     indistinguishable: all are [`No_access]. *)
 
 val create_entry :
-  t -> caller:string -> subject:subject -> dir_uid:Ids.uid -> name:string ->
+  t -> subject:subject -> dir_uid:Ids.uid -> name:string ->
   kind:entry_kind -> acl:Acl.t -> label:Multics_aim.Label.t ->
   (Ids.uid, [ `No_access | `Name_duplicated | `Bad_label | `No_space ]) result
 (** Create a file or directory.  The new segment lives on its parent's
@@ -87,56 +86,53 @@ val create_entry :
     the new label does not dominate the subject's (no write-down). *)
 
 val delete_entry :
-  t -> caller:string -> subject:subject -> dir_uid:Ids.uid -> name:string ->
+  t -> subject:subject -> dir_uid:Ids.uid -> name:string ->
   (unit, [ `No_access | `Not_empty ]) result
 
 val list_names :
-  t -> caller:string -> subject:subject -> dir_uid:Ids.uid ->
+  t -> subject:subject -> dir_uid:Ids.uid ->
   (entry_info list, [ `No_access ]) result
 
 val set_acl :
-  t -> caller:string -> subject:subject -> dir_uid:Ids.uid -> name:string ->
+  t -> subject:subject -> dir_uid:Ids.uid -> name:string ->
   acl:Acl.t -> (unit, [ `No_access ]) result
 (** Replace an entry's ACL.  Per the Multics rule the paper examines,
     this changes access to the entry {e completely}: nothing above it in
     the hierarchy needs to change, and nothing above it can veto. *)
 
 val set_quota :
-  t -> caller:string -> subject:subject -> dir_uid:Ids.uid -> name:string ->
+  t -> subject:subject -> dir_uid:Ids.uid -> name:string ->
   limit:int ->
   (unit, [ `No_access | `Has_children | `Over_quota ]) result
 (** Designate a (childless) directory as a quota directory, carving
     [limit] pages out of the controlling cell. *)
 
 val clear_quota :
-  t -> caller:string -> subject:subject -> dir_uid:Ids.uid -> name:string ->
+  t -> subject:subject -> dir_uid:Ids.uid -> name:string ->
   (unit, [ `No_access | `Has_children ]) result
 
 val handle_segment_moved :
-  t -> caller:string -> uid:Ids.uid -> new_pack:int -> new_index:int -> unit
+  t -> uid:Ids.uid -> new_pack:int -> new_index:int -> unit
 (** Upward-signal delivery: repoint the directory entry (and the quota
     cell home, if the moved segment was a quota directory). *)
 
 val quota_usage :
-  t -> caller:string -> dir_uid:Ids.uid -> name:string -> (int * int) option
+  t -> dir_uid:Ids.uid -> name:string -> (int * int) option
 (** (used, limit) of the quota cell of entry [name], if it is a quota
     directory. *)
 
-val note_pack_offline : t -> caller:string -> pack:int -> unit
+val note_pack_offline : t -> pack:int -> unit
 (** Upward-signal delivery ([Pack_offline]): remember the pack and run
     the change hooks so resolution caches above the gate drop entries
     homed there. *)
 
-val offline_packs : t -> int
-val pack_is_offline : t -> pack:int -> bool
-
-val persist : t -> caller:string -> unit
+val persist : t -> unit
 (** Serialise every directory's entries, ACL and labels into its
     backing segment, so the hierarchy survives a shutdown.  The encoded
     bytes live in real simulated pages: they are paged, charged to
     quota, and written to disk records like any other data. *)
 
-val restore : t -> caller:string -> unit
+val restore : t -> unit
 (** Rebuild the in-memory directory records of a new incarnation by
     reading the hierarchy back from disk, starting at the root (by
     convention VTOC entry 0 of pack 0).  Re-registers quota cells from
@@ -152,6 +148,5 @@ val quota_attribution : t -> (Ids.uid * Quota_cell.handle) list
     the quota cell its pages charge — the static binding, enumerated
     for the invariant checker and the salvager. *)
 
-val entry_count : t -> dir_uid:Ids.uid -> int
 val mythical_answers : t -> int
 (** How many searches were answered with a mythical identifier. *)

@@ -10,14 +10,13 @@ type t = {
   address_space : Address_space.t;
   gate : Gate.t;
   obs : Multics_obs.Sink.t;
-  mutable handled : int;
 }
 
 (* Fault reflection enters through the same layer as gates. *)
 let name = Registry.gate
 
 let create ~meter ~page_frame ~known ~address_space ~gate ~obs =
-  { meter; page_frame; known; address_space; gate; obs; handled = 0 }
+  { meter; page_frame; known; address_space; gate; obs }
 
 let of_pfm = function
   | Page_frame.Wait (ec, v) -> Wait (ec, v)
@@ -25,7 +24,6 @@ let of_pfm = function
   | Page_frame.Damaged msg -> Error msg
 
 let handle t ~proc fault =
-  t.handled <- t.handled + 1;
   Meter.charge t.meter ~manager:name Cost.Pl1 Cost.fault_entry;
   Multics_obs.Sink.count t.obs "fault.handled";
   (* A fault is a request entry point: open a context under the faulting
@@ -44,15 +42,13 @@ let handle t ~proc fault =
     match fault with
     | Hw.Fault.Missing_page { ptw_abs; _ } ->
         of_pfm
-          (Page_frame.service_missing_page t.page_frame ~caller:name ~ptw_abs)
+          (Page_frame.service_missing_page t.page_frame ~ptw_abs)
     | Hw.Fault.Locked_descriptor { ptw_abs; _ } ->
         of_pfm
-          (Page_frame.service_locked_descriptor t.page_frame ~caller:name
-             ~ptw_abs)
+          (Page_frame.service_locked_descriptor t.page_frame ~ptw_abs)
     | Hw.Fault.Quota_fault { segno; pageno } -> (
         let result =
-          Known_segment.handle_quota_fault t.known ~caller:name ~proc ~segno
-            ~pageno
+          Known_segment.handle_quota_fault t.known ~proc ~segno ~pageno
         in
         (* The chain below may have queued a Segment_moved signal; deliver
            it before the process rereferences the segment. *)
@@ -60,8 +56,7 @@ let handle t ~proc fault =
         match result with `Retry -> Retry | `Error msg -> Error msg)
     | Hw.Fault.Missing_segment { segno } -> (
         match
-          Address_space.handle_missing_segment t.address_space ~caller:name
-            ~proc ~segno
+          Address_space.handle_missing_segment t.address_space ~proc ~segno
         with
         | `Retry -> Retry
         | `Error msg -> Error msg)
@@ -82,5 +77,3 @@ let handle t ~proc fault =
   | Wait _ -> ()
   | Retry | Error _ -> Multics_obs.Sink.set_current t.obs parent);
   outcome
-
-let faults_handled t = t.handled

@@ -26,5 +26,3 @@ val create :
     the exported timeline. *)
 
 val handle : t -> proc:int -> Multics_hw.Fault.t -> outcome
-
-val faults_handled : t -> int

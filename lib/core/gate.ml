@@ -6,7 +6,6 @@ type t = {
   directory : Directory.t;
   obs : Multics_obs.Sink.t;
   gates : (string, gate_info) Hashtbl.t;
-  mutable order : string list;  (* newest first *)
   mutable total : int;
   mutable violations : int;
 }
@@ -15,22 +14,20 @@ let name = Registry.gate
 
 let create ~meter ~signals ~directory ~obs =
   { meter; signals; directory; obs; gates = Hashtbl.create 64;
-    order = []; total = 0; violations = 0 }
+    total = 0; violations = 0 }
 
 let define t ~name:gate_name ~max_ring =
   if Hashtbl.mem t.gates gate_name then
     invalid_arg (Printf.sprintf "Gate.define: %s already defined" gate_name);
-  Hashtbl.replace t.gates gate_name { g_max_ring = max_ring; g_calls = 0 };
-  t.order <- gate_name :: t.order
+  Hashtbl.replace t.gates gate_name { g_max_ring = max_ring; g_calls = 0 }
 
 let deliver_signals t =
   Upward_signal.drain t.signals ~deliver:(fun payload ->
       match payload with
       | Upward_signal.Segment_moved { uid; new_pack; new_index } ->
-          Directory.handle_segment_moved t.directory ~caller:name ~uid
-            ~new_pack ~new_index
+          Directory.handle_segment_moved t.directory ~uid ~new_pack ~new_index
       | Upward_signal.Pack_offline { pack } ->
-          Directory.note_pack_offline t.directory ~caller:name ~pack)
+          Directory.note_pack_offline t.directory ~pack)
 
 let call t ?deadline ~name:gate_name ~caller_ring f =
   match Hashtbl.find_opt t.gates gate_name with
@@ -87,5 +84,4 @@ let calls_of t gate_name =
   | Some info -> info.g_calls
   | None -> 0
 
-let names t = List.rev t.order
 let ring_violations t = t.violations

@@ -36,5 +36,4 @@ val registered : t -> int
 val user_callable : t -> int
 val calls_total : t -> int
 val calls_of : t -> string -> int
-val names : t -> string list
 val ring_violations : t -> int

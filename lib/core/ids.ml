@@ -10,7 +10,6 @@ let generator ?(start = 0) () =
 
 let to_int u = u
 let of_int i = i
-let compare = Stdlib.compare
 let equal = Int.equal
 let is_mythical u = u land mythical_tag <> 0
 

@@ -18,7 +18,6 @@ val to_int : uid -> int
 
 (** Reconstruct a uid read back from storage (a VTOC entry). *)
 val of_int : int -> uid
-val compare : uid -> uid -> int
 val equal : uid -> uid -> bool
 
 val is_mythical : uid -> bool

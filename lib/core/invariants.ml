@@ -11,7 +11,7 @@ let expected_quota kernel =
         match Volume.locate volume ~uid with
         | None -> ()
         | Some (pack, index) -> (
-            match Volume.vtoc volume ~caller:"invariants" ~pack ~index with
+            match Volume.vtoc volume ~pack ~index with
             | exception Not_found -> ()
             | vtoc ->
                 let pages =

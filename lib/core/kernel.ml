@@ -1,7 +1,6 @@
 module Hw = Multics_hw
 module Sync = Multics_sync
 module Aim = Multics_aim
-module Dg = Multics_depgraph
 
 (* End-to-end overload control.  Every field has an inert value, and
    [default_overload] sets them all. *)
@@ -65,12 +64,6 @@ let n_vps = first_user_vp + user_vps
 (* The brownout ladder's top rung, at which the Answering Service sheds
    logins. *)
 let brownout_max_level = 3
-
-(* The dependency graph every kernel's call census is audited against.
-   Built once, when the module initialises and before any domain can
-   boot a kernel, and only read afterwards: the explorer boots
-   thousands of kernels, and they all share it. *)
-let declared = Registry.declared_graph ()
 
 type t = {
   cfg : config;
@@ -145,7 +138,7 @@ let rec boot_internal ?previous_disk cfg =
     Hw.Machine.create ~disk_packs:cfg.disk_packs
       ~records_per_pack:cfg.records_per_pack ?disk:previous_disk cfg.hw
   in
-  let meter = Meter.create ~declared in
+  let meter = Meter.create () in
   (* The sink reads the machine clock through a thunk and never charges
      the meter or schedules events — which is why switching [cfg.trace]
      cannot move simulated time (bench C3 asserts exactly that). *)
@@ -200,8 +193,7 @@ let rec boot_internal ?previous_disk cfg =
           Hw.Machine.halt machine)
   | None -> ());
   let quota =
-    Quota_cell.create ~machine ~meter ~core ~volume
-      ~max_cells:cfg.max_quota_cells
+    Quota_cell.create ~meter ~core ~volume ~max_cells:cfg.max_quota_cells
   in
   let page_frame =
     Page_frame.create ?choice:cfg.choice ~machine ~meter ~core
@@ -224,7 +216,7 @@ let rec boot_internal ?previous_disk cfg =
       ~signals ~ast_slots:cfg.ast_slots ~pt_words:cfg.pt_words ~uid_supply
   in
   let known =
-    Known_segment.create ~machine ~meter ~segment
+    Known_segment.create ~meter ~segment
       ~first_user_segno:cfg.hw.Hw.Hw_config.system_segno_split
   in
   let address_space =
@@ -237,8 +229,7 @@ let rec boot_internal ?previous_disk cfg =
       ~state_pack:(cfg.disk_packs - 1) ()
   in
   let directory =
-    Directory.create ~machine ~meter ~segment ~quota ~volume ~known
-      ~audit:aim_audit
+    Directory.create ~meter ~segment ~quota ~volume ~audit:aim_audit
   in
   let gate = Gate.create ~meter ~signals ~directory ~obs in
   List.iter (fun (g, ring) -> Gate.define gate ~name:g ~max_ring:ring)
@@ -253,9 +244,8 @@ let rec boot_internal ?previous_disk cfg =
   (match previous_disk with
   | None ->
       ignore
-        (Directory.create_root directory ~caller:Registry.gate
-           ~quota_limit:cfg.root_quota)
-  | Some _ -> Directory.restore directory ~caller:Registry.gate);
+        (Directory.create_root directory ~quota_limit:cfg.root_quota)
+  | Some _ -> Directory.restore directory);
   (* Permanently bound virtual processors. *)
   User_process.bind_scheduler_daemon user_process ~vp_id:0;
   if cfg.use_cleaner_daemon then
@@ -410,7 +400,7 @@ and interpreter t (p : User_process.proc) : User_process.interp_outcome =
             deny ()
         | Ok target ->
             let segno =
-              Known_segment.make_known t.known ~caller:Registry.gate
+              Known_segment.make_known t.known
                 ~proc:p.User_process.pid ~uid:target.Directory.t_uid
                 ~cell:target.Directory.t_cell ~mode:target.Directory.t_mode
                 ~ring
@@ -420,10 +410,9 @@ and interpreter t (p : User_process.proc) : User_process.interp_outcome =
     | Workload.Terminate_seg { seg_reg } ->
         let segno = p.User_process.regs.(seg_reg) in
         if segno >= 0 then begin
-          Address_space.disconnect t.address_space ~caller:Registry.gate
+          Address_space.disconnect t.address_space
             ~proc:p.User_process.pid ~segno;
-          Known_segment.terminate t.known ~caller:Registry.gate
-            ~proc:p.User_process.pid ~segno;
+          Known_segment.terminate t.known ~proc:p.User_process.pid ~segno;
           p.User_process.regs.(seg_reg) <- -1
         end;
         User_process.Did action_base
@@ -433,7 +422,7 @@ and interpreter t (p : User_process.proc) : User_process.interp_outcome =
         | Some (dir_uid, leaf) -> (
             match
               gate_call t ~ring "hcs_$append_branch" (fun () ->
-                  Directory.create_entry t.directory ~caller:Registry.gate
+                  Directory.create_entry t.directory
                     ~subject ~dir_uid ~name:leaf ~kind:Directory.K_segment
                     ~acl:
                       [ Acl.entry p.User_process.principal.Acl.user Acl.rw;
@@ -448,7 +437,7 @@ and interpreter t (p : User_process.proc) : User_process.interp_outcome =
         | Some (dir_uid, leaf) -> (
             match
               gate_call t ~ring "hcs_$append_branchx" (fun () ->
-                  Directory.create_entry t.directory ~caller:Registry.gate
+                  Directory.create_entry t.directory
                     ~subject ~dir_uid ~name:leaf ~kind:Directory.K_directory
                     ~acl:[ Acl.entry p.User_process.principal.Acl.user Acl.rwe ]
                     ~label:p.User_process.label)
@@ -461,7 +450,7 @@ and interpreter t (p : User_process.proc) : User_process.interp_outcome =
         | Some (dir_uid, leaf) -> (
             match
               gate_call t ~ring "hcs_$delentry_file" (fun () ->
-                  Directory.delete_entry t.directory ~caller:Registry.gate
+                  Directory.delete_entry t.directory
                     ~subject ~dir_uid ~name:leaf)
             with
             | Some (Ok ()) -> User_process.Did action_base
@@ -472,7 +461,7 @@ and interpreter t (p : User_process.proc) : User_process.interp_outcome =
         | Some (dir_uid, leaf) -> (
             match
               gate_call t ~ring "hcs_$quota_move" (fun () ->
-                  Directory.set_quota t.directory ~caller:Registry.gate
+                  Directory.set_quota t.directory
                     ~subject ~dir_uid ~name:leaf ~limit:pages)
             with
             | Some (Ok ()) -> User_process.Did action_base
@@ -487,7 +476,7 @@ and interpreter t (p : User_process.proc) : User_process.interp_outcome =
             in
             match
               gate_call t ~ring "hcs_$set_acl" (fun () ->
-                  Directory.set_acl t.directory ~caller:Registry.gate ~subject
+                  Directory.set_acl t.directory ~subject
                     ~dir_uid ~name:leaf ~acl)
             with
             | Some (Ok ()) -> User_process.Did action_base
@@ -503,8 +492,7 @@ and interpreter t (p : User_process.proc) : User_process.interp_outcome =
               | Error `Bad_path -> None
               | Ok (dir_uid, leaf) -> (
                   match
-                    Directory.search t.directory ~caller:Registry.gate ~subject
-                      ~dir_uid ~name:leaf
+                    Directory.search t.directory ~subject ~dir_uid ~name:leaf
                   with
                   | `Found uid -> Some uid
                   | `No_entry -> None))
@@ -514,8 +502,7 @@ and interpreter t (p : User_process.proc) : User_process.interp_outcome =
         | Some dir_uid -> (
             match
               gate_call t ~ring "hcs_$star_list" (fun () ->
-                  Directory.list_names t.directory ~caller:Registry.gate
-                    ~subject ~dir_uid)
+                  Directory.list_names t.directory ~subject ~dir_uid)
             with
             | Some (Ok _) -> User_process.Did action_base
             | _ -> deny ()))
@@ -595,13 +582,13 @@ let shutdown t =
   (* Caches do not survive an incarnation. *)
   Name_space.clear_cache t.name_space;
   Hw.Machine.flush_all_tlbs t.machine;
-  Directory.persist t.directory ~caller:Registry.gate;
+  Directory.persist t.directory;
   List.iter
-    (fun slot -> Segment.deactivate t.segment ~caller:Registry.gate ~slot)
+    (fun slot -> Segment.deactivate t.segment ~slot)
     (Segment.active_slots t.segment);
   List.iter
     (fun (cell, _, _) ->
-      Quota_cell.unregister t.quota ~caller:Registry.gate cell)
+      Quota_cell.unregister t.quota cell)
     (Quota_cell.registered t.quota);
   (* Settle every write-behind so the packs outlive this incarnation
      intact. *)
@@ -612,7 +599,7 @@ let shutdown t =
    bench's analogue of Multics' periodic "hierarchy dumper" — a crash
    after a checkpoint loses at most the work since it. *)
 let checkpoint t =
-  Directory.persist t.directory ~caller:Registry.gate;
+  Directory.persist t.directory;
   Volume.quiesce t.volume
 
 let halted t = Hw.Machine.halted t.machine
@@ -654,7 +641,7 @@ let mkdir t ~path ~acl ~label =
   let dir_uid, leaf = admin_parent t ~path in
   match
     Gate.call t.gate ~name:"hcs_$append_branchx" ~caller_ring:1 (fun () ->
-        Directory.create_entry t.directory ~caller:Registry.gate
+        Directory.create_entry t.directory
           ~subject:root_subject ~dir_uid ~name:leaf
           ~kind:Directory.K_directory ~acl ~label)
   with
@@ -668,7 +655,7 @@ let create_file t ~path ~acl ~label =
   let dir_uid, leaf = admin_parent t ~path in
   match
     Gate.call t.gate ~name:"hcs_$append_branch" ~caller_ring:1 (fun () ->
-        Directory.create_entry t.directory ~caller:Registry.gate
+        Directory.create_entry t.directory
           ~subject:root_subject ~dir_uid ~name:leaf ~kind:Directory.K_segment
           ~acl ~label)
   with
@@ -680,7 +667,7 @@ let set_quota t ~path ~limit =
   let dir_uid, leaf = admin_parent t ~path in
   match
     Gate.call t.gate ~name:"hphcs_$set_quota" ~caller_ring:1 (fun () ->
-        Directory.set_quota t.directory ~caller:Registry.gate
+        Directory.set_quota t.directory
           ~subject:root_subject ~dir_uid ~name:leaf ~limit)
   with
   | Ok (Ok ()) -> ()
@@ -690,7 +677,7 @@ let set_quota t ~path ~limit =
 
 let quota_usage t ~path =
   let dir_uid, leaf = admin_parent t ~path in
-  Directory.quota_usage t.directory ~caller:Registry.gate ~dir_uid ~name:leaf
+  Directory.quota_usage t.directory ~dir_uid ~name:leaf
 
 let load_program t ~path words =
   let target =
@@ -702,7 +689,7 @@ let load_program t ~path words =
   in
   let slot =
     match
-      Segment.activate t.segment ~caller:Registry.gate
+      Segment.activate t.segment
         ~uid:target.Directory.t_uid ~cell:target.Directory.t_cell
     with
     | Ok slot -> slot
@@ -711,8 +698,7 @@ let load_program t ~path words =
   List.iteri
     (fun i word ->
       match
-        Segment.write_word t.segment ~caller:Registry.gate ~slot
-          ~pageno:(i / Hw.Addr.page_size)
+        Segment.write_word t.segment ~slot ~pageno:(i / Hw.Addr.page_size)
           ~offset:(i mod Hw.Addr.page_size)
           word
       with
@@ -743,13 +729,13 @@ let spawn t ?(principal = { Acl.user = "user"; project = "proj" })
   let deadline =
     Option.map (fun d -> Hw.Machine.now t.machine + d) deadline_ns
   in
-  User_process.create_process ?deadline t.user_process ~caller:Registry.gate
+  User_process.create_process ?deadline t.user_process
     ~pname ~principal ~label ~trusted ~ring ~program
 
 let start t =
   if not t.started then begin
     t.started <- true;
-    Vp.start t.vp
+    Vp.kick t.vp
   end
 
 let run ?until ?max_events t =
@@ -842,8 +828,6 @@ let io_stats t =
     io_breaker_probes = s.Hw.Io_sched.s_breaker_probes;
     io_breaker_closes = s.Hw.Io_sched.s_breaker_closes }
 
-let dependency_audit t = Meter.calls t.meter
-
 let pp_slos ppf t =
   match Multics_obs.Sink.slos t.obs with
   | [] -> ()
@@ -885,13 +869,8 @@ let pp_histos ppf t =
 let histo_report t = Format.asprintf "%a" pp_histos t
 
 let chrome_trace t =
-  let census =
-    List.map
-      (fun (from, to_, count) -> ("dep:" ^ from ^ "->" ^ to_, count))
-      (Dg.Conformance.observed (dependency_audit t))
-  in
   Multics_obs.Trace_export.chrome_json
-    ~counters:(Multics_obs.Sink.counters t.obs @ census)
+    ~counters:(Multics_obs.Sink.counters t.obs)
     (Multics_obs.Sink.buf t.obs)
 
 let pp_report ppf t =

@@ -260,10 +260,6 @@ val io_stats : t -> io_report
 (** Disk scheduler counters (summed over packs) plus the page frame
     manager's read-ahead accounting. *)
 
-val dependency_audit : t -> Multics_depgraph.Conformance.t
-(** Observed cross-manager calls vs. the declared graph of {!Registry}:
-    the meter's live census ({!Meter.calls}), not a copy. *)
-
 val trace_report : t -> string
 (** The event ring as a human-readable timeline (empty unless the
     config asked for [Full] tracing), followed by the SLO watchdog
@@ -287,9 +283,8 @@ val histo_report : t -> string
 
 val chrome_trace : t -> string
 (** The event ring as Chrome [trace_event] JSON (chrome://tracing or
-    Perfetto), with the sink's counters and the meter's call census
-    appended as counter samples, one [dep:<from>-><to>] counter per
-    observed call edge.  A missing-page
+    Perfetto), with the sink's counters appended as counter samples.
+    A missing-page
     fault's life — fault span, transit async span, elevator submit,
     batch async span, eventcount wakeup — reads as one nested group. *)
 

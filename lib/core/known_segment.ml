@@ -13,7 +13,6 @@ type kst = {
 }
 
 type t = {
-  machine : Multics_hw.Machine.t;
   meter : Meter.t;
   segment : Segment.t;
   first_user_segno : int;
@@ -22,25 +21,23 @@ type t = {
 
 let name = Registry.known_segment_manager
 
-let entry t ~caller ns =
-  Meter.call t.meter ~from:caller ~to_:name;
+let entry t ns =
   Meter.charge t.meter ~manager:name (Registry.language name)
     (Cost.kernel_call + ns)
 
-let create ~machine ~meter ~segment ~first_user_segno =
-  { machine; meter; segment; first_user_segno;
-    ksts = Hashtbl.create 16 }
+let create ~meter ~segment ~first_user_segno =
+  { meter; segment; first_user_segno; ksts = Hashtbl.create 16 }
 
-let create_kst t ~caller ~proc =
-  entry t ~caller Cost.directory_entry_op;
+let create_kst t ~proc =
+  entry t Cost.directory_entry_op;
   if Hashtbl.mem t.ksts proc then
     invalid_arg (Printf.sprintf "Known_segment.create_kst: process %d has one" proc);
   Hashtbl.replace t.ksts proc
     { by_segno = Hashtbl.create 16; by_uid = Hashtbl.create 16;
       next_segno = t.first_user_segno }
 
-let destroy_kst t ~caller ~proc =
-  entry t ~caller Cost.directory_entry_op;
+let destroy_kst t ~proc =
+  entry t Cost.directory_entry_op;
   Hashtbl.remove t.ksts proc
 
 let kst t proc =
@@ -49,8 +46,8 @@ let kst t proc =
   | None ->
       invalid_arg (Printf.sprintf "Known_segment: process %d has no KST" proc)
 
-let make_known t ~caller ~proc ~uid ~cell ~mode ~ring =
-  entry t ~caller Cost.directory_entry_op;
+let make_known t ~proc ~uid ~cell ~mode ~ring =
+  entry t Cost.directory_entry_op;
   let k = kst t proc in
   match Hashtbl.find_opt k.by_uid (Ids.to_int uid) with
   | Some segno -> segno
@@ -66,8 +63,8 @@ let make_known t ~caller ~proc ~uid ~cell ~mode ~ring =
       Hashtbl.replace k.by_uid (Ids.to_int uid) segno;
       segno
 
-let terminate t ~caller ~proc ~segno =
-  entry t ~caller Cost.directory_entry_op;
+let terminate t ~proc ~segno =
+  entry t Cost.directory_entry_op;
   let k = kst t proc in
   match Hashtbl.find_opt k.by_segno segno with
   | None -> ()
@@ -80,32 +77,27 @@ let info t ~proc ~segno =
   | None -> None
   | Some k -> Hashtbl.find_opt k.by_segno segno
 
-let ensure_active t ~caller ~proc ~segno =
-  entry t ~caller 0;
+let ensure_active t ~proc ~segno =
+  entry t 0;
   match info t ~proc ~segno with
   | None -> Error `Not_known
   | Some e -> (
       match
-        Segment.activate t.segment ~caller:name ~uid:e.ke_uid ~cell:e.ke_cell
+        Segment.activate t.segment ~uid:e.ke_uid ~cell:e.ke_cell
       with
       | Ok slot -> Ok (slot, e)
       | Error `Gone -> Error `Gone
       | Error `No_slot -> Error `No_slot)
 
-let handle_quota_fault t ~caller ~proc ~segno ~pageno =
-  entry t ~caller Cost.quota_check;
-  match ensure_active t ~caller:name ~proc ~segno with
+let handle_quota_fault t ~proc ~segno ~pageno =
+  entry t Cost.quota_check;
+  match ensure_active t ~proc ~segno with
   | Error `Not_known -> `Error "quota fault on unknown segment"
   | Error `Gone -> `Error "quota fault on deleted segment"
   | Error `No_slot -> `Error "active segment table full"
   | Ok (slot, _e) -> (
-      match Segment.grow t.segment ~caller:name ~slot ~pageno with
+      match Segment.grow t.segment ~slot ~pageno with
       | Ok () -> `Retry
       | Error `Over_quota -> `Error "record quota overflow"
       | Error `No_space -> `Error "no space on any pack"
       | Error `Damaged -> `Error "segment page damaged")
-
-let known_count t ~proc =
-  match Hashtbl.find_opt t.ksts proc with
-  | None -> 0
-  | Some k -> Hashtbl.length k.by_segno

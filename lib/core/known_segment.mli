@@ -19,34 +19,30 @@ type kst_entry = {
 
 type t
 
-val create :
-  machine:Multics_hw.Machine.t -> meter:Meter.t ->
-  segment:Segment.t -> first_user_segno:int -> t
+val create : meter:Meter.t -> segment:Segment.t -> first_user_segno:int -> t
 
-val create_kst : t -> caller:string -> proc:int -> unit
-val destroy_kst : t -> caller:string -> proc:int -> unit
+val create_kst : t -> proc:int -> unit
+val destroy_kst : t -> proc:int -> unit
 
 val make_known :
-  t -> caller:string -> proc:int -> uid:Ids.uid -> cell:Quota_cell.handle ->
+  t -> proc:int -> uid:Ids.uid -> cell:Quota_cell.handle ->
   mode:Acl.mode -> ring:int -> int
 (** Assign (or return the existing) segment number for [uid] in the
     process's address space. *)
 
-val terminate : t -> caller:string -> proc:int -> segno:int -> unit
+val terminate : t -> proc:int -> segno:int -> unit
 
 val info : t -> proc:int -> segno:int -> kst_entry option
 
 val handle_quota_fault :
-  t -> caller:string -> proc:int -> segno:int -> pageno:int ->
+  t -> proc:int -> segno:int -> pageno:int ->
   [ `Retry | `Error of string ]
 (** The quota-fault chain: segno -> uid, activate if needed, then
     [Segment.grow] with the statically bound cell.  Full-pack handling
     happens below and surfaces as an upward signal, not here. *)
 
 val ensure_active :
-  t -> caller:string -> proc:int -> segno:int ->
+  t -> proc:int -> segno:int ->
   (int * kst_entry, [ `Not_known | `Gone | `No_slot ]) result
 (** Activate (if necessary) the segment behind [segno]; returns its AST
     slot.  Used by the missing-segment path. *)
-
-val known_count : t -> proc:int -> int

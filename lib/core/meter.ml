@@ -2,12 +2,9 @@ type t = {
   mutable pending : int;
   mutable total : int;
   per_manager : (string, int) Hashtbl.t;
-  calls : Multics_depgraph.Conformance.t;
 }
 
-let create ~declared =
-  { pending = 0; total = 0; per_manager = Hashtbl.create 16;
-    calls = Multics_depgraph.Conformance.create ~declared }
+let create () = { pending = 0; total = 0; per_manager = Hashtbl.create 16 }
 
 let charge_raw t ~manager ns =
   assert (ns >= 0);
@@ -29,8 +26,3 @@ let total t = t.total
 let by_manager t =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.per_manager []
   |> List.sort compare
-
-let call t ~from ~to_ =
-  Multics_depgraph.Conformance.record_call t.calls ~from ~to_
-
-let calls t = t.calls

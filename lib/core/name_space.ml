@@ -15,7 +15,6 @@ type t = {
   mutable cache_hits : int;
   mutable cache_misses : int;
   mutable cache_invalidations : int;
-  mutable search_count : int;
 }
 
 let name = Registry.name_space
@@ -36,7 +35,7 @@ let create ?(use_cache = true) ?obs ~meter ~gate ~directory () =
   let t =
     { meter; obs; gate; directory; use_cache;
       cache = Hashtbl.create 64; cache_hits = 0; cache_misses = 0;
-      cache_invalidations = 0; search_count = 0 }
+      cache_invalidations = 0 }
   in
   (* Deletions and ACL changes can change what a (subject, dir, name)
      key should answer; drop everything rather than chase the subset. *)
@@ -56,15 +55,12 @@ let cache_key ~subject ~ring ~dir_uid ~component =
 
 (* One kernel search through the gate. *)
 let gated_search t ~subject ~ring ~dir_uid ~component =
-  t.search_count <- t.search_count + 1;
   Multics_obs.Sink.count t.obs "ns.search";
   (* The user-ring walker is a small, simple program. *)
   Meter.charge t.meter ~manager:name Cost.Pl1 (Cost.kernel_call / 2);
-  Meter.call t.meter ~from:name ~to_:Registry.gate;
   match
     Gate.call t.gate ~name:"hcs_$fs_search" ~caller_ring:ring (fun () ->
-        Directory.search t.directory ~caller:Registry.gate ~subject ~dir_uid
-          ~name:component)
+        Directory.search t.directory ~subject ~dir_uid ~name:component)
   with
   | Ok result -> result
   | Error (`No_gate | `Ring_violation | `Timed_out) -> `No_entry
@@ -107,17 +103,14 @@ let initiate t ~subject ~ring ~path =
   match resolve_parent t ~subject ~ring ~path with
   | Error `Bad_path -> Error `Bad_path
   | Ok (dir_uid, leaf) -> (
-      Meter.call t.meter ~from:name ~to_:Registry.gate;
       match
         Gate.call t.gate ~name:"hcs_$initiate" ~caller_ring:ring (fun () ->
-            Directory.initiate_target t.directory ~caller:Registry.gate
-              ~subject ~dir_uid ~name:leaf)
+            Directory.initiate_target t.directory ~subject ~dir_uid ~name:leaf)
       with
       | Ok (Ok target) -> Ok target
       | Ok (Error `No_access) -> Error `No_access
       | Error (`No_gate | `Ring_violation | `Timed_out) -> Error `No_access)
 
-let search_calls t = t.search_count
 let cache_hits t = t.cache_hits
 let cache_misses t = t.cache_misses
 let cache_invalidations t = t.cache_invalidations

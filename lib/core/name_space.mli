@@ -39,11 +39,6 @@ val initiate :
 (** Full resolution for use: walk, then ask the kernel for the target.
     Nonexistence and inaccessibility are indistinguishable. *)
 
-val search_calls : t -> int
-(** Gate crossings spent on search — the price of extraction, measured
-    by the name-manager bench.  Cache hits do not cross the gate and
-    are not counted here. *)
-
 val cache_hits : t -> int
 val cache_misses : t -> int
 val cache_invalidations : t -> int

@@ -75,9 +75,7 @@ let lang = Cost.Pl1
 
 let charge t ns = Meter.charge t.meter ~manager:name lang ns
 
-let entry t ~caller ns =
-  Meter.call t.meter ~from:caller ~to_:name;
-  charge t (Cost.kernel_call + ns)
+let entry t ns = charge t (Cost.kernel_call + ns)
 
 let create ?choice ~machine ~meter ~core ~volume ~quota
     ~use_cleaner_daemon ?(use_io_sched = true) ?(read_ahead = 0) () =
@@ -134,17 +132,16 @@ let remove_pt_range t ~pt_base =
         Hashtbl.remove t.page_tables (pt_base + i)
       done
 
-let register_page_table t ~caller ~pt_base ~pt_words ~home_pack ~home_index
-    ~cell =
-  entry t ~caller Cost.ptw_update;
+let register_page_table t ~pt_base ~pt_words ~home_pack ~home_index ~cell =
+  entry t Cost.ptw_update;
   remove_pt_range t ~pt_base;
   let pt = { pt_base; pt_words; home_pack; home_index; cell } in
   for i = 0 to pt_words - 1 do
     Hashtbl.replace t.page_tables (pt_base + i) pt
   done
 
-let unregister_page_table t ~caller ~pt_base =
-  entry t ~caller Cost.ptw_update;
+let unregister_page_table t ~pt_base =
+  entry t Cost.ptw_update;
   remove_pt_range t ~pt_base
 
 let release_frame t frame =
@@ -177,8 +174,7 @@ let mark_page_damaged t ~ptw_abs ~record_handle err =
   Hw.Ptw.write (mem t) ptw_abs (Hw.Ptw.damaged_ptw ~record:record_handle);
   match lookup_pt t ptw_abs with
   | Some pt ->
-      Volume.mark_damaged t.volume ~caller:name ~pack:pt.home_pack
-        ~index:pt.home_index
+      Volume.mark_damaged t.volume ~pack:pt.home_pack ~index:pt.home_index
   | None -> ()
 
 (* A write-behind failed after its retries.  [img] is the image that
@@ -198,7 +194,7 @@ let handle_write_failure t ~ptw_abs ~old_handle img err =
         Hw.Ptw.write (mem t) ptw_abs (Hw.Ptw.on_disk ~record:new_handle);
     match lookup_pt t ptw_abs with
     | Some pt ->
-        Volume.set_file_map_entry t.volume ~caller:name ~pack:pt.home_pack
+        Volume.set_file_map_entry t.volume ~pack:pt.home_pack
           ~index:pt.home_index
           ~pageno:(ptw_abs - pt.pt_base)
           new_handle
@@ -216,8 +212,7 @@ let handle_write_failure t ~ptw_abs ~old_handle img err =
     then Hw.Ptw.write (mem t) ptw_abs (Hw.Ptw.damaged_ptw ~record:old_handle);
     match lookup_pt t ptw_abs with
     | Some pt ->
-        Volume.mark_damaged t.volume ~caller:name ~pack:pt.home_pack
-          ~index:pt.home_index
+        Volume.mark_damaged t.volume ~pack:pt.home_pack ~index:pt.home_index
     | None -> ()
   in
   match err with
@@ -231,7 +226,7 @@ let handle_write_failure t ~ptw_abs ~old_handle img err =
          Damage honestly — the salvager's story, not silent loss. *)
       damage ()
   | Hw.Io_sched.Dead_record -> (
-      match Volume.spare_record t.volume ~caller:name ~old_handle img with
+      match Volume.spare_record t.volume ~old_handle img with
       | Ok new_handle ->
           Multics_obs.Sink.count t.obs "pfm.spared";
           repoint new_handle
@@ -266,13 +261,13 @@ let evict_frame t frame =
     t.zero_reclaims <- t.zero_reclaims + 1;
     Multics_obs.Sink.count t.obs "pfm.zero_reclaim";
     if e.record_handle >= 0 then
-      Volume.free_page_record t.volume ~caller:name
+      Volume.free_page_record t.volume
         ~pack:(Hw.Disk.pack_of_handle e.record_handle)
         ~record:(Hw.Disk.record_of_handle e.record_handle);
-    Quota_cell.uncharge t.quota ~caller:name e.quota_cell 1;
+    Quota_cell.uncharge t.quota e.quota_cell 1;
     (match lookup_pt t ptw_abs with
     | Some pt ->
-        Volume.set_file_map_entry t.volume ~caller:name ~pack:pt.home_pack
+        Volume.set_file_map_entry t.volume ~pack:pt.home_pack
           ~index:pt.home_index
           ~pageno:(ptw_abs - pt.pt_base)
           Hw.Disk.unallocated
@@ -296,14 +291,13 @@ let evict_frame t frame =
       Multics_obs.Sink.set_current t.obs wb_ctx;
       Multics_obs.Sink.attribute t.obs ~ctx:wb_ctx ~cpu_ns:0 ~ios:1;
       (if t.use_io_sched then
-         Volume.write_record_async t.volume ~caller:name ~handle:old_handle
-           ~done_:(function
+         Volume.write_record_async t.volume ~handle:old_handle ~done_:(function
              | Ok () -> ()
              | Error err ->
                  handle_write_failure t ~ptw_abs ~old_handle img err)
            img
        else
-         match Volume.write_page t.volume ~caller:name ~handle:old_handle img
+         match Volume.write_page t.volume ~handle:old_handle img
          with
          | Ok () -> ()
          | Error err -> handle_write_failure t ~ptw_abs ~old_handle img err);
@@ -348,8 +342,8 @@ let clock_pick t =
   in
   scan 0 false
 
-let evict_one t ~caller =
-  entry t ~caller 0;
+let evict_one t =
+  entry t 0;
   match clock_pick t with
   | None -> false
   | Some frame ->
@@ -368,7 +362,7 @@ let acquire_frame t ~inline =
         if attempts > 0 then None
         else begin
           if inline then t.inline_evictions <- t.inline_evictions + 1;
-          if evict_one t ~caller:name then loop (attempts + 1) else None
+          if evict_one t then loop (attempts + 1) else None
         end
   in
   let result = loop 0 in
@@ -471,12 +465,11 @@ let start_read t ~ptw_abs ~frame ~record_handle ~cell ~prefetch =
     Multics_obs.Sink.set_current t.obs prev_ctx
   in
   if t.use_io_sched then
-    Volume.read_record_async t.volume ~caller:name ~handle:record_handle
-      ~done_:finish
+    Volume.read_record_async t.volume ~handle:record_handle ~done_:finish
   else
     Hw.Machine.schedule t.machine ~delay:(Volume.io_latency_ns t.volume)
       (fun () ->
-        finish (Volume.read_page t.volume ~caller:name ~handle:record_handle));
+        finish (Volume.read_page t.volume ~handle:record_handle));
   transit
 
 (* Sequential read-ahead: when this fault's page directly follows the
@@ -538,8 +531,8 @@ let maybe_read_ahead t ~ptw_abs =
     t.prev_fault_ptw <- ptw_abs
   end
 
-let service_missing_page t ~caller ~ptw_abs =
-  entry t ~caller Cost.fault_entry;
+let service_missing_page t ~ptw_abs =
+  entry t Cost.fault_entry;
   t.faults_served <- t.faults_served + 1;
   Multics_obs.Sink.count t.obs "pfm.fault";
   match Hashtbl.find_opt t.transits ptw_abs with
@@ -580,14 +573,14 @@ let service_missing_page t ~caller ~ptw_abs =
             join_transit t transit
       end
 
-let service_locked_descriptor t ~caller ~ptw_abs =
-  entry t ~caller Cost.kernel_call;
+let service_locked_descriptor t ~ptw_abs =
+  entry t Cost.kernel_call;
   match Hashtbl.find_opt t.transits ptw_abs with
   | Some transit -> join_transit t transit
   | None -> Retry
 
-let add_zero_page t ~caller ~ptw_abs ~record_handle ~quota_cell =
-  entry t ~caller (Cost.frame_alloc + Cost.frame_zero);
+let add_zero_page t ~ptw_abs ~record_handle ~quota_cell =
+  entry t (Cost.frame_alloc + Cost.frame_zero);
   match acquire_frame t ~inline:true with
   | None -> failwith "Page_frame.add_zero_page: no evictable frame"
   | Some frame ->
@@ -601,8 +594,7 @@ let add_zero_page t ~caller ~ptw_abs ~record_handle ~quota_cell =
       Hw.Ptw.write (mem t) ptw_abs (Hw.Ptw.in_core ~frame);
       charge t Cost.ptw_update
 
-let fault_in_sync t ~caller ~ptw_abs =
-  Meter.call t.meter ~from:caller ~to_:name;
+let fault_in_sync t ~ptw_abs =
   (* Raw probes: directory persist/restore funnels every payload word
      through here, and the common outcome (`Ok, page already in core)
      needs three bit tests of the fetched word, not a decoded record. *)
@@ -636,7 +628,7 @@ let fault_in_sync t ~caller ~ptw_abs =
           | Some pt -> pt.cell
           | None -> Quota_cell.no_cell
         in
-        match Volume.read_page t.volume ~caller:name ~handle:record_handle with
+        match Volume.read_page t.volume ~handle:record_handle with
         | Error err ->
             mark_page_damaged t ~ptw_abs ~record_handle err;
             release_frame t frame;
@@ -658,8 +650,7 @@ let fault_in_sync t ~caller ~ptw_abs =
             `Ok
   end
 
-let flush_page t ~caller ~ptw_abs =
-  Meter.call t.meter ~from:caller ~to_:name;
+let flush_page t ~ptw_abs =
   (* Raw probes: shutdown/checkpoint walk every descriptor through
      here, and the decision needs one bit test and the frame field of
      the fetched word, not a decoded record. *)
@@ -678,8 +669,6 @@ let flush_page t ~caller ~ptw_abs =
     evict_frame t frame;
     if zero then `Zero_reclaimed else `Written_to record
   end
-
-let cleaner_ec t = t.cleaner
 
 (* The cleaning daemon is a write-behind engine: it writes dirty,
    not-recently-used pages back to their records and clears the
@@ -729,7 +718,7 @@ let cleaner_step t _vp =
           Multics_obs.Sink.set_current t.obs wb_ctx;
           Multics_obs.Sink.attribute t.obs ~ctx:wb_ctx ~cpu_ns:0 ~ios:1;
           if t.use_io_sched then
-            Volume.write_record_async t.volume ~caller:name ~handle:old_handle
+            Volume.write_record_async t.volume ~handle:old_handle
               ~done_:(function
                 | Ok () -> ()
                 | Error err ->
@@ -737,7 +726,7 @@ let cleaner_step t _vp =
               img
           else begin
             (match
-               Volume.write_page t.volume ~caller:name ~handle:old_handle img
+               Volume.write_page t.volume ~handle:old_handle img
              with
             | Ok () -> ()
             | Error err -> handle_write_failure t ~ptw_abs ~old_handle img err);
@@ -777,9 +766,7 @@ let cleaner_step t _vp =
   end
 
 let set_read_ahead_enabled t on = t.ra_enabled <- on
-let read_ahead_enabled t = t.ra_enabled
 let set_cleaner_throttled t on = t.cleaner_throttled <- on
-let cleaner_throttled t = t.cleaner_throttled
 
 let faults_served t = t.faults_served
 let page_reads t = t.page_reads
@@ -788,7 +775,6 @@ let evictions t = t.evictions
 let zero_reclaims t = t.zero_reclaims
 let inline_evictions t = t.inline_evictions
 let pages_cleaned t = t.pages_cleaned
-let low_water_mark t = t.low_water
 let prefetch_issued t = t.prefetch_issued
 let prefetch_dropped t = t.prefetch_dropped
 

@@ -39,7 +39,7 @@ val iter_used : t -> (frame:int -> ptw_abs:Multics_hw.Addr.abs -> unit) -> unit
 (** Visit every in-use frame (for the invariant checker). *)
 
 val register_page_table :
-  t -> caller:string -> pt_base:Multics_hw.Addr.abs -> pt_words:int ->
+  t -> pt_base:Multics_hw.Addr.abs -> pt_words:int ->
   home_pack:int -> home_index:int -> cell:Quota_cell.handle -> unit
 (** The segment manager announces each active segment's page table: its
     PTW range, the VTOC entry holding its file map, and the quota cell
@@ -47,7 +47,7 @@ val register_page_table :
     upward search. *)
 
 val unregister_page_table :
-  t -> caller:string -> pt_base:Multics_hw.Addr.abs -> unit
+  t -> pt_base:Multics_hw.Addr.abs -> unit
 
 type service_outcome =
   | Wait of Multics_sync.Eventcount.t * int
@@ -58,16 +58,16 @@ type service_outcome =
           the touching process is signalled, never handed garbage *)
 
 val service_missing_page :
-  t -> caller:string -> ptw_abs:Multics_hw.Addr.abs -> service_outcome
+  t -> ptw_abs:Multics_hw.Addr.abs -> service_outcome
 (** Handle a missing-page fault on the descriptor at [ptw_abs]. *)
 
 val service_locked_descriptor :
-  t -> caller:string -> ptw_abs:Multics_hw.Addr.abs -> service_outcome
+  t -> ptw_abs:Multics_hw.Addr.abs -> service_outcome
 (** Another processor's fault service holds the descriptor; join its
     transit wait. *)
 
 val add_zero_page :
-  t -> caller:string -> ptw_abs:Multics_hw.Addr.abs -> record_handle:int ->
+  t -> ptw_abs:Multics_hw.Addr.abs -> record_handle:int ->
   quota_cell:Quota_cell.handle -> unit
 (** The quota-fault path's final step: materialise a fresh zero page in
     a frame, remembering the record (already allocated by the segment
@@ -75,7 +75,7 @@ val add_zero_page :
     as zeros. *)
 
 val fault_in_sync :
-  t -> caller:string -> ptw_abs:Multics_hw.Addr.abs ->
+  t -> ptw_abs:Multics_hw.Addr.abs ->
   [ `Ok | `Unallocated | `Damaged ]
 (** Bring a page in synchronously, charging the full I/O latency to the
     caller's step.  Used for kernel-resident objects (directory
@@ -84,11 +84,8 @@ val fault_in_sync :
     {!service_missing_page} path.  [`Damaged]: the record is dead and
     the page was marked damaged rather than read. *)
 
-val evict_one : t -> caller:string -> bool
-(** Run the clock algorithm once; [false] when nothing is evictable. *)
-
 val flush_page :
-  t -> caller:string -> ptw_abs:Multics_hw.Addr.abs ->
+  t -> ptw_abs:Multics_hw.Addr.abs ->
   [ `Written_to of int | `Zero_reclaimed | `Not_present ]
 (** Force a page out (segment deactivation / relocation).  Returns where
     it went: its record handle, or reclaimed as zeros (record freed,
@@ -97,8 +94,6 @@ val flush_page :
 val cleaner_step : t -> Vp.vp -> Vp.run_result
 (** Step function for the page-cleaning daemon VP. *)
 
-val cleaner_ec : t -> Multics_sync.Eventcount.t
-
 (* Brownout levers — flipped by the kernel's overload controller. *)
 
 val set_read_ahead_enabled : t -> bool -> unit
@@ -106,13 +101,9 @@ val set_read_ahead_enabled : t -> bool -> unit
     the configured depth.  Disabling is the overload controller's first
     shedding step: prefetch is pure optional work.  Default enabled. *)
 
-val read_ahead_enabled : t -> bool
-
 val set_cleaner_throttled : t -> bool -> unit
 (** While throttled the cleaner daemon parks instead of scanning; the
     fault path falls back to inline eviction.  Default unthrottled. *)
-
-val cleaner_throttled : t -> bool
 
 (* Statistics for the benches. *)
 val faults_served : t -> int
@@ -126,9 +117,6 @@ val inline_evictions : t -> int
 
 val pages_cleaned : t -> int
 (** Dirty pages written behind by the cleaning daemon. *)
-
-val low_water_mark : t -> int
-(** Free-pool floor: prefetches never take the pool at or below it. *)
 
 val prefetch_issued : t -> int
 val prefetch_dropped : t -> int

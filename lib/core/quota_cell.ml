@@ -13,33 +13,30 @@ type cell = {
 }
 
 type t = {
-  machine : Hw.Machine.t;
   meter : Meter.t;
   core : Core_segment.t;
   volume : Volume.t;
   cache_region : Core_segment.region;  (* 2 words per cell: limit, used *)
   cells : cell array;
-  mutable n_live : int;
   mutable refusals : int;
 }
 
 let name = Registry.quota_cell_manager
 
-let entry t ~caller base =
-  Meter.call t.meter ~from:caller ~to_:name;
+let entry t base =
   Meter.charge t.meter ~manager:name (Registry.language name)
     (Cost.kernel_call + base)
 
-let create ~machine ~meter ~core ~volume ~max_cells =
+let create ~meter ~core ~volume ~max_cells =
   assert (max_cells > 0);
   let cache_region =
     Core_segment.alloc core ~name:"quota_cell_cache" ~words:(2 * max_cells)
   in
-  { machine; meter; core; volume; cache_region;
+  { meter; core; volume; cache_region;
     cells =
       Array.init max_cells (fun _ ->
           { home_pack = 0; home_index = 0; limit = 0; used = 0; live = false });
-    n_live = 0; refusals = 0 }
+    refusals = 0 }
 
 let get t h =
   if h = no_cell then invalid_arg "Quota_cell: operation needs a real cell";
@@ -54,8 +51,8 @@ let mirror t h =
   Core_segment.write t.core t.cache_region (2 * h) c.limit;
   Core_segment.write t.core t.cache_region ((2 * h) + 1) c.used
 
-let register t ~caller ~pack ~vtoc_index ~limit ~used =
-  entry t ~caller Cost.quota_check;
+let register t ~pack ~vtoc_index ~limit ~used =
+  entry t Cost.quota_check;
   let rec find i =
     if i >= Array.length t.cells then
       failwith "Quota_cell.register: cell cache full"
@@ -80,7 +77,6 @@ let register t ~caller ~pack ~vtoc_index ~limit ~used =
       c.limit <- limit;
       c.used <- used;
       c.live <- true;
-      t.n_live <- t.n_live + 1;
       mirror t h;
       (* Write through to the VTOC at registration: the cell lives in
          the VTOC entry, core is only a cache.  A crash before the
@@ -88,7 +84,7 @@ let register t ~caller ~pack ~vtoc_index ~limit ~used =
          recounts [used]; without this the next incarnation cannot
          even tell the directory had a quota). *)
       (match
-         Volume.vtoc t.volume ~caller:name ~pack ~index:vtoc_index
+         Volume.vtoc t.volume ~pack ~index:vtoc_index
        with
       | vtoc ->
           if vtoc.Hw.Disk.quota = None then
@@ -105,8 +101,8 @@ let lookup t ~pack ~vtoc_index =
     t.cells;
   !found
 
-let charge t ~caller h pages =
-  entry t ~caller Cost.quota_check;
+let charge t h pages =
+  entry t Cost.quota_check;
   if h = no_cell then Ok ()
   else
     let c = get t h in
@@ -120,8 +116,8 @@ let charge t ~caller h pages =
       Ok ()
     end
 
-let uncharge t ~caller h pages =
-  entry t ~caller Cost.quota_check;
+let uncharge t h pages =
+  entry t Cost.quota_check;
   if h <> no_cell then begin
     let c = get t h in
     c.used <- max 0 (c.used - pages);
@@ -131,14 +127,8 @@ let uncharge t ~caller h pages =
 let used t h = (get t h).used
 let limit t h = (get t h).limit
 
-let set_limit t ~caller h v =
-  entry t ~caller Cost.quota_check;
-  let c = get t h in
-  c.limit <- v;
-  mirror t h
-
-let move_quota t ~caller ~from ~to_ pages =
-  entry t ~caller (2 * Cost.quota_check);
+let move_quota t ~from ~to_ pages =
+  entry t (2 * Cost.quota_check);
   let src = get t from and dst = get t to_ in
   if src.limit - pages < src.used then begin
     t.refusals <- t.refusals + 1;
@@ -152,19 +142,18 @@ let move_quota t ~caller ~from ~to_ pages =
     Ok ()
   end
 
-let sync t ~caller h =
-  entry t ~caller Cost.vtoc_write;
+let sync t h =
+  entry t Cost.vtoc_write;
   let c = get t h in
   let vtoc =
-    Volume.vtoc t.volume ~caller:name ~pack:c.home_pack ~index:c.home_index
+    Volume.vtoc t.volume ~pack:c.home_pack ~index:c.home_index
   in
   vtoc.Hw.Disk.quota <- Some { Hw.Disk.limit = c.limit; used = c.used }
 
-let unregister t ~caller h =
-  sync t ~caller h;
+let unregister t h =
+  sync t h;
   let c = get t h in
-  c.live <- false;
-  t.n_live <- t.n_live - 1
+  c.live <- false
 
 let relocated t h ~pack ~vtoc_index =
   let c = get t h in

@@ -18,11 +18,10 @@ val no_cell : handle
     segments); charge/uncharge against it always succeed. *)
 
 val create :
-  machine:Multics_hw.Machine.t -> meter:Meter.t ->
-  core:Core_segment.t -> volume:Volume.t -> max_cells:int -> t
+  meter:Meter.t -> core:Core_segment.t -> volume:Volume.t -> max_cells:int -> t
 
 val register :
-  t -> caller:string -> pack:int -> vtoc_index:int -> limit:int -> used:int ->
+  t -> pack:int -> vtoc_index:int -> limit:int -> used:int ->
   handle
 (** Bring a quota cell into the cache (directory activation), creating
     it if the VTOC entry had none.  Raises [Failure] when the cache is
@@ -30,27 +29,25 @@ val register :
 
 val lookup : t -> pack:int -> vtoc_index:int -> handle option
 
-val charge : t -> caller:string -> handle -> int -> (unit, [ `Over_quota ]) result
+val charge : t -> handle -> int -> (unit, [ `Over_quota ]) result
 (** Add pages to the cell's count, refusing past the limit. *)
 
-val uncharge : t -> caller:string -> handle -> int -> unit
+val uncharge : t -> handle -> int -> unit
 (** Credit pages back (zero-page reclamation, truncation, deletion). *)
 
 val used : t -> handle -> int
 val limit : t -> handle -> int
 
-val set_limit : t -> caller:string -> handle -> int -> unit
-
 val move_quota :
-  t -> caller:string -> from:handle -> to_:handle -> int ->
+  t -> from:handle -> to_:handle -> int ->
   (unit, [ `Over_quota ]) result
 (** Transfer limit between parent and child cells (the terminal-quota
     operation). *)
 
-val sync : t -> caller:string -> handle -> unit
+val sync : t -> handle -> unit
 (** Write the cached values back to the owning VTOC entry. *)
 
-val unregister : t -> caller:string -> handle -> unit
+val unregister : t -> handle -> unit
 (** Sync and drop from the cache (directory deactivation). *)
 
 val relocated : t -> handle -> pack:int -> vtoc_index:int -> unit

@@ -152,7 +152,7 @@ let repair kernel =
       match Volume.locate volume ~uid with
       | Some (real_pack, real_index)
         when (real_pack, real_index) <> (pack, index) ->
-          Directory.handle_segment_moved dm ~caller:"salvager" ~uid
+          Directory.handle_segment_moved dm ~uid
             ~new_pack:real_pack ~new_index:real_index;
           incr repaired
       | _ -> ())
@@ -173,7 +173,7 @@ let repair kernel =
                    ~pack:(Hw.Disk.pack_of_handle handle)
                    ~record:(Hw.Disk.record_of_handle handle)
             then begin
-              Volume.set_file_map_entry volume ~caller:"salvager" ~pack ~index
+              Volume.set_file_map_entry volume ~pack ~index
                 ~pageno Hw.Disk.zero_page;
               incr repaired
             end)
@@ -195,7 +195,7 @@ let repair kernel =
      file maps so a later touch or persist sees the accepted image, not
      a connection failure. *)
   repaired := !repaired + Segment.heal_damaged (Kernel.segment kernel)
-                            ~caller:"salvager";
+                           ;
   (* Quota recount. *)
   let expected = Invariants.expected_quota kernel in
   List.iter
@@ -203,9 +203,9 @@ let repair kernel =
       match List.assoc_opt cell expected with
       | Some pages when pages <> used ->
           if used > pages then
-            Quota_cell.uncharge quota ~caller:"salvager" cell (used - pages)
+            Quota_cell.uncharge quota cell (used - pages)
           else
-            ignore (Quota_cell.charge quota ~caller:"salvager" cell (pages - used));
+            ignore (Quota_cell.charge quota cell (pages - used));
           incr repaired
       | _ -> ())
     (Quota_cell.registered quota);
@@ -230,7 +230,7 @@ let repair kernel =
   done;
   List.iter
     (fun (pack, index) ->
-      Volume.delete_segment volume ~caller:"salvager" ~pack ~index;
+      Volume.delete_segment volume ~pack ~index;
       incr repaired)
     !orphans;
   (* Leaked records.  Dead records are retired, not leaked. *)

@@ -42,5 +42,4 @@ val repair : Kernel.t -> int
     repaired.  A second scan afterwards reports only orphans (which
     need an operator's judgement). *)
 
-val kind_to_string : kind -> string
 val pp_finding : Format.formatter -> finding -> unit

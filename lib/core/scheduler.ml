@@ -10,7 +10,6 @@ type t = {
   queues : int Queue.t array;  (* index 0 = highest priority *)
   level_of : (int, int) Hashtbl.t;
   sch_choice : Choice.t;
-  mutable decisions : int;
 }
 
 let n_levels = function
@@ -21,8 +20,7 @@ let create ?(choice = Choice.default) pol =
   { pol;
     queues = Array.init (n_levels pol) (fun _ -> Queue.create ());
     level_of = Hashtbl.create 16;
-    sch_choice = choice;
-    decisions = 0 }
+    sch_choice = choice }
 
 let policy t = t.pol
 
@@ -63,9 +61,7 @@ let next t =
       if i >= Array.length t.queues then None
       else
         match Queue.take_opt t.queues.(i) with
-        | Some pid ->
-            t.decisions <- t.decisions + 1;
-            Some pid
+        | Some pid -> Some pid
         | None -> scan (i + 1)
     in
     scan 0
@@ -85,7 +81,6 @@ let next t =
           else drop (l + 1)
         in
         drop 0;
-        t.decisions <- t.decisions + 1;
         Some pid
 
 let quantum_for t pid =
@@ -95,8 +90,3 @@ let quantum_for t pid =
   | Multilevel { base_quantum; _ } ->
       let level = Option.value ~default:0 (Hashtbl.find_opt t.level_of pid) in
       base_quantum * (1 lsl level)
-
-let ready_count t =
-  Array.fold_left (fun acc q -> acc + Queue.length q) 0 t.queues
-
-let decisions t = t.decisions

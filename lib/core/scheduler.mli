@@ -36,6 +36,3 @@ val quantum_for : t -> int -> int
 val enqueued : t -> int list
 (** Every queued pid in ladder order (level 0 first, FIFO within a
     level), without removing any — the invariant oracle's view. *)
-
-val ready_count : t -> int
-val decisions : t -> int

@@ -5,8 +5,6 @@ type ast_entry = {
   mutable home_pack : int;
   mutable home_index : int;
   mutable cell : Quota_cell.handle;
-  mutable is_directory : bool;
-  mutable label : int;
   mutable connections : Hw.Addr.abs list;  (* SDW locations *)
   mutable live : bool;
 }
@@ -17,7 +15,6 @@ type t = {
   machine : Hw.Machine.t;
   meter : Meter.t;
   obs : Multics_obs.Sink.t;
-  core : Core_segment.t;
   volume : Volume.t;
   quota : Quota_cell.t;
   page_frame : Page_frame.t;
@@ -39,9 +36,7 @@ let lang = Cost.Pl1
 
 let charge t ns = Meter.charge t.meter ~manager:name lang ns
 
-let entry t ~caller ns =
-  Meter.call t.meter ~from:caller ~to_:name;
-  charge t (Cost.kernel_call + ns)
+let entry t ns = charge t (Cost.kernel_call + ns)
 
 let create ~machine ~meter ~core ~volume ~quota ~page_frame ~signals
     ~ast_slots ~pt_words ~uid_supply =
@@ -50,21 +45,19 @@ let create ~machine ~meter ~core ~volume ~quota ~page_frame ~signals
   let pt_region =
     Core_segment.alloc core ~name:"page_tables" ~words:(ast_slots * pt_words)
   in
-  { machine; meter; obs = Hw.Machine.obs machine; core; volume;
-    quota; page_frame; signals;
+  { machine; meter; obs = Hw.Machine.obs machine; volume; quota; page_frame;
+    signals;
     n_slots = ast_slots; pt_words; pt_region;
     ast =
       Array.init ast_slots (fun _ ->
           { uid = Ids.of_int 0; home_pack = 0; home_index = 0;
-            cell = Quota_cell.no_cell; is_directory = false; label = 0;
+            cell = Quota_cell.no_cell;
             connections = []; live = false });
     active_index = Hashtbl.create (2 * ast_slots);
     uid_supply; activations = 0; deactivations = 0; relocations = 0;
     grows = 0 }
 
-let ast_slots t = t.n_slots
 let pt_words t = t.pt_words
-let fresh_uid t = t.uid_supply ()
 let mem t = t.machine.Hw.Machine.mem
 
 let slot_entry t slot =
@@ -79,11 +72,11 @@ let ptw_abs t ~slot ~pageno =
     invalid_arg "Segment.ptw_abs: page beyond table";
   pt_base t ~slot + pageno
 
-let create_segment t ~caller ?process_state ~pack ~is_directory ~label () =
-  entry t ~caller Cost.vtoc_write;
+let create_segment t ?process_state ~pack ~is_directory ~label () =
+  entry t Cost.vtoc_write;
   let uid = t.uid_supply () in
   let index =
-    Volume.create_segment t.volume ~caller:name ?process_state ~uid ~pack
+    Volume.create_segment t.volume ?process_state ~uid ~pack
       ~is_directory ~label ()
   in
   (uid, index)
@@ -136,8 +129,7 @@ let build_page_table t slot (vtoc : Hw.Disk.vtoc_entry) =
 let flush_slot t slot =
   for pageno = 0 to t.pt_words - 1 do
     ignore
-      (Page_frame.flush_page t.page_frame ~caller:name
-         ~ptw_abs:(ptw_abs t ~slot ~pageno))
+      (Page_frame.flush_page t.page_frame ~ptw_abs:(ptw_abs t ~slot ~pageno))
   done
 
 (* Update the VTOC file map from the final PTWs after a flush: pages
@@ -145,7 +137,7 @@ let flush_slot t slot =
    flagged by the page frame manager. *)
 let sync_file_map t slot e =
   let vtoc =
-    Volume.vtoc t.volume ~caller:name ~pack:e.home_pack ~index:e.home_index
+    Volume.vtoc t.volume ~pack:e.home_pack ~index:e.home_index
   in
   for pageno = 0 to t.pt_words - 1 do
     let ptw = Hw.Ptw.read (mem t) (ptw_abs t ~slot ~pageno) in
@@ -157,7 +149,7 @@ let sync_file_map t slot e =
         if ptw.Hw.Ptw.unallocated then Hw.Disk.unallocated else ptw.Hw.Ptw.arg
       in
       if vtoc.Hw.Disk.file_map.(pageno) <> value then
-        Volume.set_file_map_entry t.volume ~caller:name ~pack:e.home_pack
+        Volume.set_file_map_entry t.volume ~pack:e.home_pack
           ~index:e.home_index ~pageno value
     end
   done
@@ -168,16 +160,15 @@ let deactivate_slot t slot =
   flush_slot t slot;
   sync_file_map t slot e;
   sever_connections t e;
-  Page_frame.unregister_page_table t.page_frame ~caller:name
-    ~pt_base:(pt_base t ~slot);
+  Page_frame.unregister_page_table t.page_frame ~pt_base:(pt_base t ~slot);
   Hashtbl.remove t.active_index (Ids.to_int e.uid);
   e.live <- false;
   t.deactivations <- t.deactivations + 1;
   Multics_obs.Sink.count t.obs "seg.deactivate";
   Multics_obs.Sink.instant t.obs ~cat:"seg" ~name:"deactivate" ()
 
-let deactivate t ~caller ~slot =
-  entry t ~caller Cost.vtoc_write;
+let deactivate t ~slot =
+  entry t Cost.vtoc_write;
   ignore (slot_entry t slot);
   deactivate_slot t slot
 
@@ -186,16 +177,14 @@ let deactivate t ~caller ~slot =
    has since cleared.  Re-derive those descriptors from the repaired
    file map, as [build_page_table] would if the segment were activated
    now. *)
-let heal_damaged t ~caller =
-  Meter.call t.meter ~from:caller ~to_:name;
+let heal_damaged t =
   let disk = t.machine.Hw.Machine.disk in
   let healed = ref 0 in
   Array.iteri
     (fun slot e ->
       if e.live then begin
         let vtoc =
-          Volume.vtoc t.volume ~caller:name ~pack:e.home_pack
-            ~index:e.home_index
+          Volume.vtoc t.volume ~pack:e.home_pack ~index:e.home_index
         in
         for pageno = 0 to t.pt_words - 1 do
           let abs = ptw_abs t ~slot ~pageno in
@@ -243,8 +232,7 @@ let find_slot t =
           Some i
       | None -> None)
 
-let activate t ~caller ~uid ~cell =
-  Meter.call t.meter ~from:caller ~to_:name;
+let activate t ~uid ~cell =
   match find_active t ~uid with
   | Some slot ->
       (* Already active: an AST hash hit. *)
@@ -258,20 +246,18 @@ let activate t ~caller ~uid ~cell =
           match find_slot t with
           | None -> Error `No_slot
           | Some slot ->
-              let vtoc = Volume.vtoc t.volume ~caller:name ~pack ~index in
+              let vtoc = Volume.vtoc t.volume ~pack ~index in
               begin
                 let e = t.ast.(slot) in
                 e.uid <- uid;
                 e.home_pack <- pack;
                 e.home_index <- index;
                 e.cell <- cell;
-                e.is_directory <- vtoc.Hw.Disk.is_directory;
-                e.label <- vtoc.Hw.Disk.aim_label;
                 e.connections <- [];
                 e.live <- true;
                 Hashtbl.replace t.active_index (Ids.to_int uid) slot;
                 build_page_table t slot vtoc;
-                Page_frame.register_page_table t.page_frame ~caller:name
+                Page_frame.register_page_table t.page_frame
                   ~pt_base:(pt_base t ~slot) ~pt_words:t.pt_words
                   ~home_pack:pack ~home_index:index ~cell;
                 t.activations <- t.activations + 1;
@@ -291,17 +277,15 @@ let slot_home t ~slot =
   let e = slot_entry t slot in
   (e.home_pack, e.home_index)
 
-let slot_label t ~slot = (slot_entry t slot).label
-let slot_is_directory t ~slot = (slot_entry t slot).is_directory
 
-let register_connection t ~caller ~slot ~sdw_abs =
-  entry t ~caller Cost.ptw_update;
+let register_connection t ~slot ~sdw_abs =
+  entry t Cost.ptw_update;
   let e = slot_entry t slot in
   if not (List.mem sdw_abs e.connections) then
     e.connections <- sdw_abs :: e.connections
 
-let unregister_connection t ~caller ~slot ~sdw_abs =
-  entry t ~caller Cost.ptw_update;
+let unregister_connection t ~slot ~sdw_abs =
+  entry t Cost.ptw_update;
   let e = slot_entry t slot in
   e.connections <- List.filter (fun a -> a <> sdw_abs) e.connections
 
@@ -316,21 +300,21 @@ let relocate t slot =
       flush_slot t slot;
       sync_file_map t slot e;
       match
-        Volume.move_segment t.volume ~caller:name ~pack:e.home_pack
+        Volume.move_segment t.volume ~pack:e.home_pack
           ~index:e.home_index ~to_pack
       with
       | Error `No_space -> Error `No_space
       | Ok (new_pack, new_index, _moved) ->
           sever_connections t e;
-          Page_frame.unregister_page_table t.page_frame ~caller:name
+          Page_frame.unregister_page_table t.page_frame
             ~pt_base:(pt_base t ~slot);
           e.home_pack <- new_pack;
           e.home_index <- new_index;
           let vtoc =
-            Volume.vtoc t.volume ~caller:name ~pack:new_pack ~index:new_index
+            Volume.vtoc t.volume ~pack:new_pack ~index:new_index
           in
           build_page_table t slot vtoc;
-          Page_frame.register_page_table t.page_frame ~caller:name
+          Page_frame.register_page_table t.page_frame
             ~pt_base:(pt_base t ~slot) ~pt_words:t.pt_words
             ~home_pack:new_pack ~home_index:new_index ~cell:e.cell;
           t.relocations <- t.relocations + 1;
@@ -339,17 +323,17 @@ let relocate t slot =
                { uid = e.uid; new_pack; new_index });
           Ok ())
 
-let grow t ~caller ~slot ~pageno =
-  entry t ~caller Cost.quota_check;
+let grow t ~slot ~pageno =
+  entry t Cost.quota_check;
   let e = slot_entry t slot in
   if pageno < 0 || pageno >= t.pt_words then Error `No_space
   else begin
     t.grows <- t.grows + 1;
-    match Quota_cell.charge t.quota ~caller:name e.cell 1 with
+    match Quota_cell.charge t.quota e.cell 1 with
     | Error `Over_quota -> Error `Over_quota
     | Ok () -> (
         let try_alloc () =
-          Volume.alloc_page_record t.volume ~caller:name ~pack:e.home_pack
+          Volume.alloc_page_record t.volume ~pack:e.home_pack
         in
         let alloc_result =
           match try_alloc () with
@@ -365,27 +349,27 @@ let grow t ~caller ~slot ~pageno =
         in
         match alloc_result with
         | Error `No_space ->
-            Quota_cell.uncharge t.quota ~caller:name e.cell 1;
+            Quota_cell.uncharge t.quota e.cell 1;
             Error `No_space
         | Ok record ->
             let handle = Hw.Disk.handle ~pack:e.home_pack ~record in
-            Volume.set_file_map_entry t.volume ~caller:name ~pack:e.home_pack
+            Volume.set_file_map_entry t.volume ~pack:e.home_pack
               ~index:e.home_index ~pageno handle;
-            Page_frame.add_zero_page t.page_frame ~caller:name
+            Page_frame.add_zero_page t.page_frame
               ~ptw_abs:(ptw_abs t ~slot ~pageno)
               ~record_handle:handle ~quota_cell:e.cell;
             Ok ())
   end
 
-let kernel_touch t ~caller ~slot ~pageno ~write =
-  entry t ~caller 0;
+let kernel_touch t ~slot ~pageno ~write =
+  entry t 0;
   ignore write;
   let pa = ptw_abs t ~slot ~pageno in
-  match Page_frame.fault_in_sync t.page_frame ~caller:name ~ptw_abs:pa with
+  match Page_frame.fault_in_sync t.page_frame ~ptw_abs:pa with
   | `Ok -> Ok ()
   | `Damaged -> Error `Damaged
   | `Unallocated -> (
-      match grow t ~caller:name ~slot ~pageno with
+      match grow t ~slot ~pageno with
       | Ok () -> Ok ()
       | Error e -> Error e)
 
@@ -394,8 +378,8 @@ let kernel_touch t ~caller ~slot ~pageno ~write =
    funnels every payload word through here, and the closure the
    combinator took per word was a measurable share of that path's
    allocation.  The descriptor is probed raw for the same reason. *)
-let read_word t ~caller ~slot ~pageno ~offset =
-  match kernel_touch t ~caller ~slot ~pageno ~write:false with
+let read_word t ~slot ~pageno ~offset =
+  match kernel_touch t ~slot ~pageno ~write:false with
   | Error _ as e -> e
   | Ok () ->
       let w = Hw.Phys_mem.read (mem t) (ptw_abs t ~slot ~pageno) in
@@ -403,8 +387,8 @@ let read_word t ~caller ~slot ~pageno ~offset =
       Ok (Hw.Phys_mem.read (mem t)
             (Hw.Addr.frame_base (Hw.Ptw.raw_arg w) + offset))
 
-let write_word t ~caller ~slot ~pageno ~offset v =
-  match kernel_touch t ~caller ~slot ~pageno ~write:true with
+let write_word t ~slot ~pageno ~offset v =
+  match kernel_touch t ~slot ~pageno ~write:true with
   | Error _ as e -> e
   | Ok () ->
       let pa = ptw_abs t ~slot ~pageno in
@@ -416,26 +400,26 @@ let write_word t ~caller ~slot ~pageno ~offset v =
         (Hw.Addr.frame_base (Hw.Ptw.raw_arg w) + offset) v;
       Ok ()
 
-let delete_segment t ~caller ~pack ~index ~cell =
-  entry t ~caller Cost.vtoc_write;
-  let vtoc = Volume.vtoc t.volume ~caller:name ~pack ~index in
+let delete_segment t ~pack ~index ~cell =
+  entry t Cost.vtoc_write;
+  let vtoc = Volume.vtoc t.volume ~pack ~index in
   (match find_active t ~uid:(Ids.of_int vtoc.Hw.Disk.uid) with
   | Some slot -> deactivate_slot t slot
   | None -> ());
   (* Credit the quota cell for every page the segment still charges. *)
-  let vtoc = Volume.vtoc t.volume ~caller:name ~pack ~index in
+  let vtoc = Volume.vtoc t.volume ~pack ~index in
   let allocated =
     Array.fold_left
       (fun acc v -> if v <> Hw.Disk.unallocated then acc + 1 else acc)
       0 vtoc.Hw.Disk.file_map
   in
-  if allocated > 0 then Quota_cell.uncharge t.quota ~caller:name cell allocated;
-  Volume.delete_segment t.volume ~caller:name ~pack ~index
+  if allocated > 0 then Quota_cell.uncharge t.quota cell allocated;
+  Volume.delete_segment t.volume ~pack ~index
 
-let delete_by_uid t ~caller ~uid ~cell =
+let delete_by_uid t ~uid ~cell =
   match Volume.locate t.volume ~uid with
   | None -> ()
-  | Some (pack, index) -> delete_segment t ~caller ~pack ~index ~cell
+  | Some (pack, index) -> delete_segment t ~pack ~index ~cell
 
 let activations t = t.activations
 let deactivations t = t.deactivations

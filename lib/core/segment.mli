@@ -29,31 +29,28 @@ val create :
   page_frame:Page_frame.t -> signals:Upward_signal.t -> ast_slots:int ->
   pt_words:int -> uid_supply:(unit -> Ids.uid) -> t
 
-val ast_slots : t -> int
 val pt_words : t -> int
 (** Maximum pages an activated segment may have. *)
 
-val fresh_uid : t -> Ids.uid
-
 val create_segment :
-  t -> caller:string -> ?process_state:bool -> pack:int ->
+  t -> ?process_state:bool -> pack:int ->
   is_directory:bool -> label:int -> unit -> Ids.uid * int
 (** Make a new empty segment on [pack]; returns (uid, VTOC index).
     [process_state] marks per-process kernel segments for post-crash
     reclamation (see {!Volume.create_segment}). *)
 
 val delete_segment :
-  t -> caller:string -> pack:int -> index:int -> cell:Quota_cell.handle -> unit
+  t -> pack:int -> index:int -> cell:Quota_cell.handle -> unit
 (** Deactivate if active, credit the quota cell for every allocated
     page, free records and the VTOC entry. *)
 
 val delete_by_uid :
-  t -> caller:string -> uid:Ids.uid -> cell:Quota_cell.handle -> unit
+  t -> uid:Ids.uid -> cell:Quota_cell.handle -> unit
 (** Locate (via the disk pack manager) and delete; no-op if already
     gone. *)
 
 val activate :
-  t -> caller:string -> uid:Ids.uid -> cell:Quota_cell.handle ->
+  t -> uid:Ids.uid -> cell:Quota_cell.handle ->
   (int, [ `No_slot | `Gone ]) result
 (** Bring a segment into the AST (idempotent); returns its slot.  The
     segment's current pack is found through the disk pack manager's
@@ -65,12 +62,12 @@ val find_active : t -> uid:Ids.uid -> int option
 val active_slots : t -> int list
 (** Slots currently live in the AST. *)
 
-val deactivate : t -> caller:string -> slot:int -> unit
+val deactivate : t -> slot:int -> unit
 (** Flush pages, update the file map, sever connections.  Unlike the
     legacy design this works for any segment, directory or not,
     regardless of what else is active. *)
 
-val heal_damaged : t -> caller:string -> int
+val heal_damaged : t -> int
 (** Re-derive every damaged descriptor in the AST from its (repaired)
     file map: a page whose record turned out to be intact — a torn
     write the salvager accepted — becomes an ordinary on-disk page; one
@@ -82,7 +79,7 @@ val heal_damaged : t -> caller:string -> int
     since cleared. *)
 
 val grow :
-  t -> caller:string -> slot:int -> pageno:int -> (unit, grow_error) result
+  t -> slot:int -> pageno:int -> (unit, grow_error) result
 (** The quota-fault chain's middle: charge the quota cell, allocate a
     record (relocating the segment if its pack is full), and have the
     page frame manager materialise the zero page. *)
@@ -91,32 +88,30 @@ val slot_uid : t -> slot:int -> Ids.uid
 val slot_home : t -> slot:int -> int * int
 (** (pack, VTOC index) — current, i.e. post-relocation. *)
 
-val slot_label : t -> slot:int -> int
-val slot_is_directory : t -> slot:int -> bool
 val ptw_abs : t -> slot:int -> pageno:int -> Multics_hw.Addr.abs
 val pt_base : t -> slot:int -> Multics_hw.Addr.abs
 
 val register_connection :
-  t -> caller:string -> slot:int -> sdw_abs:Multics_hw.Addr.abs -> unit
+  t -> slot:int -> sdw_abs:Multics_hw.Addr.abs -> unit
 (** The address space manager records where it planted an SDW for this
     segment, so relocation/deactivation can set segment faults in every
     connected address space (the trailer mechanism). *)
 
 val unregister_connection :
-  t -> caller:string -> slot:int -> sdw_abs:Multics_hw.Addr.abs -> unit
+  t -> slot:int -> sdw_abs:Multics_hw.Addr.abs -> unit
 
 val kernel_touch :
-  t -> caller:string -> slot:int -> pageno:int -> write:bool ->
+  t -> slot:int -> pageno:int -> write:bool ->
   (unit, grow_error) result
 (** Kernel-mode access to a page of an active segment (directory
     contents): page it in synchronously, growing it on first touch. *)
 
 val read_word :
-  t -> caller:string -> slot:int -> pageno:int -> offset:int ->
+  t -> slot:int -> pageno:int -> offset:int ->
   (Multics_hw.Word.t, grow_error) result
 
 val write_word :
-  t -> caller:string -> slot:int -> pageno:int -> offset:int ->
+  t -> slot:int -> pageno:int -> offset:int ->
   Multics_hw.Word.t -> (unit, grow_error) result
 
 (* Statistics *)

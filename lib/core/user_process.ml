@@ -18,7 +18,6 @@ type proc = {
   mutable pstate : proc_state;
   mutable quantum : int;
   mutable cpu_ns : int;
-  mutable fault_count : int;
   mutable actions_done : int;
   mutable isa : Hw.Isa.state option;
   mutable ready_since : int;  (* entered the ready queue; -1 = not queued *)
@@ -53,7 +52,6 @@ type t = {
   mutable interpreter : (proc -> interp_outcome) option;
   current : (int, int) Hashtbl.t;  (* vp_id -> pid *)
   mutable loads : int;
-  mutable unloads : int;
   mutable completed : int;
   mutable failed_count : int;
 }
@@ -63,9 +61,7 @@ let lang = Cost.Pl1
 
 let charge t ns = Meter.charge t.meter ~manager:name lang ns
 
-let entry t ~caller ns =
-  Meter.call t.meter ~from:caller ~to_:name;
-  charge t (Cost.kernel_call + ns)
+let entry t ns = charge t (Cost.kernel_call + ns)
 
 let create ?choice ~machine ~meter ~known ~address_space ~segment ~vp
     ~policy ~state_pack () =
@@ -78,7 +74,7 @@ let create ?choice ~machine ~meter ~known ~address_space ~segment ~vp
     wake_queue =
       Sync.Msg_queue.create ~name:"upm.wakeups" ~obs ~capacity:64 ();
     user_ecs = Hashtbl.create 16; state_pack; interpreter = None;
-    current = Hashtbl.create 8; loads = 0; unloads = 0; completed = 0;
+    current = Hashtbl.create 8; loads = 0; completed = 0;
     failed_count = 0 }
 
 let set_interpreter t f = t.interpreter <- Some f
@@ -110,14 +106,12 @@ let scheduler t = t.sched
    manager chose it as a deactivation victim meanwhile). *)
 let touch_state t p =
   match
-    Segment.activate t.segment ~caller:name ~uid:p.state_uid
-      ~cell:Quota_cell.no_cell
+    Segment.activate t.segment ~uid:p.state_uid ~cell:Quota_cell.no_cell
   with
   | Error _ -> ()
   | Ok slot ->
       ignore
-        (Segment.kernel_touch t.segment ~caller:name ~slot ~pageno:0
-           ~write:true)
+        (Segment.kernel_touch t.segment ~slot ~pageno:0 ~write:true)
 
 (* Release a finished process's kernel resources so its descriptor
    segment and KST slots can serve new processes.  The record itself
@@ -126,10 +120,9 @@ let touch_state t p =
    long-running kernel would otherwise keep every program it ever ran. *)
 let reap t (p : proc) =
   p.program <- [||];
-  Address_space.destroy_space t.address_space ~caller:name ~proc:p.pid;
-  Known_segment.destroy_kst t.known ~caller:name ~proc:p.pid;
-  Segment.delete_by_uid t.segment ~caller:name ~uid:p.state_uid
-    ~cell:Quota_cell.no_cell;
+  Address_space.destroy_space t.address_space ~proc:p.pid;
+  Known_segment.destroy_kst t.known ~proc:p.pid;
+  Segment.delete_by_uid t.segment ~uid:p.state_uid ~cell:Quota_cell.no_cell;
   (* The dead process's virtual CPU leaves the setfaults broadcast
      set; keeping it would make every AM clear walk every process the
      machine has ever run. *)
@@ -163,7 +156,6 @@ let unload t vp_id pid =
   let p = proc t pid in
   Hashtbl.remove t.current vp_id;
   touch_state t p;
-  t.unloads <- t.unloads + 1;
   charge t Cost.process_unload
 
 let make_ready t pid =
@@ -243,7 +235,6 @@ let user_step t (vp : Vp.vp) =
             note_cpu cost;
             Vp.Continue cost
         | Blocked_page (ec, value, cost) ->
-            p.fault_count <- p.fault_count + 1;
             p.cpu_ns <- p.cpu_ns + cost;
             note_cpu cost;
             (* Keep the VP: transit waits are short and re-loading would
@@ -315,19 +306,19 @@ let bind_user_vps t ~vp_ids =
 let bind_scheduler_daemon t ~vp_id =
   Vp.bind t.vp ~vp_id ~name:"scheduler_daemon" ~step:(scheduler_step t)
 
-let create_process ?deadline t ~caller ~pname ~principal ~label ~trusted ~ring
+let create_process ?deadline t ~pname ~principal ~label ~trusted ~ring
     ~program =
-  entry t ~caller Cost.process_load;
+  entry t Cost.process_load;
   let pid = t.next_pid in
   t.next_pid <- pid + 1;
-  Known_segment.create_kst t.known ~caller:name ~proc:pid;
-  Address_space.create_space t.address_space ~caller:name ~proc:pid;
+  Known_segment.create_kst t.known ~proc:pid;
+  Address_space.create_space t.address_space ~proc:pid;
   (* The process state segment: a real segment, so that storing process
      states uses the virtual memory as the two-level design intends. *)
   (* [process_state]: tagged in the VTOC so a post-crash salvage can
      reclaim orphaned state segments of the dead incarnation. *)
   let state_uid, _index =
-    Segment.create_segment t.segment ~caller:name ~process_state:true
+    Segment.create_segment t.segment ~process_state:true
       ~pack:t.state_pack ~is_directory:false ~label:(Aim.Label.encode label)
       ()
   in
@@ -340,7 +331,7 @@ let create_process ?deadline t ~caller ~pname ~principal ~label ~trusted ~ring
   let p =
     { pid; pname; principal; label; trusted; ring; vcpu; program; pc = 0;
       regs = Array.make Workload.n_registers (-1); pstate = P_ready;
-      quantum = 0; cpu_ns = 0; fault_count = 0; actions_done = 0; isa = None;
+      quantum = 0; cpu_ns = 0; actions_done = 0; isa = None;
       ready_since = -1;
       state_uid;
       (* The process's root context: everything done on its behalf —
@@ -379,7 +370,6 @@ let state_uids t =
 let all_done t = t.completed + t.failed_count = Hashtbl.length t.procs_tbl
 
 let loads t = t.loads
-let unloads t = t.unloads
 let wake_messages t = Sync.Msg_queue.consumed t.wake_queue
 let completed t = t.completed
 let failed t = t.failed_count

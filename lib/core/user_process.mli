@@ -33,7 +33,6 @@ type proc = {
   mutable pstate : proc_state;
   mutable quantum : int;
   mutable cpu_ns : int;
-  mutable fault_count : int;
   mutable actions_done : int;
   mutable isa : Multics_hw.Isa.state option;
       (** live machine-code execution, carried across dispatch steps *)
@@ -84,7 +83,7 @@ val bind_scheduler_daemon : t -> vp_id:int -> unit
 
 val create_process :
   ?deadline:int ->
-  t -> caller:string -> pname:string -> principal:Acl.principal ->
+  t -> pname:string -> principal:Acl.principal ->
   label:Multics_aim.Label.t -> trusted:bool -> ring:int ->
   program:Workload.program -> int
 (** Returns the pid; the process is ready to run.  [deadline] (an
@@ -119,7 +118,6 @@ val scheduler : t -> Scheduler.t
 
 (* Statistics *)
 val loads : t -> int
-val unloads : t -> int
 val wake_messages : t -> int
 (** Wakeups that travelled through the wired message queue. *)
 

@@ -21,8 +21,7 @@ let note_online t ~pack =
     Multics_obs.Sink.count (Hw.Machine.obs t.machine) "vol.pack_recovered"
   end
 
-let entry t ~caller base_cost =
-  Meter.call t.meter ~from:caller ~to_:name;
+let entry t base_cost =
   Meter.charge t.meter ~manager:name (Registry.language name)
     (Cost.kernel_call + base_cost)
 
@@ -72,9 +71,9 @@ let rebuild_locator t =
   done;
   !max_uid
 
-let create_segment t ~caller ?(process_state = false) ~uid ~pack ~is_directory
+let create_segment t ?(process_state = false) ~uid ~pack ~is_directory
     ~label () =
-  entry t ~caller Cost.vtoc_write;
+  entry t Cost.vtoc_write;
   let map = Array.make Hw.Addr.max_pages_per_segment Hw.Disk.unallocated in
   let index =
     Hw.Disk.create_vtoc_entry (disk t) ~pack
@@ -88,8 +87,8 @@ let create_segment t ~caller ?(process_state = false) ~uid ~pack ~is_directory
 (* File maps store 18-bit record handles (pack and record id), or the
    negative flags [Hw.Disk.zero_page] / [Hw.Disk.unallocated]. *)
 
-let delete_segment t ~caller ~pack ~index =
-  entry t ~caller Cost.vtoc_write;
+let delete_segment t ~pack ~index =
+  entry t Cost.vtoc_write;
   let entry_ = Hw.Disk.vtoc_entry (disk t) ~pack ~index in
   Array.iter
     (fun handle ->
@@ -103,21 +102,21 @@ let delete_segment t ~caller ~pack ~index =
   Hashtbl.remove t.locator entry_.Hw.Disk.uid;
   Hw.Disk.delete_vtoc_entry (disk t) ~pack ~index
 
-let vtoc t ~caller ~pack ~index =
-  entry t ~caller Cost.vtoc_read;
+let vtoc t ~pack ~index =
+  entry t Cost.vtoc_read;
   Hw.Disk.vtoc_entry (disk t) ~pack ~index
 
-let alloc_page_record t ~caller ~pack =
+let alloc_page_record t ~pack =
   (* Record allocation is a free-list operation, not an I/O. *)
-  entry t ~caller Cost.frame_alloc;
+  entry t Cost.frame_alloc;
   match Hw.Disk.alloc_record (disk t) ~pack with
   | record -> Ok record
   | exception Hw.Disk.Pack_full _ ->
       t.full_pack_count <- t.full_pack_count + 1;
       Error `Pack_full
 
-let free_page_record t ~caller ~pack ~record =
-  entry t ~caller Cost.frame_alloc;
+let free_page_record t ~pack ~record =
+  entry t Cost.frame_alloc;
   (* A write-behind of the dying page must not land on this record
      once it is reallocated. *)
   Hw.Io_sched.cancel_writes t.io ~pack ~record;
@@ -127,28 +126,28 @@ let free_page_record t ~caller ~pack ~record =
    write-behind buffer, writes supersede any queued flush of the same
    record.  Callers account for the transfer latency themselves. *)
 
-let read_page t ~caller ~handle =
-  entry t ~caller Cost.disk_io_setup;
+let read_page t ~handle =
+  entry t Cost.disk_io_setup;
   Hw.Io_sched.read_now t.io
     ~pack:(Hw.Disk.pack_of_handle handle)
     ~record:(Hw.Disk.record_of_handle handle)
 
-let write_page t ~caller ~handle img =
-  entry t ~caller Cost.disk_io_setup;
+let write_page t ~handle img =
+  entry t Cost.disk_io_setup;
   Hw.Io_sched.write_now t.io
     ~pack:(Hw.Disk.pack_of_handle handle)
     ~record:(Hw.Disk.record_of_handle handle)
     img
 
-let read_record_async t ~caller ~handle ~done_ =
-  entry t ~caller Cost.disk_io_setup;
+let read_record_async t ~handle ~done_ =
+  entry t Cost.disk_io_setup;
   Hw.Io_sched.submit_read t.io
     ~pack:(Hw.Disk.pack_of_handle handle)
     ~record:(Hw.Disk.record_of_handle handle)
     ~done_
 
-let write_record_async t ~caller ?done_ ~handle img =
-  entry t ~caller Cost.disk_io_setup;
+let write_record_async t ?done_ ~handle img =
+  entry t Cost.disk_io_setup;
   Hw.Io_sched.submit_write t.io ?done_
     ~pack:(Hw.Disk.pack_of_handle handle)
     ~record:(Hw.Disk.record_of_handle handle)
@@ -177,8 +176,8 @@ let note_offline t ~pack =
 
 let offline_signals t = t.offline_signal_count
 
-let spare_record t ~caller ~old_handle img =
-  entry t ~caller (Cost.frame_alloc + Cost.disk_io_setup);
+let spare_record t ~old_handle img =
+  entry t (Cost.frame_alloc + Cost.disk_io_setup);
   let d = disk t in
   let pack = Hw.Disk.pack_of_handle old_handle in
   let old_record = Hw.Disk.record_of_handle old_handle in
@@ -208,8 +207,8 @@ let spare_record t ~caller ~old_handle img =
 
 let spared_records t = t.spared
 
-let mark_damaged t ~caller ~pack ~index =
-  entry t ~caller Cost.vtoc_write;
+let mark_damaged t ~pack ~index =
+  entry t Cost.vtoc_write;
   t.damaged <- t.damaged + 1;
   match Hw.Disk.vtoc_entry (disk t) ~pack ~index with
   | e -> e.Hw.Disk.damaged <- true
@@ -219,7 +218,7 @@ let damaged_pages t = t.damaged
 
 let pick_emptier_pack t ~except = Hw.Disk.emptiest_pack (disk t) ~except
 
-let move_segment t ~caller ~pack ~index ~to_pack =
+let move_segment t ~pack ~index ~to_pack =
   let d = disk t in
   let old_entry = Hw.Disk.vtoc_entry d ~pack ~index in
   let n_records =
@@ -227,7 +226,7 @@ let move_segment t ~caller ~pack ~index ~to_pack =
       (fun acc r -> if r >= 0 then acc + 1 else acc)
       0 old_entry.Hw.Disk.file_map
   in
-  entry t ~caller (Cost.vtoc_write + (n_records * Cost.disk_io_setup));
+  entry t (Cost.vtoc_write + (n_records * Cost.disk_io_setup));
   if Hw.Disk.free_records d ~pack:to_pack < n_records then Error `No_space
   else begin
     (* Copy each allocated record; zero pages stay flags in the map. *)
@@ -282,8 +281,8 @@ let move_segment t ~caller ~pack ~index ~to_pack =
     Ok (to_pack, new_index, n_records)
   end
 
-let set_file_map_entry t ~caller ~pack ~index ~pageno value =
-  entry t ~caller Cost.vtoc_write;
+let set_file_map_entry t ~pack ~index ~pageno value =
+  entry t Cost.vtoc_write;
   let e = Hw.Disk.vtoc_entry (disk t) ~pack ~index in
   e.Hw.Disk.file_map.(pageno) <- value;
   let len = ref 0 in

@@ -31,13 +31,13 @@ val set_signals : t -> Upward_signal.t -> unit
     counted. *)
 
 val create_segment :
-  t -> caller:string -> ?process_state:bool -> uid:Ids.uid -> pack:int ->
+  t -> ?process_state:bool -> uid:Ids.uid -> pack:int ->
   is_directory:bool -> label:int -> unit -> int
 (** Make a VTOC entry; returns its index on [pack].  [process_state]
     tags per-process kernel segments so a post-crash salvage can
     reclaim the orphans. *)
 
-val delete_segment : t -> caller:string -> pack:int -> index:int -> unit
+val delete_segment : t -> pack:int -> index:int -> unit
 (** Frees the segment's records and its VTOC entry.  Each record's
     pending write-behind is cancelled {e before} the free — the
     ordering contract of [Io_sched.cancel_writes]. *)
@@ -52,20 +52,20 @@ val locate : t -> uid:Ids.uid -> (int * int) option
     relocation and deletion.  This is how lower layers re-find a moved
     segment without asking the directory manager. *)
 
-val vtoc : t -> caller:string -> pack:int -> index:int -> Multics_hw.Disk.vtoc_entry
+val vtoc : t -> pack:int -> index:int -> Multics_hw.Disk.vtoc_entry
 (** Raises [Not_found] for a stale (moved/deleted) VTOC address —
     callers above the directory manager level should treat that as a
     connection failure. *)
 
 val alloc_page_record :
-  t -> caller:string -> pack:int -> (int, [ `Pack_full ]) result
+  t -> pack:int -> (int, [ `Pack_full ]) result
 
-val free_page_record : t -> caller:string -> pack:int -> record:int -> unit
+val free_page_record : t -> pack:int -> record:int -> unit
 (** Cancels the record's pending write-behind, then frees it — never
     the other way round (see [Io_sched.cancel_writes]). *)
 
 val read_page :
-  t -> caller:string -> handle:int ->
+  t -> handle:int ->
   (Multics_hw.Page_image.t, Multics_hw.Io_sched.io_error) result
 (** Read the record named by an 18-bit handle.  The caller accounts for
     the I/O latency (the page frame manager overlaps it with waiting).
@@ -75,13 +75,13 @@ val read_page :
     the record is dead or its pack offline. *)
 
 val write_page :
-  t -> caller:string -> handle:int -> Multics_hw.Page_image.t ->
+  t -> handle:int -> Multics_hw.Page_image.t ->
   (unit, Multics_hw.Io_sched.io_error) result
 (** Synchronous shim; supersedes any queued write-behind of the same
     record. *)
 
 val read_record_async :
-  t -> caller:string -> handle:int ->
+  t -> handle:int ->
   done_:((Multics_hw.Page_image.t, Multics_hw.Io_sched.io_error) result ->
          unit) ->
   unit
@@ -91,7 +91,7 @@ val read_record_async :
     here. *)
 
 val write_record_async :
-  t -> caller:string ->
+  t ->
   ?done_:((unit, Multics_hw.Io_sched.io_error) result -> unit) ->
   handle:int -> Multics_hw.Page_image.t -> unit
 (** Queue a write-behind of the image; the scheduler's buffer shares
@@ -126,7 +126,7 @@ val offline_signals : t -> int
     counts twice. *)
 
 val spare_record :
-  t -> caller:string -> old_handle:int -> Multics_hw.Page_image.t ->
+  t -> old_handle:int -> Multics_hw.Page_image.t ->
   (int, [ `No_space ]) result
 (** Record sparing: the record behind [old_handle] went dead but the
     page image is still in core.  Retire the old record, allocate a
@@ -135,7 +135,7 @@ val spare_record :
 
 val spared_records : t -> int
 
-val mark_damaged : t -> caller:string -> pack:int -> index:int -> unit
+val mark_damaged : t -> pack:int -> index:int -> unit
 (** Set the VTOC entry's damaged switch: a page of the segment was lost
     to a media error and could not be spared.  Counted even when the
     VTOC address has gone stale. *)
@@ -154,7 +154,7 @@ val io_latency_ns : t -> int
 val pick_emptier_pack : t -> except:int -> int option
 
 val move_segment :
-  t -> caller:string -> pack:int -> index:int -> to_pack:int ->
+  t -> pack:int -> index:int -> to_pack:int ->
   (int * int * int, [ `No_space ]) result
 (** Copy every record of the segment at [pack]/[index] onto [to_pack];
     frees the old records and VTOC entry.  Returns (new pack, new VTOC
@@ -165,7 +165,7 @@ val move_segment :
     cannot be written keeps the still-good original in place. *)
 
 val set_file_map_entry :
-  t -> caller:string -> pack:int -> index:int -> pageno:int -> int -> unit
+  t -> pack:int -> index:int -> pageno:int -> int -> unit
 (** Update one file-map slot (a record handle or a negative flag) and
     recompute the entry's page count.  File maps store 18-bit record
     handles so a page's record can live on any pack during relocation

@@ -20,9 +20,6 @@ type cpu_slot = {
   cpu_id : int;
   mutable busy : bool;
   mutable last_vp : int;  (* -1 when none *)
-  mutable idle_since : int;  (* -1 when busy *)
-  mutable idle_ns : int;
-  mutable busy_ns : int;
 }
 
 type t = {
@@ -55,8 +52,7 @@ let create ?(choice = Choice.default) ~machine ~meter ~core ~n_vps () =
     step_fns = Array.make n_vps None;
     cpus =
       Array.init (Array.length machine.Hw.Machine.cpus) (fun cpu_id ->
-          { cpu_id; busy = false; last_vp = -1; idle_since = 0; idle_ns = 0;
-            busy_ns = 0 });
+          { cpu_id; busy = false; last_vp = -1 });
     state_region; core; vp_choice = choice; rr_next = 0; dispatches = 0;
     context_switches = 0; ww_saves = 0 }
 
@@ -146,16 +142,13 @@ let rec kick t =
       if (not cpu.busy) && Array.exists (fun v -> v.vp_state = `Ready) t.vps
       then begin
         cpu.busy <- true;
-        cpu.idle_ns <- cpu.idle_ns + (Hw.Machine.now t.machine - cpu.idle_since);
         Hw.Machine.schedule t.machine ~delay:0 (fun () -> run_cpu t cpu)
       end)
     t.cpus
 
 and run_cpu t cpu =
   match pick_ready t ~last:cpu.last_vp with
-  | None ->
-      cpu.busy <- false;
-      cpu.idle_since <- Hw.Machine.now t.machine
+  | None -> cpu.busy <- false
   | Some v ->
       set_state t v `Running;
       t.dispatches <- t.dispatches + 1;
@@ -199,7 +192,6 @@ and run_cpu t cpu =
         | Continue c | Wait (_, _, c) | Stopped c -> c
       in
       let total = max 1 (base_cost + kernel_cost + switch_cost) in
-      cpu.busy_ns <- cpu.busy_ns + total;
       Hw.Machine.schedule t.machine ~delay:total (fun () ->
           let amb = Multics_obs.Sink.current t.obs in
           Multics_obs.Sink.set_current t.obs step_ctx;
@@ -235,16 +227,6 @@ and finish t v result =
         set_state t v `Ready
       end
 
-let start t =
-  Array.iter (fun cpu -> cpu.idle_since <- Hw.Machine.now t.machine) t.cpus;
-  kick t
-
 let dispatches t = t.dispatches
 let context_switches t = t.context_switches
 let wakeup_waiting_saves t = t.ww_saves
-
-let cpu_idle_ns t =
-  Array.fold_left (fun acc c -> acc + c.idle_ns) 0 t.cpus
-
-let cpu_busy_ns t =
-  Array.fold_left (fun acc c -> acc + c.busy_ns) 0 t.cpus

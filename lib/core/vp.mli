@@ -61,12 +61,10 @@ val bind :
 
 val find_idle : t -> int option
 
-val start : t -> unit
-(** Begin dispatching: schedule a step event for every idle CPU. *)
-
 val kick : t -> unit
-(** Wake idle CPUs if ready VPs exist (called automatically when an
-    eventcount notification readies a VP). *)
+(** Wake idle CPUs if ready VPs exist: boot's first dispatch, and
+    called automatically when an eventcount notification readies a
+    VP. *)
 
 (* Statistics *)
 val dispatches : t -> int
@@ -74,6 +72,3 @@ val context_switches : t -> int
 val wakeup_waiting_saves : t -> int
 (** Notifications that arrived between a wait decision and registration
     and were caught by the wakeup-waiting switch rather than lost. *)
-
-val cpu_idle_ns : t -> int
-val cpu_busy_ns : t -> int

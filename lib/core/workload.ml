@@ -105,5 +105,3 @@ let concat programs =
       programs
   in
   Array.of_list (actions @ [ Terminate ])
-
-let with_setup ~setup program = concat [ Array.of_list setup; program ]

@@ -67,5 +67,3 @@ val file_churn : dir:string -> files:int -> pages_each:int -> seed:int -> progra
 
 val concat : program list -> program
 (** Concatenate, dropping all but the final [Terminate]. *)
-
-val with_setup : setup:action list -> program -> program

@@ -61,7 +61,8 @@ let boot cfg =
     <= cfg.reserved_frames * Hw.Addr.page_size);
   let st =
     { machine;
-      meter = K.Meter.create ~declared:(Dg.Graph.create ());
+      meter = K.Meter.create ();
+      observed = Dg.Graph.create ~name:"legacy supervisor (observed)" ();
       ast =
         Array.init cfg.ast_slots (fun i ->
             { oe_index = i; oe_uid = -1; oe_pack = 0; oe_vtoc = 0;
@@ -509,12 +510,7 @@ let run_to_completion ?(max_events = 2_000_000) t =
 
 let proc_state t pid = (proc t pid).op_state
 
-let observed_graph t =
-  let g = Dg.Graph.create ~name:"legacy supervisor (observed)" () in
-  List.iter
-    (fun (from, to_, _count) -> Dg.Graph.add_edge g ~from ~to_ Dg.Dep_kind.Shared_data)
-    (Dg.Conformance.observed (K.Meter.calls t.st.meter));
-  g
+let observed_graph t = Dg.Graph.copy t.st.observed
 
 let pp_report ppf t =
   let s = t.st.stats in

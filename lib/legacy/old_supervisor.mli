@@ -45,9 +45,9 @@ val now : t -> int
 val proc_state : t -> int -> Old_types.proc_state
 
 val observed_graph : t -> Multics_depgraph.Graph.t
-(** The dependency edges actually exercised, under the Figure 2/3
-    module names — compare with [Figures.fig2_superficial] to rediscover
-    the paper's loops. *)
+(** A copy of the dependency edges actually exercised (see
+    {!Old_types.share}), under the Figure 2/3 module names — compare
+    with [Figures.fig2_superficial] to rediscover the paper's loops. *)
 
 val stats : t -> Old_types.stats
 val meter : t -> K.Meter.t

@@ -91,6 +91,7 @@ type stats = {
 type state = {
   machine : Hw.Machine.t;
   meter : K.Meter.t;
+  observed : Multics_depgraph.Graph.t;
   ast : ast_entry array;
   pt_words : int;
   frames : frame_entry array;
@@ -117,4 +118,7 @@ let fresh_uid t =
 
 let charge_asm t ~manager ns = K.Meter.charge t.meter ~manager K.Cost.Asm ns
 let charge_pl1 t ~manager ns = K.Meter.charge t.meter ~manager K.Cost.Pl1 ns
-let share t ~from ~to_ = K.Meter.call t.meter ~from ~to_
+let share t ~from ~to_ =
+  if from <> to_ then
+    Multics_depgraph.Graph.add_edge t.observed ~from ~to_
+      Multics_depgraph.Dep_kind.Shared_data

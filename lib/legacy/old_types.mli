@@ -5,17 +5,19 @@
     active segment table with parent links and in-entry quota, the
     in-kernel directory tree, the frame table and the process table.
     Every module reads and writes the others' tables — the implicit
-    shared-data dependencies the paper catalogues.  The conformance
-    bench compares the call/sharing edges observed here against the
+    shared-data dependencies the paper catalogues.  The F3 bench
+    compares the call/sharing edges observed here against the
     superficial structure of Figure 2 and finds exactly the paper's
     extra edges.
 
     The legacy supervisor reuses the cost model, meter, ACLs and workload
     definitions of [multics_kernel] — instruments, not kernel structure —
     and runs on the legacy hardware configuration (no descriptor lock
-    bit, no quota-fault bit, single DBR).  Its meter declares nothing:
-    the call census records every shared-data edge, and
-    [Old_supervisor.observed_graph] reads it back. *)
+    bit, no quota-fault bit, single DBR).  Its managers are functions
+    inside shared modules, so a static audit of the sources cannot tell
+    them apart: every shared-data edge is recorded at runtime, by
+    {!share}, into the state's [observed] graph, which
+    [Old_supervisor.observed_graph] returns. *)
 
 module K = Multics_kernel
 
@@ -112,6 +114,8 @@ type stats = {
 type state = {
   machine : Multics_hw.Machine.t;
   meter : K.Meter.t;
+  observed : Multics_depgraph.Graph.t;
+      (** every [share] edge, labelled [Shared_data] *)
   ast : ast_entry array;
   pt_words : int;
   frames : frame_entry array;
@@ -140,4 +144,5 @@ val charge_asm : state -> manager:string -> int -> unit
 
 val charge_pl1 : state -> manager:string -> int -> unit
 val share : state -> from:string -> to_:string -> unit
-(** Record a shared-data or call dependency edge. *)
+(** Record a shared-data or call dependency edge in [observed];
+    self-edges are skipped. *)

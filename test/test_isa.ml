@@ -129,7 +129,7 @@ let test_stored_program_end_to_end () =
     in
     let slot =
       match
-        K.Segment.activate (K.Kernel.segment k) ~caller:"test"
+        K.Segment.activate (K.Kernel.segment k)
           ~uid:target.K.Directory.t_uid ~cell:target.K.Directory.t_cell
       with
       | Ok slot -> slot
@@ -138,8 +138,7 @@ let test_stored_program_end_to_end () =
     List.iteri
       (fun i v ->
         match
-          K.Segment.write_word (K.Kernel.segment k) ~caller:"test" ~slot
-            ~pageno:0 ~offset:i v
+          K.Segment.write_word (K.Kernel.segment k) ~slot ~pageno:0 ~offset:i v
         with
         | Ok () -> ()
         | Error _ -> Alcotest.fail "seed write")
@@ -150,7 +149,7 @@ let test_stored_program_end_to_end () =
   (* Force everything out of the AST and memory so execution pages it
      all back in through faults. *)
   List.iter
-    (fun slot -> K.Segment.deactivate (K.Kernel.segment k) ~caller:"test" ~slot)
+    (fun slot -> K.Segment.deactivate (K.Kernel.segment k) ~slot)
     (K.Segment.active_slots (K.Kernel.segment k));
   let runner =
     [| K.Workload.Initiate { path = ">home>data"; reg = 0 };
@@ -171,15 +170,14 @@ let test_stored_program_end_to_end () =
   (* And the sum landed in the data segment. *)
   let slot =
     match
-      K.Segment.activate (K.Kernel.segment k) ~caller:"test"
+      K.Segment.activate (K.Kernel.segment k)
         ~uid:data_target.K.Directory.t_uid ~cell:data_target.K.Directory.t_cell
     with
     | Ok slot -> slot
     | Error _ -> Alcotest.fail "re-activate data"
   in
   match
-    K.Segment.read_word (K.Kernel.segment k) ~caller:"test" ~slot ~pageno:0
-      ~offset:10
+    K.Segment.read_word (K.Kernel.segment k) ~slot ~pageno:0 ~offset:10
   with
   | Ok sum -> check Alcotest.int "1+2+3+4+5" 15 sum
   | Error _ -> Alcotest.fail "read sum"

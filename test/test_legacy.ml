@@ -253,7 +253,13 @@ let test_new_kernel_pays_language_factor () =
     (Printf.sprintf "new (%d ns) costs more than legacy (%d ns)" new_pfm
        legacy_pc)
     true
-    (new_pfm > legacy_pc)
+    (new_pfm > legacy_pc);
+  (* ... but at most twice the PL/I factor, the band P4 asserts. *)
+  let bound = 2.0 *. K.Cost.factor K.Cost.Pl1 *. float_of_int legacy_pc in
+  check Alcotest.bool
+    (Printf.sprintf "new (%d ns) within %.0f ns" new_pfm bound)
+    true
+    (float_of_int new_pfm <= bound)
 
 let tests =
   [ Alcotest.test_case "write/read roundtrip" `Quick test_write_read_roundtrip;

@@ -133,7 +133,7 @@ let test_gate_call_counting () =
 (* Upward signals *)
 
 let test_upward_signal_nested_drain () =
-  let meter = K.Meter.create ~declared:(Dg.Graph.create ()) in
+  let meter = K.Meter.create () in
   let signals = K.Upward_signal.create ~meter in
   let fresh = K.Ids.generator () in
   let uid1 = fresh () and uid2 = fresh () in

@@ -9,7 +9,6 @@ module Hw = Multics_hw
 module Obs = Multics_obs
 module Sync = Multics_sync
 module Aim = Multics_aim
-module Dg = Multics_depgraph
 
 let check = Alcotest.check
 
@@ -191,28 +190,8 @@ let test_trace_clock_neutral () =
     (String.length (K.Kernel.histo_report k) > 0);
   check Alcotest.bool "timeline" true
     (String.length (K.Kernel.trace_report k) > 0);
-  (* The meter's call census rides along as one counter per observed
-     call edge, named dep:<from>-><to> and carrying the edge's count. *)
-  let dep_lines =
-    String.split_on_char '\n' (K.Kernel.chrome_trace k)
-    |> List.filter (fun l ->
-           Astring.String.is_prefix ~affix:"{\"name\":\"dep:" l)
-  in
-  let edges = Dg.Conformance.observed (K.Kernel.dependency_audit k) in
-  check Alcotest.bool "census observed" true (edges <> []);
-  check Alcotest.int "one dep counter per edge" (List.length edges)
-    (List.length dep_lines);
-  List.iter
-    (fun (from, to_, count) ->
-      let name = Printf.sprintf "{\"name\":\"dep:%s->%s\"," from to_ in
-      let value = Printf.sprintf "\"args\":{\"value\":%d}}" count in
-      check Alcotest.bool (name ^ value) true
-        (List.exists
-           (fun l ->
-             Astring.String.is_prefix ~affix:name l
-             && Astring.String.is_infix ~affix:value l)
-           dep_lines))
-    edges
+  check Alcotest.bool "chrome trace" true
+    (String.length (K.Kernel.chrome_trace k) > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Request contexts: allocation discipline and causal propagation. *)

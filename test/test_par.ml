@@ -18,7 +18,6 @@ module K = Multics_kernel
 module Check = Multics_check
 module Par = Multics_par.Par
 module Explore = Multics_check.Explore
-module Dg = Multics_depgraph
 
 let outcome_bytes o = Format.asprintf "%a" Explore.pp_outcome o
 
@@ -69,9 +68,7 @@ let writer_workload ~pages =
       K.Workload.sequential_write ~seg_reg:0 ~pages ]
 
 (* Boot a kernel, run a writer of [pages] pages to completion, and
-   return every cheap fingerprint of where it ended up, the call census
-   among them: every kernel audits against the one shared declared
-   graph, but each must count only its own calls. *)
+   return every cheap fingerprint of where it ended up. *)
 let kernel_fingerprint pages =
   let k = K.Kernel.boot K.Kernel.small_config in
   ignore (K.Kernel.spawn k ~pname:"w" (writer_workload ~pages));
@@ -80,8 +77,7 @@ let kernel_fingerprint pages =
   ( ok,
     K.Kernel.now k,
     K.Page_frame.faults_served pf,
-    K.Page_frame.page_reads pf,
-    Dg.Conformance.observed (K.Kernel.dependency_audit k) )
+    K.Page_frame.page_reads pf )
 
 let test_kernels_self_contained () =
   (* Reference: each workload run alone, sequentially. *)
@@ -91,15 +87,12 @@ let test_kernels_self_contained () =
     Par.run ~domains:4 ~tasks:4 (fun i -> kernel_fingerprint (4 + (2 * i)))
   in
   Array.iteri
-    (fun i (ok, now, faults, reads, census) ->
-      let ok', now', faults', reads', census' = farmed.(i) in
+    (fun i (ok, now, faults, reads) ->
+      let ok', now', faults', reads' = farmed.(i) in
       Alcotest.(check bool) "completes" ok ok';
       Alcotest.(check int) (Printf.sprintf "kernel %d clock" i) now now';
       Alcotest.(check int) (Printf.sprintf "kernel %d faults" i) faults faults';
-      Alcotest.(check int) (Printf.sprintf "kernel %d reads" i) reads reads';
-      Alcotest.(check (list (triple string string int)))
-        (Printf.sprintf "kernel %d call census" i)
-        census census')
+      Alcotest.(check int) (Printf.sprintf "kernel %d reads" i) reads reads')
     solo
 
 (* --- the explorer across domain counts ---------------------------- *)

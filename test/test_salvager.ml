@@ -45,7 +45,7 @@ let test_detects_and_repairs_quota_corruption () =
   (match K.Quota_cell.registered quota with
   | [] -> Alcotest.fail "expected cells"
   | (cell, _, _) :: _ ->
-      ignore (K.Quota_cell.charge quota ~caller:"crash" cell 3));
+      ignore (K.Quota_cell.charge quota cell 3));
   let findings = K.Salvager.scan k in
   check Alcotest.bool "mismatch found" true
     (List.exists (fun f -> f.K.Salvager.f_kind = K.Salvager.Quota_mismatch) findings);
@@ -111,12 +111,11 @@ let test_repairs_stale_entry () =
      the system crashed between relocation and delivery). *)
   let volume = K.Kernel.volume k in
   (match K.Segment.find_active (K.Kernel.segment k) ~uid:target.K.Directory.t_uid with
-  | Some slot -> K.Segment.deactivate (K.Kernel.segment k) ~caller:"test" ~slot
+  | Some slot -> K.Segment.deactivate (K.Kernel.segment k) ~slot
   | None -> ());
   let pack, index = Option.get (K.Volume.locate volume ~uid:target.K.Directory.t_uid) in
   (match
-     K.Volume.move_segment volume ~caller:"crash" ~pack ~index
-       ~to_pack:((pack + 1) mod 3)
+     K.Volume.move_segment volume ~pack ~index ~to_pack:((pack + 1) mod 3)
    with
   | Ok _ -> ()
   | Error `No_space -> Alcotest.fail "move");
@@ -148,12 +147,12 @@ let deactivated_data_segment k =
     | Error _ -> Alcotest.fail "initiate"
   in
   (match K.Segment.find_active (K.Kernel.segment k) ~uid:target.K.Directory.t_uid with
-  | Some slot -> K.Segment.deactivate (K.Kernel.segment k) ~caller:"test" ~slot
+  | Some slot -> K.Segment.deactivate (K.Kernel.segment k) ~slot
   | None -> ());
   let pack, index =
     Option.get (K.Volume.locate (K.Kernel.volume k) ~uid:target.K.Directory.t_uid)
   in
-  (pack, index, K.Volume.vtoc (K.Kernel.volume k) ~caller:"test" ~pack ~index)
+  (pack, index, K.Volume.vtoc (K.Kernel.volume k) ~pack ~index)
 
 (* A media error killed a record a file map still names: the salvager
    substitutes a page of zeros, keeping the quota charge. *)
@@ -272,11 +271,11 @@ let test_torn_quota_vtoc_same_instant () =
   let subject = K.Kernel.root_subject in
   let uid_home, uid_n =
     let root = K.Directory.root_uid dir in
-    match K.Directory.search dir ~caller:"test" ~subject ~dir_uid:root ~name:"home" with
+    match K.Directory.search dir ~subject ~dir_uid:root ~name:"home" with
     | `No_entry -> Alcotest.fail ">home missing"
     | `Found home -> (
         match
-          K.Directory.search dir ~caller:"test" ~subject ~dir_uid:home ~name:"n"
+          K.Directory.search dir ~subject ~dir_uid:home ~name:"n"
         with
         | `No_entry -> Alcotest.fail ">home>n missing"
         | `Found uid -> (home, uid))
@@ -300,7 +299,7 @@ let test_torn_quota_vtoc_same_instant () =
   K.Kernel.set_quota k ~path:">home>n" ~limit:8;
   check Alcotest.int "registration is instantaneous" instant (K.Kernel.now k);
   let vtoc =
-    K.Volume.vtoc (K.Kernel.volume k) ~caller:"test" ~pack:hpack ~index:hindex
+    K.Volume.vtoc (K.Kernel.volume k) ~pack:hpack ~index:hindex
   in
   let handle =
     let found = ref None in

@@ -9,7 +9,6 @@
 module K = Multics_kernel
 module S = Multics_services
 module Hw = Multics_hw
-module Dg = Multics_depgraph
 module Aim = Multics_aim
 
 let check = Alcotest.check
@@ -129,8 +128,6 @@ let test_full_day () =
       check Alcotest.bool "adams within quota" true (used <= limit && used >= 10)
   | None -> Alcotest.fail "quota");
   check Alcotest.int "invariants" 0 (List.length (K.Invariants.check k));
-  check Alcotest.bool "conformance" true
-    (Dg.Conformance.conforms (K.Kernel.dependency_audit k));
   check Alcotest.int "salvager clean" 0 (List.length (K.Salvager.scan k));
   check Alcotest.int "network drained" 2 (S.Network.delivered net);
 

@@ -90,7 +90,7 @@ let attack_name_probing () =
   in
   let vault =
     match
-      K.Directory.search dm ~caller:"tiger" ~subject:mallory
+      K.Directory.search dm ~subject:mallory
         ~dir_uid:(K.Directory.root_uid dm) ~name:"vault"
     with
     | `Found uid -> uid
@@ -101,12 +101,11 @@ let attack_name_probing () =
   let outcomes =
     List.map
       (fun name ->
-        match K.Directory.search dm ~caller:"tiger" ~subject:mallory
-                ~dir_uid:vault ~name
+        match K.Directory.search dm ~subject:mallory ~dir_uid:vault ~name
         with
         | `Found uid -> (
             match
-              K.Directory.initiate_target dm ~caller:"tiger" ~subject:mallory
+              K.Directory.initiate_target dm ~subject:mallory
                 ~dir_uid:vault ~name
             with
             | Error `No_access -> ("found/no-access", K.Ids.is_mythical uid)

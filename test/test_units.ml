@@ -4,7 +4,6 @@
 module K = Multics_kernel
 module Hw = Multics_hw
 module Sync = Multics_sync
-module Dg = Multics_depgraph
 
 let check = Alcotest.check
 let qcheck t = QCheck_alcotest.to_alcotest t
@@ -12,11 +11,8 @@ let qcheck t = QCheck_alcotest.to_alcotest t
 (* ------------------------------------------------------------------ *)
 (* Meter *)
 
-(* Nothing declared: these fixtures only count calls. *)
-let new_meter () = K.Meter.create ~declared:(Dg.Graph.create ())
-
 let test_meter () =
-  let m = new_meter () in
+  let m = K.Meter.create () in
   K.Meter.charge m ~manager:"a" K.Cost.Asm 100;
   K.Meter.charge m ~manager:"a" K.Cost.Pl1 100;
   K.Meter.charge m ~manager:"b" K.Cost.Pl1 50;
@@ -26,17 +22,7 @@ let test_meter () =
   check Alcotest.int "total keeps" 400 (K.Meter.total m);
   check
     (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int))
-    "by manager" [ ("a", 300); ("b", 100) ] (K.Meter.by_manager m);
-  K.Meter.call m ~from:"b" ~to_:"a";
-  K.Meter.call m ~from:"b" ~to_:"a";
-  K.Meter.call m ~from:"a" ~to_:"a";
-  check
-    (Alcotest.list
-       (Alcotest.triple Alcotest.string Alcotest.string Alcotest.int))
-    "call census, self-calls ignored" [ ("b", "a", 2) ]
-    (Dg.Conformance.observed (K.Meter.calls m));
-  check Alcotest.bool "nothing declared, so the edge is undeclared" false
-    (Dg.Conformance.conforms (K.Meter.calls m))
+    "by manager" [ ("a", 300); ("b", 100) ] (K.Meter.by_manager m)
 
 let test_cost_scale () =
   check Alcotest.int "asm is 1x" 1000 (K.Cost.scale K.Cost.Asm 1000);
@@ -79,7 +65,7 @@ let core_fixture () =
   let machine =
     Hw.Machine.create (Hw.Hw_config.with_frames Hw.Hw_config.kernel_multics 16)
   in
-  let meter = new_meter () in
+  let meter = K.Meter.create () in
   K.Core_segment.create ~machine ~meter ~reserved_frames:4
 
 let test_core_segment_alloc () =
@@ -164,12 +150,10 @@ let quota_fixture () =
     Hw.Machine.create ~disk_packs:1 ~records_per_pack:16
       (Hw.Hw_config.with_frames Hw.Hw_config.kernel_multics 16)
   in
-  let meter = new_meter () in
+  let meter = K.Meter.create () in
   let core = K.Core_segment.create ~machine ~meter ~reserved_frames:4 in
   let volume = K.Volume.create ~machine ~meter () in
-  let quota =
-    K.Quota_cell.create ~machine ~meter ~core ~volume ~max_cells:4
-  in
+  let quota = K.Quota_cell.create ~meter ~core ~volume ~max_cells:4 in
   (machine, volume, quota)
 
 let test_quota_cell_lifecycle () =
@@ -177,22 +161,20 @@ let test_quota_cell_lifecycle () =
   ignore machine;
   let uid = K.Ids.generator () () in
   let index =
-    K.Volume.create_segment volume ~caller:"test" ~uid ~pack:0
-      ~is_directory:true ~label:0 ()
+    K.Volume.create_segment volume ~uid ~pack:0 ~is_directory:true ~label:0 ()
   in
   let cell =
-    K.Quota_cell.register quota ~caller:"test" ~pack:0 ~vtoc_index:index
-      ~limit:10 ~used:0
+    K.Quota_cell.register quota ~pack:0 ~vtoc_index:index ~limit:10 ~used:0
   in
   check Alcotest.bool "charge ok" true
-    (Result.is_ok (K.Quota_cell.charge quota ~caller:"test" cell 8));
+    (Result.is_ok (K.Quota_cell.charge quota cell 8));
   check Alcotest.bool "over refused" true
-    (Result.is_error (K.Quota_cell.charge quota ~caller:"test" cell 3));
-  K.Quota_cell.uncharge quota ~caller:"test" cell 4;
+    (Result.is_error (K.Quota_cell.charge quota cell 3));
+  K.Quota_cell.uncharge quota cell 4;
   check Alcotest.int "used" 4 (K.Quota_cell.used quota cell);
   (* sync persists into the VTOC entry *)
-  K.Quota_cell.sync quota ~caller:"test" cell;
-  let vtoc = K.Volume.vtoc volume ~caller:"test" ~pack:0 ~index in
+  K.Quota_cell.sync quota cell;
+  let vtoc = K.Volume.vtoc volume ~pack:0 ~index in
   (match vtoc.Hw.Disk.quota with
   | Some q ->
       check Alcotest.int "persisted used" 4 q.Hw.Disk.used;
@@ -200,9 +182,8 @@ let test_quota_cell_lifecycle () =
   | None -> Alcotest.fail "expected persisted quota");
   (* re-registration returns the same handle *)
   check Alcotest.int "re-register" cell
-    (K.Quota_cell.register quota ~caller:"test" ~pack:0 ~vtoc_index:index
-       ~limit:99 ~used:99);
-  K.Quota_cell.unregister quota ~caller:"test" cell;
+    (K.Quota_cell.register quota ~pack:0 ~vtoc_index:index ~limit:99 ~used:99);
+  K.Quota_cell.unregister quota cell;
   Alcotest.check_raises "stale handle"
     (Invalid_argument (Printf.sprintf "Quota_cell: stale handle %d" cell))
     (fun () -> ignore (K.Quota_cell.used quota cell))
@@ -213,22 +194,20 @@ let test_quota_cell_move () =
   let mk limit =
     let uid = fresh () in
     let index =
-      K.Volume.create_segment volume ~caller:"test" ~uid ~pack:0
-        ~is_directory:true ~label:0 ()
+      K.Volume.create_segment volume ~uid ~pack:0 ~is_directory:true ~label:0 ()
     in
-    K.Quota_cell.register quota ~caller:"test" ~pack:0 ~vtoc_index:index
-      ~limit ~used:0
+    K.Quota_cell.register quota ~pack:0 ~vtoc_index:index ~limit ~used:0
   in
   let parent = mk 20 and child = mk 0 in
   check Alcotest.bool "move ok" true
-    (Result.is_ok (K.Quota_cell.move_quota quota ~caller:"test" ~from:parent ~to_:child 8));
+    (Result.is_ok (K.Quota_cell.move_quota quota ~from:parent ~to_:child 8));
   check Alcotest.int "parent limit" 12 (K.Quota_cell.limit quota parent);
   check Alcotest.int "child limit" 8 (K.Quota_cell.limit quota child);
   (* cannot move limit out from under recorded usage *)
-  ignore (K.Quota_cell.charge quota ~caller:"test" parent 10);
+  ignore (K.Quota_cell.charge quota parent 10);
   check Alcotest.bool "refused" true
     (Result.is_error
-       (K.Quota_cell.move_quota quota ~caller:"test" ~from:parent ~to_:child 5))
+       (K.Quota_cell.move_quota quota ~from:parent ~to_:child 5))
 
 let prop_quota_invariant =
   QCheck.Test.make ~name:"quota cell: 0 <= used <= limit always" ~count:200
@@ -237,17 +216,16 @@ let prop_quota_invariant =
       let _machine, volume, quota = quota_fixture () in
       let uid = K.Ids.generator () () in
       let index =
-        K.Volume.create_segment volume ~caller:"t" ~uid ~pack:0
+        K.Volume.create_segment volume ~uid ~pack:0
           ~is_directory:true ~label:0 ()
       in
       let cell =
-        K.Quota_cell.register quota ~caller:"t" ~pack:0 ~vtoc_index:index
-          ~limit:10 ~used:0
+        K.Quota_cell.register quota ~pack:0 ~vtoc_index:index ~limit:10 ~used:0
       in
       List.for_all
         (fun (is_charge, n) ->
-          (if is_charge then ignore (K.Quota_cell.charge quota ~caller:"t" cell n)
-           else K.Quota_cell.uncharge quota ~caller:"t" cell n);
+          (if is_charge then ignore (K.Quota_cell.charge quota cell n)
+           else K.Quota_cell.uncharge quota cell n);
           let used = K.Quota_cell.used quota cell in
           used >= 0 && used <= 10)
         ops)
@@ -306,7 +284,7 @@ let vp_fixture () =
   let machine =
     Hw.Machine.create (Hw.Hw_config.with_frames Hw.Hw_config.kernel_multics 16)
   in
-  let meter = new_meter () in
+  let meter = K.Meter.create () in
   let core = K.Core_segment.create ~machine ~meter ~reserved_frames:4 in
   let vp = K.Vp.create ~machine ~meter ~core ~n_vps:3 () in
   (machine, vp)
@@ -317,7 +295,7 @@ let test_vp_run_and_stop () =
   K.Vp.bind vp ~vp_id:0 ~name:"worker" ~step:(fun _ ->
       incr steps;
       if !steps < 5 then K.Vp.Continue 100 else K.Vp.Stopped 100);
-  K.Vp.start vp;
+  K.Vp.kick vp;
   Hw.Machine.run machine;
   check Alcotest.int "ran to stop" 5 !steps;
   check Alcotest.bool "vp idle after stop" true
@@ -349,7 +327,7 @@ let test_vp_wait_and_wake () =
         Sync.Eventcount.advance ec;
         K.Vp.Stopped 50
       end);
-  K.Vp.start vp;
+  K.Vp.kick vp;
   Hw.Machine.run machine;
   check Alcotest.bool "waiter resumed and stopped" true
     ((K.Vp.vp vp 0).K.Vp.vp_state = `Idle);
@@ -365,7 +343,7 @@ let test_vp_wakeup_waiting_switch () =
   K.Vp.bind vp ~vp_id:0 ~name:"racer" ~step:(fun _ ->
       incr phase;
       if !phase = 1 then K.Vp.Wait (ec, 1, 10) else K.Vp.Stopped 10);
-  K.Vp.start vp;
+  K.Vp.kick vp;
   Hw.Machine.run machine;
   check Alcotest.int "save counted" 1 (K.Vp.wakeup_waiting_saves vp);
   check Alcotest.int "still completed" 2 !phase
