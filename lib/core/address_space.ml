@@ -7,7 +7,7 @@ type space = {
 
 type t = {
   machine : Hw.Machine.t;
-  meter : Meter.t;
+  acct : Meter.account;
   segment : Segment.t;
   known : Known_segment.t;
   system_region : Core_segment.region;
@@ -19,8 +19,16 @@ type t = {
 
 let name = Registry.address_space_manager
 
+(* The invalid SDW's two words, encoded once: a fresh descriptor
+   segment writes them into every one of its slots. *)
+let invalid_w0, invalid_w1 = Hw.Sdw.encode Hw.Sdw.invalid
+
+let write_invalid mem a =
+  Hw.Phys_mem.write mem a invalid_w0;
+  Hw.Phys_mem.write mem (a + 1) invalid_w1
+
 let entry t ns =
-  Meter.charge t.meter ~manager:name (Registry.language name)
+  Meter.charge t.acct (Registry.language name)
     (Cost.kernel_call + ns)
 
 let create ~machine ~meter ~core ~segment ~known ~max_spaces =
@@ -39,7 +47,8 @@ let create ~machine ~meter ~core ~segment ~known ~max_spaces =
           ~name:(Printf.sprintf "descriptor_segment_%d" i)
           ~words:dseg_words)
   in
-  { machine; meter; segment; known; system_region; system_segnos; pool;
+  { machine; acct = Meter.account meter name; segment; known; system_region;
+    system_segnos; pool;
     pool_free = List.init max_spaces (fun i -> i);
     spaces = Hashtbl.create 16 }
 
@@ -59,11 +68,10 @@ let create_space t ~proc =
   | slot :: rest ->
       t.pool_free <- rest;
       let dseg = t.pool.(slot) in
+      let mem = t.machine.Hw.Machine.mem in
       (* Invalidate every SDW. *)
       for segno = 0 to Hw.Addr.max_segments - 1 do
-        Hw.Sdw.write_at t.machine.Hw.Machine.mem
-          (Core_segment.abs_of dseg (segno * Hw.Sdw.words))
-          Hw.Sdw.invalid
+        write_invalid mem (Core_segment.abs_of dseg (segno * Hw.Sdw.words))
       done;
       Hashtbl.replace t.spaces proc ({ dseg; connected = [] }, slot)
 
@@ -91,7 +99,7 @@ let disconnect_segno t proc segno =
             Segment.unregister_connection t.segment ~slot ~sdw_abs
         | None -> ())
     | None -> ());
-    Hw.Sdw.write_at t.machine.Hw.Machine.mem sdw_abs Hw.Sdw.invalid;
+    write_invalid t.machine.Hw.Machine.mem sdw_abs;
     s.connected <- List.filter (fun n -> n <> segno) s.connected;
     (* The severed SDW may be cached in an associative memory. *)
     Hw.Machine.flush_all_tlbs t.machine;

@@ -4,7 +4,7 @@ type region = { region_name : string; base : Hw.Addr.abs; words : int }
 
 type t = {
   machine : Hw.Machine.t;
-  meter : Meter.t;
+  acct : Meter.account;
   pool_base : Hw.Addr.abs;
   pool_words : int;
   first_frame : int;
@@ -19,7 +19,7 @@ let create ~machine ~meter ~reserved_frames =
   if reserved_frames <= 0 || reserved_frames >= total then
     invalid_arg "Core_segment.create: bad reservation";
   let first_frame = total - reserved_frames in
-  { machine; meter;
+  { machine; acct = Meter.account meter name;
     pool_base = Hw.Addr.frame_base first_frame;
     pool_words = reserved_frames * Hw.Addr.page_size;
     first_frame; next = 0; is_frozen = false }
@@ -48,13 +48,13 @@ let check region i =
 
 let read t region i =
   check region i;
-  Meter.charge t.meter ~manager:name Cost.Pl1
+  Meter.charge t.acct Cost.Pl1
     t.machine.Hw.Machine.config.Hw.Hw_config.mem_access_cost;
   Hw.Phys_mem.read t.machine.Hw.Machine.mem (region.base + i)
 
 let write t region i w =
   check region i;
-  Meter.charge t.meter ~manager:name Cost.Pl1
+  Meter.charge t.acct Cost.Pl1
     t.machine.Hw.Machine.config.Hw.Hw_config.mem_access_cost;
   Hw.Phys_mem.write t.machine.Hw.Machine.mem (region.base + i) w
 

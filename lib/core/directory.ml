@@ -51,7 +51,7 @@ type dir = {
 }
 
 type t = {
-  meter : Meter.t;
+  acct : Meter.account;
   segment : Segment.t;
   quota : Quota_cell.t;
   quota_volume : Volume.t;
@@ -69,12 +69,13 @@ type t = {
 let name = Registry.directory_manager
 let lang = Cost.Pl1
 
-let charge t ns = Meter.charge t.meter ~manager:name lang ns
+let charge t ns = Meter.charge t.acct lang ns
 
 let entry_charge t ns = charge t (Cost.kernel_call + ns)
 
 let create ~meter ~segment ~quota ~volume ~audit =
-  { meter; segment; quota; quota_volume = volume; audit;
+  { acct = Meter.account meter name; segment; quota; quota_volume = volume;
+    audit;
     dirs = Hashtbl.create 32; owner_of = Hashtbl.create 64; root = None;
     mythical_count = 0; offline = Hashtbl.create 4; change_hooks = [] }
 

@@ -4,7 +4,7 @@ module Sync = Multics_sync
 type outcome = Retry | Wait of Sync.Eventcount.t * int | Error of string
 
 type t = {
-  meter : Meter.t;
+  acct : Meter.account;
   page_frame : Page_frame.t;
   known : Known_segment.t;
   address_space : Address_space.t;
@@ -16,7 +16,8 @@ type t = {
 let name = Registry.gate
 
 let create ~meter ~page_frame ~known ~address_space ~gate ~obs =
-  { meter; page_frame; known; address_space; gate; obs }
+  { acct = Meter.account meter name; page_frame; known; address_space; gate;
+    obs }
 
 let of_pfm = function
   | Page_frame.Wait (ec, v) -> Wait (ec, v)
@@ -24,7 +25,7 @@ let of_pfm = function
   | Page_frame.Damaged msg -> Error msg
 
 let handle t ~proc fault =
-  Meter.charge t.meter ~manager:name Cost.Pl1 Cost.fault_entry;
+  Meter.charge t.acct Cost.Pl1 Cost.fault_entry;
   Multics_obs.Sink.count t.obs "fault.handled";
   (* A fault is a request entry point: open a context under the faulting
      process so the page read, its retries and any read-ahead spawned on

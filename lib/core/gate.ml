@@ -1,7 +1,7 @@
 type gate_info = { g_max_ring : int; mutable g_calls : int }
 
 type t = {
-  meter : Meter.t;
+  acct : Meter.account;
   signals : Upward_signal.t;
   directory : Directory.t;
   obs : Multics_obs.Sink.t;
@@ -13,8 +13,8 @@ type t = {
 let name = Registry.gate
 
 let create ~meter ~signals ~directory ~obs =
-  { meter; signals; directory; obs; gates = Hashtbl.create 64;
-    total = 0; violations = 0 }
+  { acct = Meter.account meter name; signals; directory; obs;
+    gates = Hashtbl.create 64; total = 0; violations = 0 }
 
 let define t ~name:gate_name ~max_ring =
   if Hashtbl.mem t.gates gate_name then
@@ -51,7 +51,7 @@ let call t ?deadline ~name:gate_name ~caller_ring f =
       else begin
         info.g_calls <- info.g_calls + 1;
         t.total <- t.total + 1;
-        Meter.charge t.meter ~manager:name Cost.Pl1 Cost.gate_crossing;
+        Meter.charge t.acct Cost.Pl1 Cost.gate_crossing;
         Multics_obs.Sink.count t.obs "gate.call";
         (* Every gate entry opens a request context under whatever was
            ambient (the calling process), so kernel work done on the

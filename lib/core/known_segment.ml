@@ -13,7 +13,7 @@ type kst = {
 }
 
 type t = {
-  meter : Meter.t;
+  acct : Meter.account;
   segment : Segment.t;
   first_user_segno : int;
   ksts : (int, kst) Hashtbl.t;
@@ -22,11 +22,12 @@ type t = {
 let name = Registry.known_segment_manager
 
 let entry t ns =
-  Meter.charge t.meter ~manager:name (Registry.language name)
+  Meter.charge t.acct (Registry.language name)
     (Cost.kernel_call + ns)
 
 let create ~meter ~segment ~first_user_segno =
-  { meter; segment; first_user_segno; ksts = Hashtbl.create 16 }
+  { acct = Meter.account meter name; segment; first_user_segno;
+    ksts = Hashtbl.create 16 }
 
 let create_kst t ~proc =
   entry t Cost.directory_entry_op;

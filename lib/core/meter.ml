@@ -1,19 +1,34 @@
-type t = {
-  mutable pending : int;
-  mutable total : int;
-  per_manager : (string, int) Hashtbl.t;
+type account = {
+  owner : t;
+  mutable spent : int;
+  mutable charged : bool;  (* listed by [by_manager] once charged *)
 }
 
-let create () = { pending = 0; total = 0; per_manager = Hashtbl.create 16 }
+and t = {
+  mutable pending : int;
+  mutable total : int;
+  accounts : (string, account) Hashtbl.t;
+}
 
-let charge_raw t ~manager ns =
+let create () = { pending = 0; total = 0; accounts = Hashtbl.create 16 }
+
+let account t manager =
+  match Hashtbl.find_opt t.accounts manager with
+  | Some a -> a
+  | None ->
+      let a = { owner = t; spent = 0; charged = false } in
+      Hashtbl.replace t.accounts manager a;
+      a
+
+let charge_raw a ns =
   assert (ns >= 0);
+  let t = a.owner in
   t.pending <- t.pending + ns;
   t.total <- t.total + ns;
-  let old = Option.value ~default:0 (Hashtbl.find_opt t.per_manager manager) in
-  Hashtbl.replace t.per_manager manager (old + ns)
+  a.spent <- a.spent + ns;
+  a.charged <- true
 
-let charge t ~manager lang ns = charge_raw t ~manager (Cost.scale lang ns)
+let charge a lang ns = charge_raw a (Cost.scale lang ns)
 
 let take_pending t =
   let p = t.pending in
@@ -24,5 +39,7 @@ let pending t = t.pending
 let total t = t.total
 
 let by_manager t =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.per_manager []
+  Hashtbl.fold
+    (fun name a acc -> if a.charged then (name, a.spent) :: acc else acc)
+    t.accounts []
   |> List.sort compare

@@ -6,17 +6,30 @@
     Device time is not kernel time: a disk arm's sweep advances the
     clock through the event queue and is recorded by the I/O
     scheduler's [s_busy_ns], never here.  The meter is not part of the
-    observability sink: its pending cost is simulated time. *)
+    observability sink: its pending cost is simulated time.
+
+    Charges go to {e accounts}, one per manager name.  A manager
+    resolves its accounts once, when it is created, so a charge is a
+    few integer adds with no name lookup; a cold caller that names the
+    manager at the call resolves the account there. *)
 
 type t
 
+type account
+(** One manager's running total on one meter. *)
+
 val create : unit -> t
 
-val charge : t -> manager:string -> Cost.language -> int -> unit
-(** Add [Cost.scale lang ns] to the pending step cost and to the
-    manager's total. *)
+val account : t -> string -> account
+(** The named manager's account, made on first request.  Every request
+    for one name returns the same account, so their charges share one
+    total. *)
 
-val charge_raw : t -> manager:string -> int -> unit
+val charge : account -> Cost.language -> int -> unit
+(** Add [Cost.scale lang ns] to the pending step cost, the meter's
+    total and the account's total. *)
+
+val charge_raw : account -> int -> unit
 (** Charge without language scaling (e.g. pure waiting). *)
 
 val take_pending : t -> int
@@ -24,5 +37,8 @@ val take_pending : t -> int
 
 val pending : t -> int
 val total : t -> int
+
 val by_manager : t -> (string * int) list
-(** Sorted by manager name. *)
+(** Each account charged at least once (a charge of zero counts) with
+    its total, sorted by manager name.  An account resolved but never
+    charged is not listed. *)

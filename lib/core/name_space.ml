@@ -1,7 +1,7 @@
 module Aim = Multics_aim
 
 type t = {
-  meter : Meter.t;
+  acct : Meter.account;
   obs : Multics_obs.Sink.t;
   gate : Gate.t;
   directory : Directory.t;
@@ -33,7 +33,7 @@ let create ?(use_cache = true) ?obs ~meter ~gate ~directory () =
     match obs with Some s -> s | None -> Multics_obs.Sink.detached ()
   in
   let t =
-    { meter; obs; gate; directory; use_cache;
+    { acct = Meter.account meter name; obs; gate; directory; use_cache;
       cache = Hashtbl.create 64; cache_hits = 0; cache_misses = 0;
       cache_invalidations = 0 }
   in
@@ -57,7 +57,7 @@ let cache_key ~subject ~ring ~dir_uid ~component =
 let gated_search t ~subject ~ring ~dir_uid ~component =
   Multics_obs.Sink.count t.obs "ns.search";
   (* The user-ring walker is a small, simple program. *)
-  Meter.charge t.meter ~manager:name Cost.Pl1 (Cost.kernel_call / 2);
+  Meter.charge t.acct Cost.Pl1 (Cost.kernel_call / 2);
   match
     Gate.call t.gate ~name:"hcs_$fs_search" ~caller_ring:ring (fun () ->
         Directory.search t.directory ~subject ~dir_uid ~name:component)
@@ -72,7 +72,7 @@ let search t ~subject ~ring ~dir_uid ~component =
     match Hashtbl.find_opt t.cache key with
     | Some uid ->
         t.cache_hits <- t.cache_hits + 1;
-        Meter.charge t.meter ~manager:name Cost.Pl1 Cost.name_cache_hit;
+        Meter.charge t.acct Cost.Pl1 Cost.name_cache_hit;
         `Found uid
     | None ->
         t.cache_misses <- t.cache_misses + 1;

@@ -9,12 +9,11 @@ type frame_entry = {
   mutable prefetched : bool;  (* read ahead of demand; hit not yet seen *)
 }
 
-(* A page table registered by the segment manager: where its PTWs live,
-   which VTOC entry holds its file map, and which quota cell pays for
-   its pages. *)
+(* A page table registered by the segment manager: where its PTWs
+   start, which VTOC entry holds its file map, and which quota cell pays
+   for its pages. *)
 type pt_info = {
   pt_base : Hw.Addr.abs;
-  pt_words : int;
   home_pack : int;
   home_index : int;
   cell : Quota_cell.handle;
@@ -32,6 +31,8 @@ type transit = {
 type t = {
   machine : Hw.Machine.t;
   meter : Meter.t;
+  acct : Meter.account;
+  cleaner_acct : Meter.account;  (* the daemon's own synchronous writes *)
   obs : Multics_obs.Sink.t;
   volume : Volume.t;
   quota : Quota_cell.t;
@@ -42,9 +43,12 @@ type t = {
   mutable free_count : int;
   mutable clock_hand : int;
   transits : (int, transit) Hashtbl.t;
-  (* ptw_abs -> owning page table, one key per PTW in each registered
-     range, so fault paths resolve a PTW without scanning. *)
-  page_tables : (Hw.Addr.abs, pt_info) Hashtbl.t;
+  (* The registry: one entry per AST slot.  The segment manager's page
+     tables sit back to back from [pt_region], [pt_words] PTWs each, so
+     a PTW's table is found by arithmetic, without a key per PTW. *)
+  mutable pt_region : Hw.Addr.abs;
+  mutable pt_words : int;
+  mutable page_tables : pt_info option array;
   frees_ec : Sync.Eventcount.t;
   cleaner : Sync.Eventcount.t;
   pf_choice : Multics_choice.Choice.t option;
@@ -73,7 +77,7 @@ type t = {
 let name = Registry.page_frame_manager
 let lang = Cost.Pl1
 
-let charge t ns = Meter.charge t.meter ~manager:name lang ns
+let charge t ns = Meter.charge t.acct lang ns
 
 let entry t ns = charge t (Cost.kernel_call + ns)
 
@@ -84,7 +88,9 @@ let create ?choice ~machine ~meter ~core ~volume ~quota
   assert (read_ahead >= 0);
   let frame_region = Core_segment.alloc core ~name:"frame_table" ~words:n in
   let obs = Hw.Machine.obs machine in
-  { machine; meter; obs; volume; quota;
+  { machine; meter; acct = Meter.account meter name;
+    cleaner_acct = Meter.account meter "page_cleaner_daemon";
+    obs; volume; quota;
     frames =
       Array.init n (fun _ ->
           { used_by = -1; record_handle = -1; quota_cell = Quota_cell.no_cell;
@@ -92,7 +98,7 @@ let create ?choice ~machine ~meter ~core ~volume ~quota
     frame_region; core;
     free = List.init n (fun i -> i);
     free_count = n; clock_hand = 0; transits = Hashtbl.create 32;
-    page_tables = Hashtbl.create 256;
+    pt_region = 0; pt_words = 1; page_tables = [||];
     frees_ec = Sync.Eventcount.create ~name:"pfm.frees" ~obs ?choice ();
     cleaner = Sync.Eventcount.create ~name:"pfm.cleaner" ~obs ?choice ();
     pf_choice = choice;
@@ -122,27 +128,32 @@ let mirror t frame =
 
 let mem t = t.machine.Hw.Machine.mem
 
-let lookup_pt t ptw_abs = Hashtbl.find_opt t.page_tables ptw_abs
+let set_page_table_region t ~base ~pt_words ~slots =
+  assert (pt_words > 0 && slots > 0 && Array.length t.page_tables = 0);
+  t.pt_region <- base;
+  t.pt_words <- pt_words;
+  t.page_tables <- Array.make slots None
 
-let remove_pt_range t ~pt_base =
-  match Hashtbl.find_opt t.page_tables pt_base with
-  | None -> ()
-  | Some pt ->
-      for i = 0 to pt.pt_words - 1 do
-        Hashtbl.remove t.page_tables (pt_base + i)
-      done
+let lookup_pt t ptw_abs =
+  let off = ptw_abs - t.pt_region in
+  if off < 0 || off >= Array.length t.page_tables * t.pt_words then None
+  else t.page_tables.(off / t.pt_words)
 
-let register_page_table t ~pt_base ~pt_words ~home_pack ~home_index ~cell =
+let register_page_table t ~slot ~home_pack ~home_index ~cell =
   entry t Cost.ptw_update;
-  remove_pt_range t ~pt_base;
-  let pt = { pt_base; pt_words; home_pack; home_index; cell } in
-  for i = 0 to pt_words - 1 do
-    Hashtbl.replace t.page_tables (pt_base + i) pt
-  done
+  t.page_tables.(slot) <-
+    Some
+      { pt_base = t.pt_region + (slot * t.pt_words); home_pack; home_index;
+        cell }
 
-let unregister_page_table t ~pt_base =
+let unregister_page_table t ~slot =
   entry t Cost.ptw_update;
-  remove_pt_range t ~pt_base
+  t.page_tables.(slot) <- None
+
+let page_table_home t ~ptw_abs =
+  match lookup_pt t ptw_abs with
+  | Some pt -> Some (pt.home_pack, pt.home_index, pt.cell)
+  | None -> None
 
 let release_frame t frame =
   let e = t.frames.(frame) in
@@ -486,7 +497,7 @@ let maybe_read_ahead t ~ptw_abs =
        | Some pt ->
            for i = 1 to t.read_ahead do
              let target = ptw_abs + i in
-             if target < pt.pt_base + pt.pt_words then begin
+             if target < pt.pt_base + t.pt_words then begin
                (* Raw probes: the common outcome (page present, or not
                   worth prefetching) needs four bit tests of the
                   fetched word, not a decoded record. *)
@@ -614,7 +625,7 @@ let fault_in_sync t ~ptw_abs =
   else if Hashtbl.mem t.transits ptw_abs then begin
     (* An asynchronous read is in flight; pay the latency and let the
        pending completion finish the job. *)
-    Meter.charge_raw t.meter ~manager:name (Volume.io_latency_ns t.volume);
+    Meter.charge_raw t.acct (Volume.io_latency_ns t.volume);
     `Ok
   end
   else begin
@@ -632,8 +643,7 @@ let fault_in_sync t ~ptw_abs =
         | Error err ->
             mark_page_damaged t ~ptw_abs ~record_handle err;
             release_frame t frame;
-            Meter.charge_raw t.meter ~manager:name
-              (Volume.io_latency_ns t.volume);
+            Meter.charge_raw t.acct (Volume.io_latency_ns t.volume);
             `Damaged
         | Ok img ->
             Hw.Phys_mem.write_frame (mem t) frame img;
@@ -645,8 +655,7 @@ let fault_in_sync t ~ptw_abs =
             mirror t frame;
             Hw.Ptw.write (mem t) ptw_abs (Hw.Ptw.in_core ~frame);
             t.page_reads <- t.page_reads + 1;
-            Meter.charge_raw t.meter ~manager:name
-              (Volume.io_latency_ns t.volume);
+            Meter.charge_raw t.acct (Volume.io_latency_ns t.volume);
             `Ok
   end
 
@@ -732,8 +741,7 @@ let cleaner_step t _vp =
             | Error err -> handle_write_failure t ~ptw_abs ~old_handle img err);
             (* The daemon's own low-priority time, metered separately
                so fault-path accounting stays clean. *)
-            Meter.charge_raw t.meter ~manager:"page_cleaner_daemon"
-              (Volume.io_latency_ns t.volume)
+            Meter.charge_raw t.cleaner_acct (Volume.io_latency_ns t.volume)
           end;
           Multics_obs.Sink.set_current t.obs prev;
           Hw.Phys_mem.write (mem t) e.used_by (Hw.Ptw.raw_clear_modified w);

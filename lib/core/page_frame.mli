@@ -38,16 +38,39 @@ val free_frames : t -> int
 val iter_used : t -> (frame:int -> ptw_abs:Multics_hw.Addr.abs -> unit) -> unit
 (** Visit every in-use frame (for the invariant checker). *)
 
-val register_page_table :
-  t -> pt_base:Multics_hw.Addr.abs -> pt_words:int ->
-  home_pack:int -> home_index:int -> cell:Quota_cell.handle -> unit
-(** The segment manager announces each active segment's page table: its
-    PTW range, the VTOC entry holding its file map, and the quota cell
-    its pages charge — the static association that replaces the legacy
-    upward search. *)
+(** {2 The page-table registry}
 
-val unregister_page_table :
-  t -> pt_base:Multics_hw.Addr.abs -> unit
+    Page control resolves a PTW to the segment it belongs to — the VTOC
+    entry holding the file map and the quota cell its pages charge —
+    through one registry entry per active segment, the static
+    association that replaces the legacy upward search.  The segment
+    manager's page tables lie back to back in one core region, table
+    [slot] at [base + slot * pt_words], so a PTW's table is found by
+    arithmetic: registering or dropping a table touches one entry,
+    whatever its size. *)
+
+val set_page_table_region :
+  t -> base:Multics_hw.Addr.abs -> pt_words:int -> slots:int -> unit
+(** Declare the segment manager's page-table region: [slots] tables of
+    [pt_words] PTWs from [base].  Called once, before any
+    registration. *)
+
+val register_page_table :
+  t -> slot:int -> home_pack:int -> home_index:int ->
+  cell:Quota_cell.handle -> unit
+(** The segment manager announces the page table of the segment active
+    in AST [slot]: the VTOC entry holding its file map and the quota
+    cell its pages charge.  Replaces whatever the slot held before. *)
+
+val unregister_page_table : t -> slot:int -> unit
+(** The slot's segment was deactivated: its PTWs no longer resolve. *)
+
+val page_table_home :
+  t -> ptw_abs:Multics_hw.Addr.abs ->
+  (int * int * Quota_cell.handle) option
+(** (home pack, VTOC index, quota cell) of the registered table holding
+    [ptw_abs]; [None] for a PTW of a slot with no registered table, or
+    outside the region. *)
 
 type service_outcome =
   | Wait of Multics_sync.Eventcount.t * int

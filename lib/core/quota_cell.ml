@@ -13,7 +13,7 @@ type cell = {
 }
 
 type t = {
-  meter : Meter.t;
+  acct : Meter.account;
   core : Core_segment.t;
   volume : Volume.t;
   cache_region : Core_segment.region;  (* 2 words per cell: limit, used *)
@@ -24,7 +24,7 @@ type t = {
 let name = Registry.quota_cell_manager
 
 let entry t base =
-  Meter.charge t.meter ~manager:name (Registry.language name)
+  Meter.charge t.acct (Registry.language name)
     (Cost.kernel_call + base)
 
 let create ~meter ~core ~volume ~max_cells =
@@ -32,7 +32,7 @@ let create ~meter ~core ~volume ~max_cells =
   let cache_region =
     Core_segment.alloc core ~name:"quota_cell_cache" ~words:(2 * max_cells)
   in
-  { meter; core; volume; cache_region;
+  { acct = Meter.account meter name; core; volume; cache_region;
     cells =
       Array.init max_cells (fun _ ->
           { home_pack = 0; home_index = 0; limit = 0; used = 0; live = false });

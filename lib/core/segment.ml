@@ -13,7 +13,7 @@ type grow_error = [ `Over_quota | `No_space | `Damaged ]
 
 type t = {
   machine : Hw.Machine.t;
-  meter : Meter.t;
+  acct : Meter.account;
   obs : Multics_obs.Sink.t;
   volume : Volume.t;
   quota : Quota_cell.t;
@@ -34,7 +34,7 @@ type t = {
 let name = Registry.segment_manager
 let lang = Cost.Pl1
 
-let charge t ns = Meter.charge t.meter ~manager:name lang ns
+let charge t ns = Meter.charge t.acct lang ns
 
 let entry t ns = charge t (Cost.kernel_call + ns)
 
@@ -45,8 +45,10 @@ let create ~machine ~meter ~core ~volume ~quota ~page_frame ~signals
   let pt_region =
     Core_segment.alloc core ~name:"page_tables" ~words:(ast_slots * pt_words)
   in
-  { machine; meter; obs = Hw.Machine.obs machine; volume; quota; page_frame;
-    signals;
+  Page_frame.set_page_table_region page_frame
+    ~base:(Core_segment.abs_of pt_region 0) ~pt_words ~slots:ast_slots;
+  { machine; acct = Meter.account meter name; obs = Hw.Machine.obs machine;
+    volume; quota; page_frame; signals;
     n_slots = ast_slots; pt_words; pt_region;
     ast =
       Array.init ast_slots (fun _ ->
@@ -140,13 +142,17 @@ let sync_file_map t slot e =
     Volume.vtoc t.volume ~pack:e.home_pack ~index:e.home_index
   in
   for pageno = 0 to t.pt_words - 1 do
-    let ptw = Hw.Ptw.read (mem t) (ptw_abs t ~slot ~pageno) in
+    (* Raw probes: every deactivation walks the whole table here, and
+       the decision needs three bit tests and the record field of the
+       fetched word, not a decoded record. *)
+    let w = Hw.Phys_mem.read (mem t) (ptw_abs t ~slot ~pageno) in
     (* Damaged descriptors are skipped: the file map keeps its handle
        (possibly already repaired by the salvager) rather than being
        overwritten from a descriptor that names a lost record. *)
-    if ptw.Hw.Ptw.valid && not ptw.Hw.Ptw.damaged then begin
+    if Hw.Ptw.raw_valid w && not (Hw.Ptw.raw_damaged w) then begin
       let value =
-        if ptw.Hw.Ptw.unallocated then Hw.Disk.unallocated else ptw.Hw.Ptw.arg
+        if Hw.Ptw.raw_unallocated w then Hw.Disk.unallocated
+        else Hw.Ptw.raw_arg w
       in
       if vtoc.Hw.Disk.file_map.(pageno) <> value then
         Volume.set_file_map_entry t.volume ~pack:e.home_pack
@@ -160,7 +166,7 @@ let deactivate_slot t slot =
   flush_slot t slot;
   sync_file_map t slot e;
   sever_connections t e;
-  Page_frame.unregister_page_table t.page_frame ~pt_base:(pt_base t ~slot);
+  Page_frame.unregister_page_table t.page_frame ~slot;
   Hashtbl.remove t.active_index (Ids.to_int e.uid);
   e.live <- false;
   t.deactivations <- t.deactivations + 1;
@@ -257,8 +263,7 @@ let activate t ~uid ~cell =
                 e.live <- true;
                 Hashtbl.replace t.active_index (Ids.to_int uid) slot;
                 build_page_table t slot vtoc;
-                Page_frame.register_page_table t.page_frame
-                  ~pt_base:(pt_base t ~slot) ~pt_words:t.pt_words
+                Page_frame.register_page_table t.page_frame ~slot
                   ~home_pack:pack ~home_index:index ~cell;
                 t.activations <- t.activations + 1;
                 Multics_obs.Sink.count t.obs "seg.activate";
@@ -306,16 +311,14 @@ let relocate t slot =
       | Error `No_space -> Error `No_space
       | Ok (new_pack, new_index, _moved) ->
           sever_connections t e;
-          Page_frame.unregister_page_table t.page_frame
-            ~pt_base:(pt_base t ~slot);
+          Page_frame.unregister_page_table t.page_frame ~slot;
           e.home_pack <- new_pack;
           e.home_index <- new_index;
           let vtoc =
             Volume.vtoc t.volume ~pack:new_pack ~index:new_index
           in
           build_page_table t slot vtoc;
-          Page_frame.register_page_table t.page_frame
-            ~pt_base:(pt_base t ~slot) ~pt_words:t.pt_words
+          Page_frame.register_page_table t.page_frame ~slot
             ~home_pack:new_pack ~home_index:new_index ~cell:e.cell;
           t.relocations <- t.relocations + 1;
           Upward_signal.raise_signal t.signals ~from:name

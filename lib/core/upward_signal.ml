@@ -15,7 +15,7 @@ let create ~meter =
 let set_obs t sink = t.obs <- sink
 
 let raise_signal t ~from payload =
-  Meter.charge t.meter ~manager:from Cost.Pl1 Cost.upward_signal;
+  Meter.charge (Meter.account t.meter from) Cost.Pl1 Cost.upward_signal;
   Multics_obs.Sink.count t.obs "signal.raise";
   Multics_obs.Sink.instant t.obs ~cat:"signal" ~name:from ();
   t.queue <- payload :: t.queue;

@@ -36,6 +36,7 @@ type interp_outcome =
 type t = {
   machine : Hw.Machine.t;
   meter : Meter.t;
+  acct : Meter.account;
   obs : Multics_obs.Sink.t;
   known : Known_segment.t;
   address_space : Address_space.t;
@@ -59,14 +60,15 @@ type t = {
 let name = Registry.user_process_manager
 let lang = Cost.Pl1
 
-let charge t ns = Meter.charge t.meter ~manager:name lang ns
+let charge t ns = Meter.charge t.acct lang ns
 
 let entry t ns = charge t (Cost.kernel_call + ns)
 
 let create ?choice ~machine ~meter ~known ~address_space ~segment ~vp
     ~policy ~state_pack () =
   let obs = Hw.Machine.obs machine in
-  { machine; meter; obs; known; address_space; segment; vp;
+  { machine; meter; acct = Meter.account meter name; obs; known;
+    address_space; segment; vp;
     sched = Scheduler.create ?choice policy;
     up_choice = choice;
     procs_tbl = Hashtbl.create 32; next_pid = 1;

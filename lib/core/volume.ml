@@ -2,7 +2,7 @@ module Hw = Multics_hw
 
 type t = {
   machine : Hw.Machine.t;
-  meter : Meter.t;
+  acct : Meter.account;
   io : Hw.Io_sched.t;
   locator : (int, int * int) Hashtbl.t;  (* uid -> (pack, vtoc index) *)
   mutable full_pack_count : int;
@@ -22,7 +22,7 @@ let note_online t ~pack =
   end
 
 let entry t base_cost =
-  Meter.charge t.meter ~manager:name (Registry.language name)
+  Meter.charge t.acct (Registry.language name)
     (Cost.kernel_call + base_cost)
 
 let create ?(faults = Hw.Fault_inject.none) ?choice ?io_config ~machine
@@ -40,7 +40,7 @@ let create ?(faults = Hw.Fault_inject.none) ?choice ?io_config ~machine
      the kernel's trace. *)
   Hw.Io_sched.set_obs io (Hw.Machine.obs machine);
   let t =
-    { machine; meter; io; locator = Hashtbl.create 64;
+    { machine; acct = Meter.account meter name; io; locator = Hashtbl.create 64;
       full_pack_count = 0; signals = None;
       offline_signalled = Hashtbl.create 4; offline_signal_count = 0;
       spared = 0; damaged = 0 }
@@ -199,7 +199,7 @@ let spare_record t ~old_handle img =
           match Hw.Io_sched.write_now t.io ~pack ~record img with
           | Ok () ->
               t.spared <- t.spared + 1;
-              Meter.charge_raw t.meter ~manager:name (io_latency_ns t);
+              Meter.charge_raw t.acct (io_latency_ns t);
               Ok (Hw.Disk.handle ~pack ~record)
           | Error _ -> alloc_and_write (tries - 1))
   in
@@ -276,7 +276,7 @@ let move_segment t ~pack ~index ~to_pack =
     Hashtbl.replace t.locator old_entry.Hw.Disk.uid (to_pack, new_index);
     (* The record transfers take real time: charge the meter for the
        overlapped copies. *)
-    Meter.charge_raw t.meter ~manager:name
+    Meter.charge_raw t.acct
       (n_records * (io_latency_ns t / 4));
     Ok (to_pack, new_index, n_records)
   end

@@ -5,10 +5,7 @@ type t = {
   mutable ring : int;
   mutable user_dbr : dbr option;
   mutable system_dbr : dbr option;
-  mutable wakeup_waiting : bool;
   mutable locked_ptw : Addr.abs option;
-  mutable busy_ns : int;
-  mutable idle_ns : int;
   mutable translations : int;
   mutable faults : int;
   tlb : Assoc_mem.t;
@@ -16,9 +13,8 @@ type t = {
 }
 
 let create ~id =
-  { id; ring = 0; user_dbr = None; system_dbr = None; wakeup_waiting = false;
-    locked_ptw = None; busy_ns = 0; idle_ns = 0; translations = 0; faults = 0;
-    tlb = Assoc_mem.create (); xl_ns = 0 }
+  { id; ring = 0; user_dbr = None; system_dbr = None; locked_ptw = None;
+    translations = 0; faults = 0; tlb = Assoc_mem.create (); xl_ns = 0 }
 
 (* A process switch invalidates the associative memory: the cached SDWs
    describe the outgoing address space.  System segments (below the

@@ -1,10 +1,11 @@
 (** Simulated processors.
 
     Each CPU owns the per-processor state the paper discusses: the
-    descriptor base register(s), the wakeup-waiting switch, and the
-    register recording the absolute address of a locked page descriptor
-    (the last two prevent lost notifications between a locked-descriptor
-    fault and the wait primitive, paper p.20). *)
+    descriptor base register(s) and the register recording the absolute
+    address of a locked page descriptor.  With the wakeup-waiting
+    switch, which the virtual processor manager keeps, that register
+    prevents lost notifications between a locked-descriptor fault and
+    the wait primitive (paper p.20). *)
 
 type dbr = { base : Addr.abs; n_segments : int }
 (** A descriptor base register: absolute address of an SDW array. *)
@@ -14,10 +15,7 @@ type t = {
   mutable ring : int;                      (** current ring of execution *)
   mutable user_dbr : dbr option;
   mutable system_dbr : dbr option;         (** used only with dual DBR *)
-  mutable wakeup_waiting : bool;
   mutable locked_ptw : Addr.abs option;
-  mutable busy_ns : int;                   (** accumulated busy time *)
-  mutable idle_ns : int;
   mutable translations : int;
   mutable faults : int;
   tlb : Assoc_mem.t;                       (** SDW associative memory *)

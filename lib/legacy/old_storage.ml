@@ -547,7 +547,7 @@ let kernel_touch_sync t ~uid ~pageno ~write =
             fe.fr_pageno <- pageno;
             Hw.Ptw.write (mem t) ptw_abs (Hw.Ptw.in_core ~frame);
             t.stats.st_page_reads <- t.stats.st_page_reads + 1;
-            K.Meter.charge_raw t.meter ~manager:page_control
+            K.Meter.charge_raw (K.Meter.account t.meter page_control)
               (Hw.Disk.io_latency_ns (disk t));
             Ok ()
       end)

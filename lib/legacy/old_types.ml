@@ -116,8 +116,12 @@ let fresh_uid t =
   t.next_uid <- uid + 1;
   uid
 
-let charge_asm t ~manager ns = K.Meter.charge t.meter ~manager K.Cost.Asm ns
-let charge_pl1 t ~manager ns = K.Meter.charge t.meter ~manager K.Cost.Pl1 ns
+let charge_asm t ~manager ns =
+  K.Meter.charge (K.Meter.account t.meter manager) K.Cost.Asm ns
+
+let charge_pl1 t ~manager ns =
+  K.Meter.charge (K.Meter.account t.meter manager) K.Cost.Pl1 ns
+
 let share t ~from ~to_ =
   if from <> to_ then
     Multics_depgraph.Graph.add_edge t.observed ~from ~to_

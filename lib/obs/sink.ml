@@ -284,13 +284,32 @@ let phase_code = function
   | Trace_buf.Instant -> "i"
   | Trace_buf.Counter -> "C"
 
+(* Decimal rendering straight into a buffer: the flight dump writes
+   several numbers per event, and a string for each was about half of
+   its host time.  Digits are peeled from the value made non-positive,
+   a form every int has ([min_int] has no positive one). *)
+let rec neg_width n = if n > -10 then 1 else 1 + neg_width (n / 10)
+
+let int_width n = if n < 0 then 1 + neg_width n else neg_width (-n)
+
+let rec add_neg b n =
+  if n <= -10 then add_neg b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 - (n mod 10)))
+
+let add_int b n =
+  if n < 0 then begin
+    Buffer.add_char b '-';
+    add_neg b n
+  end
+  else add_neg b (-n)
+
 (* The dump is appended straight into a buffer: the explorer renders
    one per schedule, and going through [Format] cost it more than a
    quarter of its host time. *)
 let flight_dump t =
   let b = Buffer.create 1024 in
   let str = Buffer.add_string b and chr = Buffer.add_char b in
-  let num n = str (string_of_int n) in
+  let num n = add_int b n in
   let pad n = for _ = 1 to n do chr ' ' done in
   let rec chain first id =
     if known t id then begin
@@ -310,12 +329,11 @@ let flight_dump t =
     (fun { Trace_buf.ev_time; ev_phase; ev_cat; ev_name; ev_tid; ev_id;
            ev_arg; ev_ctx } ->
       (* time right-aligned in 12 columns, track left-aligned in 2 *)
-      let time = string_of_int ev_time and tid = string_of_int ev_tid in
-      pad (12 - String.length time);
-      str time;
+      pad (12 - int_width ev_time);
+      num ev_time;
       str " t";
-      str tid;
-      pad (2 - String.length tid);
+      num ev_tid;
+      pad (2 - int_width ev_tid);
       chr ' ';
       str (phase_code ev_phase);
       chr ' ';

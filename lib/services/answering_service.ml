@@ -34,7 +34,7 @@ let meter t = K.Kernel.meter t.kernel
 
 (* Trusted core work (in the kernel's audit boundary in both variants). *)
 let charge_core t ns =
-  K.Meter.charge (meter t) ~manager:"answering_service" K.Cost.Pl1 ns
+  K.Meter.charge (K.Meter.account (meter t) "answering_service") K.Cost.Pl1 ns
 
 (* Login-server work: user domain in the split variant, still trusted in
    the monolith. *)
@@ -44,7 +44,7 @@ let charge_server t ns =
     | Monolithic -> "answering_service"
     | Split -> "login_server"
   in
-  K.Meter.charge (meter t) ~manager K.Cost.Pl1 ns
+  K.Meter.charge (K.Meter.account (meter t) manager) K.Cost.Pl1 ns
 
 let register_user t ~user ~password ~clearance =
   charge_core t K.Cost.directory_entry_op;
@@ -101,7 +101,7 @@ let login ?(load_class = 0) ?deadline_ns t ~user ~password ~program =
         (* The server, in an outer ring, crosses into the authentication
            core and again for process creation: the 3% the paper
            measured. *)
-        K.Meter.charge (meter t) ~manager:"login_server" K.Cost.Pl1
+        K.Meter.charge (K.Meter.account (meter t) "login_server") K.Cost.Pl1
           (2 * K.Cost.ring_crossing));
     match authenticate t ~user ~password with
     | Error e ->

@@ -20,10 +20,12 @@ let placement t = t.placement
 let meter t = K.Kernel.meter t.kernel
 
 let charge_kernel t ns =
-  K.Meter.charge (meter t) ~manager:"dynamic_linker_ring0" K.Cost.Pl1 ns
+  K.Meter.charge (K.Meter.account (meter t) "dynamic_linker_ring0") K.Cost.Pl1
+    ns
 
 let charge_user t ns =
-  K.Meter.charge (meter t) ~manager:"dynamic_linker_user" K.Cost.Pl1 ns
+  K.Meter.charge (K.Meter.account (meter t) "dynamic_linker_user") K.Cost.Pl1
+    ns
 
 (* One directory probe for [symbol]. *)
 let probe t ~subject ~ring ~dir ~symbol =

@@ -51,18 +51,19 @@ let deliver t ~net ~channel ~bytes =
   (* The interrupt and demultiplexing are kernel work in either
      arrangement. *)
   let demux = K.Cost.scale K.Cost.Pl1 K.Cost.net_demux_packet in
-  K.Meter.charge meter ~manager:"network_demux" K.Cost.Pl1
+  K.Meter.charge (K.Meter.account meter "network_demux") K.Cost.Pl1
     K.Cost.net_demux_packet;
   t.kernel_ns <- t.kernel_ns + demux;
   let proto = steps * K.Cost.net_protocol_step in
   (match t.variant with
   | Per_network_in_kernel ->
-      K.Meter.charge meter ~manager:"network_protocols_ring0" K.Cost.Pl1 proto;
+      K.Meter.charge (K.Meter.account meter "network_protocols_ring0")
+        K.Cost.Pl1 proto;
       t.kernel_ns <- t.kernel_ns + K.Cost.scale K.Cost.Pl1 proto
   | Generic_demux ->
       (* Hand the submessage out of the kernel, process it there. *)
-      K.Meter.charge meter ~manager:"network_protocols_user" K.Cost.Pl1
-        (K.Cost.ring_crossing + proto);
+      K.Meter.charge (K.Meter.account meter "network_protocols_user")
+        K.Cost.Pl1 (K.Cost.ring_crossing + proto);
       t.user_ns <- t.user_ns + K.Cost.scale K.Cost.Pl1 proto);
   t.delivered <- t.delivered + 1;
   t.log <- channel :: t.log;

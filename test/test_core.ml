@@ -221,6 +221,107 @@ let test_full_pack_relocation () =
   check Alcotest.int "signals all delivered" 0
     (K.Upward_signal.pending (K.Kernel.signals k))
 
+(* The page-table registry follows the AST: every PTW of an active
+   segment resolves to that segment's home and quota cell, no PTW of a
+   freed slot resolves, and a slot's next tenant, or a segment that
+   moved to another pack, resolves to its own home. *)
+let test_page_table_registry () =
+  let cfg = tiny_pack_config in
+  let k = K.Kernel.boot cfg in
+  K.Kernel.mkdir k ~path:">home" ~acl:open_acl ~label:low;
+  (* Two quota directories, so tenants charge different cells. *)
+  List.iter
+    (fun q ->
+      K.Kernel.mkdir k ~path:(">home>" ^ q) ~acl:open_acl ~label:low;
+      K.Kernel.set_quota k ~path:(">home>" ^ q) ~limit:8)
+    [ "qa"; "qb" ];
+  let names = [ "qa>a"; "qb>b"; "c"; "d" ] in
+  List.iter
+    (fun n ->
+      K.Kernel.create_file k ~path:(">home>" ^ n) ~acl:open_acl ~label:low)
+    names;
+  let sm = K.Kernel.segment k and pfm = K.Kernel.page_frame k in
+  let target n =
+    match
+      K.Name_space.initiate (K.Kernel.name_space k)
+        ~subject:K.Kernel.root_subject ~ring:1 ~path:(">home>" ^ n)
+    with
+    | Ok t -> t
+    | Error _ -> Alcotest.fail ("initiate " ^ n)
+  in
+  let activate t =
+    match
+      K.Segment.activate sm ~uid:t.K.Directory.t_uid ~cell:t.K.Directory.t_cell
+    with
+    | Ok slot -> slot
+    | Error _ -> Alcotest.fail "activate"
+  in
+  let homes = Alcotest.(list (option (triple int int int))) in
+  let table slot =
+    List.init (K.Segment.pt_words sm) (fun pageno ->
+        K.Page_frame.page_table_home pfm
+          ~ptw_abs:(K.Segment.ptw_abs sm ~slot ~pageno))
+  in
+  let resolves what slot cell =
+    let pack, index = K.Segment.slot_home sm ~slot in
+    check homes what
+      (List.init (K.Segment.pt_words sm) (fun _ -> Some (pack, index, cell)))
+      (table slot)
+  in
+  let tenants =
+    List.map
+      (fun n ->
+        let t = target n in
+        (n, activate t, t.K.Directory.t_cell))
+      names
+  in
+  let distinct f = List.length (List.sort_uniq compare (List.map f tenants)) in
+  check Alcotest.int "four distinct slots" 4 (distinct (fun (_, s, _) -> s));
+  check Alcotest.int "three distinct cells" 3 (distinct (fun (_, _, c) -> c));
+  List.iter (fun (n, slot, cell) -> resolves ("tenant " ^ n) slot cell) tenants;
+  let none = List.init (K.Segment.pt_words sm) (fun _ -> None) in
+  let _, freed, _ = List.nth tenants 1 in
+  K.Segment.deactivate sm ~slot:freed;
+  check homes "freed slot resolves nowhere" none (table freed);
+  List.iter
+    (fun (n, slot, cell) ->
+      if slot <> freed then resolves ("after the free, tenant " ^ n) slot cell)
+    tenants;
+  let last_slot = cfg.K.Kernel.ast_slots - 1 in
+  check
+    Alcotest.(list (option (triple int int int)))
+    "outside the region" [ None; None ]
+    [ K.Page_frame.page_table_home pfm
+        ~ptw_abs:(K.Segment.pt_base sm ~slot:0 - 1);
+      K.Page_frame.page_table_home pfm
+        ~ptw_abs:(K.Segment.pt_base sm ~slot:last_slot + K.Segment.pt_words sm)
+    ];
+  (* The freed slot is the lowest free one, so the next activation takes
+     it. *)
+  K.Kernel.create_file k ~path:">home>e" ~acl:open_acl ~label:low;
+  let e = target "e" in
+  let slot = activate e in
+  check Alcotest.int "next tenant reuses the slot" freed slot;
+  resolves "next tenant" slot e.K.Directory.t_cell;
+  (* Grow it until its pack fills and it moves: the registry entry
+     follows the move. *)
+  let relocations = K.Segment.relocations sm in
+  let rec grow pageno =
+    if K.Segment.relocations sm = relocations && pageno < K.Segment.pt_words sm
+    then (
+      (match K.Segment.grow sm ~slot ~pageno with
+      | Ok () -> ()
+      | Error _ -> Alcotest.fail "grow");
+      grow (pageno + 1))
+  in
+  let home_before = K.Segment.slot_home sm ~slot in
+  grow 0;
+  check Alcotest.bool "segment relocated" true
+    (K.Segment.relocations sm > relocations);
+  check Alcotest.bool "home moved" true
+    (K.Segment.slot_home sm ~slot <> home_before);
+  resolves "relocated tenant" slot e.K.Directory.t_cell
+
 (* ------------------------------------------------------------------ *)
 (* Bratt's mythical identifiers *)
 
@@ -624,6 +725,8 @@ let tests =
     Alcotest.test_case "zero-page reclaim" `Quick test_zero_page_reclaim;
     Alcotest.test_case "confinement anomaly" `Quick test_confinement_anomaly;
     Alcotest.test_case "full pack relocation" `Quick test_full_pack_relocation;
+    Alcotest.test_case "page-table registry follows the AST" `Quick
+      test_page_table_registry;
     Alcotest.test_case "mythical search" `Quick test_mythical_search;
     Alcotest.test_case "readable dir says no-entry" `Quick
       test_readable_directory_says_no_entry;

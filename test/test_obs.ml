@@ -340,6 +340,41 @@ let test_flight_dump_text () =
      ctx=4:read_ahead<-3:missing_page<-2:hcs_$initiate<-1:alice\n"
     (Obs.Sink.flight_dump sink)
 
+(* The dump writes numbers digit by digit and renders each context chain
+   once: every number must still read as [Printf] renders it, at every
+   width and sign, and a chain repeated across events, or one of an
+   unknown context, must print as it would alone. *)
+let test_flight_dump_numbers () =
+  let clock, sink = rig ~mode:Obs.Sink.Counters () in
+  let root = Obs.Sink.new_ctx sink ~parent:0 ~origin:"bob" () in
+  let child = Obs.Sink.new_ctx sink ~parent:root ~origin:"fault" () in
+  let numbers =
+    [ 0; 1; 9; 10; 99; 100; 12_345; 999_999_999_999; 1_000_000_000_000;
+      max_int; -1; -10; -123_456; min_int + 1; min_int ]
+  in
+  let expected = Buffer.create 1024 in
+  List.iteri
+    (fun i n ->
+      let ctx = [| 0; child; root; child; 99 |].(i mod 5) in
+      let tid = abs (n mod 1000) in
+      clock := n;
+      Obs.Sink.set_current sink ctx;
+      Obs.Sink.instant sink ~tid ~arg:n ~cat:"t" ~name:"n" ();
+      Buffer.add_string expected (Printf.sprintf "%12d t%-2d i t:n" n tid);
+      if n <> 0 then Buffer.add_string expected (Printf.sprintf " arg=%d" n);
+      Buffer.add_string expected
+        (match ctx with
+        | 0 -> ""
+        | 99 -> " ctx="
+        | c when c = root -> " ctx=1:bob"
+        | _ -> " ctx=2:fault<-1:bob");
+      Buffer.add_char expected '\n')
+    numbers;
+  check Alcotest.string "dump text"
+    (Printf.sprintf "flight recorder: %d events (0 overwritten)\n%s"
+       (List.length numbers) (Buffer.contents expected))
+    (Obs.Sink.flight_dump sink)
+
 (* The cramped machine from the I/O tests: 40 pageable frames, a
    48-page file written then read back, so the read pass faults, the
    elevator serves it, and read-ahead prefetches.  Every record's
@@ -513,6 +548,8 @@ let tests =
     QCheck_alcotest.to_alcotest test_ctx_store_model;
     Alcotest.test_case "ctx store bounded" `Quick test_ctx_store_bounded;
     Alcotest.test_case "flight dump text" `Quick test_flight_dump_text;
+    Alcotest.test_case "flight dump numbers and chains" `Quick
+      test_flight_dump_numbers;
     Alcotest.test_case "ctx crosses faults, retries, read-ahead" `Quick
       test_ctx_propagation;
     Alcotest.test_case "critical path extraction" `Quick test_critical_path;

@@ -13,16 +13,31 @@ let qcheck t = QCheck_alcotest.to_alcotest t
 
 let test_meter () =
   let m = K.Meter.create () in
-  K.Meter.charge m ~manager:"a" K.Cost.Asm 100;
-  K.Meter.charge m ~manager:"a" K.Cost.Pl1 100;
-  K.Meter.charge m ~manager:"b" K.Cost.Pl1 50;
+  let by_manager = Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int) in
+  (* Resolved out of name order; "c" never charged, "z" charged zero. *)
+  let z = K.Meter.account m "z" in
+  ignore (K.Meter.account m "c");
+  let b = K.Meter.account m "b" and a = K.Meter.account m "a" in
+  check by_manager "nothing charged, nothing listed" [] (K.Meter.by_manager m);
+  K.Meter.charge a K.Cost.Asm 100;
+  (* A second account for one name shares the first's total. *)
+  K.Meter.charge (K.Meter.account m "a") K.Cost.Pl1 100;
+  K.Meter.charge b K.Cost.Pl1 50;
+  K.Meter.charge_raw z 0;
   check Alcotest.int "pending scales by language" 400 (K.Meter.pending m);
   check Alcotest.int "take resets" 400 (K.Meter.take_pending m);
   check Alcotest.int "pending zero" 0 (K.Meter.pending m);
   check Alcotest.int "total keeps" 400 (K.Meter.total m);
-  check
-    (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int))
-    "by manager" [ ("a", 300); ("b", 100) ] (K.Meter.by_manager m)
+  check by_manager "by manager: charged only, zero counts, sorted"
+    [ ("a", 300); ("b", 100); ("z", 0) ]
+    (K.Meter.by_manager m);
+  (* Meters keep separate books, even under one manager name. *)
+  let other = K.Meter.create () in
+  K.Meter.charge_raw (K.Meter.account other "a") 7;
+  check Alcotest.int "other meter's total" 7 (K.Meter.total other);
+  check by_manager "first meter untouched"
+    [ ("a", 300); ("b", 100); ("z", 0) ]
+    (K.Meter.by_manager m)
 
 let test_cost_scale () =
   check Alcotest.int "asm is 1x" 1000 (K.Cost.scale K.Cost.Asm 1000);
