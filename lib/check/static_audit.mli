@@ -16,9 +16,17 @@
 
     It also lists, without failing, the declared [Component] and
     [Explicit_call] edges that no code references: coverage gaps an
-    auditor would note.  Closures handed across a module boundary at
-    run time (say [Directory.on_change]) are invisible to [ocamldep]
-    and so to this audit. *)
+    auditor would note.
+
+    Closures handed across a module boundary at run time are invisible
+    to [ocamldep] and so to this audit.  One is left, declared:
+    [Multics_hw.Io_sched.set_on_apply] and its forwarder
+    {!Multics_kernel.Volume.set_on_apply}.  Nothing in lib/ installs
+    it; it is a bench tap (C4's shadow disk, a test_io case,
+    [chaos_demo]) that no kernel decision depends on.  Every other way
+    up is the upward signal, whose queue is infrastructure.  The
+    continuations a caller hands down with its own work (I/O [done_],
+    [Vp.bind]'s step, the interpreter) run that caller's code. *)
 
 type edge = {
   from : string;

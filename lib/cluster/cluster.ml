@@ -60,10 +60,6 @@ let create cfg =
 
 let n_shards t = Array.length t.c_shards
 let shard t i = t.c_shards.(i)
-let ring t = t.c_ring
-let link t = t.c_link
-let now t = t.c_now
-let sink t = t.c_sink
 let call_histo t = Obs.Sink.histo t.c_sink ~name:"cluster.call"
 let home_of t key = Ring.shard_of t.c_ring key
 

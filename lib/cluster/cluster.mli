@@ -66,11 +66,6 @@ val create : config -> t
 
 val n_shards : t -> int
 val shard : t -> int -> Shard.t
-val ring : t -> Ring.t
-val link : t -> Link.t
-val now : t -> int
-(** Last completed barrier (simulated ns). *)
-
 val home_of : t -> string -> int
 (** The ring's shard for a user (or any key). *)
 
@@ -127,8 +122,6 @@ val call_histo : t -> Multics_obs.Histo.t
 (** Round-trip latency of cross-shard calls (creates and settles),
     measured on the home shard's barrier clock — ["cluster.call"] in
     the coordinator sink. *)
-
-val sink : t -> Multics_obs.Sink.t
 
 val invariants : t -> (int * string) list
 (** Kernel invariant violations, tagged with the shard id. *)

@@ -60,10 +60,10 @@ type t = {
   owner_of : (int, int) Hashtbl.t;  (* entry uid -> owning dir uid *)
   mutable root : Ids.uid option;
   mutable mythical_count : int;
-  offline : (int, unit) Hashtbl.t;  (* packs reported offline *)
-  (* Run after any naming- or access-relevant mutation (delete, ACL
-     change) so resolution caches above the gate can invalidate. *)
-  mutable change_hooks : (unit -> unit) list;
+  (* Bumped by every naming- or access-relevant mutation (delete, ACL
+     change, pack offline); resolution caches above the gate read it
+     and drop what they hold once it moves. *)
+  mutable changes : int;
 }
 
 let name = Registry.directory_manager
@@ -77,10 +77,10 @@ let create ~meter ~segment ~quota ~volume ~audit =
   { acct = Meter.account meter name; segment; quota; quota_volume = volume;
     audit;
     dirs = Hashtbl.create 32; owner_of = Hashtbl.create 64; root = None;
-    mythical_count = 0; offline = Hashtbl.create 4; change_hooks = [] }
+    mythical_count = 0; changes = 0 }
 
-let on_change t hook = t.change_hooks <- hook :: t.change_hooks
-let notify_change t = List.iter (fun hook -> hook ()) t.change_hooks
+let changes t = t.changes
+let note_change t = t.changes <- t.changes + 1
 
 let flow_subject s =
   { Aim.Flow.subject_name = s.s_principal.Acl.user; label = s.s_label;
@@ -294,7 +294,7 @@ let delete_entry t ~subject ~dir_uid ~name:entry_name =
               Hashtbl.remove dir.d_entries entry_name;
               Hashtbl.remove t.owner_of (Ids.to_int de.de_uid);
               Hashtbl.remove t.dirs (Ids.to_int de.de_uid);
-              notify_change t;
+              note_change t;
               Ok ()
             end))
 
@@ -335,7 +335,7 @@ let set_acl t ~subject ~dir_uid ~name:entry_name ~acl =
             | Some child -> child.d_acl <- acl
             | None -> ());
             touch_entries t dir ~upto:(de.de_slot + 1) ~write:true;
-            notify_change t;
+            note_change t;
             Ok ())
 
 let set_quota t ~subject ~dir_uid ~name:entry_name ~limit =
@@ -419,15 +419,12 @@ let handle_segment_moved t ~uid ~new_pack ~new_index =
               end)
             dir.d_entries)
 
-(* The Pack_offline upward signal lands here: the first time a pack is
-   reported, let the resolution caches above drop entries that point
-   there. *)
-let note_pack_offline t ~pack =
+(* The Pack_offline upward signal lands here, once per offline window
+   (the disk pack manager raises it that often): let the resolution
+   caches above drop entries that may point at the pack. *)
+let note_pack_offline t ~pack:_ =
   entry_charge t Cost.directory_entry_op;
-  if not (Hashtbl.mem t.offline pack) then begin
-    Hashtbl.replace t.offline pack ();
-    notify_change t
-  end
+  note_change t
 
 let quota_usage t ~dir_uid ~name:entry_name =
   entry_charge t Cost.quota_check;

@@ -58,10 +58,12 @@ val create_root : t -> quota_limit:int -> Ids.uid
 
 val root_uid : t -> Ids.uid
 
-val on_change : t -> (unit -> unit) -> unit
-(** Register a hook run after any mutation that can change the meaning
-    of a name or the access to an entry (delete, ACL change).  The name
-    manager's resolution cache registers its invalidation here. *)
+val changes : t -> int
+(** Mutations that can change the meaning of a name or the access to
+    an entry so far: deletes, ACL changes and delivered [Pack_offline]
+    signals.  Monotone.  The name manager's resolution cache reads it
+    down and drops itself when the count has moved; nothing here calls
+    up. *)
 
 val search :
   t -> subject:subject -> dir_uid:Ids.uid -> name:string ->
@@ -122,9 +124,10 @@ val quota_usage :
     directory. *)
 
 val note_pack_offline : t -> pack:int -> unit
-(** Upward-signal delivery ([Pack_offline]): remember the pack and run
-    the change hooks so resolution caches above the gate drop entries
-    homed there. *)
+(** Upward-signal delivery ([Pack_offline]): count one change, so the
+    resolution caches above the gate drop entries that may be homed on
+    the pack.  The disk pack manager raises the signal once per offline
+    window, and every delivery counts. *)
 
 val persist : t -> unit
 (** Serialise every directory's entries, ACL and labels into its

@@ -48,13 +48,9 @@ let handle t ~proc fault =
         of_pfm
           (Page_frame.service_locked_descriptor t.page_frame ~ptw_abs)
     | Hw.Fault.Quota_fault { segno; pageno } -> (
-        let result =
-          Known_segment.handle_quota_fault t.known ~proc ~segno ~pageno
-        in
-        (* The chain below may have queued a Segment_moved signal; deliver
-           it before the process rereferences the segment. *)
-        ignore (Gate.deliver_signals t.gate);
-        match result with `Retry -> Retry | `Error msg -> Error msg)
+        match Known_segment.handle_quota_fault t.known ~proc ~segno ~pageno with
+        | `Retry -> Retry
+        | `Error msg -> Error msg)
     | Hw.Fault.Missing_segment { segno } -> (
         match
           Address_space.handle_missing_segment t.address_space ~proc ~segno
@@ -69,6 +65,11 @@ let handle t ~proc fault =
     | Hw.Fault.Bounds_fault { segno; wordno } ->
         Error (Printf.sprintf "bounds fault: seg %d word %o" segno wordno)
   in
+  (* Every fault exit is a way out of the kernel: deliver what the
+     chain below queued (a quota fault's Segment_moved) and what I/O
+     completions raised since the last exit (Pack_offline) before the
+     process rereferences anything. *)
+  ignore (Gate.deliver_signals t.gate);
   Multics_obs.Sink.span_end t.obs ~histo:"fault.handle" sp;
   (* On [Wait] the fault context stays ambient: the VP dispatcher
      captures it when the step returns, so the eventcount registration

@@ -4,9 +4,11 @@
     Missing pages go to the page frame manager; quota faults to the
     known segment manager (which drives the downward chain); locked
     descriptors join the transit wait; missing segments go to the
-    address space manager.  Quota handling may leave an upward signal
-    behind; it is delivered through the gate layer before the faulting
-    reference is retried. *)
+    address space manager.  Every fault exit delivers pending upward
+    signals through the gate layer before the faulting reference is
+    retried: those quota handling left behind, and those I/O
+    completions raised since the last gate or fault exit.  With none
+    pending the delivery is one check. *)
 
 type outcome =
   | Retry  (** the condition is resolved; re-execute the reference *)

@@ -21,9 +21,12 @@ let define t ~name:gate_name ~max_ring =
     invalid_arg (Printf.sprintf "Gate.define: %s already defined" gate_name);
   Hashtbl.replace t.gates gate_name { g_max_ring = max_ring; g_calls = 0 }
 
+(* Runs at every gate and fault exit; with nothing pending it is one
+   check. *)
 let deliver_signals t =
-  Upward_signal.drain t.signals ~deliver:(fun payload ->
-      match payload with
+  if Upward_signal.pending t.signals = 0 then 0
+  else
+    Upward_signal.drain t.signals ~deliver:(function
       | Upward_signal.Segment_moved { uid; new_pack; new_index } ->
           Directory.handle_segment_moved t.directory ~uid ~new_pack ~new_index
       | Upward_signal.Pack_offline { pack } ->

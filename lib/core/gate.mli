@@ -30,7 +30,8 @@ val call :
     (and can only tighten) the caller's. *)
 
 val deliver_signals : t -> int
-(** Drain upward signals outside any gate call (the fault path). *)
+(** Drain upward signals outside any gate call: the fault path calls
+    it at every fault exit.  With nothing pending it is one check. *)
 
 val registered : t -> int
 val user_callable : t -> int

@@ -93,8 +93,8 @@ type t = {
      rung sheds the next-cheapest class of optional work. *)
   mutable brownout_level : int;
   mutable brownout_escalations : int;
-  mutable last_brownout_change : int;  (* simulated instant *)
-  mutable breach_snapshot : int;  (* slo breach total at last quiet tick *)
+  mutable breach_snapshot : int;  (* slo breach total at the last tick *)
+  mutable brownout_ticking : bool;  (* a brownout tick is scheduled *)
 }
 
 let root_subject =
@@ -131,6 +131,62 @@ let gate_table =
     ("hphcs_$set_process_authorization", 1); ("hphcs_$wire_seg", 1);
     ("hphcs_$deactivate_seg", 1); ("phcs_$ring0_peek", 1);
     ("phcs_$set_kst_attributes", 1); ("hphcs_$syserr_log", 1) ]
+
+(* ------------------------------------------------------------------ *)
+(* Brownout: graceful degradation under overload.  A periodic tick reads
+   the sink's SLO breach total (its watchdogs are simulated-time latency
+   thresholds) and moves a shedding ladder one rung: up when the total
+   grew since the last tick, down when it did not.  Rungs, cheapest shed
+   first:
+     1  read-ahead off            (prefetch is pure optional work)
+     2  cleaner daemon throttled  (fault path evicts inline)
+     3  logins shed by load class (whole sessions refused at the door)
+   Recovery applies the same rungs in reverse.  The kernel applies the
+   first two itself; the Answering Service reads [brownout_level] at
+   each login for the third.  The sink calls nothing up: the tick reads
+   it down. *)
+
+let total_breaches t =
+  List.fold_left
+    (fun acc (s : Multics_obs.Sink.slo_view) ->
+      acc + s.Multics_obs.Sink.sv_breaches)
+    0
+    (Multics_obs.Sink.slos t.obs)
+
+let apply_brownout t level =
+  Page_frame.set_read_ahead_enabled t.page_frame (level < 1);
+  Page_frame.set_cleaner_throttled t.page_frame (level >= 2);
+  Multics_obs.Sink.counter_event t.obs ~cat:"kernel" ~name:"brownout_level"
+    level
+
+(* The tick re-arms itself while processes run or the ladder is above
+   rung 0, so a drained kernel walks back to full service before its
+   event queue empties; [spawn] re-arms a tick that has stopped. *)
+let rec brownout_tick t () =
+  t.brownout_ticking <- false;
+  if not (Hw.Machine.halted t.machine) then begin
+    let breaches = total_breaches t in
+    let grew = breaches > t.breach_snapshot in
+    if grew && t.brownout_level < brownout_max_level then begin
+      t.brownout_level <- t.brownout_level + 1;
+      t.brownout_escalations <- t.brownout_escalations + 1;
+      Multics_obs.Sink.count t.obs "kernel.brownout_escalate";
+      apply_brownout t t.brownout_level
+    end
+    else if (not grew) && t.brownout_level > 0 then begin
+      t.brownout_level <- t.brownout_level - 1;
+      Multics_obs.Sink.count t.obs "kernel.brownout_recover";
+      apply_brownout t t.brownout_level
+    end;
+    t.breach_snapshot <- breaches;
+    if t.brownout_level > 0 || not (User_process.all_done t.user_process)
+    then arm_brownout_tick t
+  end
+
+and arm_brownout_tick t =
+  t.brownout_ticking <- true;
+  Hw.Machine.schedule t.machine ~delay:t.cfg.overload.ov_brownout_tick_ns
+    (brownout_tick t)
 
 let rec boot_internal ?previous_disk cfg =
   let ov = cfg.overload in
@@ -175,9 +231,10 @@ let rec boot_internal ?previous_disk cfg =
       breaker_threshold = ov.ov_breaker_threshold;
       breaker_cooldown_ns = ov.ov_breaker_cooldown_ns }
   in
+  let signals = Upward_signal.create ~meter ~obs in
   let volume =
     Volume.create ~faults:cfg.faults ?choice:cfg.choice ~io_config ~machine
-      ~meter ()
+      ~meter ~signals ()
   in
   (* A scheduled power failure freezes the machine at its instant: the
      write-behind buffer tears and no further event runs.  Planted only
@@ -200,9 +257,6 @@ let rec boot_internal ?previous_disk cfg =
       ~volume ~quota ~use_cleaner_daemon:cfg.use_cleaner_daemon
       ~use_io_sched:cfg.use_io_sched ~read_ahead:cfg.read_ahead ()
   in
-  let signals = Upward_signal.create ~meter in
-  Upward_signal.set_obs signals obs;
-  Volume.set_signals volume signals;
   (* A new incarnation resumes its uid supply above everything already
      on disk. *)
   let uid_start =
@@ -262,73 +316,11 @@ let rec boot_internal ?previous_disk cfg =
       signals; segment; known; address_space; user_process; directory; gate;
       name_space; fault_dispatch; aim_audit; started = false; denials = 0;
       shed_calls = 0; proc_timeouts = 0; brownout_level = 0;
-      brownout_escalations = 0; last_brownout_change = 0; breach_snapshot = 0 }
+      brownout_escalations = 0; breach_snapshot = 0; brownout_ticking = false }
   in
   User_process.set_interpreter user_process (interpreter t);
-  if ov.ov_brownout_tick_ns > 0 then arm_brownout t ov;
+  if ov.ov_brownout_tick_ns > 0 then arm_brownout_tick t;
   t
-
-(* ------------------------------------------------------------------ *)
-(* Brownout: graceful degradation under overload.  SLO breaches (from
-   the sink's watchdogs — simulated-time latency thresholds) escalate a
-   shedding ladder one rung at a time; a periodic tick with no new
-   breaches walks it back down.  Rungs, cheapest shed first:
-     1  read-ahead off            (prefetch is pure optional work)
-     2  cleaner daemon throttled  (fault path evicts inline)
-     3  logins shed by load class (whole sessions refused at the door)
-   Recovery applies the same rungs in reverse.  The kernel applies the
-   first two itself; the Answering Service reads [brownout_level] at
-   each login for the third. *)
-
-and total_breaches t =
-  List.fold_left
-    (fun acc (s : Multics_obs.Sink.slo_view) ->
-      acc + s.Multics_obs.Sink.sv_breaches)
-    0
-    (Multics_obs.Sink.slos t.obs)
-
-and apply_brownout t level =
-  Page_frame.set_read_ahead_enabled t.page_frame (level < 1);
-  Page_frame.set_cleaner_throttled t.page_frame (level >= 2);
-  Multics_obs.Sink.counter_event t.obs ~cat:"kernel" ~name:"brownout_level"
-    level
-
-and arm_brownout t ov =
-  Multics_obs.Sink.set_on_breach t.obs (fun _histo ->
-      let now = Hw.Machine.now t.machine in
-      (* Rate-limit escalation to one rung per tick period: a single
-         convoy of late requests breaches many watchdogs at once, and
-         shedding needs a tick to show up in the latency signal. *)
-      if
-        t.brownout_level < brownout_max_level
-        && (t.brownout_level = 0
-           || now - t.last_brownout_change >= ov.ov_brownout_tick_ns)
-      then begin
-        t.brownout_level <- t.brownout_level + 1;
-        t.brownout_escalations <- t.brownout_escalations + 1;
-        t.last_brownout_change <- now;
-        t.breach_snapshot <- total_breaches t;
-        Multics_obs.Sink.count t.obs "kernel.brownout_escalate";
-        apply_brownout t t.brownout_level
-      end);
-  (* The recovery tick: de-escalate one rung per quiet period.  The
-     tick re-arms itself only while processes are still running, so a
-     drained system's event queue still empties. *)
-  let rec tick () =
-    if not (Hw.Machine.halted t.machine) then begin
-      let breaches = total_breaches t in
-      if t.brownout_level > 0 && breaches = t.breach_snapshot then begin
-        t.brownout_level <- t.brownout_level - 1;
-        t.last_brownout_change <- Hw.Machine.now t.machine;
-        Multics_obs.Sink.count t.obs "kernel.brownout_recover";
-        apply_brownout t t.brownout_level
-      end;
-      t.breach_snapshot <- breaches;
-      if not (User_process.all_done t.user_process) then
-        Hw.Machine.schedule t.machine ~delay:ov.ov_brownout_tick_ns tick
-    end
-  in
-  Hw.Machine.schedule t.machine ~delay:ov.ov_brownout_tick_ns tick
 
 (* ------------------------------------------------------------------ *)
 (* The workload interpreter: executes one action of a user process. *)
@@ -729,8 +721,13 @@ let spawn t ?(principal = { Acl.user = "user"; project = "proj" })
   let deadline =
     Option.map (fun d -> Hw.Machine.now t.machine + d) deadline_ns
   in
-  User_process.create_process ?deadline t.user_process
-    ~pname ~principal ~label ~trusted ~ring ~program
+  let pid =
+    User_process.create_process ?deadline t.user_process
+      ~pname ~principal ~label ~trusted ~ring ~program
+  in
+  if t.cfg.overload.ov_brownout_tick_ns > 0 && not t.brownout_ticking then
+    arm_brownout_tick t;
+  pid
 
 let start t =
   if not t.started then begin

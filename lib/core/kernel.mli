@@ -27,10 +27,14 @@ type overload_config = {
       (** Simulated time an open breaker waits before the half-open
           probe.  Must be positive when breakers are enabled. *)
   ov_brownout_tick_ns : int;
-      (** Arms the graceful-degradation ladder when positive: SLO
-          breaches shed read-ahead, then the cleaner daemon, then
-          logins by load class, at most one rung per tick period; each
-          quiet tick recovers one rung.  [0] disables brownout. *)
+      (** Arms the graceful-degradation ladder when positive: it sheds
+          read-ahead, then the cleaner daemon, then logins by load
+          class.  Only the tick moves it, one rung per tick both ways:
+          up when the SLO breach total ({!Multics_obs.Sink.slos}) grew
+          since the last tick, down when it did not.  The tick runs
+          while processes run or the ladder is above rung 0, so a
+          drained kernel returns to rung 0; {!spawn} restarts a tick
+          that has stopped.  [0] disables brownout. *)
 }
 
 val default_overload : overload_config
@@ -92,7 +96,7 @@ type config = {
           circuit breakers and brownout.  The default,
           {!default_overload}, leaves every knob inert.  Deadlines and
           retry budgets ride on request contexts and brownout on SLO
-          samples, which every [trace] mode keeps. *)
+          breach totals, which every [trace] mode keeps. *)
 }
 
 val default_config : config
@@ -176,7 +180,7 @@ val spawn :
     (relative simulated time; default the overload config's
     [ov_deadline_ns]) bounds the process end-to-end: past it, the
     process is terminated at its next dispatch and its pending reads
-    are shed. *)
+    are shed.  Restarts the brownout tick if it has stopped. *)
 
 val start : t -> unit
 (** Begin dispatching virtual processors. *)

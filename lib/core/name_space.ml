@@ -12,6 +12,7 @@ type t = {
      Only real uids are cached: mythical answers and `No_entry stay on
      the slow path, so negative results can never go stale. *)
   cache : (string, Ids.uid) Hashtbl.t;
+  mutable seen_changes : int;  (* [Directory.changes] when last read *)
   mutable cache_hits : int;
   mutable cache_misses : int;
   mutable cache_invalidations : int;
@@ -32,16 +33,20 @@ let create ?(use_cache = true) ?obs ~meter ~gate ~directory () =
   let obs =
     match obs with Some s -> s | None -> Multics_obs.Sink.detached ()
   in
-  let t =
-    { acct = Meter.account meter name; obs; gate; directory; use_cache;
-      cache = Hashtbl.create 64; cache_hits = 0; cache_misses = 0;
-      cache_invalidations = 0 }
-  in
-  (* Deletions and ACL changes can change what a (subject, dir, name)
-     key should answer; drop everything rather than chase the subset. *)
-  Directory.on_change directory (fun () ->
-      if Hashtbl.length t.cache > 0 then clear_cache t);
-  t
+  { acct = Meter.account meter name; obs; gate; directory; use_cache;
+    cache = Hashtbl.create 64; seen_changes = Directory.changes directory;
+    cache_hits = 0; cache_misses = 0; cache_invalidations = 0 }
+
+(* Deletions, ACL changes and offline packs can change what a (subject,
+   dir, name) key should answer; once the directory manager's change
+   count has moved, drop everything rather than chase the subset.  Read
+   down before every use of the cache, so nothing below calls up. *)
+let sync t =
+  let changes = Directory.changes t.directory in
+  if changes <> t.seen_changes then begin
+    t.seen_changes <- changes;
+    if Hashtbl.length t.cache > 0 then clear_cache t
+  end
 
 let components path =
   String.split_on_char '>' path |> List.filter (fun c -> c <> "")
@@ -67,7 +72,8 @@ let gated_search t ~subject ~ring ~dir_uid ~component =
 
 let search t ~subject ~ring ~dir_uid ~component =
   if not t.use_cache then gated_search t ~subject ~ring ~dir_uid ~component
-  else
+  else begin
+    sync t;
     let key = cache_key ~subject ~ring ~dir_uid ~component in
     match Hashtbl.find_opt t.cache key with
     | Some uid ->
@@ -77,12 +83,15 @@ let search t ~subject ~ring ~dir_uid ~component =
     | None ->
         t.cache_misses <- t.cache_misses + 1;
         let result = gated_search t ~subject ~ring ~dir_uid ~component in
+        (* The search's own gate exit may have delivered a change. *)
+        sync t;
         (match result with
         | `Found uid when not (Ids.is_mythical uid) ->
             if Hashtbl.length t.cache >= cache_capacity then clear_cache t;
             Hashtbl.replace t.cache key uid
         | `Found _ | `No_entry -> ());
         result
+  end
 
 let resolve_parent t ~subject ~ring ~path =
   match List.rev (components path) with
@@ -113,5 +122,10 @@ let initiate t ~subject ~ring ~path =
 
 let cache_hits t = t.cache_hits
 let cache_misses t = t.cache_misses
-let cache_invalidations t = t.cache_invalidations
-let cache_size t = Hashtbl.length t.cache
+let cache_invalidations t =
+  sync t;
+  t.cache_invalidations
+
+let cache_size t =
+  sync t;
+  Hashtbl.length t.cache

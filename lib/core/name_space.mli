@@ -20,8 +20,9 @@ val create :
     (subject, ring, directory uid, component) -> real entry uid.  Only
     positive, non-mythical answers are cached, the key includes the
     whole subject so no resolution leaks across principals, and the
-    cache is dropped whenever the directory manager reports a delete
-    or ACL change — resolution results are identical with the cache on
+    cache is dropped once {!Directory.changes} has moved (a delete, an
+    ACL change or an offline pack): every use of the cache reads the
+    count first — resolution results are identical with the cache on
     or off. *)
 
 val components : string -> string list
@@ -42,8 +43,12 @@ val initiate :
 val cache_hits : t -> int
 val cache_misses : t -> int
 val cache_invalidations : t -> int
-(** Whole-cache drops (directory change, capacity, explicit clear). *)
+(** Whole-cache drops (directory change, capacity, explicit clear).
+    Reads the directory manager's change count first, like a lookup, so
+    a change not yet followed by a lookup is already counted. *)
 
 val cache_size : t -> int
+(** Entries held, after the same change check. *)
+
 val clear_cache : t -> unit
 (** Used at shutdown/reboot; also available to tests. *)

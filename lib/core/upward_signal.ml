@@ -6,13 +6,10 @@ type t = {
   meter : Meter.t;
   mutable queue : payload list;  (* newest first *)
   mutable raised : int;
-  mutable obs : Multics_obs.Sink.t;
+  obs : Multics_obs.Sink.t;
 }
 
-let create ~meter =
-  { meter; queue = []; raised = 0; obs = Multics_obs.Sink.detached () }
-
-let set_obs t sink = t.obs <- sink
+let create ~meter ~obs = { meter; queue = []; raised = 0; obs }
 
 let raise_signal t ~from payload =
   Meter.charge (Meter.account t.meter from) Cost.Pl1 Cost.upward_signal;

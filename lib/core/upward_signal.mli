@@ -8,26 +8,31 @@
     control".
 
     Here the raiser enqueues a signal record and returns normally — its
-    stack is clean.  The gate layer, on the way out of the kernel,
-    drains pending signals and delivers them to their target managers;
-    the interrupted user reference is then simply re-executed, exactly
-    as the paper's restored process "rereferences the segment". *)
+    stack is clean.  The gate layer drains pending signals and delivers
+    them to their target managers on the way out of the kernel: at
+    every gate exit and every fault exit, so a signal raised by an I/O
+    completion between gate calls waits only for the next of either.
+    The interrupted user reference is then simply re-executed, exactly
+    as the paper's restored process "rereferences the segment".
+
+    This is the kernel's one path from a lower manager up to a higher
+    one.  No manager installs a callback in another. *)
 
 type payload =
   | Segment_moved of { uid : Ids.uid; new_pack : int; new_index : int }
       (** A full pack forced the segment to another pack; the directory
           manager must update the corresponding directory entry. *)
   | Pack_offline of { pack : int }
-      (** The pack stopped answering; the directory manager notes it so
-          name-space operations can refuse segments homed there.  Raised
-          once per pack, by the disk pack manager. *)
+      (** The pack stopped answering; the directory manager counts it
+          as a change, so the resolution caches above the gate drop
+          what they hold.  Raised by the disk pack manager once per
+          offline window of a pack, and delivered at the next gate or
+          fault exit. *)
 
 type t
 
-val create : meter:Meter.t -> t
-
-val set_obs : t -> Multics_obs.Sink.t -> unit
-(** Install the kernel's sink; each raised signal becomes a counter
+val create : meter:Meter.t -> obs:Multics_obs.Sink.t -> t
+(** [obs] is the kernel's sink: each raised signal becomes a counter
     bump and an instant named after the raising manager. *)
 
 val raise_signal : t -> from:string -> payload -> unit

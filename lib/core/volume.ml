@@ -6,8 +6,10 @@ type t = {
   io : Hw.Io_sched.t;
   locator : (int, int * int) Hashtbl.t;  (* uid -> (pack, vtoc index) *)
   mutable full_pack_count : int;
-  mutable signals : Upward_signal.t option;
-  offline_signalled : (int, unit) Hashtbl.t;
+  signals : Upward_signal.t;
+  (* pack -> the scheduler's recovery count when its last offline
+     signal went up: a grown count means a new offline window. *)
+  offline_signalled : (int, int) Hashtbl.t;
   mutable offline_signal_count : int;  (* monotone: one per offline window *)
   mutable spared : int;
   mutable damaged : int;
@@ -15,18 +17,12 @@ type t = {
 
 let name = Registry.disk_pack_manager
 
-let note_online t ~pack =
-  if Hashtbl.mem t.offline_signalled pack then begin
-    Hashtbl.remove t.offline_signalled pack;
-    Multics_obs.Sink.count (Hw.Machine.obs t.machine) "vol.pack_recovered"
-  end
-
 let entry t base_cost =
   Meter.charge t.acct (Registry.language name)
     (Cost.kernel_call + base_cost)
 
 let create ?(faults = Hw.Fault_inject.none) ?choice ?io_config ~machine
-    ~meter () =
+    ~meter ~signals () =
   let io =
     Hw.Io_sched.create ?config:io_config ~disk:machine.Hw.Machine.disk
       ~faults ?choice
@@ -39,19 +35,10 @@ let create ?(faults = Hw.Fault_inject.none) ?choice ?io_config ~machine
      created, so capturing it here wires the elevator's batch spans to
      the kernel's trace. *)
   Hw.Io_sched.set_obs io (Hw.Machine.obs machine);
-  let t =
-    { machine; acct = Meter.account meter name; io; locator = Hashtbl.create 64;
-      full_pack_count = 0; signals = None;
-      offline_signalled = Hashtbl.create 4; offline_signal_count = 0;
-      spared = 0; damaged = 0 }
-  in
-  (* A breaker closing after its half-open probe means the pack
-     demonstrably serves again: re-arm the one-shot offline signal so
-     a second offline window raises [Pack_offline] again. *)
-  Hw.Io_sched.set_on_recover io (fun ~pack -> note_online t ~pack);
-  t
-
-let set_signals t signals = t.signals <- Some signals
+  { machine; acct = Meter.account meter name; io; locator = Hashtbl.create 64;
+    full_pack_count = 0; signals;
+    offline_signalled = Hashtbl.create 4; offline_signal_count = 0;
+    spared = 0; damaged = 0 }
 
 let locate t ~uid = Hashtbl.find_opt t.locator (Ids.to_int uid)
 
@@ -163,16 +150,18 @@ let io_latency_ns t = Hw.Io_sched.single_transfer_ns t.io
 (* ------------------------------------------------------------------ *)
 (* Error handling: sparing, damage, offline signalling. *)
 
+(* One signal per offline window.  A breaker that closed after a
+   successful half-open probe since the last signal means the pack
+   served again in between, so this outage is a new window. *)
 let note_offline t ~pack =
-  if not (Hashtbl.mem t.offline_signalled pack) then begin
-    Hashtbl.replace t.offline_signalled pack ();
-    t.offline_signal_count <- t.offline_signal_count + 1;
-    match t.signals with
-    | Some signals ->
-        Upward_signal.raise_signal signals ~from:name
-          (Upward_signal.Pack_offline { pack })
-    | None -> ()
-  end
+  let recoveries = Hw.Io_sched.recoveries t.io ~pack in
+  match Hashtbl.find_opt t.offline_signalled pack with
+  | Some seen when seen = recoveries -> ()
+  | Some _ | None ->
+      Hashtbl.replace t.offline_signalled pack recoveries;
+      t.offline_signal_count <- t.offline_signal_count + 1;
+      Upward_signal.raise_signal t.signals ~from:name
+        (Upward_signal.Pack_offline { pack })
 
 let offline_signals t = t.offline_signal_count
 

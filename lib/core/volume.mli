@@ -11,24 +11,23 @@
     The manager's recovery verbs: {!spare_record} re-homes a page whose
     record went dead while its image is still in core; {!mark_damaged}
     sets the VTOC damaged switch when the image is lost; a pack passing
-    its offline instant raises {!Upward_signal.Pack_offline} once, the
-    same no-return path the full-pack exception uses. *)
+    its offline instant raises {!Upward_signal.Pack_offline} once per
+    offline window, the same no-return path the full-pack exception
+    uses. *)
 
 type t
 
 val create :
   ?faults:Multics_hw.Fault_inject.t -> ?choice:Multics_choice.Choice.t ->
   ?io_config:Multics_hw.Io_sched.config ->
-  machine:Multics_hw.Machine.t -> meter:Meter.t -> unit -> t
+  machine:Multics_hw.Machine.t -> meter:Meter.t ->
+  signals:Upward_signal.t -> unit -> t
 (** [faults] is handed to the I/O scheduler; the empty plan (the
     default) makes every error path unreachable.  [choice] is handed to
     the I/O scheduler's completion-delivery choice point.  [io_config]
     overrides the scheduler's policy knobs (the default derives them
-    from the disk's latencies; see {!Multics_hw.Io_sched.config_of_disk}). *)
-
-val set_signals : t -> Upward_signal.t -> unit
-(** Wire the upward-signal queue; until then offline events are only
-    counted. *)
+    from the disk's latencies; see {!Multics_hw.Io_sched.config_of_disk}).
+    [signals] is the queue {!note_offline} raises on. *)
 
 val create_segment :
   t -> ?process_state:bool -> uid:Ids.uid -> pack:int ->
@@ -110,20 +109,22 @@ val set_on_apply :
   t ->
   (pack:int -> record:int -> acked:bool -> Multics_hw.Page_image.t -> unit) ->
   unit
-(** Forwarded to [Io_sched.set_on_apply]; the chaos bench's shadow-disk
-    hook. *)
+(** Forwarded to [Io_sched.set_on_apply], the scheduler's one declared
+    upward hook: nothing in lib/ installs it.  Bench C4's shadow disk
+    and [chaos_demo] read platter writes through it. *)
 
 val note_offline : t -> pack:int -> unit
 (** Record that [pack] was seen offline; raises
-    {!Upward_signal.Pack_offline} the first time (once per offline
-    window: when the pack's breaker closes after a successful half-open
-    probe, the one-shot signal re-arms, so a pack that goes offline
-    twice signals twice). *)
+    {!Upward_signal.Pack_offline} once per offline window.  Each signal
+    stores the scheduler's recovery count for the pack
+    ({!Multics_hw.Io_sched.recoveries}); the pack signals again only
+    once that count has grown — its breaker closed after a successful
+    half-open probe — so a pack that goes offline twice signals
+    twice. *)
 
 val offline_signals : t -> int
 (** Offline windows signalled so far — monotone: a pack that goes
-    offline, recovers (re-arming the signal) and goes offline again
-    counts twice. *)
+    offline, recovers and goes offline again counts twice. *)
 
 val spare_record :
   t -> old_handle:int -> Multics_hw.Page_image.t ->

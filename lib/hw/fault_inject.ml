@@ -42,16 +42,6 @@ let pack_online t ~pack ~at_ns =
       Hashtbl.replace t.offline pack ((off, at_ns) :: rest)
   | _ -> invalid_arg "Fault_inject.pack_online: no open offline window"
 
-let offline_at t ~pack =
-  match List.rev (windows t ~pack) with
-  | (off, _) :: _ -> Some off
-  | [] -> None
-
-let online_at t ~pack =
-  match windows t ~pack with
-  | (_, on) :: _ when on < max_int -> Some on
-  | _ -> None
-
 let pack_is_offline t ~pack ~now =
   List.exists (fun (off, on) -> now >= off && now < on) (windows t ~pack)
 
@@ -77,7 +67,6 @@ let write_attempt_fails t ~pack ~record =
   if Hashtbl.mem t.bad (pack, record) then fail t else false
 
 let crash_schedule t = t.crash
-let injected t = t.injected
 
 let random ~seed ~packs ~records_per_pack ~horizon_ns =
   assert (packs > 0 && records_per_pack > 0 && horizon_ns > 1);

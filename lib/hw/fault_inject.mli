@@ -77,20 +77,11 @@ val read_attempt_fails : t -> pack:int -> record:int -> bool
 val write_attempt_fails : t -> pack:int -> record:int -> bool
 (** Decide one write attempt (only permanent bad records fail writes). *)
 
-val offline_at : t -> pack:int -> int option
-(** The instant of the pack's first offline window, if any. *)
-
-val online_at : t -> pack:int -> int option
-(** The recovery instant of the pack's latest window, if closed. *)
-
 val pack_is_offline : t -> pack:int -> now:int -> bool
 (** Whether [now] falls inside any of the pack's offline windows. *)
 
 val crash_schedule : t -> (int * int) option
 (** [(at_ns, surviving_writes)] of the scheduled power failure. *)
-
-val injected : t -> int
-(** How many attempts this plan has failed so far. *)
 
 (* Seeded random plans for fuzzing. *)
 

@@ -65,6 +65,7 @@ type pack_state = {
   id : int;
   mutable breaker : breaker;
   mutable consec_fails : int;  (* consecutive failed service attempts *)
+  mutable closes : int;  (* half-open -> closed transitions: recoveries *)
   mutable queue : req list;  (* undispatched; order irrelevant, seq decides *)
   mutable depth : int;  (* List.length queue, maintained incrementally *)
   ways : way array;
@@ -144,7 +145,6 @@ type t = {
      the dispatch-time cancellation sweep is guarded by it so the
      deadline-free hot path pays nothing. *)
   mutable has_deadlines : bool;
-  mutable on_recover : pack:int -> unit;
   mutable on_apply :
     pack:int -> record:int -> acked:bool -> Page_image.t -> unit;
   mutable obs : Multics_obs.Sink.t;
@@ -164,7 +164,8 @@ let create ?config ?(faults = Fault_inject.none)
   { disk; config; schedule; faults; choice; now;
     packs =
       Array.init (Disk.n_packs disk) (fun id ->
-          { id; breaker = Br_closed; consec_fails = 0; queue = []; depth = 0;
+          { id; breaker = Br_closed; consec_fails = 0; closes = 0; queue = [];
+            depth = 0;
             ways =
               Array.init config.pack_ways (fun wid ->
                   { wid; head = 0; w_busy = false });
@@ -178,12 +179,10 @@ let create ?config ?(faults = Fault_inject.none)
     timeouts = 0; fast_fails = 0; budget_denied = 0;
     br_opens = 0; br_probes = 0; br_closes = 0;
     budget_left = Hashtbl.create 16; has_deadlines = false;
-    on_recover = (fun ~pack:_ -> ());
     on_apply = (fun ~pack:_ ~record:_ ~acked:_ _ -> ());
     obs = Multics_obs.Sink.detached (); batch_seq = 0 }
 
 let set_on_apply t f = t.on_apply <- f
-let set_on_recover t f = t.on_recover <- f
 let set_obs t sink = t.obs <- sink
 let single_transfer_ns t = t.config.seek_ns + t.config.transfer_ns
 
@@ -204,8 +203,9 @@ let pack_is_offline t pack =
    [breaker_threshold] consecutive failed service attempts or on any
    [Pack_offline], fails new work fast while open, sends the queued
    work back out as a half-open probe once [breaker_cooldown_ns] has
-   elapsed, and closes (re-arming the owner's offline signalling via
-   [on_recover]) on the first probe success. *)
+   elapsed, and closes on the first probe success.  Each close counts
+   as one recovery of the pack ([recoveries]), which the owner reads to
+   tell one offline window from the next. *)
 
 let breaker_on t = t.config.breaker_threshold > 0
 
@@ -242,11 +242,11 @@ let breaker_note_success t p =
     match p.breaker with
     | Br_half ->
         p.breaker <- Br_closed;
+        p.closes <- p.closes + 1;
         t.br_closes <- t.br_closes + 1;
         Multics_obs.Sink.count t.obs "io.breaker_close";
         Multics_obs.Sink.instant t.obs ~tid:p.id ~cat:"io"
-          ~name:"breaker_close" ();
-        t.on_recover ~pack:p.id
+          ~name:"breaker_close" ()
     | _ -> ()
   end
 
@@ -966,6 +966,8 @@ let breaker_state t ~pack =
   | Br_closed -> `Closed
   | Br_open _ -> `Open
   | Br_half -> `Half_open
+
+let recoveries t ~pack = (pack_state t pack).closes
 
 let stats t =
   { s_reads = t.reads; s_writes = t.writes; s_batches = t.batches;

@@ -218,15 +218,19 @@ val set_on_apply :
   t -> (pack:int -> record:int -> acked:bool -> Page_image.t -> unit) -> unit
 (** Hook fired on every image actually applied to a platter, with
     [acked = false] for writes a crash applied without completing.
-    The chaos bench builds its shadow disk here. *)
-
-val set_on_recover : t -> (pack:int -> unit) -> unit
-(** Hook fired when a pack's breaker closes after a successful
-    half-open probe — the pack demonstrably serves again.  The volume
-    layer re-arms its one-shot [Pack_offline] signalling here, so a
-    pack that goes offline twice signals twice. *)
+    The scheduler's one upward hook, declared as such: nothing in lib/
+    installs it.  Observers outside the kernel read platter writes
+    through it — bench C4's shadow disk, one test_io case and
+    [chaos_demo] — and no kernel decision depends on it. *)
 
 val breaker_state : t -> pack:int -> [ `Closed | `Open | `Half_open ]
+
+val recoveries : t -> pack:int -> int
+(** How many times the pack's breaker has closed after a successful
+    half-open probe — the pack demonstrably serving again.  Monotone;
+    the volume layer compares it with the count it stored when it last
+    signalled the pack offline, so a pack that goes offline twice
+    signals twice without the scheduler calling up. *)
 
 val set_obs : t -> Multics_obs.Sink.t -> unit
 (** Install the kernel's observability sink.  Each dispatched sweep

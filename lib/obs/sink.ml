@@ -58,7 +58,6 @@ type t = {
   (* SLO watchdogs *)
   slo_tbl : (string, slo) Hashtbl.t;
   mutable slo_order : string list;  (* newest first *)
-  mutable on_breach : (string -> unit) option;
   (* flight-recorder dumps *)
   mutable last_dump : (string * string) option;  (* reason, text *)
   (* per-user attribution, keyed by root-ctx origin *)
@@ -73,7 +72,7 @@ let create ?(mode = Counters) ?(capacity = 16384) ?(flight_capacity = 256)
     counter_tbl = Hashtbl.create 32; counter_order = [];
     cur = 0; ctx_n = 0; ctx_cap = first_chunk;
     ctx_chunks = [| make_chunk first_chunk |];
-    slo_tbl = Hashtbl.create 8; slo_order = []; on_breach = None;
+    slo_tbl = Hashtbl.create 8; slo_order = [];
     last_dump = None;
     user_tbl = Hashtbl.create 16 }
 
@@ -239,10 +238,7 @@ let breach t s ns =
   s.slo_last_ctx <- t.cur;
   count t "slo.breach";
   emit t ~phase:Trace_buf.Instant ~cat:"slo" ~name:s.slo_histo ~tid:0 ~id:0
-    ~arg:ns;
-  match t.on_breach with Some f -> f s.slo_histo | None -> ()
-
-let set_on_breach t f = t.on_breach <- Some f
+    ~arg:ns
 
 let add_latency t ~name ns =
   Histo.add (histo t ~name) ns;

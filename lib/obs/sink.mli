@@ -27,8 +27,10 @@
       root context's origin (the accounting principal).
 
     Request contexts carry the deadlines the overload plane enforces,
-    and the SLO watchdogs feed its brownout ladder, so every sink keeps
-    them: no mode can disarm control.  The sink NEVER touches the cost
+    and the SLO breach totals ({!slos}) are what the kernel's brownout
+    tick reads, so every sink keeps them: no mode can disarm control.
+    The sink calls nothing above it: it holds no hook, and whoever
+    decides policy reads its totals down.  It NEVER touches the cost
     meter or the event queue, so switching the mode cannot perturb
     simulated time — the property bench C3 asserts. *)
 
@@ -165,15 +167,7 @@ val set_slo : t -> histo:string -> threshold_ns:int -> unit
     carrying the latency and the ambient context. *)
 
 val slos : t -> slo_view list
-(** In install order. *)
-
-val set_on_breach : t -> (string -> unit) -> unit
-(** Install the breach hook, called with the histogram name on every
-    SLO breach (after the counter and event are recorded).  The
-    brownout controller lives behind this: the sink stays purely
-    observational, the hook owner decides policy.  The hook runs on
-    the simulated clock's instant — everything it does is part of the
-    deterministic event order. *)
+(** In install order.  The brownout tick sums [sv_breaches] here. *)
 
 (* Flight recorder *)
 

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Committed rows gate over BENCH_perf.json.
+"""Committed rows gate over one BENCH_*.json rows file.
 
-Compares the committed BENCH_perf.json with the one a bench run just
+Compares a committed rows file (BENCH_perf.json, or a per-section copy
+such as BENCH_overload_c6.json) with the one a bench run just
 regenerated, and fails when a row whose unit does not end in "_wall"
 differs in value, or is present in only one of the two files.  Those
 rows are simulated and deterministic, so the committed file must hold
@@ -10,8 +11,9 @@ are never compared.
 
 usage: scripts/rows_gate.py committed.json regenerated.json
 
-CI copies the checked-out BENCH_perf.json aside before the bench steps
-merge their sections into it, then runs this.  Locally:
+CI copies the checked-out BENCH_perf.json and the four per-section
+files (C4-C7) aside before the bench steps rewrite them, then runs
+this once per pair.  Locally:
   git show HEAD:BENCH_perf.json > /tmp/base.json
   dune exec bench/main.exe -- T1 F2 A1 P1 C1 C2 C3 C4 C6 C7
   scripts/rows_gate.py /tmp/base.json BENCH_perf.json

@@ -134,7 +134,9 @@ let test_gate_call_counting () =
 
 let test_upward_signal_nested_drain () =
   let meter = K.Meter.create () in
-  let signals = K.Upward_signal.create ~meter in
+  let signals =
+    K.Upward_signal.create ~meter ~obs:(Multics_obs.Sink.detached ())
+  in
   let fresh = K.Ids.generator () in
   let uid1 = fresh () and uid2 = fresh () in
   K.Upward_signal.raise_signal signals ~from:"segment_manager"

@@ -193,9 +193,12 @@ let test_offline_windows_rearm () =
 
 (* ------------------------------------------------------------------ *)
 (* Circuit breakers end to end: a pack drops twice; each window trips
-   the breaker and raises its own (re-armed) Pack_offline signal, each
+   the breaker and raises its own Pack_offline signal, each
    recovery closes it through the half-open probe, and no page is
-   damaged — shed reads fall back to their on-disk records. *)
+   damaged — shed reads fall back to their on-disk records.  Every
+   signal reaches the directory manager: one raised by a read
+   completion is delivered at the next fault exit, and each delivery
+   drops the pathname cache above the gate. *)
 
 let breaker_pages = 24
 
@@ -241,15 +244,21 @@ let test_kernel_breaker_two_outages () =
   let t0 = K.Kernel.now k in
   one_pass "warm";
   let span = max 1 (K.Kernel.now k - t0) in
+  let ns = K.Kernel.name_space k in
   let outage tag =
     let t = K.Kernel.now k in
     Hw.Fault_inject.pack_offline faults ~pack:0 ~at_ns:(t + (span / 5));
     Hw.Fault_inject.pack_online faults ~pack:0
       ~at_ns:(t + (span / 5) + (span / 2));
-    one_pass tag
+    let before = K.Name_space.cache_invalidations ns in
+    one_pass tag;
+    check Alcotest.int (tag ^ ": the cache dropped once for the window") 1
+      (K.Name_space.cache_invalidations ns - before)
   in
   outage "pass1";
   outage "pass2";
+  check Alcotest.int "every signal delivered" 0
+    (K.Upward_signal.pending (K.Kernel.signals k));
   let io = K.Kernel.io_stats k in
   check Alcotest.bool "each window tripped the breaker" true
     (io.K.Kernel.io_breaker_opens >= 2);
@@ -291,10 +300,9 @@ let test_brownout_ladder_steps () =
               K.Workload.random_touches ~seg_reg:0 ~pages:16 ~count:90
                 ~write_pct:25 ~seed:(1000 + i) ]))
   done;
-  (* Record every rung the ladder visits: the level can change at most
-     once per event (escalation is rate-limited, recovery ticks are
-     events of their own), so polling it after each step sees each
-     change. *)
+  (* Record every rung the ladder visits: only the brownout tick moves
+     the level, one rung per tick, and each tick is an event of its
+     own, so polling it after each step sees each change. *)
   let transitions = ref [] and last = ref 0 in
   K.Kernel.start k;
   while Hw.Machine.step (K.Kernel.machine k) do
@@ -322,20 +330,36 @@ let test_brownout_ladder_steps () =
   in
   one_rung 0 steps
 
+(* A small kernel whose ladder ticks every [tick] ns, a breaching
+   ready-wait sample planted at an instant, and a check of the rung
+   after running up to one. *)
+let brownout_kernel ~tick =
+  boot
+    ~config:
+      { K.Kernel.small_config with
+        K.Kernel.overload =
+          { K.Kernel.default_overload with
+            K.Kernel.ov_brownout_tick_ns = tick } }
+    ()
+
+let breach k ~at =
+  Hw.Machine.schedule_at (K.Kernel.machine k) ~time:at (fun () ->
+      Obs.Sink.add_latency (K.Kernel.obs k) ~name:"sched.ready_wait"
+        30_000_000)
+
+let level_at k tag ~until expect =
+  K.Kernel.run ~until k;
+  check Alcotest.int tag expect (K.Kernel.brownout_level k)
+
 (* The top rung is the one that reaches above the kernel: the
    Answering Service reads the ladder at each login and refuses every
    class but 0.  Breaching ready-wait samples drive the ladder by hand:
-   one a tick apart escalates one rung each, and a second mid-tick
-   after each keeps the recovery tick from stepping back down. *)
+   two land inside each of the first three tick periods, so each of the
+   first three ticks finds the breach total grown and raises the ladder
+   one rung. *)
 let test_brownout_top_rung_sheds () =
   let tick = 1_000_000 in
-  let config =
-    { K.Kernel.small_config with
-      K.Kernel.overload =
-        { K.Kernel.default_overload with
-          K.Kernel.ov_brownout_tick_ns = tick } }
-  in
-  let k = boot ~config () in
+  let k = brownout_kernel ~tick in
   let svc =
     S.Answering_service.create ~kernel:k ~variant:S.Answering_service.Split
   in
@@ -346,29 +370,70 @@ let test_brownout_top_rung_sheds () =
       ~program:(K.Workload.compute_bound ~steps:50 ~step_ns:100_000)
   in
   let admitted tag r = check Alcotest.bool tag true (Result.is_ok r) in
-  let breach ~at =
-    Hw.Machine.schedule_at (K.Kernel.machine k) ~time:at (fun () ->
-        Obs.Sink.add_latency (K.Kernel.obs k) ~name:"sched.ready_wait"
-          30_000_000)
-  in
   for rung = 0 to K.Kernel.brownout_max_level - 1 do
-    breach ~at:((rung * tick) + (tick / 2));
-    breach ~at:((rung * tick) + (3 * tick / 4))
+    breach k ~at:((rung * tick) + (tick / 2));
+    breach k ~at:((rung * tick) + (3 * tick / 4))
   done;
-  let level_at tag ~until expect =
-    K.Kernel.run ~until k;
-    check Alcotest.int tag expect (K.Kernel.brownout_level k)
-  in
   admitted "class 1 admitted at rung 0" (login ~load_class:1 "a");
-  level_at "rung 1 after the first breach" ~until:(5 * tick / 8) 1;
+  level_at k "rung 1 after the first breach" ~until:(9 * tick / 8) 1;
   admitted "class 1 admitted at rung 1" (login ~load_class:1 "b");
-  level_at "top rung after three ticks" ~until:(23 * tick / 8)
+  level_at k "top rung after three ticks" ~until:(25 * tick / 8)
     K.Kernel.brownout_max_level;
   admitted "class 0 admitted at the top rung" (login ~load_class:0 "c");
   check Alcotest.bool "class 1 shed at the top rung" true
     (login ~load_class:1 "d" = Error `Shed);
   check Alcotest.int "one login shed" 1
     (S.Answering_service.shed_logins svc)
+
+(* The tick law: breaches alone move nothing.  A burst inside one tick
+   period leaves the ladder at rung 0 until the tick, which raises it
+   exactly one rung however many breaches it finds; the next tick, with
+   no new breach, lowers it one rung. *)
+let test_brownout_tick_law () =
+  let tick = 1_000_000 in
+  let k = brownout_kernel ~tick in
+  for i = 1 to 5 do
+    breach k ~at:(i * tick / 8)
+  done;
+  level_at k "rung 0 after the burst, before the tick" ~until:(7 * tick / 8) 0;
+  level_at k "one rung at the tick" ~until:(9 * tick / 8) 1;
+  check Alcotest.int "one escalation for five breaches" 1
+    (K.Kernel.brownout_escalations k);
+  level_at k "the quiet tick lowers it" ~until:(17 * tick / 8) 0
+
+(* The ladder cannot stick.  A kernel that drains above rung 0 keeps
+   ticking until it is back at full service, and a spawn into a kernel
+   whose tick has stopped starts it again. *)
+let test_brownout_no_stuck_rung () =
+  let tick = 1_000_000 in
+  let k = brownout_kernel ~tick in
+  let session tag =
+    ignore
+      (K.Kernel.spawn k ~pname:tag
+         (K.Workload.compute_bound ~steps:30 ~step_ns:100_000))
+  in
+  for rung = 0 to 2 do
+    breach k ~at:((rung * tick) + (tick / 2));
+    breach k ~at:((rung * tick) + (3 * tick / 4))
+  done;
+  session "s1";
+  check Alcotest.bool "the session completes" true
+    (K.Kernel.run_to_completion k);
+  check Alcotest.int "the drained kernel is back at rung 0" 0
+    (K.Kernel.brownout_level k);
+  check Alcotest.int "after three escalations" 3
+    (K.Kernel.brownout_escalations k);
+  (* The queue is empty, so the tick has stopped.  Work arriving now
+     must start it again, or these breaches would never be read. *)
+  let t0 = K.Kernel.now k in
+  breach k ~at:(t0 + (tick / 4));
+  breach k ~at:(t0 + (tick / 2));
+  session "s2";
+  level_at k "the spawn re-armed the tick" ~until:(t0 + (9 * tick / 8)) 1;
+  check Alcotest.bool "the second session completes" true
+    (K.Kernel.run_to_completion k);
+  check Alcotest.int "and the ladder drains again" 0
+    (K.Kernel.brownout_level k)
 
 (* Deadlines ride on request contexts, which every trace mode keeps:
    an explicit spawn deadline and an explicit login deadline both
@@ -472,6 +537,10 @@ let tests =
       test_brownout_ladder_steps;
     Alcotest.test_case "brownout top rung sheds logins" `Quick
       test_brownout_top_rung_sheds;
+    Alcotest.test_case "brownout moves one rung per tick" `Quick
+      test_brownout_tick_law;
+    Alcotest.test_case "brownout ladder cannot stick" `Quick
+      test_brownout_no_stuck_rung;
     Alcotest.test_case "explicit deadlines hold in every trace mode" `Quick
       test_explicit_deadlines_every_mode;
     Alcotest.test_case "full plane double run byte-identical" `Quick

@@ -167,7 +167,8 @@ let quota_fixture () =
   in
   let meter = K.Meter.create () in
   let core = K.Core_segment.create ~machine ~meter ~reserved_frames:4 in
-  let volume = K.Volume.create ~machine ~meter () in
+  let signals = K.Upward_signal.create ~meter ~obs:(Hw.Machine.obs machine) in
+  let volume = K.Volume.create ~machine ~meter ~signals () in
   let quota = K.Quota_cell.create ~meter ~core ~volume ~max_cells:4 in
   (machine, volume, quota)
 
