@@ -104,6 +104,73 @@ let ctx_alloc_on () =
     ignore (Multics_obs.Sink.new_ctx sink ~origin:"req" ())
   done
 
+(* A login's password check: 64 rounds of the salted FNV-1a hash. *)
+let password_hash () =
+  ignore (Multics_services.Password.hash ~salt:"user0042" "pw-0042-secret")
+
+(* Segment turnover on default_config's 64-PTW tables: activate a
+   segment with four pages on disk, then deactivate it.  The table
+   build, the flush walk and the file-map sync, with no I/O.  The
+   kernel-booting rows set up when the micro section runs. *)
+let segment_turnover () =
+  let k = Bench_util.boot_new () in
+  K.Kernel.create_file k ~path:">home>t" ~acl:Bench_util.open_acl
+    ~label:Bench_util.low;
+  let t =
+    match
+      K.Name_space.initiate (K.Kernel.name_space k)
+        ~subject:K.Kernel.root_subject ~ring:1 ~path:">home>t"
+    with
+    | Ok t -> t
+    | Error _ -> assert false
+  in
+  let sm = K.Kernel.segment k in
+  let activate () =
+    match
+      K.Segment.activate sm ~uid:t.K.Directory.t_uid ~cell:t.K.Directory.t_cell
+    with
+    | Ok slot -> slot
+    | Error _ -> assert false
+  in
+  let slot = activate () in
+  for pageno = 0 to 3 do
+    assert (K.Segment.write_word sm ~slot ~pageno ~offset:0 1 = Ok ())
+  done;
+  K.Segment.deactivate sm ~slot;
+  fun () -> K.Segment.deactivate sm ~slot:(activate ())
+
+(* A fresh address space: invalidate the 512 SDWs of a descriptor
+   segment from the pool, then hand it back. *)
+let create_space () =
+  let spaces = K.Kernel.address_space (K.Kernel.boot K.Kernel.default_config) in
+  fun () ->
+    K.Address_space.create_space spaces ~proc:1;
+    K.Address_space.destroy_space spaces ~proc:1
+
+(* Two pathname-cache hits: resolving >d>e>f's parent after a first
+   walk filled the cache. *)
+let name_cache_hit () =
+  let k = Bench_util.boot_new () in
+  List.iter
+    (fun path ->
+      K.Kernel.mkdir k ~path ~acl:Bench_util.open_acl ~label:Bench_util.low)
+    [ ">d"; ">d>e" ];
+  let ns = K.Kernel.name_space k in
+  let subject =
+    { K.Directory.s_principal = { K.Acl.user = "alice"; project = "proj" };
+      s_label = Bench_util.low; s_trusted = false }
+  in
+  let resolve () =
+    match K.Name_space.resolve_parent ns ~subject ~ring:5 ~path:">d>e>f" with
+    | Ok _ -> ()
+    | Error _ -> assert false
+  in
+  resolve ();
+  fun () ->
+    let hits = K.Name_space.cache_hits ns in
+    resolve ();
+    assert (K.Name_space.cache_hits ns = hits + 2)
+
 let legacy_workload () =
   let s = Bench_util.boot_old ~config:L.Old_supervisor.small_config () in
   ignore
@@ -176,7 +243,7 @@ let io_sched_pattern ~random_pattern n () =
   pump ();
   assert (!completed = n)
 
-let tests =
+let tests () =
   let open Bechamel in
   [ Test.make ~name:"T1: census apply_all" (Staged.stage t1_census);
     Test.make ~name:"F2-F4: figures + loop analysis" (Staged.stage figures);
@@ -187,6 +254,10 @@ let tests =
     Test.make ~name:"pfm: fault+read-ahead readback"
       (Staged.stage fault_path_readback);
     Test.make ~name:"P4 inner: legacy writer" (Staged.stage legacy_workload);
+    Test.make ~name:"login: password hash" (Staged.stage password_hash);
+    Test.make ~name:"seg: 64-PTW turnover" (Staged.stage (segment_turnover ()));
+    Test.make ~name:"addr space: create_space" (Staged.stage (create_space ()));
+    Test.make ~name:"ns: 2 cached lookups" (Staged.stage (name_cache_hit ()));
     Test.make ~name:"obs: 1024 ctx allocs (counters)"
       (Staged.stage ctx_alloc_on);
     Test.make ~name:"eq: fill+drain 1e4" (Staged.stage (eq_fill_drain 10_000));
@@ -213,6 +284,10 @@ let metric_slugs =
     ("multics P4 inner: new-kernel writer", "kernel_writer");
     ("multics pfm: fault+read-ahead readback", "pfm_fault_readback");
     ("multics P4 inner: legacy writer", "legacy_writer");
+    ("multics login: password hash", "password_hash");
+    ("multics seg: 64-PTW turnover", "segment_turnover");
+    ("multics addr space: create_space", "create_space");
+    ("multics ns: 2 cached lookups", "name_cache_hit");
     ("multics obs: 1024 ctx allocs (counters)", "ctx_alloc_on_1024");
     ("multics eq: fill+drain 1e4", "eq_fill_drain_1e4");
     ("multics eq: fill+drain 1e5", "eq_fill_drain_1e5");
@@ -229,7 +304,7 @@ let run () =
   in
   let raw =
     Benchmark.all cfg [ instance ]
-      (Test.make_grouped ~name:"multics" ~fmt:"%s %s" tests)
+      (Test.make_grouped ~name:"multics" ~fmt:"%s %s" (tests ()))
   in
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]

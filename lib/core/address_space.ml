@@ -20,8 +20,9 @@ type t = {
 let name = Registry.address_space_manager
 
 (* The invalid SDW's two words, encoded once: a fresh descriptor
-   segment writes them into every one of its slots. *)
+   segment fills every one of its slots with them. *)
 let invalid_w0, invalid_w1 = Hw.Sdw.encode Hw.Sdw.invalid
+let () = assert (Hw.Sdw.words = 2)
 
 let write_invalid mem a =
   Hw.Phys_mem.write mem a invalid_w0;
@@ -69,10 +70,12 @@ let create_space t ~proc =
       t.pool_free <- rest;
       let dseg = t.pool.(slot) in
       let mem = t.machine.Hw.Machine.mem in
-      (* Invalidate every SDW. *)
-      for segno = 0 to Hw.Addr.max_segments - 1 do
-        write_invalid mem (Core_segment.abs_of dseg (segno * Hw.Sdw.words))
-      done;
+      (* Invalidate every SDW: one fill over the whole region, whose
+         last word is checked to lie inside it. *)
+      ignore
+        (Core_segment.abs_of dseg ((Hw.Addr.max_segments * Hw.Sdw.words) - 1));
+      Hw.Phys_mem.fill_pairs mem (Core_segment.abs_of dseg 0)
+        ~pairs:Hw.Addr.max_segments invalid_w0 invalid_w1;
       Hashtbl.replace t.spaces proc ({ dseg; connected = [] }, slot)
 
 let space t proc =

@@ -614,6 +614,7 @@ let volume t = t.volume
 let quota t = t.quota
 let page_frame t = t.page_frame
 let segment t = t.segment
+let address_space t = t.address_space
 let user_process t = t.user_process
 let directory t = t.directory
 let gate t = t.gate

@@ -145,6 +145,7 @@ val volume : t -> Volume.t
 val quota : t -> Quota_cell.t
 val page_frame : t -> Page_frame.t
 val segment : t -> Segment.t
+val address_space : t -> Address_space.t
 val user_process : t -> User_process.t
 val directory : t -> Directory.t
 val gate : t -> Gate.t

@@ -1,5 +1,31 @@
 module Aim = Multics_aim
 
+(* A cache key: the whole subject, the ring, the directory and the
+   component, each in its own field, so no two distinct keys can spell
+   the same probe. *)
+type key = {
+  k_user : string;
+  k_project : string;
+  k_label : int;  (* [Aim.Label.encode] *)
+  k_trusted : bool;
+  k_ring : int;
+  k_dir : int;
+  k_component : string;
+}
+
+module Cache = Hashtbl.Make (struct
+  type t = key
+
+  let equal a b =
+    a.k_dir = b.k_dir && a.k_ring = b.k_ring && a.k_label = b.k_label
+    && Bool.equal a.k_trusted b.k_trusted
+    && String.equal a.k_component b.k_component
+    && String.equal a.k_user b.k_user
+    && String.equal a.k_project b.k_project
+
+  let hash = Hashtbl.hash
+end)
+
 type t = {
   acct : Meter.account;
   obs : Multics_obs.Sink.t;
@@ -11,7 +37,7 @@ type t = {
      another's probe — the cache must not become an existence oracle.
      Only real uids are cached: mythical answers and `No_entry stay on
      the slow path, so negative results can never go stale. *)
-  cache : (string, Ids.uid) Hashtbl.t;
+  cache : Ids.uid Cache.t;
   mutable seen_changes : int;  (* [Directory.changes] when last read *)
   mutable cache_hits : int;
   mutable cache_misses : int;
@@ -25,7 +51,7 @@ let name = Registry.name_space
 let cache_capacity = 512
 
 let clear_cache t =
-  Hashtbl.reset t.cache;
+  Cache.reset t.cache;
   t.cache_invalidations <- t.cache_invalidations + 1;
   Multics_obs.Sink.count t.obs "pathname:invalidate"
 
@@ -34,7 +60,7 @@ let create ?(use_cache = true) ?obs ~meter ~gate ~directory () =
     match obs with Some s -> s | None -> Multics_obs.Sink.detached ()
   in
   { acct = Meter.account meter name; obs; gate; directory; use_cache;
-    cache = Hashtbl.create 64; seen_changes = Directory.changes directory;
+    cache = Cache.create 64; seen_changes = Directory.changes directory;
     cache_hits = 0; cache_misses = 0; cache_invalidations = 0 }
 
 (* Deletions, ACL changes and offline packs can change what a (subject,
@@ -45,18 +71,18 @@ let sync t =
   let changes = Directory.changes t.directory in
   if changes <> t.seen_changes then begin
     t.seen_changes <- changes;
-    if Hashtbl.length t.cache > 0 then clear_cache t
+    if Cache.length t.cache > 0 then clear_cache t
   end
 
 let components path =
   String.split_on_char '>' path |> List.filter (fun c -> c <> "")
 
 let cache_key ~subject ~ring ~dir_uid ~component =
-  Printf.sprintf "%s.%s/%d/%b/r%d/%d>%s"
-    subject.Directory.s_principal.Acl.user
-    subject.Directory.s_principal.Acl.project
-    (Aim.Label.encode subject.Directory.s_label)
-    subject.Directory.s_trusted ring (Ids.to_int dir_uid) component
+  { k_user = subject.Directory.s_principal.Acl.user;
+    k_project = subject.Directory.s_principal.Acl.project;
+    k_label = Aim.Label.encode subject.Directory.s_label;
+    k_trusted = subject.Directory.s_trusted; k_ring = ring;
+    k_dir = Ids.to_int dir_uid; k_component = component }
 
 (* One kernel search through the gate. *)
 let gated_search t ~subject ~ring ~dir_uid ~component =
@@ -75,7 +101,7 @@ let search t ~subject ~ring ~dir_uid ~component =
   else begin
     sync t;
     let key = cache_key ~subject ~ring ~dir_uid ~component in
-    match Hashtbl.find_opt t.cache key with
+    match Cache.find_opt t.cache key with
     | Some uid ->
         t.cache_hits <- t.cache_hits + 1;
         Meter.charge t.acct Cost.Pl1 Cost.name_cache_hit;
@@ -87,8 +113,8 @@ let search t ~subject ~ring ~dir_uid ~component =
         sync t;
         (match result with
         | `Found uid when not (Ids.is_mythical uid) ->
-            if Hashtbl.length t.cache >= cache_capacity then clear_cache t;
-            Hashtbl.replace t.cache key uid
+            if Cache.length t.cache >= cache_capacity then clear_cache t;
+            Cache.replace t.cache key uid
         | `Found _ | `No_entry -> ());
         result
   end
@@ -128,4 +154,4 @@ let cache_invalidations t =
 
 let cache_size t =
   sync t;
-  Hashtbl.length t.cache
+  Cache.length t.cache

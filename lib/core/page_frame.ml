@@ -253,10 +253,11 @@ let note_prefetch_reference t e ~used =
   end
 
 (* Evict the page occupying [frame].  The paper's page-removal
-   algorithm: scan the content; all-zero pages lose their record and
-   credit their quota cell; dirty pages are written back; clean pages
-   just drop. *)
-let evict_frame t frame =
+   algorithm: scan the content ([zero] is the caller's one scan of the
+   frame, charged here); all-zero pages lose their record and credit
+   their quota cell; dirty pages are written back; clean pages just
+   drop. *)
+let evict_frame t frame ~zero =
   let e = t.frames.(frame) in
   assert (e.used_by >= 0 && not e.pinned);
   let ptw_abs = e.used_by in
@@ -265,7 +266,7 @@ let evict_frame t frame =
   t.evictions <- t.evictions + 1;
   Multics_obs.Sink.count t.obs "pfm.evict";
   note_prefetch_reference t e ~used:(Hw.Ptw.raw_used w);
-  if Hw.Phys_mem.frame_is_zero (mem t) frame then begin
+  if zero then begin
     (* Zero reclamation: the page reverts to an unallocated flag in the
        file map, the record is freed and the quota cell credited — the
        accounting update the paper calls out as a confinement hazard. *)
@@ -358,7 +359,7 @@ let evict_one t =
   match clock_pick t with
   | None -> false
   | Some frame ->
-      evict_frame t frame;
+      evict_frame t frame ~zero:(Hw.Phys_mem.frame_is_zero (mem t) frame);
       true
 
 let acquire_frame t ~inline =
@@ -659,25 +660,26 @@ let fault_in_sync t ~ptw_abs =
             `Ok
   end
 
-let flush_page t ~ptw_abs =
-  (* Raw probes: shutdown/checkpoint walk every descriptor through
-     here, and the decision needs one bit test and the frame field of
-     the fetched word, not a decoded record. *)
-  let w = Hw.Phys_mem.read (mem t) ptw_abs in
-  if not (Hw.Ptw.raw_present w) then begin
-    (* Scanning an absent PTW is one descriptor read. *)
-    charge t (Cost.ptw_update / 4);
-    `Not_present
-  end
-  else begin
-    charge t Cost.kernel_call;
-    let frame = Hw.Ptw.raw_arg w in
-    let e = t.frames.(frame) in
-    let record = e.record_handle in
-    let zero = Hw.Phys_mem.frame_is_zero (mem t) frame in
-    evict_frame t frame;
-    if zero then `Zero_reclaimed else `Written_to record
-  end
+(* Scanning an absent descriptor is one descriptor read. *)
+let absent_scan_ns = Cost.scale lang (Cost.ptw_update / 4)
+
+let flush_pages t ~ptw_abs ~n =
+  (* Raw probes: deactivation and relocation walk every descriptor of a
+     table here, and the decision needs one bit test and the frame field
+     of the fetched word, not a decoded record.  The absent descriptors'
+     scan charges are booked as one charge of the same total. *)
+  let mem = mem t in
+  let absent = ref 0 in
+  for a = ptw_abs to ptw_abs + n - 1 do
+    let w = Hw.Phys_mem.read mem a in
+    if Hw.Ptw.raw_present w then begin
+      charge t Cost.kernel_call;
+      let frame = Hw.Ptw.raw_arg w in
+      evict_frame t frame ~zero:(Hw.Phys_mem.frame_is_zero mem frame)
+    end
+    else incr absent
+  done;
+  if !absent > 0 then Meter.charge_raw t.acct (!absent * absent_scan_ns)
 
 (* The cleaning daemon is a write-behind engine: it writes dirty,
    not-recently-used pages back to their records and clears the
@@ -761,7 +763,7 @@ let cleaner_step t _vp =
         match clock_pick t with
         | None -> ()
         | Some frame ->
-            evict_frame t frame;
+            evict_frame t frame ~zero:(Hw.Phys_mem.frame_is_zero (mem t) frame);
             incr cleaned;
             refill (budget - 1)
     in

@@ -107,12 +107,12 @@ val fault_in_sync :
     {!service_missing_page} path.  [`Damaged]: the record is dead and
     the page was marked damaged rather than read. *)
 
-val flush_page :
-  t -> ptw_abs:Multics_hw.Addr.abs ->
-  [ `Written_to of int | `Zero_reclaimed | `Not_present ]
-(** Force a page out (segment deactivation / relocation).  Returns where
-    it went: its record handle, or reclaimed as zeros (record freed,
-    quota credited). *)
+val flush_pages : t -> ptw_abs:Multics_hw.Addr.abs -> n:int -> unit
+(** Force out every present page of the [n] descriptors from [ptw_abs]
+    (segment deactivation / relocation), in address order: a page of
+    zeros is reclaimed (record freed, quota credited, descriptor
+    unallocated), a modified page is written behind, and each
+    descriptor is left absent.  Each frame is scanned for zeros once. *)
 
 val cleaner_step : t -> Vp.vp -> Vp.run_result
 (** Step function for the page-cleaning daemon VP. *)

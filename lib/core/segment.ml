@@ -105,34 +105,35 @@ let sever_connections t e =
   Hw.Machine.flush_all_tlbs t.machine;
   Multics_obs.Sink.count t.obs "sdw_am:setfaults_flush"
 
+(* One descriptor write costs an eighth of a PTW update.  A table's
+   worth is booked as one charge of the same total. *)
+let ptw_build_ns = Cost.scale lang (Cost.ptw_update / 8)
+
 let build_page_table t slot (vtoc : Hw.Disk.vtoc_entry) =
+  let disk = t.machine.Hw.Machine.disk in
+  let base = pt_base t ~slot in
   for pageno = 0 to t.pt_words - 1 do
     let handle = vtoc.Hw.Disk.file_map.(pageno) in
-    let ptw =
-      if handle >= 0 then
+    let w =
+      if handle < 0 then Hw.Ptw.unallocated_word
+      else if
         (* A record that died (media error) or tore (crash) builds a
            damaged descriptor: the touch faults into the damage path
            instead of reading garbage. *)
-        if
-          Hw.Disk.record_is_dead t.machine.Hw.Machine.disk
-            ~pack:(Hw.Disk.pack_of_handle handle)
-            ~record:(Hw.Disk.record_of_handle handle)
-          || Hw.Disk.record_is_torn t.machine.Hw.Machine.disk
-               ~pack:(Hw.Disk.pack_of_handle handle)
-               ~record:(Hw.Disk.record_of_handle handle)
-        then Hw.Ptw.damaged_ptw ~record:handle
-        else Hw.Ptw.on_disk ~record:handle
-      else Hw.Ptw.unallocated_ptw
+        let pack = Hw.Disk.pack_of_handle handle
+        and record = Hw.Disk.record_of_handle handle in
+        Hw.Disk.record_is_dead disk ~pack ~record
+        || Hw.Disk.record_is_torn disk ~pack ~record
+      then Hw.Ptw.encode (Hw.Ptw.damaged_ptw ~record:handle)
+      else Hw.Ptw.on_disk_word ~record:handle
     in
-    Hw.Ptw.write (mem t) (ptw_abs t ~slot ~pageno) ptw;
-    charge t (Cost.ptw_update / 8)
-  done
+    Hw.Phys_mem.write (mem t) (base + pageno) w
+  done;
+  Meter.charge_raw t.acct (t.pt_words * ptw_build_ns)
 
 let flush_slot t slot =
-  for pageno = 0 to t.pt_words - 1 do
-    ignore
-      (Page_frame.flush_page t.page_frame ~ptw_abs:(ptw_abs t ~slot ~pageno))
-  done
+  Page_frame.flush_pages t.page_frame ~ptw_abs:(pt_base t ~slot)
+    ~n:t.pt_words
 
 (* Update the VTOC file map from the final PTWs after a flush: pages
    written back keep their records; zero-reclaimed pages were already
@@ -221,22 +222,25 @@ let heal_damaged t =
   !healed
 
 (* The new design can deactivate anything; victims are unconnected
-   slots, directories included — no hierarchy constraint. *)
+   slots, directories included — no hierarchy constraint.  The lowest
+   free slot wins; with none free every slot is live, and the lowest
+   unconnected one is evicted. *)
 let find_slot t =
-  let free = ref None and victim = ref None in
-  Array.iteri
-    (fun i e ->
-      if not e.live then (if !free = None then free := Some i)
-      else if e.connections = [] && !victim = None then victim := Some i)
-    t.ast;
-  match !free with
-  | Some i -> Some i
-  | None -> (
-      match !victim with
-      | Some i ->
+  let rec free i =
+    if i = t.n_slots then None
+    else if not t.ast.(i).live then Some i
+    else free (i + 1)
+  in
+  let rec victim i =
+    if i = t.n_slots then None
+    else
+      match t.ast.(i).connections with
+      | [] ->
           deactivate_slot t i;
           Some i
-      | None -> None)
+      | _ :: _ -> victim (i + 1)
+  in
+  match free 0 with Some _ as slot -> slot | None -> victim 0
 
 let activate t ~uid ~cell =
   match find_active t ~uid with

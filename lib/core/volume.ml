@@ -270,14 +270,22 @@ let move_segment t ~pack ~index ~to_pack =
     Ok (to_pack, new_index, n_records)
   end
 
+(* [len_pages] is one past the last entry that is not [unallocated]
+   ([Invariants] checks it), so an update moves it only when it lands
+   beyond the end or clears the last entry. *)
 let set_file_map_entry t ~pack ~index ~pageno value =
   entry t Cost.vtoc_write;
   let e = Hw.Disk.vtoc_entry (disk t) ~pack ~index in
-  e.Hw.Disk.file_map.(pageno) <- value;
-  let len = ref 0 in
-  Array.iteri
-    (fun i v -> if v <> Hw.Disk.unallocated then len := max !len (i + 1))
-    e.Hw.Disk.file_map;
-  e.Hw.Disk.len_pages <- !len
+  let map = e.Hw.Disk.file_map in
+  map.(pageno) <- value;
+  if value <> Hw.Disk.unallocated then begin
+    if pageno >= e.Hw.Disk.len_pages then e.Hw.Disk.len_pages <- pageno + 1
+  end
+  else if pageno = e.Hw.Disk.len_pages - 1 then begin
+    let rec last i =
+      if i < 0 || map.(i) <> Hw.Disk.unallocated then i + 1 else last (i - 1)
+    in
+    e.Hw.Disk.len_pages <- last (pageno - 1)
+  end
 
 let full_pack_exceptions t = t.full_pack_count

@@ -111,7 +111,11 @@ let mark_dead t ~pack ~record =
     end
   end
 
-let record_is_dead t ~pack ~record = Hashtbl.mem (get_pack t pack).dead record
+(* Both sets are empty on a healthy pack, so the common probe reads a
+   length and hashes nothing. *)
+let record_is_dead t ~pack ~record =
+  let p = get_pack t pack in
+  Hashtbl.length p.dead > 0 && Hashtbl.mem p.dead record
 
 let dead_records t ~pack =
   Hashtbl.fold (fun r () acc -> r :: acc) (get_pack t pack).dead []
@@ -122,7 +126,9 @@ let mark_torn t ~pack ~record =
 
 let clear_torn t ~pack ~record = Hashtbl.remove (get_pack t pack).torn record
 
-let record_is_torn t ~pack ~record = Hashtbl.mem (get_pack t pack).torn record
+let record_is_torn t ~pack ~record =
+  let p = get_pack t pack in
+  Hashtbl.length p.torn > 0 && Hashtbl.mem p.torn record
 
 let torn_records t ~pack =
   Hashtbl.fold (fun r () acc -> r :: acc) (get_pack t pack).torn []

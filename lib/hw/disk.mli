@@ -70,6 +70,8 @@ val mark_dead : t -> pack:int -> record:int -> unit
     free list (if free) and {!free_record} will never re-list it. *)
 
 val record_is_dead : t -> pack:int -> record:int -> bool
+(** Probes no set on a pack with no dead record; likewise
+    {!record_is_torn}. *)
 
 val dead_records : t -> pack:int -> int list
 (** Retired records on the pack, sorted. *)

@@ -25,6 +25,18 @@ let write t a w =
   t.writes <- t.writes + 1;
   t.data.(a) <- Word.of_int w
 
+let fill_pairs t a ~pairs w0 w1 =
+  if pairs < 0 || a < 0 || a + (2 * pairs) > Array.length t.data then
+    invalid_arg
+      (Printf.sprintf "Phys_mem.fill_pairs: %d pairs at %d out of range" pairs
+         a);
+  let w0 = Word.of_int w0 and w1 = Word.of_int w1 in
+  for i = 0 to pairs - 1 do
+    t.data.(a + (2 * i)) <- w0;
+    t.data.(a + (2 * i) + 1) <- w1
+  done;
+  t.writes <- t.writes + (2 * pairs)
+
 let read_frame t n =
   assert (n >= 0 && n < t.n_frames);
   Page_image.sub t.data ~pos:(Addr.frame_base n)

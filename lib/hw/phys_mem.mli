@@ -19,6 +19,13 @@ val read : t -> Addr.abs -> Word.t
 
 val write : t -> Addr.abs -> Word.t -> unit
 
+val fill_pairs : t -> Addr.abs -> pairs:int -> Word.t -> Word.t -> unit
+(** [fill_pairs t a ~pairs w0 w1] stores [w0] at [a + 2i] and [w1] at
+    [a + 2i + 1] for each [i < pairs]: what [2 * pairs] calls of
+    {!write} would store, with one range check, and {!writes} counts
+    every word.  Raises [Invalid_argument] if any word falls outside
+    physical memory, before storing anything. *)
+
 val read_frame : t -> int -> Page_image.t
 (** Snapshot frame [n] into a new image: the one host copy of a
     page-out.  Later stores into the frame do not reach the image, so

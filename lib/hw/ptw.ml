@@ -46,6 +46,13 @@ let decode w =
 let read mem a = decode (Phys_mem.read mem a)
 let write mem a t = Phys_mem.write mem a (encode t)
 
+(* Page-table construction writes one of these per page: the
+   unallocated descriptor is a constant, and an on-disk descriptor is
+   the valid bit over the record field, as [encode] would build it. *)
+let unallocated_word = encode unallocated_ptw
+let valid_bit = encode { invalid with valid = true }
+let on_disk_word ~record = valid_bit lor (record land ((1 lsl 18) - 1))
+
 (* Raw-word probes for the translation fast path: the CPU reads the
    PTW once and tests bits in place, building no record on the hit
    path.  Positions as in the layout comment; [decode (encode t) = t]

@@ -54,6 +54,13 @@ val decode : Word.t -> t
 val read : Phys_mem.t -> Addr.abs -> t
 val write : Phys_mem.t -> Addr.abs -> t -> unit
 
+val unallocated_word : Word.t
+(** [encode unallocated_ptw], computed once. *)
+
+val on_disk_word : record:int -> Word.t
+(** [encode (on_disk ~record)] without building the record: the valid
+    bit over the 18-bit record field. *)
+
 (** Raw-word probes for the translation fast path: test bits of the
     fetched word in place instead of decoding a record per reference.
     Semantically identical to going through {!decode}. *)

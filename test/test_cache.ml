@@ -221,6 +221,35 @@ let test_path_cache_acl () =
   | Ok _ -> ()
   | Error _ -> Alcotest.fail "restored acl should initiate"
 
+(* The cache is keyed by the whole subject.  User "a.b" of project "c"
+   and user "a" of project "b.c" are distinct principals whose names
+   join to the same "a.b.c"; neither may answer the other's probe. *)
+let test_path_cache_principals_distinct () =
+  let k = K.Kernel.boot K.Kernel.default_config in
+  K.Kernel.mkdir k ~path:">d" ~acl:open_acl ~label:low;
+  K.Kernel.mkdir k ~path:">d>e" ~acl:open_acl ~label:low;
+  K.Kernel.create_file k ~path:">d>e>f" ~acl:open_acl ~label:low;
+  let ns = K.Kernel.name_space k in
+  let principal user project =
+    { K.Directory.s_principal = { K.Acl.user; project }; s_label = low;
+      s_trusted = false }
+  in
+  let resolve subject =
+    match K.Name_space.resolve_parent ns ~subject ~ring:5 ~path:">d>e>f" with
+    | Ok _ -> ()
+    | Error _ -> Alcotest.fail "resolve >d>e>f"
+  in
+  let hits_of subject =
+    let h0 = K.Name_space.cache_hits ns in
+    resolve subject;
+    K.Name_space.cache_hits ns - h0
+  in
+  let first = principal "a.b" "c" and second = principal "a" "b.c" in
+  check Alcotest.int "first principal's walk misses" 0 (hits_of first);
+  check Alcotest.int "the other principal misses too" 0 (hits_of second);
+  check Alcotest.int "each principal's repeat walk hits" 4
+    (hits_of first + hits_of second)
+
 (* ------------------------------------------------------------------ *)
 (* Shutdown / reboot leave no cache contents behind. *)
 
@@ -345,6 +374,8 @@ let tests =
       test_path_cache_delete;
     Alcotest.test_case "path cache acl invalidation" `Quick
       test_path_cache_acl;
+    Alcotest.test_case "path cache keeps principals apart" `Quick
+      test_path_cache_principals_distinct;
     Alcotest.test_case "caches empty after reboot" `Quick
       test_caches_empty_after_reboot;
     Alcotest.test_case "same results caches on/off" `Quick

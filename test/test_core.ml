@@ -163,12 +163,13 @@ let test_zero_page_reclaim () =
   check Alcotest.int "page charged" 1 used_before;
   (* Evict without ever writing: all zeros. *)
   let pfm = K.Kernel.page_frame k in
-  (match
-     K.Page_frame.flush_page pfm ~ptw_abs:(K.Segment.ptw_abs sm ~slot ~pageno:0)
-   with
-  | `Zero_reclaimed -> ()
-  | `Written_to _ -> Alcotest.fail "page of zeros should be reclaimed"
-  | `Not_present -> Alcotest.fail "page should be present");
+  let ptw_abs = K.Segment.ptw_abs sm ~slot ~pageno:0 in
+  let mem = (K.Kernel.machine k).Hw.Machine.mem in
+  check Alcotest.bool "page present" true
+    (Hw.Ptw.read mem ptw_abs).Hw.Ptw.present;
+  K.Page_frame.flush_pages pfm ~ptw_abs ~n:1;
+  check Alcotest.bool "page of zeros reclaimed" true
+    (Hw.Ptw.read mem ptw_abs = Hw.Ptw.unallocated_ptw);
   let used_after, _ = Option.get (K.Kernel.quota_usage k ~path:">home>z") in
   check Alcotest.int "quota credited" 0 used_after;
   check Alcotest.bool "reclaim counted" true
@@ -321,6 +322,381 @@ let test_page_table_registry () =
   check Alcotest.bool "home moved" true
     (K.Segment.slot_home sm ~slot <> home_before);
   resolves "relocated tenant" slot e.K.Directory.t_cell
+
+(* ------------------------------------------------------------------ *)
+(* Segment turnover against a per-PTW reference.  Activation writes
+   precomputed descriptor words and books its per-PTW charges as one;
+   deactivation flushes the table in one walk.  The reference is the
+   per-descriptor description of both. *)
+
+(* default_config's 64-PTW tables in an 8-slot AST, so a few
+   activations fill it. *)
+let turnover_config = { K.Kernel.default_config with K.Kernel.ast_slots = 8 }
+
+let mem_of k = (K.Kernel.machine k).Hw.Machine.mem
+let disk_of k = (K.Kernel.machine k).Hw.Machine.disk
+let mem_counts k = (Hw.Phys_mem.reads (mem_of k), Hw.Phys_mem.writes (mem_of k))
+
+(* Each manager's growth between two [Meter.by_manager] readings. *)
+let meter_delta before after =
+  List.filter_map
+    (fun (name, total) ->
+      let prior = Option.value ~default:0 (List.assoc_opt name before) in
+      if total <> prior then Some (name, total - prior) else None)
+    after
+
+let table_words k ~slot =
+  let sm = K.Kernel.segment k in
+  Array.init (K.Segment.pt_words sm) (fun pageno ->
+      Hw.Phys_mem.read (mem_of k) (K.Segment.ptw_abs sm ~slot ~pageno))
+
+let file_map k (pack, index) =
+  Array.copy (Hw.Disk.vtoc_entry (disk_of k) ~pack ~index).Hw.Disk.file_map
+
+(* The descriptor the segment manager builds for each page, one record
+   probe at a time. *)
+let reference_words k ~slot =
+  let disk = disk_of k and sm = K.Kernel.segment k in
+  let map = file_map k (K.Segment.slot_home sm ~slot) in
+  Array.init (K.Segment.pt_words sm) (fun pageno ->
+      let h = map.(pageno) in
+      let pack = Hw.Disk.pack_of_handle h
+      and record = Hw.Disk.record_of_handle h in
+      Hw.Ptw.encode
+        (if h < 0 then Hw.Ptw.unallocated_ptw
+         else if
+           Hw.Disk.record_is_dead disk ~pack ~record
+           || Hw.Disk.record_is_torn disk ~pack ~record
+         then Hw.Ptw.damaged_ptw ~record:h
+         else Hw.Ptw.on_disk ~record:h))
+
+let scale = K.Cost.scale K.Cost.Pl1
+let words = Alcotest.(array int)
+let deltas = Alcotest.(list (pair string int))
+
+let turnover_cell k =
+  K.Kernel.create_file k ~path:">home>cell" ~acl:open_acl ~label:low;
+  match
+    K.Name_space.initiate (K.Kernel.name_space k)
+      ~subject:K.Kernel.root_subject ~ring:1 ~path:">home>cell"
+  with
+  | Ok t -> t.K.Directory.t_cell
+  | Error _ -> Alcotest.fail "initiate >home>cell"
+
+(* A segment on [pack], activated, its slot returned. *)
+let new_active k ~cell ~pack =
+  let sm = K.Kernel.segment k in
+  let uid, _ =
+    K.Segment.create_segment sm ~pack ~is_directory:false
+      ~label:(Aim.Label.encode low) ()
+  in
+  match K.Segment.activate sm ~uid ~cell with
+  | Ok slot -> slot
+  | Error _ -> Alcotest.fail "activate"
+
+(* A segment on pack 1 whose table holds every kind of descriptor:
+   page 0 present and modified, 1 present and zero (never written), 2
+   on disk, 3 present and clean, 4 present, modified and zero, 5 on
+   disk, 63 present and modified; the rest unallocated. *)
+let turnover_kernel () =
+  let k = K.Kernel.boot turnover_config in
+  K.Kernel.mkdir k ~path:">home" ~acl:open_acl ~label:low;
+  let cell = turnover_cell k in
+  let sm = K.Kernel.segment k and pfm = K.Kernel.page_frame k in
+  let slot = new_active k ~cell ~pack:1 in
+  let write pageno v =
+    match K.Segment.write_word sm ~slot ~pageno ~offset:0 v with
+    | Ok () -> ()
+    | Error _ -> Alcotest.fail "write_word"
+  in
+  let flush pageno =
+    K.Page_frame.flush_pages pfm ~ptw_abs:(K.Segment.ptw_abs sm ~slot ~pageno)
+      ~n:1
+  in
+  List.iter (fun (pageno, v) -> write pageno v)
+    [ (0, 7); (2, 9); (3, 11); (4, 0); (5, 13); (63, 17) ];
+  (match K.Segment.grow sm ~slot ~pageno:1 with
+  | Ok () -> ()
+  | Error _ -> Alcotest.fail "grow");
+  List.iter flush [ 2; 3; 5 ];
+  (match K.Segment.read_word sm ~slot ~pageno:3 ~offset:0 with
+  | Ok 11 -> ()
+  | _ -> Alcotest.fail "read back page 3");
+  (k, cell, slot)
+
+(* Deactivate the turnover segment, optionally forcing its pages out
+   one descriptor at a time first; returns what the deactivation left
+   and what it cost. *)
+let deactivation ~per_ptw =
+  let k, _, slot = turnover_kernel () in
+  let sm = K.Kernel.segment k and pfm = K.Kernel.page_frame k in
+  let before = table_words k ~slot in
+  let home = K.Segment.slot_home sm ~slot in
+  let meter0 = K.Meter.by_manager (K.Kernel.meter k) in
+  let reads0, writes0 = mem_counts k in
+  if per_ptw then
+    for pageno = 0 to K.Segment.pt_words sm - 1 do
+      K.Page_frame.flush_pages pfm ~ptw_abs:(K.Segment.ptw_abs sm ~slot ~pageno)
+        ~n:1
+    done;
+  K.Segment.deactivate sm ~slot;
+  let reads1, writes1 = mem_counts k in
+  let meter = meter_delta meter0 (K.Meter.by_manager (K.Kernel.meter k)) in
+  ( before, meter, reads1 - reads0, writes1 - writes0, table_words k ~slot,
+    file_map k home,
+    [ K.Page_frame.evictions pfm; K.Page_frame.zero_reclaims pfm;
+      K.Page_frame.page_writes pfm ] )
+
+let test_turnover_deactivation () =
+  let before, meter, reads, writes, after, map, stats =
+    deactivation ~per_ptw:false
+  in
+  let _, ref_meter, ref_reads, ref_writes, ref_after, ref_map, ref_stats =
+    deactivation ~per_ptw:true
+  in
+  let n = Array.length before in
+  check Alcotest.int "a 64-PTW table" 64 n;
+  let present = Array.fold_left (fun acc w ->
+      if Hw.Ptw.raw_present w then acc + 1 else acc) 0 before
+  in
+  check Alcotest.int "five pages present" 5 present;
+  check words "descriptors left" ref_after after;
+  check Alcotest.(array int) "file map" ref_map map;
+  check Alcotest.(list int) "evictions, reclaims, writes" ref_stats stats;
+  (* Pages 1 and 4 were zeros, so reclaimed; 0, 3 and 63 went to their
+     records; 2 and 5 stayed on disk. *)
+  List.iter
+    (fun (pageno, unallocated) ->
+      check Alcotest.bool (Printf.sprintf "page %d reclaimed" pageno)
+        unallocated (map.(pageno) = Hw.Disk.unallocated))
+    [ (0, false); (1, true); (2, false); (3, false); (4, true); (5, false);
+      (63, false) ];
+  (* The reference's own deactivation finds all 64 descriptors absent:
+     one descriptor read and one scan charge each, on top of the walk
+     being checked. *)
+  let absent_ns = scale (K.Cost.ptw_update / 4) in
+  let pf = K.Registry.page_frame_manager in
+  check deltas "every manager's total"
+    (List.map
+       (fun (name, ns) ->
+         if name = pf then (name, ns - (n * absent_ns)) else (name, ns))
+       ref_meter)
+    meter;
+  check Alcotest.int "descriptor reads" (ref_reads - n) reads;
+  check Alcotest.int "memory writes" ref_writes writes;
+  (* And by the cost model: a scan per absent descriptor, an eviction
+     per present one, then the table's unregistration. *)
+  check Alcotest.int "page frame manager"
+    (((n - present) * absent_ns)
+     + (present
+        * (scale K.Cost.kernel_call + scale K.Cost.frame_scan_zero
+          + scale K.Cost.ptw_update))
+     + scale (K.Cost.kernel_call + K.Cost.ptw_update))
+    (List.assoc pf meter)
+
+let test_turnover_activation () =
+  let k, cell, slot = turnover_kernel () in
+  let sm = K.Kernel.segment k in
+  let uid = K.Segment.slot_uid sm ~slot in
+  let home = K.Segment.slot_home sm ~slot in
+  K.Segment.deactivate sm ~slot;
+  let handle pageno = (file_map k home).(pageno) in
+  let record pageno =
+    let h = handle pageno in
+    (Hw.Disk.pack_of_handle h, Hw.Disk.record_of_handle h)
+  in
+  let activate uid =
+    let meter0 = K.Meter.by_manager (K.Kernel.meter k) in
+    let reads0, writes0 = mem_counts k in
+    let slot =
+      match K.Segment.activate sm ~uid ~cell with
+      | Ok slot -> slot
+      | Error _ -> Alcotest.fail "reactivate"
+    in
+    let reads1, writes1 = mem_counts k in
+    ( slot, meter_delta meter0 (K.Meter.by_manager (K.Kernel.meter k)),
+      reads1 - reads0, writes1 - writes0 )
+  in
+  let n = K.Segment.pt_words sm in
+  let expect_cost what (_, meter, reads, writes) =
+    check deltas (what ^ ": every manager's total")
+      (List.sort compare
+         [ (K.Registry.segment_manager,
+            scale (K.Cost.kernel_call + K.Cost.vtoc_read)
+            + (n * scale (K.Cost.ptw_update / 8)));
+           (K.Registry.disk_pack_manager,
+            scale (K.Cost.kernel_call + K.Cost.vtoc_read));
+           (K.Registry.page_frame_manager,
+            scale (K.Cost.kernel_call + K.Cost.ptw_update)) ])
+      meter;
+    check Alcotest.int (what ^ ": no memory reads") 0 reads;
+    check Alcotest.int (what ^ ": one write per descriptor") n writes
+  in
+  (* Reactivate with the segment's pack holding a torn record only, a
+     dead record only, then both: each must build damaged descriptors
+     exactly where the reference does. *)
+  let phase what ~damaged =
+    let activation = activate uid in
+    let slot, _, _, _ = activation in
+    expect_cost what activation;
+    check words (what ^ ": descriptors") (reference_words k ~slot)
+      (table_words k ~slot);
+    List.iter
+      (fun pageno ->
+        let ptw = Hw.Ptw.decode (table_words k ~slot).(pageno) in
+        check Alcotest.bool
+          (Printf.sprintf "%s: page %d damaged" what pageno)
+          (List.mem pageno damaged)
+          (ptw.Hw.Ptw.damaged && ptw.Hw.Ptw.arg = handle pageno))
+      [ 0; 2; 3; 5; 63 ];
+    K.Segment.deactivate sm ~slot
+  in
+  let torn_pack, torn_record = record 2 and dead_pack, dead_record = record 5 in
+  Hw.Disk.mark_torn (disk_of k) ~pack:torn_pack ~record:torn_record;
+  phase "torn record" ~damaged:[ 2 ];
+  Hw.Disk.clear_torn (disk_of k) ~pack:torn_pack ~record:torn_record;
+  Hw.Disk.mark_dead (disk_of k) ~pack:dead_pack ~record:dead_record;
+  phase "dead record" ~damaged:[ 5 ];
+  Hw.Disk.mark_torn (disk_of k) ~pack:torn_pack ~record:torn_record;
+  phase "dead and torn records" ~damaged:[ 2; 5 ];
+  (* A segment on a pack with no dead or torn record: the clean path. *)
+  let clean_slot = new_active k ~cell ~pack:2 in
+  List.iter
+    (fun pageno ->
+      match K.Segment.write_word sm ~slot:clean_slot ~pageno ~offset:0 1 with
+      | Ok () -> ()
+      | Error _ -> Alcotest.fail "write clean page")
+    [ 0; 1; 62 ];
+  let clean_uid = K.Segment.slot_uid sm ~slot:clean_slot in
+  K.Segment.deactivate sm ~slot:clean_slot;
+  check Alcotest.bool "pack 2 has no bad record" true
+    (Hw.Disk.dead_records (disk_of k) ~pack:2 = []
+     && Hw.Disk.torn_records (disk_of k) ~pack:2 = []);
+  let clean = activate clean_uid in
+  let clean_slot, _, _, _ = clean in
+  expect_cost "clean pack" clean;
+  check words "clean pack: descriptors" (reference_words k ~slot:clean_slot)
+    (table_words k ~slot:clean_slot);
+  check Alcotest.int "clean pack: three pages on disk" 3
+    (Array.fold_left
+       (fun acc w ->
+         if Hw.Ptw.raw_valid w && not (Hw.Ptw.raw_unallocated w) then acc + 1
+         else acc)
+       0 (table_words k ~slot:clean_slot))
+
+(* With the AST full, activation evicts the lowest-numbered slot that
+   no address space is connected to; with a slot free, it takes the
+   lowest free one. *)
+let test_turnover_find_slot () =
+  let k = K.Kernel.boot turnover_config in
+  K.Kernel.mkdir k ~path:">home" ~acl:open_acl ~label:low;
+  let cell = turnover_cell k in
+  let sm = K.Kernel.segment k in
+  let slots = turnover_config.K.Kernel.ast_slots in
+  while List.length (K.Segment.active_slots sm) < slots do
+    ignore (new_active k ~cell ~pack:1)
+  done;
+  let uids = Array.init slots (fun slot -> K.Segment.slot_uid sm ~slot) in
+  let connected = [ 0; 1; 3 ] in
+  List.iter
+    (fun slot -> K.Segment.register_connection sm ~slot ~sdw_abs:(2 * slot))
+    connected;
+  let taken = new_active k ~cell ~pack:1 in
+  check Alcotest.int "lowest unconnected slot evicted" 2 taken;
+  check Alcotest.bool "its old tenant is inactive" true
+    (K.Segment.find_active sm ~uid:uids.(2) = None);
+  List.iter
+    (fun slot ->
+      check Alcotest.bool (Printf.sprintf "slot %d kept" slot) true
+        (K.Segment.find_active sm ~uid:uids.(slot) = Some slot))
+    connected;
+  (* The new tenant is unconnected too, so it would be next; connect
+     it, and the victim is the next unconnected slot up. *)
+  K.Segment.register_connection sm ~slot:2 ~sdw_abs:4;
+  let connected = 2 :: connected in
+  let taken = new_active k ~cell ~pack:1 in
+  check Alcotest.int "next victim skips the connected slots" 4 taken;
+  K.Segment.deactivate sm ~slot:6;
+  K.Segment.deactivate sm ~slot:5;
+  check Alcotest.int "lowest free slot" 5 (new_active k ~cell ~pack:1);
+  check Alcotest.int "then the next free one" 6 (new_active k ~cell ~pack:1);
+  List.iter
+    (fun slot -> K.Segment.unregister_connection sm ~slot ~sdw_abs:(2 * slot))
+    connected
+
+(* A descriptor segment handed out again is cleared whole: every one of
+   its 512 SDWs reads invalid, for exactly one write per word. *)
+let test_create_space_clears_every_sdw () =
+  let k = boot ~config:K.Kernel.default_config () in
+  let spaces = K.Kernel.address_space k and mem = mem_of k in
+  K.Address_space.create_space spaces ~proc:1000;
+  let base = (K.Address_space.dbr_of spaces ~proc:1000).Hw.Cpu.base in
+  let n = Hw.Addr.max_segments * Hw.Sdw.words in
+  for a = base to base + n - 1 do
+    Hw.Phys_mem.write mem a (a lor 1)
+  done;
+  K.Address_space.destroy_space spaces ~proc:1000;
+  let reads0, writes0 = mem_counts k in
+  K.Address_space.create_space spaces ~proc:1001;
+  let reads1, writes1 = mem_counts k in
+  check Alcotest.int "the same descriptor segment" base
+    (K.Address_space.dbr_of spaces ~proc:1001).Hw.Cpu.base;
+  check Alcotest.int "one write per word" n (writes1 - writes0);
+  check Alcotest.int "no reads" 0 (reads1 - reads0);
+  let w0, w1 = Hw.Sdw.encode Hw.Sdw.invalid in
+  for segno = 0 to Hw.Addr.max_segments - 1 do
+    let a = base + (segno * Hw.Sdw.words) in
+    if Hw.Phys_mem.read mem a <> w0 || Hw.Phys_mem.read mem (a + 1) <> w1 then
+      Alcotest.failf "SDW %d not invalid" segno
+  done
+
+(* [len_pages] is kept one past the last allocated file-map entry as
+   entries are set and cleared, and the invariants report an entry
+   whose length disagrees with its map. *)
+let test_len_pages_follows_file_map () =
+  let k = boot () in
+  let volume = K.Kernel.volume k in
+  let index =
+    K.Volume.create_segment volume ~uid:(K.Ids.of_int 900_001) ~pack:1
+      ~is_directory:false ~label:(Aim.Label.encode low) ()
+  in
+  let e = Hw.Disk.vtoc_entry (disk_of k) ~pack:1 ~index in
+  let recomputed () =
+    let len = ref 0 in
+    Array.iteri
+      (fun i v -> if v <> Hw.Disk.unallocated then len := i + 1)
+      e.Hw.Disk.file_map;
+    !len
+  in
+  let set pageno value =
+    K.Volume.set_file_map_entry volume ~pack:1 ~index ~pageno value;
+    if e.Hw.Disk.len_pages <> recomputed () then
+      Alcotest.failf "page %d := %d: len_pages %d, map says %d" pageno value
+        e.Hw.Disk.len_pages (recomputed ())
+  in
+  let free = Hw.Disk.unallocated and zero = Hw.Disk.zero_page in
+  let last = Hw.Addr.max_pages_per_segment - 1 in
+  List.iter
+    (fun (pageno, value) -> set pageno value)
+    [ (10, zero); (3, zero); (3, free); (10, free); (0, zero); (last, zero);
+      (7, zero); (last, free); (7, free); (0, free); (0, free); (last, free);
+      (5, zero); (200, zero); (100, zero); (200, free); (5, free) ];
+  check Alcotest.int "a clear below the end keeps the length" 101
+    e.Hw.Disk.len_pages;
+  let rng = Random.State.make [| 28 |] in
+  for _ = 1 to 2000 do
+    let pageno =
+      if Random.State.bool rng then Random.State.int rng 12
+      else Random.State.int rng (last + 1)
+    in
+    set pageno (if Random.State.bool rng then free else zero)
+  done;
+  check Alcotest.(list string) "invariants hold" [] (K.Invariants.check k);
+  e.Hw.Disk.len_pages <- e.Hw.Disk.len_pages + 1;
+  check Alcotest.bool "drift reported" true
+    (List.exists
+       (fun p -> Astring.String.is_infix ~affix:"len_pages" p)
+       (K.Invariants.check k))
 
 (* ------------------------------------------------------------------ *)
 (* Bratt's mythical identifiers *)
@@ -573,9 +949,15 @@ let test_transit_join () =
   | Ok () -> ()
   | Error _ -> Alcotest.fail "write");
   let ptw_abs = K.Segment.ptw_abs sm ~slot ~pageno:0 in
-  (match K.Page_frame.flush_page pfm ~ptw_abs with
-  | `Written_to _ -> ()
-  | _ -> Alcotest.fail "expected write-back");
+  let mem = (K.Kernel.machine k).Hw.Machine.mem in
+  let pack, index = K.Segment.slot_home sm ~slot in
+  let record =
+    (Hw.Disk.vtoc_entry (K.Kernel.machine k).Hw.Machine.disk ~pack ~index)
+      .Hw.Disk.file_map.(0)
+  in
+  K.Page_frame.flush_pages pfm ~ptw_abs ~n:1;
+  check Alcotest.bool "written back to its record" true
+    (Hw.Ptw.read mem ptw_abs = Hw.Ptw.on_disk ~record);
   (* First faulter starts the read... *)
   let w1 = K.Page_frame.service_missing_page pfm ~ptw_abs in
   (* ...second faulter (other processor hit the locked descriptor). *)
@@ -727,6 +1109,16 @@ let tests =
     Alcotest.test_case "full pack relocation" `Quick test_full_pack_relocation;
     Alcotest.test_case "page-table registry follows the AST" `Quick
       test_page_table_registry;
+    Alcotest.test_case "segment turnover: deactivation" `Quick
+      test_turnover_deactivation;
+    Alcotest.test_case "segment turnover: activation" `Quick
+      test_turnover_activation;
+    Alcotest.test_case "segment turnover: victim slot" `Quick
+      test_turnover_find_slot;
+    Alcotest.test_case "create_space clears every SDW" `Quick
+      test_create_space_clears_every_sdw;
+    Alcotest.test_case "len_pages follows the file map" `Quick
+      test_len_pages_follows_file_map;
     Alcotest.test_case "mythical search" `Quick test_mythical_search;
     Alcotest.test_case "readable dir says no-entry" `Quick
       test_readable_directory_says_no_entry;

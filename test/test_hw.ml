@@ -116,6 +116,46 @@ let test_phys_mem_bounds () =
     (Invalid_argument "Phys_mem.read: address 1024 out of range") (fun () ->
       ignore (Hw.Phys_mem.read mem Hw.Addr.page_size))
 
+(* A paired fill stores what the equivalent [write]s would, counts each
+   word, and checks its whole range before storing anything. *)
+let test_phys_mem_fill_pairs () =
+  let filled = Hw.Phys_mem.create ~frames:2 in
+  let written = Hw.Phys_mem.create ~frames:2 in
+  let w0 = 0o123 and w1 = (1 lsl 40) + 5 in
+  Hw.Phys_mem.fill_pairs filled 1000 ~pairs:30 w0 w1;
+  for i = 0 to 29 do
+    Hw.Phys_mem.write written (1000 + (2 * i)) w0;
+    Hw.Phys_mem.write written (1000 + (2 * i) + 1) w1
+  done;
+  check Alcotest.int "writes counted" (Hw.Phys_mem.writes written)
+    (Hw.Phys_mem.writes filled);
+  check Alcotest.int "no reads" 0 (Hw.Phys_mem.reads filled);
+  for a = 0 to Hw.Phys_mem.words filled - 1 do
+    if Hw.Phys_mem.read filled a <> Hw.Phys_mem.read written a then
+      Alcotest.failf "word %d differs" a
+  done;
+  let mem = Hw.Phys_mem.create ~frames:1 in
+  Alcotest.check_raises "past the end"
+    (Invalid_argument "Phys_mem.fill_pairs: 2 pairs at 1021 out of range")
+    (fun () -> Hw.Phys_mem.fill_pairs mem 1021 ~pairs:2 1 1);
+  check Alcotest.bool "nothing stored" true (Hw.Phys_mem.frame_is_zero mem 0);
+  check Alcotest.int "nothing counted" 0 (Hw.Phys_mem.writes mem)
+
+(* The precomputed words segment activation writes decode to the
+   descriptors they stand for, across the whole 18-bit handle range. *)
+let test_ptw_precomputed_words () =
+  let ptw = Alcotest.testable Hw.Ptw.pp ( = ) in
+  check ptw "unallocated" Hw.Ptw.unallocated_ptw
+    (Hw.Ptw.decode Hw.Ptw.unallocated_word);
+  List.iter
+    (fun record ->
+      check ptw (Printf.sprintf "on disk %d" record) (Hw.Ptw.on_disk ~record)
+        (Hw.Ptw.decode (Hw.Ptw.on_disk_word ~record));
+      check Alcotest.int (Printf.sprintf "encoded %d" record)
+        (Hw.Ptw.encode (Hw.Ptw.on_disk ~record))
+        (Hw.Ptw.on_disk_word ~record))
+    [ 0; (1 lsl 18) - 1; Hw.Disk.handle ~pack:63 ~record:4095 ]
+
 (* ------------------------------------------------------------------ *)
 (* CPU translation *)
 
@@ -433,6 +473,9 @@ let tests =
     Alcotest.test_case "sdw permits" `Quick test_sdw_permits;
     Alcotest.test_case "phys mem rw" `Quick test_phys_mem_rw;
     Alcotest.test_case "phys mem bounds" `Quick test_phys_mem_bounds;
+    Alcotest.test_case "phys mem paired fill" `Quick test_phys_mem_fill_pairs;
+    Alcotest.test_case "ptw precomputed words" `Quick
+      test_ptw_precomputed_words;
     Alcotest.test_case "translate hit" `Quick test_translate_hit;
     Alcotest.test_case "translate sets used/modified" `Quick
       test_translate_sets_used_modified;

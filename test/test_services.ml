@@ -36,6 +36,55 @@ let prop_password_distinct =
          let h = S.Password.hash ~salt:"s" a in
          not (S.Password.verify h b)))
 
+(* Stored digests must never move: the hash folds each round in place,
+   and this reference builds each round's string as the hash always
+   has, so the two spellings of the function must agree bit for bit. *)
+let reference_digest ~salt password =
+  let fnv1a input =
+    let h = ref 0x3f29ce484222325 in
+    String.iter
+      (fun ch -> h := (!h lxor Char.code ch) * 0x100000001b3 land max_int)
+      input;
+    !h
+  in
+  let rec iterate digest n =
+    if n = 0 then digest
+    else iterate (fnv1a (salt ^ string_of_int digest ^ password)) (n - 1)
+  in
+  Printf.sprintf "%s$%x" salt (iterate (fnv1a (salt ^ password)) 64)
+
+let test_password_digests_pinned () =
+  let rng = Random.State.make [| 1977 |] in
+  let gen_string alphabet =
+    String.init (Random.State.int rng 13) (fun _ -> alphabet rng)
+  in
+  let any_byte rng = Char.chr (Random.State.int rng 256) in
+  let high_byte rng = Char.chr (128 + Random.State.int rng 128) in
+  let digit rng = Char.chr (48 + Random.State.int rng 10) in
+  let alphabets = [| any_byte; high_byte; digit |] in
+  let cases =
+    List.init 3000 (fun i ->
+        let salt = gen_string alphabets.(i mod 3) in
+        let password = gen_string alphabets.(i / 3 mod 3) in
+        match i mod 10 with
+        | 0 -> ("", password)
+        | 1 -> (salt, "")
+        | 2 -> ("", "")
+        | _ -> (salt, password))
+  in
+  List.iter
+    (fun (salt, password) ->
+      let got = S.Password.to_string (S.Password.hash ~salt password) in
+      let want = reference_digest ~salt password in
+      if got <> want then
+        Alcotest.failf "salt %S password %S: %s, reference %s" salt password
+          got want)
+    cases;
+  check Alcotest.string "fixed digest" "alice$1b34b0ed82ab73c9"
+    (S.Password.to_string (S.Password.hash ~salt:"alice" "open sesame"));
+  check Alcotest.string "empty digest" "$3542a9787d835f54"
+    (S.Password.to_string (S.Password.hash ~salt:"" ""))
+
 (* ------------------------------------------------------------------ *)
 (* Linker *)
 
@@ -280,6 +329,8 @@ let test_init_previous_incarnation () =
 
 let tests =
   [ Alcotest.test_case "password verify" `Quick test_password_verify;
+    Alcotest.test_case "password digests pinned" `Quick
+      test_password_digests_pinned;
     prop_password_distinct;
     Alcotest.test_case "linker resolves" `Quick test_linker_resolves;
     Alcotest.test_case "linker crossings" `Quick test_linker_crossings;
