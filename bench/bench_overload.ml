@@ -207,7 +207,7 @@ let big_home_pack k =
   for pack = 0 to Hw.Disk.n_packs d - 1 do
     List.iter
       (fun (_, (e : Hw.Disk.vtoc_entry)) ->
-        if e.Hw.Disk.len_pages >= breaker_pages then found := pack)
+        if Hw.Disk.len_pages e >= breaker_pages then found := pack)
       (Hw.Disk.vtoc_entries d ~pack)
   done;
   !found

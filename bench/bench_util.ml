@@ -35,28 +35,7 @@ let us ns = float_of_int ns /. 1_000.0
    words of every allocated record.  Computed after [shutdown], whose
    quiesce barrier settles outstanding write-behinds — so a divergence
    here means a transfer was lost or misdirected. *)
-let disk_checksum k =
-  let d = (K.Kernel.machine k).Hw.Machine.disk in
-  let h = ref 0 in
-  let mix v = h := (((!h * 31) + v + 1) lxor (!h lsr 17)) land max_int in
-  for pack = 0 to Hw.Disk.n_packs d - 1 do
-    List.iter
-      (fun (index, (e : Hw.Disk.vtoc_entry)) ->
-        mix index;
-        mix e.Hw.Disk.uid;
-        mix e.Hw.Disk.len_pages;
-        Array.iter
-          (fun handle ->
-            mix handle;
-            if handle >= 0 then
-              Hw.Page_image.iter mix
-                (Hw.Disk.read_record d
-                   ~pack:(Hw.Disk.pack_of_handle handle)
-                   ~record:(Hw.Disk.record_of_handle handle)))
-          e.Hw.Disk.file_map)
-      (Hw.Disk.vtoc_entries d ~pack)
-  done;
-  !h
+let disk_checksum k = Hw.Disk.fingerprint (K.Kernel.machine k).Hw.Machine.disk
 
 (* The words a reader of every file would see, ignoring record
    placement: an unallocated page reads as zeros, which is also exactly
@@ -72,7 +51,7 @@ let disk_checksum_logical k =
       (fun (index, (e : Hw.Disk.vtoc_entry)) ->
         mix index;
         mix e.Hw.Disk.uid;
-        mix e.Hw.Disk.len_pages;
+        mix (Hw.Disk.len_pages e);
         Array.iter
           (fun handle ->
             if handle >= 0 then

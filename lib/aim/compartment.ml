@@ -7,7 +7,6 @@ let check i =
   if i < 0 || i >= max_compartments then
     invalid_arg "Compartment: index out of range"
 
-let singleton i = check i; 1 lsl i
 let add t i = check i; t lor (1 lsl i)
 let of_list l = List.fold_left add empty l
 
@@ -15,7 +14,6 @@ let to_list t =
   List.filter (fun i -> t land (1 lsl i) <> 0)
     (List.init max_compartments (fun i -> i))
 
-let mem t i = check i; t land (1 lsl i) <> 0
 let union = ( lor )
 let inter = ( land )
 let subset a b = a land b = a

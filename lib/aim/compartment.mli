@@ -9,11 +9,7 @@ type t
 
 val empty : t
 val max_compartments : int
-val singleton : int -> t
 val of_list : int list -> t
-val to_list : t -> int list
-val add : t -> int -> t
-val mem : t -> int -> bool
 val union : t -> t -> t
 val inter : t -> t -> t
 val subset : t -> t -> bool

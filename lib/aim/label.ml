@@ -11,8 +11,6 @@ let equal a b =
   Level.compare a.level b.level = 0
   && Compartment.equal a.compartments b.compartments
 
-let strictly_dominates a b = dominates a b && not (equal a b)
-
 let lub a b =
   { level = Level.max_level a.level b.level;
     compartments = Compartment.union a.compartments b.compartments }

@@ -13,7 +13,6 @@ val system_low : t
 
 val dominates : t -> t -> bool
 val equal : t -> t -> bool
-val strictly_dominates : t -> t -> bool
 
 val lub : t -> t -> t
 (** Least upper bound. *)

@@ -6,10 +6,7 @@ let of_int i =
   if i < 0 || i > 7 then invalid_arg "Level.of_int: levels are 0..7" else i
 
 let to_int t = t
-let unclassified = 0
-let confidential = 1
 let secret = 2
-let top_secret = 3
 let compare = Stdlib.compare
 let max_level = max
 let min_level = min

@@ -14,12 +14,8 @@ val of_int : int -> t
 (** Levels 0..7; raises [Invalid_argument] outside that range. *)
 
 val to_int : t -> int
-val unclassified : t
-val confidential : t
 val secret : t
-val top_secret : t
 val compare : t -> t -> int
 val max_level : t -> t -> t
 val min_level : t -> t -> t
-val to_string : t -> string
 val pp : Format.formatter -> t -> unit

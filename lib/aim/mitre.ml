@@ -64,5 +64,3 @@ let request t ~subject:s_name ~object_:o_name access =
 let release t ~subject:s_name ~object_:o_name access =
   t.current <-
     List.filter (fun triple -> triple <> (s_name, o_name, access)) t.current
-
-let current t = List.rev t.current

@@ -31,8 +31,6 @@ val request :
 
 val release : t -> subject:string -> object_:string -> access -> unit
 
-val current : t -> (string * string * access) list
-
 val secure : t -> bool
 (** Does every current access satisfy both properties? *)
 

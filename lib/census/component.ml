@@ -10,7 +10,6 @@ type t = {
 }
 
 let asm_recoding_factor = 2.27
-let instruction_growth_factor = 2.0
 
 let source_lines t = t.pl1_lines + t.asm_lines
 

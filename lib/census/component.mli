@@ -22,13 +22,6 @@ type t = {
   region : region;
 }
 
-val asm_recoding_factor : float
-(** Source-line shrink factor for assembly -> PL/I (2.27). *)
-
-val instruction_growth_factor : float
-(** Generated machine instructions grow by about this factor when PL/I
-    replaces assembly (2.0) — the performance cost of recoding. *)
-
 val source_lines : t -> int
 (** [pl1_lines + asm_lines]. *)
 

@@ -44,9 +44,6 @@ val extract_initialization : step
 val recode_assembly : step
 (** Recode all remaining kernel assembly in PL/I. *)
 
-val all_steps : step list
-(** In the order of the paper's table. *)
-
 val apply_all : Component.t list -> Component.t list * summary list
 
 val specialize_file_store_estimate : Component.t list -> int * int

@@ -113,7 +113,4 @@ val minimize : system -> script:int list -> int list * int
     failure persists.  Returns the smaller script and the number of
     verification runs spent. *)
 
-val pp_counterexample : Format.formatter -> Choice.event list -> unit
-(** The schedule as a numbered decision list. *)
-
 val pp_outcome : Format.formatter -> outcome -> unit

@@ -68,11 +68,8 @@ let run_eventcount_full ?(bug = false) ?(events = 2) choice =
   done;
   (* A violated run deserves the same automatic dump point as the
      kernel's invariant checker. *)
-  if !problems <> [] then Multics_obs.Sink.note_dump obs ~reason:"invariant";
+  if !problems <> [] then Multics_obs.Sink.note_dump obs;
   (!problems, Multics_obs.Sink.flight_dump obs)
-
-let run_eventcount ?bug ?events choice =
-  fst (run_eventcount_full ?bug ?events choice)
 
 let eventcount_system ?bug ?events () =
   let flight = ref "" in
@@ -201,10 +198,8 @@ let run_breaker_full ?(bug = false) choice =
       Printf.sprintf "breaker tripped under transient noise (opened %d)"
         stats.Hw.Io_sched.s_breaker_opens
       :: !problems;
-  if !problems <> [] then Multics_obs.Sink.note_dump obs ~reason:"invariant";
+  if !problems <> [] then Multics_obs.Sink.note_dump obs;
   (!problems, Multics_obs.Sink.flight_dump obs)
-
-let run_breaker ?bug choice = fst (run_breaker_full ?bug choice)
 
 let breaker_system ?bug () =
   let flight = ref "" in

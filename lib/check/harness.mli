@@ -15,11 +15,6 @@
     applies {!Oracle.check} — the whole-kernel target for
     [check_random]/[check_dfs]. *)
 
-val run_eventcount :
-  ?bug:bool -> ?events:int -> Multics_choice.Choice.t -> string list
-(** One run of the toy harness (default [events = 2], no bug); returns
-    oracle violations. *)
-
 val eventcount_system : ?bug:bool -> ?events:int -> unit -> Explore.system
 (** The toy harness packaged for {!Explore}. *)
 
@@ -32,13 +27,12 @@ val kernel_system :
     {!Multics_kernel.Kernel.small_config}; its [choice] field is
     overridden per run. *)
 
-val run_breaker : ?bug:bool -> Multics_choice.Choice.t -> string list
-(** One run of the breaker harness (default no bug); returns oracle
-    violations.  The I/O scheduler alone: one pack, one arm, three
-    reads in one sweep, records 0 and 2 transiently failing once, with
-    a circuit breaker armed (threshold 3, safely above the two-fault
-    noise; [bug] drops it to the noise floor, 2).
-    The strategy's choices are exactly the overload plane's:
+val breaker_system : ?bug:bool -> unit -> Explore.system
+(** The breaker harness packaged for {!Explore}: the I/O scheduler
+    alone, one pack, one arm, three reads in one sweep, records 0 and 2
+    transiently failing once, with a circuit breaker armed (threshold
+    3, safely above the two-fault noise; [bug] drops it to the noise
+    floor, 2).  The strategy's choices are exactly the overload plane's:
     completion delivery order (["io.deliver"]) and retry jitter
     (["io.backoff"]).  Always checked: both transients recover, all
     three reads deliver the right images, and the breaker is closed at
@@ -48,6 +42,3 @@ val run_breaker : ?bug:bool -> Multics_choice.Choice.t -> string list
     falsified by the delivery orders that align the two unrelated
     transients: a schedule-dependent mis-tuning for the explorer to
     find and shrink. *)
-
-val breaker_system : ?bug:bool -> unit -> Explore.system
-(** The breaker harness packaged for {!Explore}. *)

@@ -8,12 +8,5 @@
     lost wakeup — the bug class eventcounts' wakeup-waiting switch
     exists to prevent. *)
 
-val consistency : Multics_kernel.Kernel.t -> string list
-(** The kernel's structural invariants; meaningful at quiescence. *)
-
-val liveness : Multics_kernel.Kernel.t -> string list
-(** Empty unless the machine is quiescent (and not halted) with
-    unfinished processes; one line per stuck process. *)
-
 val check : Multics_kernel.Kernel.t -> string list
 (** [consistency @ liveness]. *)

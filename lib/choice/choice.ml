@@ -57,7 +57,6 @@ let pick t ~domain ~ids =
     let chosen = decide t n in
     t.trace <- { ev_domain = domain; ev_ids = ids; ev_chosen = chosen } :: t.trace;
     t.n_decisions <- t.n_decisions + 1;
-    Multics_obs.Sink.count t.obs "choice.pick";
     Multics_obs.Sink.instant t.obs ~arg:chosen ~cat:"check" ~name:domain ();
     chosen
   end

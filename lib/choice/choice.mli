@@ -79,9 +79,9 @@ val reset : t -> unit
 
 val set_obs : t -> Multics_obs.Sink.t -> unit
 (** Route choice-trace telemetry into the system's sink: each decision
-    bumps the ["choice.pick"] counter and, in [Full] mode, records an
-    instant event (cat ["check"], name = domain, arg = chosen index) so
-    counterexample timelines show where the schedule diverged.  A no-op
-    on {!default}, which never emits telemetry. *)
+    records an instant event (cat ["check"], name = domain, arg =
+    chosen index), so counterexample timelines show where the schedule
+    diverged; {!decisions} counts them.  A no-op on {!default}, which
+    never emits telemetry. *)
 
 val pp_event : Format.formatter -> event -> unit

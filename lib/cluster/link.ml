@@ -29,16 +29,13 @@ type t = {
      choice point. *)
   mutable l_flight : (int * envelope) list;
   mutable l_messages : int;
-  l_pairs : (int * int, int ref) Hashtbl.t;
   mutable l_log : int list;  (* delivered seqs, newest first *)
 }
 
 let create ~latency_ns ?choice () =
   if latency_ns <= 0 then invalid_arg "Link.create: latency must be positive";
   { l_latency = latency_ns; l_choice = choice; l_flight = [];
-    l_messages = 0; l_pairs = Hashtbl.create 16; l_log = [] }
-
-let latency_ns t = t.l_latency
+    l_messages = 0; l_log = [] }
 
 let order_key (arrival, e) = (arrival, e.e_src, e.e_seq)
 
@@ -59,10 +56,6 @@ let next_arrival t =
 
 let note_delivered t e =
   t.l_messages <- t.l_messages + 1;
-  let key = (e.e_src, e.e_dst) in
-  (match Hashtbl.find_opt t.l_pairs key with
-  | Some r -> incr r
-  | None -> Hashtbl.replace t.l_pairs key (ref 1));
   t.l_log <- e.e_seq :: t.l_log
 
 let deliver_ready t ~now =
@@ -90,9 +83,5 @@ let deliver_ready t ~now =
   ordered
 
 let messages t = t.l_messages
-
-let pair_counts t =
-  Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.l_pairs []
-  |> List.sort compare
 
 let delivery_log t = List.rev t.l_log

@@ -63,8 +63,6 @@ val create : latency_ns:int -> ?choice:Multics_choice.Choice.t -> unit -> t
     lookahead that makes barrier-parallel shard execution safe).
     [choice], when active, drives the ["net.deliver"] point. *)
 
-val latency_ns : t -> int
-
 val post : t -> envelope -> unit
 (** Accept an envelope from a drained outbox; it arrives
     [latency_ns] after [e_send_ns]. *)
@@ -82,9 +80,6 @@ val next_arrival : t -> int option
 
 val messages : t -> int
 (** Envelopes delivered so far. *)
-
-val pair_counts : t -> ((int * int) * int) list
-(** Delivered message counts per (src, dst), sorted. *)
 
 val delivery_log : t -> int list
 (** [e_seq] of every delivered envelope, oldest first — the observable

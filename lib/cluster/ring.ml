@@ -57,9 +57,6 @@ let create ~shards ?(vnodes = 64) () =
   if vnodes < 1 then invalid_arg "Ring.create: need at least one vnode";
   build ~vnodes (List.init shards Fun.id)
 
-let n_shards t = List.length t.r_ids
-let vnodes t = t.r_vnodes
-let shards t = t.r_ids
 
 (* First point at or after [h], wrapping to the first point past the
    top of the circle. *)

@@ -26,9 +26,6 @@ val create : shards:int -> ?vnodes:int -> unit -> t
 (** A ring over shard ids [0 .. shards-1], [vnodes] points each
     (default 64).  Raises [Invalid_argument] unless [shards >= 1]. *)
 
-val n_shards : t -> int
-val vnodes : t -> int
-
 val shard_of : t -> string -> int
 (** The shard owning [key]'s point on the circle. *)
 
@@ -46,6 +43,3 @@ val remove_shard : t -> int -> t
     remaining shards, everything else stays put.  Raises
     [Invalid_argument] if the shard does not exist or the ring would
     become empty.  The surviving shards keep their original ids. *)
-
-val shards : t -> int list
-(** Shard ids present, ascending. *)

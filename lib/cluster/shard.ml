@@ -67,8 +67,6 @@ let boot_legacy ?(rgate_quota = 64) cfg id =
     (B_legacy
        { sup; users = Hashtbl.create 64; acct = S.Accounting.create () })
 
-let is_legacy t = match t.sh_backend with B_legacy _ -> true | _ -> false
-
 let machine t =
   match t.sh_backend with
   | B_kernel { k; _ } -> K.Kernel.machine k
@@ -255,26 +253,6 @@ let shutdown t =
   | B_legacy _ -> ()
 
 let disk_hash_of_machine (m : Hw.Machine.t) =
-  let d = m.Hw.Machine.disk in
-  let h = ref 0 in
-  let mix v = h := (((!h * 31) + v + 1) lxor (!h lsr 17)) land max_int in
-  for pack = 0 to Hw.Disk.n_packs d - 1 do
-    List.iter
-      (fun (index, (e : Hw.Disk.vtoc_entry)) ->
-        mix index;
-        mix e.Hw.Disk.uid;
-        mix e.Hw.Disk.len_pages;
-        Array.iter
-          (fun handle ->
-            mix handle;
-            if handle >= 0 then
-              Hw.Page_image.iter mix
-                (Hw.Disk.read_record d
-                   ~pack:(Hw.Disk.pack_of_handle handle)
-                   ~record:(Hw.Disk.record_of_handle handle)))
-          e.Hw.Disk.file_map)
-      (Hw.Disk.vtoc_entries d ~pack)
-  done;
-  !h
+  Hw.Disk.fingerprint m.Hw.Machine.disk
 
 let disk_hash t = disk_hash_of_machine (machine t)

@@ -72,7 +72,6 @@ val boot_legacy :
     answering service to delegate to); remote creates make the file
     but fill no pages. *)
 
-val is_legacy : t -> bool
 val machine : t -> Multics_hw.Machine.t
 val now : t -> int
 val kernel : t -> K.Kernel.t option

@@ -26,7 +26,6 @@ let of_pfm = function
 
 let handle t ~proc fault =
   Meter.charge t.acct Cost.Pl1 Cost.fault_entry;
-  Multics_obs.Sink.count t.obs "fault.handled";
   (* A fault is a request entry point: open a context under the faulting
      process so the page read, its retries and any read-ahead spawned on
      its behalf chain back to this fault. *)

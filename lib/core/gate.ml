@@ -55,7 +55,6 @@ let call t ?deadline ~name:gate_name ~caller_ring f =
         info.g_calls <- info.g_calls + 1;
         t.total <- t.total + 1;
         Meter.charge t.acct Cost.Pl1 Cost.gate_crossing;
-        Multics_obs.Sink.count t.obs "gate.call";
         (* Every gate entry opens a request context under whatever was
            ambient (the calling process), so kernel work done on the
            caller's behalf — including async I/O it spawns — chains

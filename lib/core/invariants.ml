@@ -70,18 +70,14 @@ let check kernel =
     (Segment.active_slots sm);
 
   (* 3. Record accounting across every VTOC: no double references, every
-     reference allocated, and the length one past the last allocated
-     page (the volume keeps it incrementally, and disk fingerprints
-     read it). *)
+     reference allocated. *)
   let disk = machine.Hw.Machine.disk in
   let seen = Hashtbl.create 64 in
   for pack = 0 to Hw.Disk.n_packs disk - 1 do
     List.iter
       (fun (index, (vtoc : Hw.Disk.vtoc_entry)) ->
-        let len = ref 0 in
         Array.iteri
           (fun pageno handle ->
-            if handle <> Hw.Disk.unallocated then len := pageno + 1;
             if handle >= 0 then begin
               (match Hashtbl.find_opt seen handle with
               | Some (other_uid : int) ->
@@ -96,11 +92,7 @@ let check kernel =
                 problem "uid %d page %d references free record %d (vtoc %d)"
                   vtoc.Hw.Disk.uid pageno handle index
             end)
-          vtoc.Hw.Disk.file_map;
-        if vtoc.Hw.Disk.len_pages <> !len then
-          problem "uid %d (vtoc %d of pack %d): len_pages %d, but %d by its \
-                   file map"
-            vtoc.Hw.Disk.uid index pack vtoc.Hw.Disk.len_pages !len)
+          vtoc.Hw.Disk.file_map)
       (Hw.Disk.vtoc_entries disk ~pack)
   done;
 
@@ -152,7 +144,7 @@ let check kernel =
     (Quota_cell.registered quota);
 
   (* A violated invariant is exactly what the flight recorder exists
-     for: snapshot it so the report ships with the final events. *)
+     for: count the dump point; the report's reader renders the ring. *)
   if !problems <> [] then
-    Multics_obs.Sink.note_dump (Kernel.obs kernel) ~reason:"invariant";
+    Multics_obs.Sink.note_dump (Kernel.obs kernel);
   List.rev !problems

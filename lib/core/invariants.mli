@@ -12,9 +12,7 @@
     - AST / locator agreement: every active segment's home matches the
       disk pack manager's locator;
     - record accounting: no disk record is referenced by two file maps,
-      every referenced record is allocated, and every VTOC entry's
-      [len_pages] is one past its last file-map entry that is not
-      [unallocated] (0 for an empty map);
+      and every referenced record is allocated;
     - VP state words: each virtual processor's wired state word agrees
       with the manager's in-record state;
     - ready-queue sanity: every enqueued pid names a live ready process

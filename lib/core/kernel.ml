@@ -170,7 +170,6 @@ let rec brownout_tick t () =
     if grew && t.brownout_level < brownout_max_level then begin
       t.brownout_level <- t.brownout_level + 1;
       t.brownout_escalations <- t.brownout_escalations + 1;
-      Multics_obs.Sink.count t.obs "kernel.brownout_escalate";
       apply_brownout t t.brownout_level
     end
     else if (not grew) && t.brownout_level > 0 then begin
@@ -244,9 +243,10 @@ let rec boot_internal ?previous_disk cfg =
   | Some (at_ns, surviving_writes) ->
       Hw.Machine.schedule_at machine ~time:at_ns (fun () ->
           ignore (Volume.crash volume ~surviving_writes);
-          (* Last gasp: snapshot the flight recorder so the post-mortem
-             sees the final events before the clock freezes. *)
-          Multics_obs.Sink.note_dump obs ~reason:"halt";
+          (* Last gasp: count the dump point.  No event runs after the
+             halt, so the flight ring keeps the final events for the
+             post-mortem. *)
+          Multics_obs.Sink.note_dump obs;
           Hw.Machine.halt machine)
   | None -> ());
   let quota =
@@ -337,7 +337,6 @@ and interpreter t (p : User_process.proc) : User_process.interp_outcome =
       p.User_process.p_ctx
   then begin
     t.proc_timeouts <- t.proc_timeouts + 1;
-    Multics_obs.Sink.count t.obs "kernel.proc_timeout";
     User_process.Failed ("deadline expired", action_base)
   end
   else if p.User_process.pc >= Array.length p.User_process.program then

@@ -277,10 +277,12 @@ val slo_report : t -> string
 
 val flight_dump : t -> string
 (** The always-on flight recorder's current contents, rendered
-    deterministically (one line per event with its causal chain).  The
-    dump snapshotted at the last automatic dump point (kernel halt,
-    salvager entry, invariant violation) is
-    [Multics_obs.Sink.last_dump (obs t)]. *)
+    deterministically (one line per event with its causal chain).  A
+    halted kernel runs no further event, so after a power failure this
+    is the ring as the machine froze.  The automatic dump points
+    (kernel halt, salvager entry, invariant violation) only count in
+    the ["flight.dump"] counter; nothing renders the ring until it is
+    asked for. *)
 
 val histo_report : t -> string
 (** Every latency histogram — page-read transits, I/O batches, VP

@@ -52,8 +52,7 @@ let cache_capacity = 512
 
 let clear_cache t =
   Cache.reset t.cache;
-  t.cache_invalidations <- t.cache_invalidations + 1;
-  Multics_obs.Sink.count t.obs "pathname:invalidate"
+  t.cache_invalidations <- t.cache_invalidations + 1
 
 let create ?(use_cache = true) ?obs ~meter ~gate ~directory () =
   let obs =

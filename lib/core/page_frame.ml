@@ -239,7 +239,6 @@ let handle_write_failure t ~ptw_abs ~old_handle img err =
   | Hw.Io_sched.Dead_record -> (
       match Volume.spare_record t.volume ~old_handle img with
       | Ok new_handle ->
-          Multics_obs.Sink.count t.obs "pfm.spared";
           repoint new_handle
       | Error `No_space -> damage ())
 
@@ -264,14 +263,12 @@ let evict_frame t frame ~zero =
   let w = Hw.Phys_mem.read (mem t) ptw_abs in
   charge t Cost.frame_scan_zero;
   t.evictions <- t.evictions + 1;
-  Multics_obs.Sink.count t.obs "pfm.evict";
   note_prefetch_reference t e ~used:(Hw.Ptw.raw_used w);
   if zero then begin
     (* Zero reclamation: the page reverts to an unallocated flag in the
        file map, the record is freed and the quota cell credited — the
        accounting update the paper calls out as a confinement hazard. *)
     t.zero_reclaims <- t.zero_reclaims + 1;
-    Multics_obs.Sink.count t.obs "pfm.zero_reclaim";
     if e.record_handle >= 0 then
       Volume.free_page_record t.volume
         ~pack:(Hw.Disk.pack_of_handle e.record_handle)
@@ -518,7 +515,6 @@ let maybe_read_ahead t ~ptw_abs =
                        t.free_count <- t.free_count - 1;
                        charge t Cost.frame_alloc;
                        t.prefetch_issued <- t.prefetch_issued + 1;
-                       Multics_obs.Sink.count t.obs "pfm.read_ahead";
                        (* The prefetch is work spawned on behalf of the
                           faulting request: give it a child context so
                           its whole read chains back to the fault. *)
@@ -546,7 +542,6 @@ let maybe_read_ahead t ~ptw_abs =
 let service_missing_page t ~ptw_abs =
   entry t Cost.fault_entry;
   t.faults_served <- t.faults_served + 1;
-  Multics_obs.Sink.count t.obs "pfm.fault";
   match Hashtbl.find_opt t.transits ptw_abs with
   | Some transit ->
       maybe_read_ahead t ~ptw_abs;
@@ -663,21 +658,28 @@ let fault_in_sync t ~ptw_abs =
 (* Scanning an absent descriptor is one descriptor read. *)
 let absent_scan_ns = Cost.scale lang (Cost.ptw_update / 4)
 
-let flush_pages t ~ptw_abs ~n =
+let flush_pages t ~ptw_abs ~n ~settle =
   (* Raw probes: deactivation and relocation walk every descriptor of a
      table here, and the decision needs one bit test and the frame field
-     of the fetched word, not a decoded record.  The absent descriptors'
-     scan charges are booked as one charge of the same total. *)
+     of the fetched word, not a decoded record.  An evicted page's
+     descriptor is read once more for [settle], since the eviction
+     rewrote it.  The absent descriptors' scan charges are booked as one
+     charge of the same total. *)
   let mem = mem t in
   let absent = ref 0 in
-  for a = ptw_abs to ptw_abs + n - 1 do
+  for i = 0 to n - 1 do
+    let a = ptw_abs + i in
     let w = Hw.Phys_mem.read mem a in
     if Hw.Ptw.raw_present w then begin
       charge t Cost.kernel_call;
       let frame = Hw.Ptw.raw_arg w in
-      evict_frame t frame ~zero:(Hw.Phys_mem.frame_is_zero mem frame)
+      evict_frame t frame ~zero:(Hw.Phys_mem.frame_is_zero mem frame);
+      settle i (Hw.Phys_mem.read mem a)
     end
-    else incr absent
+    else begin
+      incr absent;
+      settle i w
+    end
   done;
   if !absent > 0 then Meter.charge_raw t.acct (!absent * absent_scan_ns)
 

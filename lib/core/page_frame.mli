@@ -107,12 +107,17 @@ val fault_in_sync :
     {!service_missing_page} path.  [`Damaged]: the record is dead and
     the page was marked damaged rather than read. *)
 
-val flush_pages : t -> ptw_abs:Multics_hw.Addr.abs -> n:int -> unit
+val flush_pages :
+  t -> ptw_abs:Multics_hw.Addr.abs -> n:int ->
+  settle:(int -> Multics_hw.Word.t -> unit) -> unit
 (** Force out every present page of the [n] descriptors from [ptw_abs]
     (segment deactivation / relocation), in address order: a page of
     zeros is reclaimed (record freed, quota credited, descriptor
     unallocated), a modified page is written behind, and each
-    descriptor is left absent.  Each frame is scanned for zeros once. *)
+    descriptor is left absent.  Each frame is scanned for zeros once.
+    [settle i w] is called once per descriptor, in order, with its
+    offset from [ptw_abs] and its final word, so the caller can bring
+    the file map up to date without reading the table again. *)
 
 val cleaner_step : t -> Vp.vp -> Vp.run_result
 (** Step function for the page-cleaning daemon VP. *)

@@ -22,9 +22,6 @@ val directory_manager : string
 val gate : string
 val name_space : string
 
-val manager_names : string list
-(** All kernel managers, bottom-up. *)
-
 type role = Node of string | Infrastructure
 
 val modules : (string * role) list

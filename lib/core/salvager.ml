@@ -23,9 +23,9 @@ let pp_finding ppf f =
     (if f.f_repairable then "" else " (needs operator)")
 
 let scan kernel =
-  (* The salvager runs because something went wrong — snapshot the
-     flight recorder before the scan perturbs any state. *)
-  Multics_obs.Sink.note_dump (Kernel.obs kernel) ~reason:"salvage";
+  (* The salvager runs because something went wrong — count the dump
+     point before the scan. *)
+  Multics_obs.Sink.note_dump (Kernel.obs kernel);
   let findings = ref [] in
   let note f_kind f_repairable fmt =
     Format.kasprintf
@@ -117,7 +117,7 @@ let scan kernel =
           else
             note Orphan_vtoc false
               "uid %d at (%d,%d): %d pages, named nowhere" vtoc.Hw.Disk.uid
-              pack index vtoc.Hw.Disk.len_pages)
+              pack index (Hw.Disk.len_pages vtoc))
       (Hw.Disk.vtoc_entries disk ~pack)
   done;
 

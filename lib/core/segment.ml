@@ -131,47 +131,36 @@ let build_page_table t slot (vtoc : Hw.Disk.vtoc_entry) =
   done;
   Meter.charge_raw t.acct (t.pt_words * ptw_build_ns)
 
-let flush_slot t slot =
+(* Force the table's pages out and update the VTOC file map from each
+   descriptor's final word as the flush walks past it: pages written
+   back keep their records; zero-reclaimed pages were already flagged
+   by the page frame manager.  Damaged descriptors are skipped: the
+   file map keeps its handle (possibly already repaired by the
+   salvager) rather than being overwritten from a descriptor that names
+   a lost record. *)
+let flush_slot t slot e =
+  let vtoc = Volume.vtoc t.volume ~pack:e.home_pack ~index:e.home_index in
   Page_frame.flush_pages t.page_frame ~ptw_abs:(pt_base t ~slot)
-    ~n:t.pt_words
-
-(* Update the VTOC file map from the final PTWs after a flush: pages
-   written back keep their records; zero-reclaimed pages were already
-   flagged by the page frame manager. *)
-let sync_file_map t slot e =
-  let vtoc =
-    Volume.vtoc t.volume ~pack:e.home_pack ~index:e.home_index
-  in
-  for pageno = 0 to t.pt_words - 1 do
-    (* Raw probes: every deactivation walks the whole table here, and
-       the decision needs three bit tests and the record field of the
-       fetched word, not a decoded record. *)
-    let w = Hw.Phys_mem.read (mem t) (ptw_abs t ~slot ~pageno) in
-    (* Damaged descriptors are skipped: the file map keeps its handle
-       (possibly already repaired by the salvager) rather than being
-       overwritten from a descriptor that names a lost record. *)
-    if Hw.Ptw.raw_valid w && not (Hw.Ptw.raw_damaged w) then begin
-      let value =
-        if Hw.Ptw.raw_unallocated w then Hw.Disk.unallocated
-        else Hw.Ptw.raw_arg w
-      in
-      if vtoc.Hw.Disk.file_map.(pageno) <> value then
-        Volume.set_file_map_entry t.volume ~pack:e.home_pack
-          ~index:e.home_index ~pageno value
-    end
-  done
+    ~n:t.pt_words ~settle:(fun pageno w ->
+      if Hw.Ptw.raw_valid w && not (Hw.Ptw.raw_damaged w) then begin
+        let value =
+          if Hw.Ptw.raw_unallocated w then Hw.Disk.unallocated
+          else Hw.Ptw.raw_arg w
+        in
+        if vtoc.Hw.Disk.file_map.(pageno) <> value then
+          Volume.set_file_map_entry t.volume ~pack:e.home_pack
+            ~index:e.home_index ~pageno value
+      end)
 
 let deactivate_slot t slot =
   let e = t.ast.(slot) in
   assert e.live;
-  flush_slot t slot;
-  sync_file_map t slot e;
+  flush_slot t slot e;
   sever_connections t e;
   Page_frame.unregister_page_table t.page_frame ~slot;
   Hashtbl.remove t.active_index (Ids.to_int e.uid);
   e.live <- false;
   t.deactivations <- t.deactivations + 1;
-  Multics_obs.Sink.count t.obs "seg.deactivate";
   Multics_obs.Sink.instant t.obs ~cat:"seg" ~name:"deactivate" ()
 
 let deactivate t ~slot =
@@ -270,7 +259,6 @@ let activate t ~uid ~cell =
                 Page_frame.register_page_table t.page_frame ~slot
                   ~home_pack:pack ~home_index:index ~cell;
                 t.activations <- t.activations + 1;
-                Multics_obs.Sink.count t.obs "seg.activate";
                 Multics_obs.Sink.instant t.obs ~cat:"seg" ~name:"activate"
                   ~arg:slot ();
                 Ok slot
@@ -306,8 +294,7 @@ let relocate t slot =
   | None -> Error `No_space
   | Some to_pack -> (
       (* Bring records up to date, then move them wholesale. *)
-      flush_slot t slot;
-      sync_file_map t slot e;
+      flush_slot t slot e;
       match
         Volume.move_segment t.volume ~pack:e.home_pack
           ~index:e.home_index ~to_pack

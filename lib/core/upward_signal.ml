@@ -13,7 +13,6 @@ let create ~meter ~obs = { meter; queue = []; raised = 0; obs }
 
 let raise_signal t ~from payload =
   Meter.charge (Meter.account t.meter from) Cost.Pl1 Cost.upward_signal;
-  Multics_obs.Sink.count t.obs "signal.raise";
   Multics_obs.Sink.instant t.obs ~cat:"signal" ~name:from ();
   t.queue <- payload :: t.queue;
   t.raised <- t.raised + 1

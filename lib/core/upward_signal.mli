@@ -32,8 +32,8 @@ type payload =
 type t
 
 val create : meter:Meter.t -> obs:Multics_obs.Sink.t -> t
-(** [obs] is the kernel's sink: each raised signal becomes a counter
-    bump and an instant named after the raising manager. *)
+(** [obs] is the kernel's sink: each raised signal becomes an instant
+    named after the raising manager; {!total_raised} counts them. *)
 
 val raise_signal : t -> from:string -> payload -> unit
 

@@ -151,7 +151,6 @@ let load t vp_id pid =
   Hw.Cpu.load_user_dbr p.vcpu (Some (Address_space.dbr_of t.address_space ~proc:pid));
   touch_state t p;
   t.loads <- t.loads + 1;
-  Multics_obs.Sink.count t.obs "upm.load";
   charge t Cost.process_load
 
 let unload t vp_id pid =

@@ -64,7 +64,7 @@ let create_segment t ?(process_state = false) ~uid ~pack ~is_directory
   let map = Array.make Hw.Addr.max_pages_per_segment Hw.Disk.unallocated in
   let index =
     Hw.Disk.create_vtoc_entry (disk t) ~pack
-      { Hw.Disk.uid = Ids.to_int uid; file_map = map; len_pages = 0;
+      { Hw.Disk.uid = Ids.to_int uid; file_map = map;
         is_directory; quota = None; aim_label = label; damaged = false;
         is_process_state = process_state }
   in
@@ -270,22 +270,9 @@ let move_segment t ~pack ~index ~to_pack =
     Ok (to_pack, new_index, n_records)
   end
 
-(* [len_pages] is one past the last entry that is not [unallocated]
-   ([Invariants] checks it), so an update moves it only when it lands
-   beyond the end or clears the last entry. *)
 let set_file_map_entry t ~pack ~index ~pageno value =
   entry t Cost.vtoc_write;
   let e = Hw.Disk.vtoc_entry (disk t) ~pack ~index in
-  let map = e.Hw.Disk.file_map in
-  map.(pageno) <- value;
-  if value <> Hw.Disk.unallocated then begin
-    if pageno >= e.Hw.Disk.len_pages then e.Hw.Disk.len_pages <- pageno + 1
-  end
-  else if pageno = e.Hw.Disk.len_pages - 1 then begin
-    let rec last i =
-      if i < 0 || map.(i) <> Hw.Disk.unallocated then i + 1 else last (i - 1)
-    in
-    e.Hw.Disk.len_pages <- last (pageno - 1)
-  end
+  e.Hw.Disk.file_map.(pageno) <- value
 
 let full_pack_exceptions t = t.full_pack_count

@@ -152,12 +152,10 @@ and run_cpu t cpu =
   | Some v ->
       set_state t v `Running;
       t.dispatches <- t.dispatches + 1;
-      Multics_obs.Sink.count t.obs "vp.dispatch";
       let switch_cost =
         if cpu.last_vp = v.vp_id then 0
         else begin
           t.context_switches <- t.context_switches + 1;
-          Multics_obs.Sink.count t.obs "vp.context_switch";
           Cost.scale Cost.Pl1 Cost.context_switch_vp
         end
       in

@@ -33,5 +33,4 @@ let short = function
   | Explicit_call -> "X"
   | Shared_data -> "S"
 
-let pp ppf t = Format.pp_print_string ppf (to_string t)
 let compare = Stdlib.compare

@@ -35,5 +35,4 @@ val to_string : t -> string
 val short : t -> string
 (** One- or two-letter tag used in rendered figures. *)
 
-val pp : Format.formatter -> t -> unit
 val compare : t -> t -> int

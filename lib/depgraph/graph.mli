@@ -9,9 +9,6 @@ type t
 val create : ?name:string -> unit -> t
 val name : t -> string
 
-val add_node : t -> string -> unit
-(** Idempotent. *)
-
 val add_edge : t -> from:string -> to_:string -> Dep_kind.t -> unit
 (** Adds both endpoints; accumulates kinds on repeated edges.
     Self-edges are rejected with [Invalid_argument] — a module trivially

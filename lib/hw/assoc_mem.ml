@@ -12,8 +12,6 @@ let create ?(size = 16) () =
   { slots = Array.make (max size 1) None; next = 0;
     hits = 0; misses = 0; flushes = 0 }
 
-let size t = Array.length t.slots
-
 let entries t =
   Array.fold_left (fun n s -> if s = None then n else n + 1) 0 t.slots
 
@@ -77,12 +75,3 @@ let insert t ~segno ~sdw =
 let hits t = t.hits
 let misses t = t.misses
 let flushes t = t.flushes
-
-let reset_counters t =
-  t.hits <- 0;
-  t.misses <- 0;
-  t.flushes <- 0
-
-let pp ppf t =
-  Format.fprintf ppf "am{size=%d entries=%d hits=%d misses=%d flushes=%d}"
-    (size t) (entries t) t.hits t.misses t.flushes

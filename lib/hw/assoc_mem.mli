@@ -26,7 +26,6 @@ and entry = { e_segno : int; e_sdw : Sdw.t }
 val create : ?size:int -> unit -> t
 (** [size] defaults to 16, the 6180's SDW associative memory size. *)
 
-val size : t -> int
 val entries : t -> int
 (** Number of occupied slots. *)
 
@@ -50,5 +49,3 @@ val insert : t -> segno:int -> sdw:Sdw.t -> unit
 val hits : t -> int
 val misses : t -> int
 val flushes : t -> int
-val reset_counters : t -> unit
-val pp : Format.formatter -> t -> unit

@@ -111,10 +111,3 @@ let read config mem t virt =
   match translate config mem t virt Fault.Read with
   | Error f -> Error f
   | Ok abs -> Ok (Phys_mem.read mem abs)
-
-let write config mem t virt w =
-  match translate config mem t virt Fault.Write with
-  | Error f -> Error f
-  | Ok abs ->
-      Phys_mem.write mem abs w;
-      Ok ()

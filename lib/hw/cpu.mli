@@ -48,7 +48,3 @@ val translate :
 
 val read :
   Hw_config.t -> Phys_mem.t -> t -> Addr.virt -> (Word.t, Fault.t) result
-
-val write :
-  Hw_config.t -> Phys_mem.t -> t -> Addr.virt -> Word.t ->
-  (unit, Fault.t) result

@@ -8,7 +8,6 @@ type quota_cell = { mutable limit : int; mutable used : int }
 type vtoc_entry = {
   uid : int;
   mutable file_map : int array;
-  mutable len_pages : int;
   mutable is_directory : bool;
   mutable quota : quota_cell option;
   mutable aim_label : int;
@@ -65,7 +64,6 @@ let get_pack t pack =
   t.packs.(pack)
 
 let free_records t ~pack = (get_pack t pack).n_free
-let used_records t ~pack = t.records_per_pack - (get_pack t pack).n_free
 
 let handle ~pack ~record =
   assert (record >= 0 && record < records_per_pack_limit);
@@ -184,3 +182,31 @@ let emptiest_pack t ~except =
   Option.map fst !best
 
 let io_count t = t.io_count
+
+let len_pages e =
+  let map = e.file_map in
+  let rec last i =
+    if i < 0 || map.(i) <> unallocated then i + 1 else last (i - 1)
+  in
+  last (Array.length map - 1)
+
+let fingerprint t =
+  let h = ref 0 in
+  let mix v = h := (((!h * 31) + v + 1) lxor (!h lsr 17)) land max_int in
+  for pack = 0 to n_packs t - 1 do
+    List.iter
+      (fun (index, e) ->
+        mix index;
+        mix e.uid;
+        mix (len_pages e);
+        Array.iter
+          (fun handle ->
+            mix handle;
+            if handle >= 0 then
+              Page_image.iter mix
+                (read_record t ~pack:(pack_of_handle handle)
+                   ~record:(record_of_handle handle)))
+          e.file_map)
+      (vtoc_entries t ~pack)
+  done;
+  !h

@@ -24,7 +24,6 @@ type quota_cell = { mutable limit : int; mutable used : int }
 type vtoc_entry = {
   uid : int;  (** segment unique identifier *)
   mutable file_map : int array;  (** record id, [zero_page] or [unallocated] *)
-  mutable len_pages : int;
   mutable is_directory : bool;
   mutable quota : quota_cell option;  (** quota cell for quota directories *)
   mutable aim_label : int;  (** opaque AIM label encoding *)
@@ -43,7 +42,6 @@ val create : packs:int -> records_per_pack:int -> read_latency_ns:int -> t
 val n_packs : t -> int
 val records_per_pack : t -> int
 val free_records : t -> pack:int -> int
-val used_records : t -> pack:int -> int
 
 (* Record handles pack the pack id and record id into the 18-bit PTW
    argument field: handle = pack * 4096 + record. *)
@@ -121,3 +119,15 @@ val emptiest_pack : t -> except:int -> int option
 
 val io_count : t -> int
 (** Total record reads + writes, for the cost model and tests. *)
+
+val len_pages : vtoc_entry -> int
+(** One past the last file-map entry that is not [unallocated]; 0 for
+    an empty map.  Derived from the map on every call, so no writer of
+    the map has a length to keep up to date. *)
+
+val fingerprint : t -> int
+(** A digest of everything on the disk: per VTOC entry in pack and
+    index order, the index, the uid, {!len_pages}, each file-map handle
+    and every word of each record the map names.  Reading the records
+    counts in {!io_count}.  Two disks that differ in any word a file map
+    reaches differ here (barring a collision). *)

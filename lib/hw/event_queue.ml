@@ -50,7 +50,6 @@ let create () =
     count = 0 }
 
 let is_empty t = t.count = 0
-let length t = t.count
 
 let high_bit_index x =
   let x = ref x and i = ref 0 in

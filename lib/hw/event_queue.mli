@@ -13,7 +13,6 @@ type t
 
 val create : unit -> t
 val is_empty : t -> bool
-val length : t -> int
 
 val add : t -> time:int -> (unit -> unit) -> unit
 (** Schedule [handler] at absolute simulated [time].  [time] must not

@@ -32,5 +32,4 @@ val kind_name : t -> string
 (** Constant (allocation-free) name of the fault's constructor, for
     trace span labels: ["missing_page"], ["quota_fault"], ... *)
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

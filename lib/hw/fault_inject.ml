@@ -5,25 +5,19 @@ type t = {
      nothing — the pack never recovers from that window. *)
   offline : (int, (int * int) list) Hashtbl.t;
   mutable crash : (int * int) option;  (* at_ns, surviving writes *)
-  mutable armed : int;  (* faults added to the plan *)
-  mutable injected : int;  (* attempts actually failed *)
 }
 
 let create () =
   { transients = Hashtbl.create 8; bad = Hashtbl.create 8;
-    offline = Hashtbl.create 4; crash = None; armed = 0; injected = 0 }
+    offline = Hashtbl.create 4; crash = None }
 
 let none = create ()
 
-let is_empty t = t.armed = 0
-
 let fail_reads t ~pack ~record ~times =
   assert (times > 0);
-  t.armed <- t.armed + 1;
   Hashtbl.replace t.transients (pack, record) (ref times)
 
 let bad_record t ~pack ~record =
-  t.armed <- t.armed + 1;
   Hashtbl.replace t.bad (pack, record) ()
 
 let windows t ~pack =
@@ -31,7 +25,6 @@ let windows t ~pack =
 
 let pack_offline t ~pack ~at_ns =
   assert (at_ns >= 0);
-  t.armed <- t.armed + 1;
   Hashtbl.replace t.offline pack ((at_ns, max_int) :: windows t ~pack)
 
 let pack_online t ~pack ~at_ns =
@@ -47,24 +40,18 @@ let pack_is_offline t ~pack ~now =
 
 let power_fail t ~at_ns ~surviving_writes =
   assert (at_ns > 0 && surviving_writes >= 0);
-  t.armed <- t.armed + 1;
   t.crash <- Some (at_ns, surviving_writes)
 
-let fail t =
-  t.injected <- t.injected + 1;
-  true
-
 let read_attempt_fails t ~pack ~record =
-  if Hashtbl.mem t.bad (pack, record) then fail t
-  else
-    match Hashtbl.find_opt t.transients (pack, record) with
-    | Some n when !n > 0 ->
-        decr n;
-        fail t
-    | _ -> false
+  Hashtbl.mem t.bad (pack, record)
+  ||
+  match Hashtbl.find_opt t.transients (pack, record) with
+  | Some n when !n > 0 ->
+      decr n;
+      true
+  | _ -> false
 
-let write_attempt_fails t ~pack ~record =
-  if Hashtbl.mem t.bad (pack, record) then fail t else false
+let write_attempt_fails t ~pack ~record = Hashtbl.mem t.bad (pack, record)
 
 let crash_schedule t = t.crash
 
@@ -89,12 +76,3 @@ let random ~seed ~packs ~records_per_pack ~horizon_ns =
     pack_offline t ~pack:(pick_pack ())
       ~at_ns:(Random.State.int st horizon_ns);
   t
-
-let pp ppf t =
-  Format.fprintf ppf "plan{%d transient, %d bad, %d offline%s, %d injected}"
-    (Hashtbl.length t.transients) (Hashtbl.length t.bad)
-    (Hashtbl.length t.offline)
-    (match t.crash with
-    | Some (at, n) -> Printf.sprintf ", crash@%dns keep %d" at n
-    | None -> "")
-    t.injected

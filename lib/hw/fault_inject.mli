@@ -37,9 +37,6 @@ val none : t
 val create : unit -> t
 (** A fresh, empty, mutable plan. *)
 
-val is_empty : t -> bool
-(** No faults were ever added ([none] is always empty). *)
-
 (* Plan building. *)
 
 val fail_reads : t -> pack:int -> record:int -> times:int -> unit
@@ -91,5 +88,3 @@ val random :
     a few transient faults, up to two bad records, sometimes a power
     failure inside [horizon_ns], sometimes a pack-offline event.
     Identical seeds and dimensions produce identical plans. *)
-
-val pp : Format.formatter -> t -> unit

@@ -216,7 +216,6 @@ let dispatch_ref : (t -> pack_state -> unit) ref = ref (fun _ _ -> ())
 let breaker_half t p =
   p.breaker <- Br_half;
   t.br_probes <- t.br_probes + 1;
-  Multics_obs.Sink.count t.obs "io.breaker_probe";
   Multics_obs.Sink.instant t.obs ~tid:p.id ~cat:"io" ~name:"breaker_half_open"
     ()
 
@@ -224,7 +223,6 @@ let breaker_trip t p =
   let until = t.now () + t.config.breaker_cooldown_ns in
   p.breaker <- Br_open until;
   t.br_opens <- t.br_opens + 1;
-  Multics_obs.Sink.count t.obs "io.breaker_open";
   Multics_obs.Sink.instant t.obs ~tid:p.id ~arg:until ~cat:"io"
     ~name:"breaker_open" ();
   t.schedule ~delay:t.config.breaker_cooldown_ns (fun () ->
@@ -244,7 +242,6 @@ let breaker_note_success t p =
         p.breaker <- Br_closed;
         p.closes <- p.closes + 1;
         t.br_closes <- t.br_closes + 1;
-        Multics_obs.Sink.count t.obs "io.breaker_close";
         Multics_obs.Sink.instant t.obs ~tid:p.id ~cat:"io"
           ~name:"breaker_close" ()
     | _ -> ()
@@ -437,7 +434,6 @@ let rec execute_req ?(sync = false) t pack (r : req) =
       if (match r.op with Write _ -> true | Read _ -> false) then
         drop_pending_write t pack r;
       t.fast_fails <- t.fast_fails + 1;
-      Multics_obs.Sink.count t.obs "io.fast_fail";
       deliver_error r Breaker_open
     end
     else if pack_is_offline t pack then begin
@@ -491,7 +487,6 @@ and attempt_failed t pack (r : req) ~sync =
     (* N consecutive failures: the record is declared dead and retired
        so nothing ever allocates or touches it again. *)
     t.gave_up <- t.gave_up + 1;
-    Multics_obs.Sink.count t.obs "io.gave_up";
     Disk.mark_dead t.disk ~pack ~record:r.record;
     (match r.op with Write _ -> drop_pending_write t pack r | Read _ -> ());
     deliver_error r Dead_record
@@ -501,13 +496,11 @@ and attempt_failed t pack (r : req) ~sync =
        this request (it stays alive for others) instead of queueing
        another backoff nobody will wait for. *)
     t.budget_denied <- t.budget_denied + 1;
-    Multics_obs.Sink.count t.obs "io.budget_denied";
     (match r.op with Write _ -> drop_pending_write t pack r | Read _ -> ());
     deliver_error r Timed_out
   end
   else begin
     t.retries <- t.retries + 1;
-    Multics_obs.Sink.count t.obs "io.retry";
     Multics_obs.Sink.instant t.obs ~arg:r.record ~cat:"io" ~name:"retry" ();
     if sync then execute_req ~sync t pack r
     else begin
@@ -548,7 +541,6 @@ let finish_batch ?(sync = false) t p batch cost =
   if not (Choice.is_active t.choice) then
     List.iter (execute_req ~sync t p.id) batch
   else deliver_chosen ~sync t p batch;
-  Multics_obs.Sink.count t.obs "io.batch";
   Multics_obs.Sink.add_latency t.obs ~name:"io.batch" cost
 
 let bar_records p batch =
@@ -595,7 +587,6 @@ let rec dispatch t p =
       List.iter
         (fun (r : req) ->
           t.timeouts <- t.timeouts + 1;
-          Multics_obs.Sink.count t.obs "io.timeout";
           let prev = Multics_obs.Sink.current t.obs in
           Multics_obs.Sink.set_current t.obs r.req_ctx;
           deliver_error r Timed_out;
@@ -647,10 +638,7 @@ and launch t p w ~sorted ~rest ~deadline_forced =
   match batch with
   | [] -> ()
   | _ :: _ ->
-      if deadline_forced then begin
-        t.deadline_batches <- t.deadline_batches + 1;
-        Multics_obs.Sink.count t.obs "io.deadline_batch"
-      end;
+      if deadline_forced then t.deadline_batches <- t.deadline_batches + 1;
       p.queue <- rest @ overflow;
       p.depth <- p.depth - List.length batch;
       let cost = batch_cost t ~head:w.head batch in
@@ -741,12 +729,10 @@ let submit_read t ~pack ~record ~done_ =
   if ctx_expired t (Multics_obs.Sink.current t.obs) then begin
     (* Enqueue checkpoint: the requester's deadline already passed. *)
     t.timeouts <- t.timeouts + 1;
-    Multics_obs.Sink.count t.obs "io.timeout";
     shed t ~err:Timed_out done_
   end
   else if not (breaker_admits t (pack_state t pack)) then begin
     t.fast_fails <- t.fast_fails + 1;
-    Multics_obs.Sink.count t.obs "io.fast_fail";
     shed t ~err:Breaker_open done_
   end
   else
@@ -759,7 +745,6 @@ let submit_read t ~pack ~record ~done_ =
     when (not (pack_is_offline t pack))
          && not (Disk.record_is_dead t.disk ~pack ~record) ->
       t.buffer_hits <- t.buffer_hits + 1;
-      Multics_obs.Sink.count t.obs "io.buffer_hit";
       let ctx = Multics_obs.Sink.current t.obs in
       t.schedule ~delay:0 (fun () ->
           let prev = Multics_obs.Sink.current t.obs in
@@ -775,7 +760,6 @@ let submit_write t ?done_ ~pack ~record img =
        later flush over newer data.  Expired-deadline writes are NOT
        shed: durability outranks the deadline. *)
     t.fast_fails <- t.fast_fails + 1;
-    Multics_obs.Sink.count t.obs "io.fast_fail";
     match done_ with
     | Some f -> shed t ~err:Breaker_open f
     | None -> ()

@@ -31,9 +31,6 @@ type t = {
   damaged : bool;
 }
 
-val invalid : t
-(** All-zero PTW. *)
-
 val unallocated_ptw : t
 (** Valid but never-allocated page: first touch should charge quota. *)
 

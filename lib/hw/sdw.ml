@@ -60,12 +60,3 @@ let permits t ~ring access =
   | Fault.Write -> t.write && ring <= t.r1
   | Fault.Read -> t.read && ring <= t.r2
   | Fault.Execute -> t.execute && ring <= t.r2
-
-let pp ppf t =
-  Format.fprintf ppf "sdw{pt=%a len=%d %s%s%s rings=%d,%d,%d%s}" Addr.pp_abs
-    t.page_table t.length
-    (if t.read then "r" else "-")
-    (if t.write then "w" else "-")
-    (if t.execute then "e" else "-")
-    t.r1 t.r2 t.r3
-    (if t.present then "" else " absent")

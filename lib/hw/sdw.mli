@@ -46,5 +46,3 @@ val permits : t -> ring:int -> Fault.access -> bool
     the write bit and [ring <= r1]; read needs the read bit and
     [ring <= r2]; execute needs the execute bit and [ring <= r2].
     Cross-ring calls are handled by gates above the hardware. *)
-
-val pp : Format.formatter -> t -> unit

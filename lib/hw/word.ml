@@ -4,12 +4,8 @@ let width = 36
 let mask = (1 lsl width) - 1
 let zero = 0
 let of_int v = v land mask
-let to_int v = v
 let is_zero v = v = 0
 let add a b = (a + b) land mask
-let logand = ( land )
-let logor = ( lor )
-let logxor = ( lxor )
 
 let extract w ~pos ~len =
   assert (pos >= 0 && len > 0 && pos + len <= width);

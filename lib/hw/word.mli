@@ -6,27 +6,18 @@
 
 type t = int
 
-val width : int
-(** Number of bits in a word (36). *)
-
 val mask : int
-(** [2^width - 1]. *)
+(** [2^36 - 1], the 36-bit word mask. *)
 
 val zero : t
 
 val of_int : int -> t
 (** Truncate a native integer to 36 bits. *)
 
-val to_int : t -> int
-
 val is_zero : t -> bool
 
 val add : t -> t -> t
 (** Modular 36-bit addition. *)
-
-val logand : t -> t -> t
-val logor : t -> t -> t
-val logxor : t -> t -> t
 
 val extract : t -> pos:int -> len:int -> int
 (** [extract w ~pos ~len] reads the [len]-bit field starting at bit

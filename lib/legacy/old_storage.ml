@@ -34,7 +34,7 @@ let rec create_segment t ~dir_uid ~name ~is_dir ~acl =
         let map = Array.make Hw.Addr.max_pages_per_segment Hw.Disk.unallocated in
         let vtoc =
           Hw.Disk.create_vtoc_entry (disk t) ~pack
-            { Hw.Disk.uid; file_map = map; len_pages = 0;
+            { Hw.Disk.uid; file_map = map;
               is_directory = is_dir; quota = None; aim_label = 0;
               damaged = false; is_process_state = false }
         in

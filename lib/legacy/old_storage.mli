@@ -15,10 +15,6 @@ val create_segment :
 (** Make the VTOC entry and the directory entry (directory control and
     volume control share this path in the old supervisor). *)
 
-val locate : Old_types.state -> uid:int -> (int * int) option
-(** Find a segment's (pack, VTOC index) by scanning the in-kernel
-    directory records — the shared-data walk the old design performs. *)
-
 val activate :
   Old_types.state -> uid:int -> (int, [ `No_slot | `Gone ]) result
 (** Bring a segment into the AST, activating its superior directories

@@ -101,7 +101,7 @@ let boot cfg =
   let map = Array.make Hw.Addr.max_pages_per_segment Hw.Disk.unallocated in
   let _root_vtoc =
     Hw.Disk.create_vtoc_entry machine.Hw.Machine.disk ~pack:0
-      { Hw.Disk.uid = root_uid; file_map = map; len_pages = 0;
+      { Hw.Disk.uid = root_uid; file_map = map;
         is_directory = true;
         quota = Some { Hw.Disk.limit = cfg.root_quota; used = 0 };
         aim_label = 0; damaged = false; is_process_state = false }

@@ -40,7 +40,6 @@ val spawn :
 
 val run : ?until:int -> ?max_events:int -> t -> unit
 val run_to_completion : ?max_events:int -> t -> bool
-val all_done : t -> bool
 val now : t -> int
 val proc_state : t -> int -> Old_types.proc_state
 

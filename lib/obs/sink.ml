@@ -58,8 +58,6 @@ type t = {
   (* SLO watchdogs *)
   slo_tbl : (string, slo) Hashtbl.t;
   mutable slo_order : string list;  (* newest first *)
-  (* flight-recorder dumps *)
-  mutable last_dump : (string * string) option;  (* reason, text *)
   (* per-user attribution, keyed by root-ctx origin *)
   user_tbl : (string, usage) Hashtbl.t;
 }
@@ -73,7 +71,6 @@ let create ?(mode = Counters) ?(capacity = 16384) ?(flight_capacity = 256)
     cur = 0; ctx_n = 0; ctx_cap = first_chunk;
     ctx_chunks = [| make_chunk first_chunk |];
     slo_tbl = Hashtbl.create 8; slo_order = [];
-    last_dump = None;
     user_tbl = Hashtbl.create 16 }
 
 let detached () = create ~capacity:1 ~flight_capacity:1 ~now:(fun () -> 0) ()
@@ -342,11 +339,7 @@ let flight_dump t =
       chr '\n');
   Buffer.contents b
 
-let note_dump t ~reason =
-  count t "flight.dump";
-  t.last_dump <- Some (reason, flight_dump t)
-
-let last_dump t = t.last_dump
+let note_dump t = count t "flight.dump"
 
 (* Per-user attribution --------------------------------------------- *)
 

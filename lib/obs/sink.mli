@@ -4,7 +4,10 @@
     the big event ring is always on; the mode decides only whether
     that ring records:
 
-    - {b counters} — named monotonic counts;
+    - {b counters} — named monotonic counts of what no manager counts
+      itself.  A count a manager keeps (gate calls, dispatches, faults,
+      evictions, segment turnovers, every [Io_sched.stats] field) is
+      its typed field and only that, so each fact has one recorder;
     - {b latency histograms} — log2 {!Histo}s keyed by name;
     - {b the event ring} — a bounded {!Trace_buf} of timestamped
       span/instant/async events ([Full] only);
@@ -108,7 +111,10 @@ val ctx_expired : t -> now:int -> int -> bool
 
 val count : t -> string -> unit
 (** Bump the named counter by one.  Pass a literal — the name is the
-    key, so hot paths pay no string building. *)
+    key, so hot paths pay no string building, but each bump still
+    hashes it.  Count here only what no manager keeps in a typed
+    field: a second copy of a manager's count is a second recorder of
+    one fact. *)
 
 val counters : t -> (string * int) list
 (** In first-use order. *)
@@ -178,12 +184,10 @@ val flight_dump : t -> string
 (** Deterministic text rendering of the flight ring: one line per
     event with its causal chain ([ctx=id:origin<-parent:origin<-...]). *)
 
-val note_dump : t -> reason:string -> unit
-(** Snapshot {!flight_dump} as the last dump (kernel halt, salvager
-    entry, invariant violation); bumps ["flight.dump"]. *)
-
-val last_dump : t -> (string * string) option
-(** [(reason, dump)] of the most recent {!note_dump}. *)
+val note_dump : t -> unit
+(** Mark an automatic dump point (kernel halt, salvager entry,
+    invariant violation): bumps ["flight.dump"].  The ring itself is
+    rendered only when someone asks, by {!flight_dump}. *)
 
 (* Per-user attribution *)
 

@@ -51,5 +51,3 @@ let run ?(domains = 1) ~tasks f =
         | None -> assert false (* every block was filled or raised *))
       results
   end
-
-let run_list ?domains ~tasks f = Array.to_list (run ?domains ~tasks f)

@@ -45,6 +45,3 @@ val run : ?domains:int -> tasks:int -> (int -> 'a) -> 'a array
     calling domain, no spawn at all, so the sequential baseline pays
     zero farm overhead.  [f] runs concurrently with other calls of
     [f] — it must not share mutable state across indices. *)
-
-val run_list : ?domains:int -> tasks:int -> (int -> 'a) -> 'a list
-(** [run] with the result as a list, for merge pipelines. *)

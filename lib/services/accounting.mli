@@ -31,5 +31,4 @@ val total_remote_pages : t -> int
 (** Sum of settled remote pages over every user — the home side of the
     cluster's conservation law. *)
 
-val users : t -> string list
 val pp : Format.formatter -> t -> unit

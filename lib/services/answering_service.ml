@@ -28,8 +28,6 @@ let create ~kernel ~variant =
     sessions = Hashtbl.create 16; login_count = 0; failure_count = 0;
     shed_count = 0 }
 
-let variant t = t.variant
-
 let meter t = K.Kernel.meter t.kernel
 
 (* Trusted core work (in the kernel's audit boundary in both variants). *)
@@ -79,7 +77,6 @@ let login ?(load_class = 0) ?deadline_ns t ~user ~password ~program =
        of shedding at the front door is that a refused login costs
        almost nothing. *)
     t.shed_count <- t.shed_count + 1;
-    Multics_obs.Sink.count obs "as.login_shed";
     Error `Shed
   end
   else begin

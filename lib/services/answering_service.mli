@@ -22,8 +22,6 @@ type t
 val create :
   kernel:Multics_kernel.Kernel.t -> variant:variant -> t
 
-val variant : t -> variant
-
 val register_user :
   t -> user:string -> password:string -> clearance:Multics_aim.Label.t -> unit
 

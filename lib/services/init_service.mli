@@ -15,9 +15,6 @@ type variant = In_kernel | Previous_incarnation
 
 type step = { step_name : string; build_cost : int; verify_cost : int }
 
-val catalogue : step list
-(** The tables a Multics boot constructs. *)
-
 type result = {
   boot_kernel_ns : int;  (** simulated ns of ring-0 work at boot *)
   prior_user_ns : int;  (** work done ahead of time in the user process *)

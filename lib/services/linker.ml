@@ -6,16 +6,11 @@ type t = {
   kernel : K.Kernel.t;
   placement : placement;
   snapped : (string, unit) Hashtbl.t;
-  mutable links : int;
-  mutable probes : int;
   mutable crossings : int;
 }
 
 let create ~kernel ~placement =
-  { kernel; placement; snapped = Hashtbl.create 32; links = 0; probes = 0;
-    crossings = 0 }
-
-let placement t = t.placement
+  { kernel; placement; snapped = Hashtbl.create 32; crossings = 0 }
 
 let meter t = K.Kernel.meter t.kernel
 
@@ -29,7 +24,6 @@ let charge_user t ns =
 
 (* One directory probe for [symbol]. *)
 let probe t ~subject ~ring ~dir ~symbol =
-  t.probes <- t.probes + 1;
   let path = dir ^ ">" ^ symbol in
   match t.placement with
   | In_kernel -> (
@@ -78,7 +72,6 @@ let resolve t ~subject ~ring ~symbol ~search_rules =
     | dir :: rest -> (
         match probe t ~subject ~ring ~dir ~symbol with
         | Some target ->
-            t.links <- t.links + 1;
             Hashtbl.replace t.snapped symbol ();
             (match t.placement with
             | In_kernel -> charge_kernel t K.Cost.link_snap
@@ -94,6 +87,4 @@ let snap_cache_lookup t ~symbol =
   | User_ring -> charge_user t (K.Cost.kernel_call / 2));
   Hashtbl.mem t.snapped symbol
 
-let links_snapped t = t.links
-let probes t = t.probes
 let gate_crossings t = t.crossings

@@ -18,7 +18,6 @@ type placement = In_kernel | User_ring
 type t
 
 val create : kernel:Multics_kernel.Kernel.t -> placement:placement -> t
-val placement : t -> placement
 
 val resolve :
   t -> subject:Multics_kernel.Directory.subject -> ring:int -> symbol:string ->
@@ -31,7 +30,5 @@ val resolve :
 val snap_cache_lookup : t -> symbol:string -> bool
 (** Already-snapped links cost almost nothing; true on hit. *)
 
-val links_snapped : t -> int
-val probes : t -> int
 val gate_crossings : t -> int
 (** Crossings attributable to linking (0 when in-kernel). *)

@@ -27,8 +27,6 @@ let create ~kernel ~variant =
     kernel_ns = 0; user_ns = 0; choice = None; seq = 0; pending = [];
     log = [] }
 
-let variant t = t.variant
-
 let set_choice t c = t.choice <- Some c
 
 let attach_channel t ~net ~channel =

@@ -20,7 +20,6 @@ type variant = Per_network_in_kernel | Generic_demux
 type t
 
 val create : kernel:Multics_kernel.Kernel.t -> variant:variant -> t
-val variant : t -> variant
 
 val set_choice : t -> Multics_choice.Choice.t -> unit
 (** Hand delivery ordering to a choice state.  While the choice is

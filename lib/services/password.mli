@@ -9,7 +9,5 @@ type hashed
 
 val hash : salt:string -> string -> hashed
 val verify : hashed -> string -> bool
-val iterations : int
-(** Hash rounds; the simulated cost model charges proportionally. *)
 
 val to_string : hashed -> string

@@ -1,5 +1,4 @@
 type 'a t = {
-  q_name : string;
   capacity : int;
   queue : 'a Queue.t;
   items_ec : Eventcount.t;
@@ -9,13 +8,10 @@ type 'a t = {
 
 let create ?(name = "msgq") ?obs ~capacity () =
   assert (capacity > 0);
-  { q_name = name; capacity; queue = Queue.create ();
+  { capacity; queue = Queue.create ();
     items_ec = Eventcount.create ~name:(name ^ ".items") ?obs ();
     consumed = 0; drops = 0 }
 
-let name t = t.q_name
-let capacity t = t.capacity
-let length t = Queue.length t.queue
 
 let send t msg =
   if Queue.length t.queue >= t.capacity then begin

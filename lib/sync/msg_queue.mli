@@ -16,9 +16,6 @@ type 'a t
 
 val create :
   ?name:string -> ?obs:Multics_obs.Sink.t -> capacity:int -> unit -> 'a t
-val name : 'a t -> string
-val capacity : 'a t -> int
-val length : 'a t -> int
 
 val send : 'a t -> 'a -> (unit, [ `Full ]) result
 (** Enqueue and advance the items eventcount. *)

@@ -1,7 +1,6 @@
-type t = { seq_name : string; mutable next : int }
+type t = { mutable next : int }
 
-let create ?(name = "seq") () = { seq_name = name; next = 1 }
-let name t = t.seq_name
+let create () = { next = 1 }
 
 let ticket t =
   let n = t.next in

@@ -6,8 +6,7 @@
 
 type t
 
-val create : ?name:string -> unit -> t
-val name : t -> string
+val create : unit -> t
 
 val ticket : t -> int
 (** Issue the next ticket; the first ticket is 1 so that awaiting it on

@@ -166,20 +166,7 @@ let run_small_workload ~choice =
   K.Kernel.shutdown k;
   (k, K.Kernel.now k)
 
-let disk_checksum k =
-  let d = (K.Kernel.machine k).Hw.Machine.disk in
-  let acc = ref 0 in
-  for pack = 0 to Hw.Disk.n_packs d - 1 do
-    for record = 0 to Hw.Disk.records_per_pack d - 1 do
-      if not (Hw.Disk.record_is_free d ~pack ~record) then
-        acc :=
-          Hashtbl.hash
-            ( !acc, pack, record,
-              Hw.Page_image.to_words (Hw.Disk.read_record d ~pack ~record)
-              |> Array.to_list )
-    done
-  done;
-  !acc
+let disk_checksum k = Hw.Disk.fingerprint (K.Kernel.machine k).Hw.Machine.disk
 
 let test_recorded_default_bit_identical () =
   let k_none, t_none = run_small_workload ~choice:None in

@@ -167,7 +167,7 @@ let test_zero_page_reclaim () =
   let mem = (K.Kernel.machine k).Hw.Machine.mem in
   check Alcotest.bool "page present" true
     (Hw.Ptw.read mem ptw_abs).Hw.Ptw.present;
-  K.Page_frame.flush_pages pfm ~ptw_abs ~n:1;
+  K.Page_frame.flush_pages pfm ~ptw_abs ~n:1 ~settle:(fun _ _ -> ());
   check Alcotest.bool "page of zeros reclaimed" true
     (Hw.Ptw.read mem ptw_abs = Hw.Ptw.unallocated_ptw);
   let used_after, _ = Option.get (K.Kernel.quota_usage k ~path:">home>z") in
@@ -411,7 +411,7 @@ let turnover_kernel () =
   in
   let flush pageno =
     K.Page_frame.flush_pages pfm ~ptw_abs:(K.Segment.ptw_abs sm ~slot ~pageno)
-      ~n:1
+      ~n:1 ~settle:(fun _ _ -> ())
   in
   List.iter (fun (pageno, v) -> write pageno v)
     [ (0, 7); (2, 9); (3, 11); (4, 0); (5, 13); (63, 17) ];
@@ -437,7 +437,7 @@ let deactivation ~per_ptw =
   if per_ptw then
     for pageno = 0 to K.Segment.pt_words sm - 1 do
       K.Page_frame.flush_pages pfm ~ptw_abs:(K.Segment.ptw_abs sm ~slot ~pageno)
-        ~n:1
+        ~n:1 ~settle:(fun _ _ -> ())
     done;
   K.Segment.deactivate sm ~slot;
   let reads1, writes1 = mem_counts k in
@@ -649,54 +649,6 @@ let test_create_space_clears_every_sdw () =
     if Hw.Phys_mem.read mem a <> w0 || Hw.Phys_mem.read mem (a + 1) <> w1 then
       Alcotest.failf "SDW %d not invalid" segno
   done
-
-(* [len_pages] is kept one past the last allocated file-map entry as
-   entries are set and cleared, and the invariants report an entry
-   whose length disagrees with its map. *)
-let test_len_pages_follows_file_map () =
-  let k = boot () in
-  let volume = K.Kernel.volume k in
-  let index =
-    K.Volume.create_segment volume ~uid:(K.Ids.of_int 900_001) ~pack:1
-      ~is_directory:false ~label:(Aim.Label.encode low) ()
-  in
-  let e = Hw.Disk.vtoc_entry (disk_of k) ~pack:1 ~index in
-  let recomputed () =
-    let len = ref 0 in
-    Array.iteri
-      (fun i v -> if v <> Hw.Disk.unallocated then len := i + 1)
-      e.Hw.Disk.file_map;
-    !len
-  in
-  let set pageno value =
-    K.Volume.set_file_map_entry volume ~pack:1 ~index ~pageno value;
-    if e.Hw.Disk.len_pages <> recomputed () then
-      Alcotest.failf "page %d := %d: len_pages %d, map says %d" pageno value
-        e.Hw.Disk.len_pages (recomputed ())
-  in
-  let free = Hw.Disk.unallocated and zero = Hw.Disk.zero_page in
-  let last = Hw.Addr.max_pages_per_segment - 1 in
-  List.iter
-    (fun (pageno, value) -> set pageno value)
-    [ (10, zero); (3, zero); (3, free); (10, free); (0, zero); (last, zero);
-      (7, zero); (last, free); (7, free); (0, free); (0, free); (last, free);
-      (5, zero); (200, zero); (100, zero); (200, free); (5, free) ];
-  check Alcotest.int "a clear below the end keeps the length" 101
-    e.Hw.Disk.len_pages;
-  let rng = Random.State.make [| 28 |] in
-  for _ = 1 to 2000 do
-    let pageno =
-      if Random.State.bool rng then Random.State.int rng 12
-      else Random.State.int rng (last + 1)
-    in
-    set pageno (if Random.State.bool rng then free else zero)
-  done;
-  check Alcotest.(list string) "invariants hold" [] (K.Invariants.check k);
-  e.Hw.Disk.len_pages <- e.Hw.Disk.len_pages + 1;
-  check Alcotest.bool "drift reported" true
-    (List.exists
-       (fun p -> Astring.String.is_infix ~affix:"len_pages" p)
-       (K.Invariants.check k))
 
 (* ------------------------------------------------------------------ *)
 (* Bratt's mythical identifiers *)
@@ -955,7 +907,7 @@ let test_transit_join () =
     (Hw.Disk.vtoc_entry (K.Kernel.machine k).Hw.Machine.disk ~pack ~index)
       .Hw.Disk.file_map.(0)
   in
-  K.Page_frame.flush_pages pfm ~ptw_abs ~n:1;
+  K.Page_frame.flush_pages pfm ~ptw_abs ~n:1 ~settle:(fun _ _ -> ());
   check Alcotest.bool "written back to its record" true
     (Hw.Ptw.read mem ptw_abs = Hw.Ptw.on_disk ~record);
   (* First faulter starts the read... *)
@@ -1117,8 +1069,6 @@ let tests =
       test_turnover_find_slot;
     Alcotest.test_case "create_space clears every SDW" `Quick
       test_create_space_clears_every_sdw;
-    Alcotest.test_case "len_pages follows the file map" `Quick
-      test_len_pages_follows_file_map;
     Alcotest.test_case "mythical search" `Quick test_mythical_search;
     Alcotest.test_case "readable dir says no-entry" `Quick
       test_readable_directory_says_no_entry;

@@ -339,7 +339,7 @@ let test_vtoc () =
   let disk = Hw.Disk.create ~packs:1 ~records_per_pack:4 ~read_latency_ns:10 in
   let entry =
     { Hw.Disk.uid = 99; file_map = Array.make 4 Hw.Disk.unallocated;
-      len_pages = 0; is_directory = false; quota = None; aim_label = 0;
+      is_directory = false; quota = None; aim_label = 0;
       damaged = false; is_process_state = false }
   in
   let idx = Hw.Disk.create_vtoc_entry disk ~pack:0 entry in
@@ -348,6 +348,58 @@ let test_vtoc () =
   Hw.Disk.delete_vtoc_entry disk ~pack:0 ~index:idx;
   Alcotest.check_raises "deleted" Not_found (fun () ->
       ignore (Hw.Disk.vtoc_entry disk ~pack:0 ~index:idx))
+
+(* A length is one past the last entry that is not [unallocated]:
+   zero pages and holes below the end count, trailing clears do not. *)
+let test_len_pages () =
+  let entry map =
+    { Hw.Disk.uid = 1; file_map = map; is_directory = false; quota = None;
+      aim_label = 0; damaged = false; is_process_state = false }
+  in
+  let u = Hw.Disk.unallocated and z = Hw.Disk.zero_page in
+  List.iter
+    (fun (map, len) ->
+      check Alcotest.int
+        (String.concat "," (List.map string_of_int map))
+        len
+        (Hw.Disk.len_pages (entry (Array.of_list map))))
+    [ ([], 0); ([ u; u; u ], 0); ([ 7 ], 1); ([ z; u; u ], 1);
+      ([ u; u; 5 ], 3); ([ 4; u; z; u ], 3); ([ u; z; u; u ], 2) ]
+
+(* One disk with one file whose record holds [words]. *)
+let fingerprint_disk words =
+  let disk = Hw.Disk.create ~packs:2 ~records_per_pack:4 ~read_latency_ns:10 in
+  let record = Hw.Disk.alloc_record disk ~pack:1 in
+  Hw.Disk.write_record disk ~pack:1 ~record (Hw.Page_image.of_words words);
+  let map = Array.make 4 Hw.Disk.unallocated in
+  map.(1) <- Hw.Disk.handle ~pack:1 ~record;
+  ignore
+    (Hw.Disk.create_vtoc_entry disk ~pack:1
+       { Hw.Disk.uid = 5; file_map = map; is_directory = false; quota = None;
+         aim_label = 0; damaged = false; is_process_state = false });
+  (disk, record)
+
+(* The fingerprint reads every word a file map reaches.  [Hashtbl.hash]
+   of a record's word list stops after ten meaningful values and cannot
+   see word 20, which is why the suites compare disks by fingerprint. *)
+let test_disk_fingerprint_every_word () =
+  let words = Array.init Hw.Addr.page_size (fun i -> Hw.Word.of_int (i + 1)) in
+  let changed = Array.copy words in
+  changed.(20) <- Hw.Word.of_int 99;
+  let a, ra = fingerprint_disk words and b, rb = fingerprint_disk changed in
+  check Alcotest.bool "word 20 moves the fingerprint" false
+    (Hw.Disk.fingerprint a = Hw.Disk.fingerprint b);
+  check Alcotest.int "an identical disk has the same fingerprint"
+    (Hw.Disk.fingerprint a)
+    (Hw.Disk.fingerprint (fst (fingerprint_disk words)));
+  let old_hash d r =
+    Hashtbl.hash
+      ( 0, 1, r,
+        Hw.Page_image.to_words (Hw.Disk.read_record d ~pack:1 ~record:r)
+        |> Array.to_list )
+  in
+  check Alcotest.int "the structural hash misses word 20" (old_hash a ra)
+    (old_hash b rb)
 
 (* ------------------------------------------------------------------ *)
 (* Event queue and machine clock *)
@@ -492,6 +544,9 @@ let tests =
     Alcotest.test_case "disk handles" `Quick test_disk_handles;
     Alcotest.test_case "disk emptiest" `Quick test_disk_emptiest;
     Alcotest.test_case "vtoc" `Quick test_vtoc;
+    Alcotest.test_case "vtoc length from the file map" `Quick test_len_pages;
+    Alcotest.test_case "disk fingerprint reads every word" `Quick
+      test_disk_fingerprint_every_word;
     Alcotest.test_case "event order" `Quick test_event_order;
     qcheck prop_event_queue_model;
     Alcotest.test_case "event queue rejects past add" `Quick

@@ -21,6 +21,37 @@ let file_writer ~dir ~name ~pages =
          K.Workload.Initiate { path = dir ^ ">" ^ name; reg = 0 } |];
       K.Workload.sequential_write ~seg_reg:0 ~pages ]
 
+(* The legacy storage system writes its file maps straight into the
+   VTOC; the length is derived from the map, so a legacy file of 6
+   pages reads 6, as a kernel file would.  The other segment is the
+   writer's pageable process state, one page. *)
+let test_legacy_file_length () =
+  let s = boot ~config:L.Old_supervisor.default_config () in
+  ignore
+    (L.Old_supervisor.spawn s ~pname:"w"
+       (file_writer ~dir:">home" ~name:"six" ~pages:6));
+  check Alcotest.bool "completed" true (L.Old_supervisor.run_to_completion s);
+  let disk = (L.Old_supervisor.state s).L.Old_types.machine.Hw.Machine.disk in
+  let files =
+    List.concat_map
+      (fun pack ->
+        List.filter_map
+          (fun (_, (e : Hw.Disk.vtoc_entry)) ->
+            if e.Hw.Disk.is_directory || e.Hw.Disk.is_process_state then None
+            else Some e)
+          (Hw.Disk.vtoc_entries disk ~pack))
+      (List.init (Hw.Disk.n_packs disk) Fun.id)
+  in
+  let mapped e =
+    Array.fold_left
+      (fun n h -> if h = Hw.Disk.unallocated then n else n + 1)
+      0 e.Hw.Disk.file_map
+  in
+  check
+    Alcotest.(list (pair int int))
+    "pages mapped, length" [ (1, 1); (6, 6) ]
+    (List.map (fun e -> (mapped e, Hw.Disk.len_pages e)) files)
+
 let test_write_read_roundtrip () =
   let s = boot () in
   let prog =
@@ -263,6 +294,8 @@ let test_new_kernel_pays_language_factor () =
 
 let tests =
   [ Alcotest.test_case "write/read roundtrip" `Quick test_write_read_roundtrip;
+    Alcotest.test_case "file length from the file map" `Quick
+      test_legacy_file_length;
     Alcotest.test_case "quota upward search depth" `Quick
       test_quota_upward_search_depth;
     Alcotest.test_case "dynamic quota designation" `Quick

@@ -9,6 +9,7 @@ module Hw = Multics_hw
 module Obs = Multics_obs
 module Sync = Multics_sync
 module Aim = Multics_aim
+module S = Multics_services
 
 let check = Alcotest.check
 
@@ -408,6 +409,59 @@ let ctx_kernel () =
   check Alcotest.bool "reader completed" true (K.Kernel.run_to_completion k);
   k
 
+(* ------------------------------------------------------------------ *)
+(* What the benchmark reads by name: [hw.event_pop] from
+   [Sink.counters] and three histograms from [Sink.histos].  It reads a
+   missing name as 0, so a renamed or deleted recorder would show up
+   there only as a silent 0. *)
+
+let test_event_pop_counter () =
+  let k = K.Kernel.boot K.Kernel.small_config in
+  K.Kernel.mkdir k ~path:">home" ~acl:open_acl ~label:low;
+  ignore
+    (K.Kernel.spawn k ~pname:"w"
+       (K.Workload.concat
+          [ [| K.Workload.Create_file { dir = ">home"; name = "f" };
+               K.Workload.Initiate { path = ">home>f"; reg = 0 } |];
+            K.Workload.sequential_write ~seg_reg:0 ~pages:12 ]));
+  let obs = K.Kernel.obs k and m = K.Kernel.machine k in
+  let pops () = List.assoc_opt "hw.event_pop" (Obs.Sink.counters obs) in
+  let before = Option.value ~default:0 (pops ()) in
+  let rec drain n = if Hw.Machine.step m then drain (n + 1) else n in
+  let n = drain 0 in
+  check Alcotest.bool "events were stepped" true (n > 0);
+  check Alcotest.(option int) "one bump per stepped event" (Some (before + n))
+    (pops ());
+  check Alcotest.bool "an empty queue steps nothing" false (Hw.Machine.step m);
+  check Alcotest.(option int) "and counts nothing" (Some (before + n)) (pops ())
+
+let test_benchmark_histograms () =
+  let k = ctx_kernel () in
+  let svc =
+    S.Answering_service.create ~kernel:k ~variant:S.Answering_service.Split
+  in
+  S.Answering_service.register_user svc ~user:"alice" ~password:"pw"
+    ~clearance:low;
+  (match
+     S.Answering_service.login svc ~user:"alice" ~password:"pw"
+       ~program:[| K.Workload.Compute 1_000; K.Workload.Terminate |]
+   with
+  | Ok _ -> ()
+  | Error _ -> Alcotest.fail "login");
+  check Alcotest.bool "session completed" true (K.Kernel.run_to_completion k);
+  let count name =
+    List.find_map
+      (fun h ->
+        if Obs.Histo.name h = name then Some (Obs.Histo.count h) else None)
+      (Obs.Sink.histos (K.Kernel.obs k))
+  in
+  List.iter
+    (fun name ->
+      check Alcotest.bool (name ^ " sampled") true
+        (match count name with Some n -> n > 0 | None -> false))
+    [ "pfm.page_read"; "sched.ready_wait" ];
+  check Alcotest.(option int) "as.login: one login" (Some 1) (count "as.login")
+
 let test_ctx_propagation () =
   let k = ctx_kernel () in
   let obs = K.Kernel.obs k in
@@ -552,6 +606,10 @@ let tests =
       test_flight_dump_numbers;
     Alcotest.test_case "ctx crosses faults, retries, read-ahead" `Quick
       test_ctx_propagation;
+    Alcotest.test_case "hw.event_pop counts stepped events" `Quick
+      test_event_pop_counter;
+    Alcotest.test_case "benchmark histograms after a paging run" `Quick
+      test_benchmark_histograms;
     Alcotest.test_case "critical path extraction" `Quick test_critical_path;
     Alcotest.test_case "slo watchdogs deterministic" `Quick
       test_slo_deterministic ]

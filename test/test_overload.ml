@@ -30,20 +30,7 @@ let busy_program ~i ~touches =
       K.Workload.random_touches ~seg_reg:0 ~pages:8 ~count:touches
         ~write_pct:25 ~seed:(42 + i) ]
 
-let disk_checksum k =
-  let d = (K.Kernel.machine k).Hw.Machine.disk in
-  let acc = ref 0 in
-  for pack = 0 to Hw.Disk.n_packs d - 1 do
-    for record = 0 to Hw.Disk.records_per_pack d - 1 do
-      if not (Hw.Disk.record_is_free d ~pack ~record) then
-        acc :=
-          Hashtbl.hash
-            ( !acc, pack, record,
-              Hw.Page_image.to_words (Hw.Disk.read_record d ~pack ~record)
-              |> Array.to_list )
-    done
-  done;
-  !acc
+let disk_checksum k = Hw.Disk.fingerprint (K.Kernel.machine k).Hw.Machine.disk
 
 (* ------------------------------------------------------------------ *)
 (* Deadlines *)

@@ -76,7 +76,7 @@ let test_detects_orphan_vtoc () =
   let map = Array.make Hw.Addr.max_pages_per_segment Hw.Disk.unallocated in
   ignore
     (Hw.Disk.create_vtoc_entry disk ~pack:1
-       { Hw.Disk.uid = 999_999; file_map = map; len_pages = 0;
+       { Hw.Disk.uid = 999_999; file_map = map;
          is_directory = false; quota = None; aim_label = 0;
          damaged = false; is_process_state = false });
   let findings = K.Salvager.scan k in
