@@ -161,9 +161,8 @@ let run_breaker_full ?(bug = false) choice =
   let io =
     Hw.Io_sched.create ~config ~faults ~choice
       ~now:(fun () -> Hw.Machine.now machine)
-      ~disk ~schedule:(Hw.Machine.schedule machine) ()
+      ~obs ~disk ~schedule:(Hw.Machine.schedule machine) ()
   in
-  Hw.Io_sched.set_obs io obs;
   for r = 0 to 2 do
     let words = Array.make Hw.Addr.page_size 0 in
     words.(0) <- 100 + r;

@@ -559,8 +559,11 @@ let read_bytes t slot =
 
 let persist t =
   entry_charge t Cost.vtoc_write;
-  Hashtbl.iter
-    (fun _ dir ->
+  (* In uid order: record allocation follows the walk, so a walk in
+     hash order would put the hash seed on the disk. *)
+  Hashtbl.fold (fun uid dir acc -> (uid, dir) :: acc) t.dirs []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  |> List.iter (fun (_, dir) ->
       let entries =
         Hashtbl.fold (fun _ de acc -> de :: acc) dir.d_entries []
         |> List.sort (fun a b -> compare a.de_slot b.de_slot)
@@ -573,7 +576,6 @@ let persist t =
       let payload = { pd_acl = acl_to_wire dir.d_acl; pd_entries = entries } in
       let bytes = Bytes.of_string (Marshal.to_string payload []) in
       write_bytes t (dir_slot t dir) bytes)
-    t.dirs
 
 let restore t =
   entry_charge t Cost.vtoc_read;

@@ -155,6 +155,35 @@ let page_table_home t ~ptw_abs =
   | Some pt -> Some (pt.home_pack, pt.home_index, pt.cell)
   | None -> None
 
+(* The quota cell that pays for the page behind [ptw_abs]. *)
+let pt_cell t ptw_abs =
+  match lookup_pt t ptw_abs with
+  | Some pt -> pt.cell
+  | None -> Quota_cell.no_cell
+
+(* Point the file-map entry of the page behind [ptw_abs] at [value]. *)
+let set_file_map t ~ptw_abs value =
+  match lookup_pt t ptw_abs with
+  | Some pt ->
+      Volume.set_file_map_entry t.volume ~pack:pt.home_pack
+        ~index:pt.home_index
+        ~pageno:(ptw_abs - pt.pt_base)
+        value
+  | None -> ()
+
+(* Give [frame] to the page behind [ptw_abs].  A page whose read is in
+   transit keeps the frame pinned, and its descriptor is left for the
+   read's completion; any other page is in core at once. *)
+let claim_frame t frame ~ptw_abs ~record_handle ~cell ~in_transit =
+  let e = t.frames.(frame) in
+  e.used_by <- ptw_abs;
+  e.record_handle <- record_handle;
+  e.quota_cell <- cell;
+  e.pinned <- in_transit;
+  e.prefetched <- false;
+  mirror t frame;
+  if not in_transit then Hw.Ptw.write (mem t) ptw_abs (Hw.Ptw.in_core ~frame)
+
 let release_frame t frame =
   let e = t.frames.(frame) in
   e.used_by <- -1;
@@ -174,19 +203,26 @@ let release_frame t frame =
    garbage.  A write that fails still has the image in hand, so the
    disk pack manager spares the record; only a full pack damages. *)
 
-let mark_page_damaged t ~ptw_abs ~record_handle err =
-  (match err with
-  | Hw.Io_sched.Pack_offline ->
-      Volume.note_offline t.volume
-        ~pack:(Hw.Disk.pack_of_handle record_handle)
-  | Hw.Io_sched.Dead_record | Hw.Io_sched.Timed_out
-  | Hw.Io_sched.Breaker_open -> ());
+(* Raise the offline signal for the pack holding [handle]. *)
+let note_offline t handle =
+  Volume.note_offline t.volume ~pack:(Hw.Disk.pack_of_handle handle)
+
+(* The page behind [ptw_abs] is lost: set its segment's VTOC damaged
+   switch.  The caller has damaged the descriptor. *)
+let lose_page t ~ptw_abs =
   Multics_obs.Sink.count t.obs "pfm.damaged";
-  Hw.Ptw.write (mem t) ptw_abs (Hw.Ptw.damaged_ptw ~record:record_handle);
   match lookup_pt t ptw_abs with
   | Some pt ->
       Volume.mark_damaged t.volume ~pack:pt.home_pack ~index:pt.home_index
   | None -> ()
+
+let mark_page_damaged t ~ptw_abs ~record_handle err =
+  (match err with
+  | Hw.Io_sched.Pack_offline -> note_offline t record_handle
+  | Hw.Io_sched.Dead_record | Hw.Io_sched.Timed_out
+  | Hw.Io_sched.Breaker_open -> ());
+  Hw.Ptw.write (mem t) ptw_abs (Hw.Ptw.damaged_ptw ~record:record_handle);
+  lose_page t ~ptw_abs
 
 (* A write-behind failed after its retries.  [img] is the image that
    was being flushed; repoint whatever still names the old record — an
@@ -203,16 +239,9 @@ let handle_write_failure t ~ptw_abs ~old_handle img err =
       end
       else if (not ptw.Hw.Ptw.damaged) && ptw.Hw.Ptw.arg = old_handle then
         Hw.Ptw.write (mem t) ptw_abs (Hw.Ptw.on_disk ~record:new_handle);
-    match lookup_pt t ptw_abs with
-    | Some pt ->
-        Volume.set_file_map_entry t.volume ~pack:pt.home_pack
-          ~index:pt.home_index
-          ~pageno:(ptw_abs - pt.pt_base)
-          new_handle
-    | None -> ()
+    set_file_map t ~ptw_abs new_handle
   in
   let damage () =
-    Multics_obs.Sink.count t.obs "pfm.damaged";
     let ptw = Hw.Ptw.read (mem t) ptw_abs in
     if
       ptw.Hw.Ptw.valid
@@ -221,14 +250,11 @@ let handle_write_failure t ~ptw_abs ~old_handle img err =
       && (not ptw.Hw.Ptw.damaged)
       && ptw.Hw.Ptw.arg = old_handle
     then Hw.Ptw.write (mem t) ptw_abs (Hw.Ptw.damaged_ptw ~record:old_handle);
-    match lookup_pt t ptw_abs with
-    | Some pt ->
-        Volume.mark_damaged t.volume ~pack:pt.home_pack ~index:pt.home_index
-    | None -> ()
+    lose_page t ~ptw_abs
   in
   match err with
   | Hw.Io_sched.Pack_offline ->
-      Volume.note_offline t.volume ~pack:(Hw.Disk.pack_of_handle old_handle);
+      note_offline t old_handle;
       damage ()
   | Hw.Io_sched.Timed_out | Hw.Io_sched.Breaker_open ->
       (* The overload plane dropped the flush (budget dry or breaker
@@ -241,6 +267,29 @@ let handle_write_failure t ~ptw_abs ~old_handle img err =
       | Ok new_handle ->
           repoint new_handle
       | Error `No_space -> damage ())
+
+(* Write the page in [frame] behind to its record [old_handle]: queue a
+   snapshot of the frame on the pack's elevator (or, without the
+   scheduler, write it flat).  The scheduler's write buffer keeps any
+   reader of the record coherent until the sweep lands, and a terminal
+   failure spares the record (or damages the page).  The flush is work
+   spawned on behalf of whoever forced it: a [write_behind] child
+   context chains it back and is billed the one I/O. *)
+let write_behind t ~frame ~ptw_abs ~old_handle =
+  let img = Hw.Phys_mem.read_frame (mem t) frame in
+  let settle = function
+    | Ok () -> ()
+    | Error err -> handle_write_failure t ~ptw_abs ~old_handle img err
+  in
+  let prev = Multics_obs.Sink.current t.obs in
+  let ctx = Multics_obs.Sink.new_ctx t.obs ~origin:"write_behind" () in
+  Multics_obs.Sink.set_current t.obs ctx;
+  Multics_obs.Sink.attribute t.obs ~ctx ~cpu_ns:0 ~ios:1;
+  (if t.use_io_sched then
+     Volume.write_record_async t.volume ~handle:old_handle ~done_:settle img
+   else settle (Volume.write_page t.volume ~handle:old_handle img));
+  Multics_obs.Sink.set_current t.obs prev;
+  t.page_writes <- t.page_writes + 1
 
 (* A prefetched page counts as a hit once a reference is observed: a
    demand fault joining its transit, or its used bit found set when the
@@ -274,44 +323,13 @@ let evict_frame t frame ~zero =
         ~pack:(Hw.Disk.pack_of_handle e.record_handle)
         ~record:(Hw.Disk.record_of_handle e.record_handle);
     Quota_cell.uncharge t.quota e.quota_cell 1;
-    (match lookup_pt t ptw_abs with
-    | Some pt ->
-        Volume.set_file_map_entry t.volume ~pack:pt.home_pack
-          ~index:pt.home_index
-          ~pageno:(ptw_abs - pt.pt_base)
-          Hw.Disk.unallocated
-    | None -> ());
+    set_file_map t ~ptw_abs Hw.Disk.unallocated;
     Hw.Ptw.write (mem t) ptw_abs Hw.Ptw.unallocated_ptw
   end
   else begin
     assert (e.record_handle >= 0);
-    if Hw.Ptw.raw_modified w then begin
-      t.page_writes <- t.page_writes + 1;
-      let img = Hw.Phys_mem.read_frame (mem t) frame in
-      let old_handle = e.record_handle in
-      (* Write-behind: queue the flush on the pack's elevator and free
-         the frame now.  The scheduler's write buffer keeps any reader
-         of the record coherent until the sweep lands.  A terminal
-         write failure spares the record (or damages the page).  The
-         flush is work spawned on behalf of whoever forced the
-         eviction: a child context chains it back. *)
-      let prev = Multics_obs.Sink.current t.obs in
-      let wb_ctx = Multics_obs.Sink.new_ctx t.obs ~origin:"write_behind" () in
-      Multics_obs.Sink.set_current t.obs wb_ctx;
-      Multics_obs.Sink.attribute t.obs ~ctx:wb_ctx ~cpu_ns:0 ~ios:1;
-      (if t.use_io_sched then
-         Volume.write_record_async t.volume ~handle:old_handle ~done_:(function
-             | Ok () -> ()
-             | Error err ->
-                 handle_write_failure t ~ptw_abs ~old_handle img err)
-           img
-       else
-         match Volume.write_page t.volume ~handle:old_handle img
-         with
-         | Ok () -> ()
-         | Error err -> handle_write_failure t ~ptw_abs ~old_handle img err);
-      Multics_obs.Sink.set_current t.obs prev
-    end;
+    if Hw.Ptw.raw_modified w then
+      write_behind t ~frame ~ptw_abs ~old_handle:e.record_handle;
     Hw.Ptw.write (mem t) ptw_abs (Hw.Ptw.on_disk ~record:e.record_handle)
   end;
   charge t Cost.ptw_update;
@@ -359,24 +377,30 @@ let evict_one t =
       evict_frame t frame ~zero:(Hw.Phys_mem.frame_is_zero (mem t) frame);
       true
 
-let acquire_frame t ~inline =
-  let rec loop attempts =
-    match t.free with
-    | frame :: rest ->
-        t.free <- rest;
-        t.free_count <- t.free_count - 1;
-        charge t Cost.frame_alloc;
-        Some frame
-    | [] ->
-        if attempts > 0 then None
-        else begin
-          if inline then t.inline_evictions <- t.inline_evictions + 1;
-          if evict_one t then loop (attempts + 1) else None
-        end
-  in
-  let result = loop 0 in
+let pop_free t =
+  match t.free with
+  | frame :: rest ->
+      t.free <- rest;
+      t.free_count <- t.free_count - 1;
+      charge t Cost.frame_alloc;
+      Some frame
+  | [] -> None
+
+(* Wake the cleaning daemon once the free pool is down to its low-water
+   mark. *)
+let wake_cleaner t =
   if t.use_cleaner_daemon && t.free_count <= t.low_water then
-    Sync.Eventcount.advance t.cleaner;
+    Sync.Eventcount.advance t.cleaner
+
+let acquire_frame t ~inline =
+  let result =
+    match pop_free t with
+    | Some _ as got -> got
+    | None ->
+        if inline then t.inline_evictions <- t.inline_evictions + 1;
+        if evict_one t then pop_free t else None
+  in
+  wake_cleaner t;
   result
 
 type service_outcome =
@@ -400,13 +424,8 @@ let join_transit t transit =
    latency when the scheduler is off — unlocks the descriptor and
    notifies the transit eventcount. *)
 let start_read t ~ptw_abs ~frame ~record_handle ~cell ~prefetch =
+  claim_frame t frame ~ptw_abs ~record_handle ~cell ~in_transit:true;
   let e = t.frames.(frame) in
-  e.used_by <- ptw_abs;
-  e.record_handle <- record_handle;
-  e.quota_cell <- cell;
-  e.pinned <- true;
-  e.prefetched <- false;
-  mirror t frame;
   let ec =
     Sync.Eventcount.create ~histo:"ec.wait:pfm.transit" ~obs:t.obs
       ?choice:t.pf_choice ()
@@ -453,8 +472,7 @@ let start_read t ~ptw_abs ~frame ~record_handle ~cell ~prefetch =
            read is idempotent, so treat the window as transient — raise
            the offline signal but keep the page readable for the retry
            after recovery, instead of damaging it. *)
-        Volume.note_offline t.volume
-          ~pack:(Hw.Disk.pack_of_handle record_handle);
+        note_offline t record_handle;
         Multics_obs.Sink.count t.obs "pfm.read_shed";
         Hw.Ptw.write (mem t) ptw_abs (Hw.Ptw.on_disk ~record:record_handle);
         e.pinned <- false
@@ -508,12 +526,9 @@ let maybe_read_ahead t ~ptw_abs =
                  && not (Hashtbl.mem t.transits target)
                then
                  if t.free_count > t.low_water then (
-                   match t.free with
-                   | [] -> t.prefetch_dropped <- t.prefetch_dropped + 1
-                   | frame :: rest ->
-                       t.free <- rest;
-                       t.free_count <- t.free_count - 1;
-                       charge t Cost.frame_alloc;
+                   match pop_free t with
+                   | None -> t.prefetch_dropped <- t.prefetch_dropped + 1
+                   | Some frame ->
                        t.prefetch_issued <- t.prefetch_issued + 1;
                        (* The prefetch is work spawned on behalf of the
                           faulting request: give it a child context so
@@ -526,8 +541,7 @@ let maybe_read_ahead t ~ptw_abs =
                        Multics_obs.Sink.set_current t.obs pf_ctx;
                        Multics_obs.Sink.instant t.obs ~cat:"pfm"
                          ~name:"read_ahead" ~arg:target ();
-                       if t.use_cleaner_daemon && t.free_count <= t.low_water
-                       then Sync.Eventcount.advance t.cleaner;
+                       wake_cleaner t;
                        ignore
                          (start_read t ~ptw_abs:target ~frame
                             ~record_handle:(Hw.Ptw.raw_arg w) ~cell:pt.cell
@@ -566,15 +580,9 @@ let service_missing_page t ~ptw_abs =
             (* Every frame pinned or in transit: wait for any release. *)
             Wait (t.frees_ec, Sync.Eventcount.read t.frees_ec + 1)
         | Some frame ->
-            let record_handle = Hw.Ptw.raw_arg w in
-            let cell =
-              match lookup_pt t ptw_abs with
-              | Some pt -> pt.cell
-              | None -> Quota_cell.no_cell
-            in
             let transit =
-              start_read t ~ptw_abs ~frame ~record_handle ~cell
-                ~prefetch:false
+              start_read t ~ptw_abs ~frame ~record_handle:(Hw.Ptw.raw_arg w)
+                ~cell:(pt_cell t ptw_abs) ~prefetch:false
             in
             maybe_read_ahead t ~ptw_abs;
             join_transit t transit
@@ -592,13 +600,8 @@ let add_zero_page t ~ptw_abs ~record_handle ~quota_cell =
   | None -> failwith "Page_frame.add_zero_page: no evictable frame"
   | Some frame ->
       Hw.Phys_mem.zero_frame (mem t) frame;
-      let e = t.frames.(frame) in
-      e.used_by <- ptw_abs;
-      e.record_handle <- record_handle;
-      e.quota_cell <- quota_cell;
-      e.pinned <- false;
-      mirror t frame;
-      Hw.Ptw.write (mem t) ptw_abs (Hw.Ptw.in_core ~frame);
+      claim_frame t frame ~ptw_abs ~record_handle ~cell:quota_cell
+        ~in_transit:false;
       charge t Cost.ptw_update
 
 let fault_in_sync t ~ptw_abs =
@@ -630,11 +633,6 @@ let fault_in_sync t ~ptw_abs =
     | None -> failwith "Page_frame.fault_in_sync: no evictable frame"
     | Some frame ->
         let record_handle = Hw.Ptw.raw_arg w in
-        let cell =
-          match lookup_pt t ptw_abs with
-          | Some pt -> pt.cell
-          | None -> Quota_cell.no_cell
-        in
         match Volume.read_page t.volume ~handle:record_handle with
         | Error err ->
             mark_page_damaged t ~ptw_abs ~record_handle err;
@@ -643,13 +641,8 @@ let fault_in_sync t ~ptw_abs =
             `Damaged
         | Ok img ->
             Hw.Phys_mem.write_frame (mem t) frame img;
-            let e = t.frames.(frame) in
-            e.used_by <- ptw_abs;
-            e.record_handle <- record_handle;
-            e.quota_cell <- cell;
-            e.pinned <- false;
-            mirror t frame;
-            Hw.Ptw.write (mem t) ptw_abs (Hw.Ptw.in_core ~frame);
+            claim_frame t frame ~ptw_abs ~record_handle
+              ~cell:(pt_cell t ptw_abs) ~in_transit:false;
             t.page_reads <- t.page_reads + 1;
             Meter.charge_raw t.acct (Volume.io_latency_ns t.volume);
             `Ok
@@ -721,35 +714,13 @@ let cleaner_step t _vp =
            densest allocator. *)
         let w = Hw.Phys_mem.read (mem t) e.used_by in
         if Hw.Ptw.raw_modified w && not (Hw.Ptw.raw_used w) then begin
-          let img = Hw.Phys_mem.read_frame (mem t) frame in
-          let old_handle = e.record_handle in
-          let ptw_abs = e.used_by in
-          let prev = Multics_obs.Sink.current t.obs in
-          let wb_ctx =
-            Multics_obs.Sink.new_ctx t.obs ~origin:"write_behind" ()
-          in
-          Multics_obs.Sink.set_current t.obs wb_ctx;
-          Multics_obs.Sink.attribute t.obs ~ctx:wb_ctx ~cpu_ns:0 ~ios:1;
-          if t.use_io_sched then
-            Volume.write_record_async t.volume ~handle:old_handle
-              ~done_:(function
-                | Ok () -> ()
-                | Error err ->
-                    handle_write_failure t ~ptw_abs ~old_handle img err)
-              img
-          else begin
-            (match
-               Volume.write_page t.volume ~handle:old_handle img
-             with
-            | Ok () -> ()
-            | Error err -> handle_write_failure t ~ptw_abs ~old_handle img err);
-            (* The daemon's own low-priority time, metered separately
-               so fault-path accounting stays clean. *)
-            Meter.charge_raw t.cleaner_acct (Volume.io_latency_ns t.volume)
-          end;
-          Multics_obs.Sink.set_current t.obs prev;
+          write_behind t ~frame ~ptw_abs:e.used_by
+            ~old_handle:e.record_handle;
+          (* A flat write is the daemon's own low-priority time, metered
+             separately so fault-path accounting stays clean. *)
+          if not t.use_io_sched then
+            Meter.charge_raw t.cleaner_acct (Volume.io_latency_ns t.volume);
           Hw.Phys_mem.write (mem t) e.used_by (Hw.Ptw.raw_clear_modified w);
-          t.page_writes <- t.page_writes + 1;
           t.pages_cleaned <- t.pages_cleaned + 1;
           incr cleaned
         end

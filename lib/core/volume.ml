@@ -23,18 +23,18 @@ let entry t base_cost =
 
 let create ?(faults = Hw.Fault_inject.none) ?choice ?io_config ~machine
     ~meter ~signals () =
+  (* The machine's sink is installed before any manager is created, so
+     handing it to the scheduler here puts the elevator's batch spans
+     in the kernel's trace.  The arm's busy time is device time, not
+     kernel time: the scheduler's own [s_busy_ns] keeps it, and nothing
+     books it into the meter. *)
   let io =
     Hw.Io_sched.create ?config:io_config ~disk:machine.Hw.Machine.disk
       ~faults ?choice
       ~now:(fun () -> Hw.Machine.now machine)
+      ~obs:(Hw.Machine.obs machine)
       ~schedule:(Hw.Machine.schedule machine) ()
   in
-  (* The arm's busy time is device time, not kernel time: the
-     scheduler's own [s_busy_ns] keeps it, and nothing books it into
-     the meter.  The machine's sink is installed before any manager is
-     created, so capturing it here wires the elevator's batch spans to
-     the kernel's trace. *)
-  Hw.Io_sched.set_obs io (Hw.Machine.obs machine);
   { machine; acct = Meter.account meter name; io; locator = Hashtbl.create 64;
     full_pack_count = 0; signals;
     offline_signalled = Hashtbl.create 4; offline_signal_count = 0;

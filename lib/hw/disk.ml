@@ -198,7 +198,6 @@ let fingerprint t =
       (fun (index, e) ->
         mix index;
         mix e.uid;
-        mix (len_pages e);
         Array.iter
           (fun handle ->
             mix handle;

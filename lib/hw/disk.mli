@@ -127,7 +127,8 @@ val len_pages : vtoc_entry -> int
 
 val fingerprint : t -> int
 (** A digest of everything on the disk: per VTOC entry in pack and
-    index order, the index, the uid, {!len_pages}, each file-map handle
-    and every word of each record the map names.  Reading the records
-    counts in {!io_count}.  Two disks that differ in any word a file map
-    reaches differ here (barring a collision). *)
+    index order, the index, the uid, each file-map handle and every
+    word of each record the map names.  It mixes nothing derived from
+    these ({!len_pages} is not mixed).  Reading the records counts in
+    {!io_count}.  Two disks that differ in any word a file map reaches
+    differ here (barring a collision). *)

@@ -6,7 +6,6 @@ type config = {
   seek_ns : int;
   transfer_ns : int;
   retry_limit : int;
-  retry_backoff_ns : int;
   retry_budget : int;
   breaker_threshold : int;
   breaker_cooldown_ns : int;
@@ -19,7 +18,6 @@ let config_of_disk disk =
     seek_ns = Disk.seek_latency_ns disk;
     transfer_ns = Disk.transfer_latency_ns disk;
     retry_limit = 4;
-    retry_backoff_ns = Disk.transfer_latency_ns disk;
     retry_budget = 0;
     breaker_threshold = 0;
     breaker_cooldown_ns = 0 }
@@ -80,24 +78,24 @@ type pack_state = {
 }
 
 type stats = {
-  s_reads : int;
-  s_writes : int;
-  s_batches : int;
-  s_merges : int;
-  s_max_batch : int;
-  s_queue_peak : int;
-  s_busy_ns : int;
-  s_cancelled : int;
-  s_retries : int;
-  s_gave_up : int;
-  s_deadline_batches : int;
-  s_buffer_hits : int;
-  s_timeouts : int;
-  s_fast_fails : int;
-  s_budget_denied : int;
-  s_breaker_opens : int;
-  s_breaker_probes : int;
-  s_breaker_closes : int;
+  mutable s_reads : int;
+  mutable s_writes : int;
+  mutable s_batches : int;
+  mutable s_merges : int;
+  mutable s_max_batch : int;
+  mutable s_queue_peak : int;
+  mutable s_busy_ns : int;
+  mutable s_cancelled : int;
+  mutable s_retries : int;
+  mutable s_gave_up : int;
+  mutable s_deadline_batches : int;
+  mutable s_buffer_hits : int;
+  mutable s_timeouts : int;
+  mutable s_fast_fails : int;
+  mutable s_budget_denied : int;
+  mutable s_breaker_opens : int;
+  mutable s_breaker_probes : int;
+  mutable s_breaker_closes : int;
 }
 
 type t = {
@@ -120,24 +118,7 @@ type t = {
      the stale image must be skipped, not applied. *)
   applied_seq : (int * int, int) Hashtbl.t;
   mutable seq : int;
-  mutable reads : int;
-  mutable writes : int;
-  mutable batches : int;
-  mutable merges : int;
-  mutable max_batch_seen : int;
-  mutable queue_peak : int;
-  mutable busy_ns : int;
-  mutable cancelled : int;
-  mutable retries : int;
-  mutable gave_up : int;
-  mutable deadline_batches : int;
-  mutable buffer_hits : int;
-  mutable timeouts : int;
-  mutable fast_fails : int;
-  mutable budget_denied : int;
-  mutable br_opens : int;
-  mutable br_probes : int;
-  mutable br_closes : int;
+  st : stats;
   (* root context -> remaining retries; populated lazily, only when
      [retry_budget > 0] and the request carries a context. *)
   budget_left : (int, int) Hashtbl.t;
@@ -147,17 +128,18 @@ type t = {
   mutable has_deadlines : bool;
   mutable on_apply :
     pack:int -> record:int -> acked:bool -> Page_image.t -> unit;
-  mutable obs : Multics_obs.Sink.t;
+  obs : Multics_obs.Sink.t;
   mutable batch_seq : int;  (* async-span pairing ids for the exporter *)
 }
 
 let create ?config ?(faults = Fault_inject.none)
-    ?(choice = Choice.default) ?(now = fun () -> 0) ~disk ~schedule () =
+    ?(choice = Choice.default) ?(now = fun () -> 0)
+    ?(obs = Multics_obs.Sink.detached ()) ~disk ~schedule () =
   let config =
     match config with Some c -> c | None -> config_of_disk disk
   in
   assert (config.max_batch > 0 && config.seek_ns >= 0 && config.transfer_ns > 0);
-  assert (config.retry_limit > 0 && config.retry_backoff_ns > 0);
+  assert (config.retry_limit > 0);
   assert (config.pack_ways >= 1);
   assert (config.retry_budget >= 0);
   assert (config.breaker_threshold = 0 || config.breaker_cooldown_ns > 0);
@@ -173,17 +155,19 @@ let create ?config ?(faults = Fault_inject.none)
             kick_planted = false; busy_records = Hashtbl.create 16 });
     pending_writes = Hashtbl.create 64;
     applied_seq = Hashtbl.create 64;
-    seq = 0; reads = 0; writes = 0; batches = 0; merges = 0;
-    max_batch_seen = 0; queue_peak = 0; busy_ns = 0; cancelled = 0;
-    retries = 0; gave_up = 0; deadline_batches = 0; buffer_hits = 0;
-    timeouts = 0; fast_fails = 0; budget_denied = 0;
-    br_opens = 0; br_probes = 0; br_closes = 0;
+    seq = 0;
+    st =
+      { s_reads = 0; s_writes = 0; s_batches = 0; s_merges = 0;
+        s_max_batch = 0; s_queue_peak = 0; s_busy_ns = 0; s_cancelled = 0;
+        s_retries = 0; s_gave_up = 0; s_deadline_batches = 0;
+        s_buffer_hits = 0; s_timeouts = 0; s_fast_fails = 0;
+        s_budget_denied = 0; s_breaker_opens = 0; s_breaker_probes = 0;
+        s_breaker_closes = 0 };
     budget_left = Hashtbl.create 16; has_deadlines = false;
     on_apply = (fun ~pack:_ ~record:_ ~acked:_ _ -> ());
-    obs = Multics_obs.Sink.detached (); batch_seq = 0 }
+    obs; batch_seq = 0 }
 
 let set_on_apply t f = t.on_apply <- f
-let set_obs t sink = t.obs <- sink
 let single_transfer_ns t = t.config.seek_ns + t.config.transfer_ns
 
 (* The deadline follows the Linux deadline scheduler's proportions:
@@ -215,14 +199,14 @@ let dispatch_ref : (t -> pack_state -> unit) ref = ref (fun _ _ -> ())
 
 let breaker_half t p =
   p.breaker <- Br_half;
-  t.br_probes <- t.br_probes + 1;
+  t.st.s_breaker_probes <- t.st.s_breaker_probes + 1;
   Multics_obs.Sink.instant t.obs ~tid:p.id ~cat:"io" ~name:"breaker_half_open"
     ()
 
 let breaker_trip t p =
   let until = t.now () + t.config.breaker_cooldown_ns in
   p.breaker <- Br_open until;
-  t.br_opens <- t.br_opens + 1;
+  t.st.s_breaker_opens <- t.st.s_breaker_opens + 1;
   Multics_obs.Sink.instant t.obs ~tid:p.id ~arg:until ~cat:"io"
     ~name:"breaker_open" ();
   t.schedule ~delay:t.config.breaker_cooldown_ns (fun () ->
@@ -241,7 +225,7 @@ let breaker_note_success t p =
     | Br_half ->
         p.breaker <- Br_closed;
         p.closes <- p.closes + 1;
-        t.br_closes <- t.br_closes + 1;
+        t.st.s_breaker_closes <- t.st.s_breaker_closes + 1;
         Multics_obs.Sink.instant t.obs ~tid:p.id ~cat:"io"
           ~name:"breaker_close" ()
     | _ -> ()
@@ -362,7 +346,7 @@ let batch_cost t ~head batch =
   List.iter
     (fun r ->
       if r.record - !prev <= 1 && r.record - !prev >= 0
-      then t.merges <- t.merges + 1
+      then t.st.s_merges <- t.st.s_merges + 1
       else cost := !cost + t.config.seek_ns;
       cost := !cost + t.config.transfer_ns;
       prev := r.record)
@@ -390,11 +374,6 @@ let way_distance t ~head sorted_pool =
       in
       Disk.records_per_pack t.disk - head + mn
 
-let deliver_error (r : req) err =
-  match r.op with
-  | Read done_ -> done_ (Error err)
-  | Write (_, done_) -> ( match done_ with Some f -> f (Error err) | None -> ())
-
 let drop_pending_write t pack (r : req) =
   match Hashtbl.find_opt t.pending_writes (pack, r.record) with
   | Some imgs -> (
@@ -402,6 +381,26 @@ let drop_pending_write t pack (r : req) =
       | [] -> Hashtbl.remove t.pending_writes (pack, r.record)
       | rest -> Hashtbl.replace t.pending_writes (pack, r.record) rest)
   | None -> ()
+
+(* A terminal failure: a write's buffered image will never land, so no
+   reader may see it; then the submitter hears the error. *)
+let fail t pack (r : req) err =
+  match r.op with
+  | Read done_ -> done_ (Error err)
+  | Write (_, done_) ->
+      drop_pending_write t pack r;
+      (match done_ with Some f -> f (Error err) | None -> ())
+
+(* Deliver [v] to [done_] from a fresh event at this instant, under the
+   submitter's context: the completion still arrives through the
+   asynchronous channel, without touching an arm. *)
+let deliver_later t done_ v =
+  let ctx = Multics_obs.Sink.current t.obs in
+  t.schedule ~delay:0 (fun () ->
+      let prev = Multics_obs.Sink.current t.obs in
+      Multics_obs.Sink.set_current t.obs ctx;
+      done_ v;
+      Multics_obs.Sink.set_current t.obs prev)
 
 let apply_write t pack (r : req) img ~acked =
   (* Skip a stale retried image a newer same-record write already
@@ -431,22 +430,16 @@ let rec execute_req ?(sync = false) t pack (r : req) =
     (if (not sync) && not (breaker_admits t (pack_state t pack)) then begin
       (* Fail fast: the pack's breaker is open.  Quiesce ([sync]) is
          exempt — at shutdown the request deserves its real outcome. *)
-      if (match r.op with Write _ -> true | Read _ -> false) then
-        drop_pending_write t pack r;
-      t.fast_fails <- t.fast_fails + 1;
-      deliver_error r Breaker_open
+      t.st.s_fast_fails <- t.st.s_fast_fails + 1;
+      fail t pack r Breaker_open
     end
     else if pack_is_offline t pack then begin
-      if (match r.op with Write _ -> true | Read _ -> false) then
-        drop_pending_write t pack r;
       Multics_obs.Sink.count t.obs "io.offline_fail";
       breaker_note_failure t (pack_state t pack) ~offline:true;
-      deliver_error r Pack_offline
+      fail t pack r Pack_offline
     end
-    else if Disk.record_is_dead t.disk ~pack ~record:r.record then begin
-      (match r.op with Write _ -> drop_pending_write t pack r | Read _ -> ());
-      deliver_error r Dead_record
-    end
+    else if Disk.record_is_dead t.disk ~pack ~record:r.record then
+      fail t pack r Dead_record
     else
       match r.op with
       | Read done_ ->
@@ -486,27 +479,25 @@ and attempt_failed t pack (r : req) ~sync =
   if r.attempts >= t.config.retry_limit then begin
     (* N consecutive failures: the record is declared dead and retired
        so nothing ever allocates or touches it again. *)
-    t.gave_up <- t.gave_up + 1;
+    t.st.s_gave_up <- t.st.s_gave_up + 1;
     Disk.mark_dead t.disk ~pack ~record:r.record;
-    (match r.op with Write _ -> drop_pending_write t pack r | Read _ -> ());
-    deliver_error r Dead_record
+    fail t pack r Dead_record
   end
   else if (not sync) && not (budget_allows t r) then begin
     (* The requester's retry budget is spent: give the record up for
        this request (it stays alive for others) instead of queueing
        another backoff nobody will wait for. *)
-    t.budget_denied <- t.budget_denied + 1;
-    (match r.op with Write _ -> drop_pending_write t pack r | Read _ -> ());
-    deliver_error r Timed_out
+    t.st.s_budget_denied <- t.st.s_budget_denied + 1;
+    fail t pack r Timed_out
   end
   else begin
-    t.retries <- t.retries + 1;
+    t.st.s_retries <- t.st.s_retries + 1;
     Multics_obs.Sink.instant t.obs ~arg:r.record ~cat:"io" ~name:"retry" ();
     if sync then execute_req ~sync t pack r
     else begin
       let p = pack_state t pack in
       p.retrying <- r :: p.retrying;
-      let base = t.config.retry_backoff_ns * (1 lsl (r.attempts - 1)) in
+      let base = t.config.transfer_ns * (1 lsl (r.attempts - 1)) in
       (* Deterministic jitter in quarter-steps of the base delay, drawn
          through the choice plane: the inert strategy picks 0 (the
          plain exponential backoff), the seeded-LCG strategy spreads
@@ -534,10 +525,11 @@ let rec deliver_chosen ~sync t p = function
       deliver_chosen ~sync t p (List.filteri (fun j _ -> j <> i) rs)
 
 let finish_batch ?(sync = false) t p batch cost =
-  t.batches <- t.batches + 1;
-  t.busy_ns <- t.busy_ns + cost;
+  let st = t.st in
+  st.s_batches <- st.s_batches + 1;
+  st.s_busy_ns <- st.s_busy_ns + cost;
   let size = List.length batch in
-  if size > t.max_batch_seen then t.max_batch_seen <- size;
+  if size > st.s_max_batch then st.s_max_batch <- size;
   if not (Choice.is_active t.choice) then
     List.iter (execute_req ~sync t p.id) batch
   else deliver_chosen ~sync t p batch;
@@ -563,6 +555,22 @@ let release_records p batch =
       | None -> ())
     batch
 
+(* Cut a sweep for arm [w] from the sorted pool: the first [max_batch]
+   requests of the circular pass from the arm's head, priced, with the
+   overflow requeued behind [rest] and the head moved past the last
+   record served. *)
+let cut_sweep t p w ~sorted ~rest =
+  let batch, overflow =
+    split_batch t.config.max_batch [] (sweep_from ~head:w.head sorted)
+  in
+  p.queue <- rest @ overflow;
+  p.depth <- p.depth - List.length batch;
+  let cost = batch_cost t ~head:w.head batch in
+  (match List.rev batch with
+  | last :: _ -> w.head <- last.record + 1
+  | [] -> ());
+  (batch, cost)
+
 (* Assign as many sweeps to free arms as the queue supports.  Way
    choice is nearest-first: the free way whose head is closest (in
    forward circular distance) to the first record the sweep would
@@ -586,10 +594,10 @@ let rec dispatch t p =
       p.depth <- p.depth - List.length dead;
       List.iter
         (fun (r : req) ->
-          t.timeouts <- t.timeouts + 1;
+          t.st.s_timeouts <- t.st.s_timeouts + 1;
           let prev = Multics_obs.Sink.current t.obs in
           Multics_obs.Sink.set_current t.obs r.req_ctx;
-          deliver_error r Timed_out;
+          fail t p.id r Timed_out;
           Multics_obs.Sink.set_current t.obs prev)
         dead
     end
@@ -633,53 +641,45 @@ let rec dispatch t p =
   end
 
 and launch t p w ~sorted ~rest ~deadline_forced =
-  let sweep = sweep_from ~head:w.head sorted in
-  let batch, overflow = split_batch t.config.max_batch [] sweep in
-  match batch with
-  | [] -> ()
-  | _ :: _ ->
-      if deadline_forced then t.deadline_batches <- t.deadline_batches + 1;
-      p.queue <- rest @ overflow;
-      p.depth <- p.depth - List.length batch;
-      let cost = batch_cost t ~head:w.head batch in
-      (match List.rev batch with
-      | last :: _ -> w.head <- last.record + 1
-      | [] -> ());
-      w.w_busy <- true;
-      bar_records p batch;
-      let live = ref true in
-      let id = t.batch_seq in
-      t.batch_seq <- t.batch_seq + 1;
-      p.inflight <- (batch, cost, live, id, w) :: p.inflight;
-      Multics_obs.Sink.async_begin t.obs ~tid:p.id ~arg:(List.length batch)
-        ~cat:"io" ~name:"batch" ~id ();
-      (* Queue age: how long each request waited for an arm, sampled at
-         dispatch under the request's own context so the I/O SLO
-         watchdog blames the right requester. *)
-      List.iter
-        (fun (r : req) ->
-          let prev = Multics_obs.Sink.current t.obs in
-          Multics_obs.Sink.set_current t.obs r.req_ctx;
-          Multics_obs.Sink.add_latency t.obs ~name:"io.queue_age"
-            (t.now () - r.submitted);
-          Multics_obs.Sink.set_current t.obs prev)
-        batch;
-      t.schedule ~delay:cost (fun () ->
-          (* [live] goes false when quiesce or crash already settled
-             the sweep; the stale completion event must be a no-op. *)
-          if !live then begin
-            live := false;
-            p.inflight <-
-              List.filter (fun (_, _, l, _, _) -> l != live) p.inflight;
-            release_records p batch;
-            w.w_busy <- false;
-            Multics_obs.Sink.async_end t.obs ~tid:p.id ~cat:"io"
-              ~name:"batch" ~id ();
-            finish_batch t p batch cost;
-            dispatch t p
-          end);
-      (* More work and more arms may remain. *)
-      dispatch t p
+  let batch, cost = cut_sweep t p w ~sorted ~rest in
+  (* A nonempty pool and [max_batch > 0] make a nonempty batch. *)
+  if deadline_forced then
+    t.st.s_deadline_batches <- t.st.s_deadline_batches + 1;
+  w.w_busy <- true;
+  bar_records p batch;
+  let live = ref true in
+  let id = t.batch_seq in
+  t.batch_seq <- t.batch_seq + 1;
+  p.inflight <- (batch, cost, live, id, w) :: p.inflight;
+  Multics_obs.Sink.async_begin t.obs ~tid:p.id ~arg:(List.length batch)
+    ~cat:"io" ~name:"batch" ~id ();
+  (* Queue age: how long each request waited for an arm, sampled at
+     dispatch under the request's own context so the I/O SLO
+     watchdog blames the right requester. *)
+  List.iter
+    (fun (r : req) ->
+      let prev = Multics_obs.Sink.current t.obs in
+      Multics_obs.Sink.set_current t.obs r.req_ctx;
+      Multics_obs.Sink.add_latency t.obs ~name:"io.queue_age"
+        (t.now () - r.submitted);
+      Multics_obs.Sink.set_current t.obs prev)
+    batch;
+  t.schedule ~delay:cost (fun () ->
+      (* [live] goes false when quiesce or crash already settled
+         the sweep; the stale completion event must be a no-op. *)
+      if !live then begin
+        live := false;
+        p.inflight <-
+          List.filter (fun (_, _, l, _, _) -> l != live) p.inflight;
+        release_records p batch;
+        w.w_busy <- false;
+        Multics_obs.Sink.async_end t.obs ~tid:p.id ~cat:"io"
+          ~name:"batch" ~id ();
+        finish_batch t p batch cost;
+        dispatch t p
+      end);
+  (* More work and more arms may remain. *)
+  dispatch t p
 
 let () = dispatch_ref := dispatch
 
@@ -709,31 +709,20 @@ let submit t ~pack ~record op =
     ~name:"submit" ();
   p.queue <- r :: p.queue;
   p.depth <- p.depth + 1;
-  if p.depth > t.queue_peak then t.queue_peak <- p.depth;
+  if p.depth > t.st.s_queue_peak then t.st.s_queue_peak <- p.depth;
   kick t p;
   r
 
-(* Deliver an error completion from a fresh event, under the
-   submitter's context — the shed request still completes through the
-   normal asynchronous channel, just without touching the pack. *)
-let shed t ~err deliver =
-  let ctx = Multics_obs.Sink.current t.obs in
-  t.schedule ~delay:0 (fun () ->
-      let prev = Multics_obs.Sink.current t.obs in
-      Multics_obs.Sink.set_current t.obs ctx;
-      deliver (Error err);
-      Multics_obs.Sink.set_current t.obs prev)
-
 let submit_read t ~pack ~record ~done_ =
-  t.reads <- t.reads + 1;
+  t.st.s_reads <- t.st.s_reads + 1;
   if ctx_expired t (Multics_obs.Sink.current t.obs) then begin
     (* Enqueue checkpoint: the requester's deadline already passed. *)
-    t.timeouts <- t.timeouts + 1;
-    shed t ~err:Timed_out done_
+    t.st.s_timeouts <- t.st.s_timeouts + 1;
+    deliver_later t done_ (Error Timed_out)
   end
   else if not (breaker_admits t (pack_state t pack)) then begin
-    t.fast_fails <- t.fast_fails + 1;
-    shed t ~err:Breaker_open done_
+    t.st.s_fast_fails <- t.st.s_fast_fails + 1;
+    deliver_later t done_ (Error Breaker_open)
   end
   else
   (* Write-buffer read hit: the newest buffered image is exactly what
@@ -744,24 +733,19 @@ let submit_read t ~pack ~record ~done_ =
   | Some ((_, img) :: _)
     when (not (pack_is_offline t pack))
          && not (Disk.record_is_dead t.disk ~pack ~record) ->
-      t.buffer_hits <- t.buffer_hits + 1;
-      let ctx = Multics_obs.Sink.current t.obs in
-      t.schedule ~delay:0 (fun () ->
-          let prev = Multics_obs.Sink.current t.obs in
-          Multics_obs.Sink.set_current t.obs ctx;
-          done_ (Ok img);
-          Multics_obs.Sink.set_current t.obs prev)
+      t.st.s_buffer_hits <- t.st.s_buffer_hits + 1;
+      deliver_later t done_ (Ok img)
   | _ -> ignore (submit t ~pack ~record (Read done_))
 
 let submit_write t ?done_ ~pack ~record img =
-  t.writes <- t.writes + 1;
+  t.st.s_writes <- t.st.s_writes + 1;
   if not (breaker_admits t (pack_state t pack)) then begin
     (* Fail fast without buffering an image a closed breaker would
        later flush over newer data.  Expired-deadline writes are NOT
        shed: durability outranks the deadline. *)
-    t.fast_fails <- t.fast_fails + 1;
+    t.st.s_fast_fails <- t.st.s_fast_fails + 1;
     match done_ with
-    | Some f -> shed t ~err:Breaker_open f
+    | Some f -> deliver_later t f (Error Breaker_open)
     | None -> ()
   end
   else
@@ -780,13 +764,33 @@ let cancel_writes t ~pack ~record =
     match r.op with
     | Write _ when r.record = record && not r.cancelled ->
         r.cancelled <- true;
-        t.cancelled <- t.cancelled + 1
+        t.st.s_cancelled <- t.st.s_cancelled + 1
     | _ -> ()
   in
   List.iter cancel p.queue;
   List.iter (fun (batch, _, _, _, _) -> List.iter cancel batch) p.inflight;
   List.iter cancel p.retrying;
   Hashtbl.remove t.pending_writes (pack, record)
+
+(* Inline bounded retry: a blocking shim cannot wait out a backoff, so
+   it burns its attempts back to back while [fails] says the attempt
+   failed, and the last failure retires the record.  [transfer] is the
+   successful attempt. *)
+let retry_inline t ~pack ~record ~fails transfer =
+  let rec go attempts =
+    if fails t.faults ~pack ~record then
+      if attempts + 1 >= t.config.retry_limit then begin
+        t.st.s_gave_up <- t.st.s_gave_up + 1;
+        Disk.mark_dead t.disk ~pack ~record;
+        Error Dead_record
+      end
+      else begin
+        t.st.s_retries <- t.st.s_retries + 1;
+        go (attempts + 1)
+      end
+    else Ok (transfer ())
+  in
+  go 0
 
 let read_now t ~pack ~record =
   if pack_is_offline t pack then Error Pack_offline
@@ -798,49 +802,19 @@ let read_now t ~pack ~record =
         ignore (Disk.read_record t.disk ~pack ~record);
         Ok img
     | _ ->
-        (* Inline bounded retry: the blocking shim cannot wait out a
-           backoff, so it burns its attempts back to back. *)
-        let rec go attempts =
-          if Fault_inject.read_attempt_fails t.faults ~pack ~record then begin
-            if attempts + 1 >= t.config.retry_limit then begin
-              t.gave_up <- t.gave_up + 1;
-              Disk.mark_dead t.disk ~pack ~record;
-              Error Dead_record
-            end
-            else begin
-              t.retries <- t.retries + 1;
-              go (attempts + 1)
-            end
-          end
-          else Ok (Disk.read_record t.disk ~pack ~record)
-        in
-        go 0
+        retry_inline t ~pack ~record ~fails:Fault_inject.read_attempt_fails
+          (fun () -> Disk.read_record t.disk ~pack ~record)
 
 let write_now t ~pack ~record img =
   if pack_is_offline t pack then Error Pack_offline
   else if Disk.record_is_dead t.disk ~pack ~record then Error Dead_record
   else begin
     cancel_writes t ~pack ~record;
-    let rec go attempts =
-      if Fault_inject.write_attempt_fails t.faults ~pack ~record then begin
-        if attempts + 1 >= t.config.retry_limit then begin
-          t.gave_up <- t.gave_up + 1;
-          Disk.mark_dead t.disk ~pack ~record;
-          Error Dead_record
-        end
-        else begin
-          t.retries <- t.retries + 1;
-          go (attempts + 1)
-        end
-      end
-      else begin
+    retry_inline t ~pack ~record ~fails:Fault_inject.write_attempt_fails
+      (fun () ->
         Disk.write_record t.disk ~pack ~record img;
         Hashtbl.replace t.applied_seq (pack, record) t.seq;
-        t.on_apply ~pack ~record ~acked:true img;
-        Ok ()
-      end
-    in
-    go 0
+        t.on_apply ~pack ~record ~acked:true img)
   end
 
 let quiesce t =
@@ -877,14 +851,7 @@ let quiesce t =
         match List.sort by_record_seq p.queue with
         | [] -> ()
         | sorted ->
-            let sweep = sweep_from ~head:w.head sorted in
-            let batch, overflow = split_batch t.config.max_batch [] sweep in
-            p.queue <- overflow;
-            p.depth <- p.depth - List.length batch;
-            let cost = batch_cost t ~head:w.head batch in
-            (match List.rev batch with
-            | last :: _ -> w.head <- last.record + 1
-            | [] -> ());
+            let batch, cost = cut_sweep t p w ~sorted ~rest:[] in
             finish_batch ~sync:true t p batch cost;
             drain ()
       in
@@ -953,15 +920,7 @@ let breaker_state t ~pack =
 
 let recoveries t ~pack = (pack_state t pack).closes
 
-let stats t =
-  { s_reads = t.reads; s_writes = t.writes; s_batches = t.batches;
-    s_merges = t.merges; s_max_batch = t.max_batch_seen;
-    s_queue_peak = t.queue_peak; s_busy_ns = t.busy_ns;
-    s_cancelled = t.cancelled; s_retries = t.retries; s_gave_up = t.gave_up;
-    s_deadline_batches = t.deadline_batches; s_buffer_hits = t.buffer_hits;
-    s_timeouts = t.timeouts; s_fast_fails = t.fast_fails;
-    s_budget_denied = t.budget_denied; s_breaker_opens = t.br_opens;
-    s_breaker_probes = t.br_probes; s_breaker_closes = t.br_closes }
+let stats t = { t.st with s_reads = t.st.s_reads }
 
 let mean_batch s =
   if s.s_batches = 0 then 0.0

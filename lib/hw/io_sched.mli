@@ -96,14 +96,13 @@ type config = {
   seek_ns : int;  (** head reposition to a non-adjacent record *)
   transfer_ns : int;  (** one record transfer *)
   retry_limit : int;
-      (** consecutive failed attempts before a record is declared dead *)
-  retry_backoff_ns : int;
-      (** first retry delay; doubles on each further failure.  Each
-          delay gains a deterministic jitter of 0-3 quarter-steps,
-          drawn through the choice plane's ["io.backoff"] domain: the
-          inert strategy draws 0, the explorer enumerates the four
-          delays, the seeded-LCG strategy spreads colliding
-          retries. *)
+      (** consecutive failed attempts before a record is declared dead.
+          The first retry waits [transfer_ns], and each further one
+          twice the last.  Each delay gains a deterministic jitter of
+          0-3 quarter-steps, drawn through the choice plane's
+          ["io.backoff"] domain: the inert strategy draws 0, the
+          explorer enumerates the four delays, the seeded-LCG strategy
+          spreads colliding retries. *)
   retry_budget : int;
       (** total backoff retries a root request context may consume
           across all its requests; past it the request sees
@@ -142,6 +141,7 @@ val pp_io_error : Format.formatter -> io_error -> unit
 val create :
   ?config:config -> ?faults:Fault_inject.t ->
   ?choice:Multics_choice.Choice.t -> ?now:(unit -> int) ->
+  ?obs:Multics_obs.Sink.t ->
   disk:Disk.t -> schedule:(delay:int -> (unit -> unit) -> unit) -> unit -> t
 (** [schedule] plants dispatch and completion events; wire it to
     [Machine.schedule].  [faults] is the fault plan consulted on every
@@ -150,7 +150,11 @@ val create :
     which is only safe with no offline events planned).  [choice]
     (default inert) governs the order a sweep's completions are
     delivered — sweep order under the inert strategy, strategy-picked
-    (domain ["io.deliver"], ids = submission sequence) otherwise. *)
+    (domain ["io.deliver"], ids = submission sequence) otherwise.
+    [obs] (default {!Multics_obs.Sink.detached}) is the kernel's sink:
+    each sweep is an async ["io"/"batch"] span (tid = pack), each
+    submission an instant, each sweep's cost an ["io.batch"] sample;
+    request contexts, deadlines and retry budgets are read from it. *)
 
 val single_transfer_ns : t -> int
 (** [seek_ns + transfer_ns]: the cost of one unbatched transfer, and
@@ -232,41 +236,36 @@ val recoveries : t -> pack:int -> int
     signalled the pack offline, so a pack that goes offline twice
     signals twice without the scheduler calling up. *)
 
-val set_obs : t -> Multics_obs.Sink.t -> unit
-(** Install the kernel's observability sink.  Each dispatched sweep
-    becomes an async ["io"/"batch"] span (tid = pack) paired by a batch
-    id, submissions become instants, and batch service cost feeds the
-    ["io.batch"] histogram.  Purely observational. *)
-
 (* Statistics *)
 
-type stats = {
-  s_reads : int;  (** read requests submitted *)
-  s_writes : int;  (** write requests submitted *)
-  s_batches : int;  (** sweeps dispatched *)
-  s_merges : int;  (** adjacent-record transfers chained without a seek *)
-  s_max_batch : int;  (** largest sweep *)
-  s_queue_peak : int;  (** deepest any pack's queue got *)
-  s_busy_ns : int;
+type stats = private {
+  mutable s_reads : int;  (** read requests submitted *)
+  mutable s_writes : int;  (** write requests submitted *)
+  mutable s_batches : int;  (** sweeps dispatched *)
+  mutable s_merges : int;  (** adjacent records chained without a seek *)
+  mutable s_max_batch : int;  (** largest sweep *)
+  mutable s_queue_peak : int;  (** deepest any pack's queue got *)
+  mutable s_busy_ns : int;
       (** summed batch latencies: the arms' busy time, the one place
           device time is recorded *)
-  s_cancelled : int;  (** writes dropped by {!cancel_writes}/supersede *)
-  s_retries : int;  (** failed attempts that were retried *)
-  s_gave_up : int;  (** requests that exhausted the retry budget *)
-  s_deadline_batches : int;  (** sweeps forced by an expired request *)
-  s_buffer_hits : int;
+  mutable s_cancelled : int;  (** writes dropped by {!cancel_writes} *)
+  mutable s_retries : int;  (** failed attempts that were retried *)
+  mutable s_gave_up : int;  (** requests that exhausted the retry budget *)
+  mutable s_deadline_batches : int;  (** sweeps forced by an expired request *)
+  mutable s_buffer_hits : int;
       (** reads served from the write-behind buffer without an arm *)
-  s_timeouts : int;
-      (** requests cancelled by an expired context deadline *)
-  s_fast_fails : int;  (** requests failed fast by an open breaker *)
-  s_budget_denied : int;
+  mutable s_timeouts : int;  (** requests cancelled by an expired deadline *)
+  mutable s_fast_fails : int;  (** requests failed fast by an open breaker *)
+  mutable s_budget_denied : int;
       (** retries refused because the root context's budget ran dry *)
-  s_breaker_opens : int;  (** closed/half-open -> open transitions *)
-  s_breaker_probes : int;  (** open -> half-open transitions *)
-  s_breaker_closes : int;  (** half-open -> closed transitions *)
+  mutable s_breaker_opens : int;  (** closed/half-open -> open transitions *)
+  mutable s_breaker_probes : int;  (** open -> half-open transitions *)
+  mutable s_breaker_closes : int;  (** half-open -> closed transitions *)
 }
 
 val stats : t -> stats
+(** A snapshot of the counters, which only the scheduler writes: later
+    work does not move it, so two snapshots diff to the work between. *)
 
 val queue_depth : t -> pack:int -> int
 (** Requests currently queued (not yet dispatched) for [pack]. *)

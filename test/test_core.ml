@@ -165,11 +165,22 @@ let test_zero_page_reclaim () =
   let pfm = K.Kernel.page_frame k in
   let ptw_abs = K.Segment.ptw_abs sm ~slot ~pageno:0 in
   let mem = (K.Kernel.machine k).Hw.Machine.mem in
+  let pack, index = K.Segment.slot_home sm ~slot in
+  let map_entry () =
+    (Hw.Disk.vtoc_entry (K.Kernel.machine k).Hw.Machine.disk ~pack ~index)
+      .Hw.Disk.file_map.(0)
+  in
   check Alcotest.bool "page present" true
     (Hw.Ptw.read mem ptw_abs).Hw.Ptw.present;
+  check Alcotest.bool "file map names the page's record" true
+    (map_entry () >= 0);
+  (* [settle] does nothing here: page control itself brings the file
+     map up to date. *)
   K.Page_frame.flush_pages pfm ~ptw_abs ~n:1 ~settle:(fun _ _ -> ());
   check Alcotest.bool "page of zeros reclaimed" true
     (Hw.Ptw.read mem ptw_abs = Hw.Ptw.unallocated_ptw);
+  check Alcotest.int "file map entry unallocated" Hw.Disk.unallocated
+    (map_entry ());
   let used_after, _ = Option.get (K.Kernel.quota_usage k ~path:">home>z") in
   check Alcotest.int "quota credited" 0 used_after;
   check Alcotest.bool "reclaim counted" true
@@ -873,6 +884,54 @@ let test_preemption_round_robin () =
 (* ------------------------------------------------------------------ *)
 (* Descriptor lock bit (unit level) *)
 
+(* A page whose record dies is lost: the failed read damages the
+   descriptor and sets the segment's VTOC damaged switch, and the next
+   fault is told so instead of being handed garbage. *)
+let test_lost_page_damages_segment () =
+  let k = boot_with_home () in
+  K.Kernel.create_file k ~path:">home>lost" ~acl:open_acl ~label:low;
+  let sm = K.Kernel.segment k and pfm = K.Kernel.page_frame k in
+  let target =
+    match
+      K.Name_space.initiate (K.Kernel.name_space k)
+        ~subject:K.Kernel.root_subject ~ring:1 ~path:">home>lost"
+    with
+    | Ok target -> target
+    | Error _ -> Alcotest.fail "initiate"
+  in
+  let slot =
+    match
+      K.Segment.activate sm ~uid:target.K.Directory.t_uid
+        ~cell:target.K.Directory.t_cell
+    with
+    | Ok s -> s
+    | Error _ -> Alcotest.fail "activate"
+  in
+  (match K.Segment.write_word sm ~slot ~pageno:0 ~offset:0 77 with
+  | Ok () -> ()
+  | Error _ -> Alcotest.fail "write");
+  (* Write the page out, then kill its record. *)
+  let ptw_abs = K.Segment.ptw_abs sm ~slot ~pageno:0 in
+  K.Page_frame.flush_pages pfm ~ptw_abs ~n:1 ~settle:(fun _ _ -> ());
+  K.Kernel.run k;
+  let pack, index = K.Segment.slot_home sm ~slot in
+  let vtoc () = Hw.Disk.vtoc_entry (disk_of k) ~pack ~index in
+  let handle = (vtoc ()).Hw.Disk.file_map.(0) in
+  Hw.Disk.mark_dead (disk_of k) ~pack:(Hw.Disk.pack_of_handle handle)
+    ~record:(Hw.Disk.record_of_handle handle);
+  check Alcotest.bool "segment sound before the read" false
+    (vtoc ()).Hw.Disk.damaged;
+  (match K.Page_frame.service_missing_page pfm ~ptw_abs with
+  | K.Page_frame.Wait _ -> ()
+  | _ -> Alcotest.fail "the fault should wait for the read");
+  K.Kernel.run k;
+  check Alcotest.bool "segment damaged" true (vtoc ()).Hw.Disk.damaged;
+  check Alcotest.int "one page damaged" 1
+    (K.Volume.damaged_pages (K.Kernel.volume k));
+  match K.Page_frame.service_missing_page pfm ~ptw_abs with
+  | K.Page_frame.Damaged _ -> ()
+  | _ -> Alcotest.fail "a lost page faults as damaged"
+
 let test_transit_join () =
   let k = boot_with_home () in
   K.Kernel.create_file k ~path:">home>shared" ~acl:open_acl ~label:low;
@@ -1082,6 +1141,8 @@ let tests =
     Alcotest.test_case "preemption round robin" `Quick
       test_preemption_round_robin;
     Alcotest.test_case "transit join (lock bit)" `Quick test_transit_join;
+    Alcotest.test_case "lost page damages its segment" `Quick
+      test_lost_page_damages_segment;
     Alcotest.test_case "gate ring enforcement" `Quick test_gate_ring_enforcement;
     Alcotest.test_case "static dependency audit" `Quick test_static_audit;
     Alcotest.test_case "static audit catches drift" `Quick

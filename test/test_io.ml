@@ -88,7 +88,7 @@ let test_elevator_order () =
    the policy tests below add arms or mix in writes. *)
 let single_arm ~max_batch =
   { Hw.Io_sched.max_batch; pack_ways = 1; seek_ns = 1_000; transfer_ns = 100;
-    retry_limit = 3; retry_backoff_ns = 100;
+    retry_limit = 3;
     retry_budget = 0; breaker_threshold = 0; breaker_cooldown_ns = 0 }
 
 (* Arm time and sweeps charged by one run of the machine: the deltas of
@@ -383,14 +383,61 @@ let test_transient_retry () =
   Hw.Fault_inject.fail_reads faults ~pack:0 ~record:4 ~times:2;
   let machine, disk, io = rig ~faults () in
   Hw.Disk.write_record disk ~pack:0 ~record:4 (page [ 77 ]);
-  let seen = ref 0 in
+  let seen = ref 0 and done_at = ref 0 in
   Hw.Io_sched.submit_read io ~pack:0 ~record:4 ~done_:(fun r ->
-      seen := w0 (expect r));
+      seen := w0 (expect r);
+      done_at := Hw.Machine.now machine);
   Hw.Machine.run machine;
   check Alcotest.int "read recovered after transient errors" 77 !seen;
   let s = Hw.Io_sched.stats io in
   check Alcotest.int "two retries" 2 s.Hw.Io_sched.s_retries;
-  check Alcotest.int "nothing given up" 0 s.Hw.Io_sched.s_gave_up
+  check Alcotest.int "nothing given up" 0 s.Hw.Io_sched.s_gave_up;
+  (* The sweep seeks to record 4 and transfers it; the first retry then
+     waits one transfer time and the second twice that. *)
+  let seek = Hw.Disk.seek_latency_ns disk
+  and transfer = Hw.Disk.transfer_latency_ns disk in
+  check Alcotest.bool "seek and transfer differ" true (seek <> transfer);
+  check Alcotest.int "backoff starts at one transfer and doubles"
+    (seek + transfer + transfer + (2 * transfer))
+    !done_at
+
+(* The blocking shims retry back to back: a record that fails
+   [retry_limit - 1] times still reads on its last attempt, and the
+   [retry_limit]-th failure retires it, for a read and a write alike. *)
+let test_inline_retry_limit () =
+  let config = single_arm ~max_batch:8 in
+  let limit = config.Hw.Io_sched.retry_limit in
+  let faults = Hw.Fault_inject.create () in
+  Hw.Fault_inject.fail_reads faults ~pack:0 ~record:1 ~times:(limit - 1);
+  Hw.Fault_inject.fail_reads faults ~pack:0 ~record:2 ~times:limit;
+  Hw.Fault_inject.bad_record faults ~pack:0 ~record:3;
+  let _machine, disk, io = rig ~config ~faults () in
+  Hw.Disk.write_record disk ~pack:0 ~record:1 (page [ 11 ]);
+  let counts () =
+    let s = Hw.Io_sched.stats io in
+    (s.Hw.Io_sched.s_retries, s.Hw.Io_sched.s_gave_up)
+  in
+  let dead what = function
+    | Error Hw.Io_sched.Dead_record -> ()
+    | Error e -> Alcotest.failf "%s: %a" what Hw.Io_sched.pp_io_error e
+    | Ok _ -> Alcotest.failf "%s: succeeded" what
+  in
+  check Alcotest.int "read recovers on its last attempt" 11
+    (w0 (expect (Hw.Io_sched.read_now io ~pack:0 ~record:1)));
+  check Alcotest.(pair int int) "retried, nothing given up" (limit - 1, 0)
+    (counts ());
+  dead "read failing every attempt"
+    (Hw.Io_sched.read_now io ~pack:0 ~record:2);
+  check Alcotest.(pair int int) "read retired on its last attempt"
+    (2 * (limit - 1), 1) (counts ());
+  check Alcotest.bool "read record dead" true
+    (Hw.Disk.record_is_dead disk ~pack:0 ~record:2);
+  dead "write to a bad record"
+    (Hw.Io_sched.write_now io ~pack:0 ~record:3 (page [ 3 ]));
+  check Alcotest.(pair int int) "write retired on its last attempt"
+    (3 * (limit - 1), 2) (counts ());
+  check Alcotest.bool "written record dead" true
+    (Hw.Disk.record_is_dead disk ~pack:0 ~record:3)
 
 let test_dead_record () =
   let faults = Hw.Fault_inject.create () in
@@ -431,6 +478,51 @@ let test_pack_offline () =
   Hw.Disk.write_record disk ~pack:0 ~record:3 (page [ 9 ]);
   check Alcotest.int "pack 0 still readable" 9
     (w0 (expect (Hw.Io_sched.read_now io ~pack:0 ~record:3)))
+
+(* A write that fails terminally never lands, so its image must not
+   outlive it in the write buffer: once the pack is back, readers see
+   the platter.  One breaker-guarded sweep fails two writes, the first
+   on the offline window (which trips the breaker) and the second fast
+   on the open breaker. *)
+let test_failed_write_drops_image () =
+  let config =
+    { (single_arm ~max_batch:8) with
+      Hw.Io_sched.breaker_threshold = 1; breaker_cooldown_ns = 10_000 }
+  in
+  let faults = Hw.Fault_inject.create () in
+  Hw.Fault_inject.pack_offline faults ~pack:0 ~at_ns:0;
+  Hw.Fault_inject.pack_online faults ~pack:0 ~at_ns:5_000;
+  let machine, disk, io = rig ~config ~faults () in
+  Hw.Disk.write_record disk ~pack:0 ~record:3 (page [ 30 ]);
+  Hw.Disk.write_record disk ~pack:0 ~record:4 (page [ 40 ]);
+  let outcome = function
+    | Ok () -> "ok"
+    | Error e -> Format.asprintf "%a" Hw.Io_sched.pp_io_error e
+  in
+  let acks = ref [] in
+  List.iter
+    (fun r ->
+      Hw.Io_sched.submit_write io ~pack:0 ~record:r (page [ (10 * r) + 1 ])
+        ~done_:(fun res -> acks := (r, outcome res) :: !acks))
+    [ 3; 4 ];
+  let reads = ref [] in
+  Hw.Machine.schedule machine ~delay:20_000 (fun () ->
+      List.iter
+        (fun r ->
+          Hw.Io_sched.submit_read io ~pack:0 ~record:r ~done_:(fun res ->
+              reads := (r, w0 (expect res)) :: !reads))
+        [ 3; 4 ]);
+  Hw.Machine.run machine;
+  check Alcotest.(list (pair int string)) "both writes failed"
+    [ (3, "pack-offline"); (4, "breaker-open") ] (List.rev !acks);
+  check Alcotest.(list (pair int int)) "queued reads see the platter"
+    [ (3, 30); (4, 40) ] (List.sort compare !reads);
+  check Alcotest.(list int) "immediate reads see the platter" [ 30; 40 ]
+    (List.map
+       (fun r -> w0 (expect (Hw.Io_sched.read_now io ~pack:0 ~record:r)))
+       [ 3; 4 ]);
+  check Alcotest.int "no buffer hit" 0
+    (Hw.Io_sched.stats io).Hw.Io_sched.s_buffer_hits
 
 let test_crash_tears_writes () =
   let machine, disk, io = rig () in
@@ -692,8 +784,11 @@ let tests =
       test_cancel_quiesce_multiway;
     Alcotest.test_case "nearest way" `Quick test_nearest_way;
     Alcotest.test_case "transient retry" `Quick test_transient_retry;
+    Alcotest.test_case "inline retry limit" `Quick test_inline_retry_limit;
     Alcotest.test_case "dead record" `Quick test_dead_record;
     Alcotest.test_case "pack offline" `Quick test_pack_offline;
+    Alcotest.test_case "failed write drops its image" `Quick
+      test_failed_write_drops_image;
     Alcotest.test_case "crash tears writes" `Quick test_crash_tears_writes;
     Alcotest.test_case "snapshot outlives its frame" `Quick
       test_snapshot_outlives_frame;

@@ -528,6 +528,51 @@ let test_ctx_propagation () =
       check Alcotest.bool "cpu attributed" true (cpu_ns > 0);
       check Alcotest.bool "ios attributed" true (ios > 0))
 
+(* A write-behind is work spawned for whoever forced the eviction: the
+   flush is submitted under a [write_behind] child of the forcing
+   request and bills that request's user one I/O.  The machine is
+   ctx_kernel's without the cleaning daemon, so the writer's own faults
+   evict inline; its file is only written, its pages created zero in
+   core and never read back, so the user's I/Os are its write-behinds
+   and nothing else. *)
+let test_write_behind_chained_and_billed () =
+  let config =
+    { K.Kernel.default_config with
+      K.Kernel.hw = Hw.Hw_config.with_frames Hw.Hw_config.kernel_multics 64;
+      core_frames = 24; trace = Obs.Sink.Full; use_cleaner_daemon = false }
+  in
+  let k = K.Kernel.boot config in
+  K.Kernel.mkdir k ~path:">home" ~acl:open_acl ~label:low;
+  ignore
+    (K.Kernel.spawn k ~pname:"writer"
+       (K.Workload.concat
+          [ [| K.Workload.Create_file { dir = ">home"; name = "f" };
+               K.Workload.Initiate { path = ">home>f"; reg = 0 } |];
+            K.Workload.sequential_write ~seg_reg:0 ~pages:48 ]));
+  check Alcotest.bool "writer completed" true (K.Kernel.run_to_completion k);
+  let obs = K.Kernel.obs k in
+  let user_write_behind ctx =
+    Obs.Sink.ctx_origin obs ctx = "write_behind"
+    && Obs.Sink.ctx_origin obs (Obs.Sink.ctx_root obs ctx) = "user"
+  in
+  let flushes =
+    List.length
+      (List.filter user_write_behind
+         (List.init (Obs.Sink.ctx_count obs) (fun i -> i + 1)))
+  in
+  check Alcotest.bool "evictions forced write-behinds" true (flushes > 0);
+  check Alcotest.(option int) "each billed one I/O to the user"
+    (Some flushes)
+    (Option.map snd (Obs.Sink.user_usage obs ~user:"user"));
+  check Alcotest.bool "flushes submitted under their write_behind ctx" true
+    (List.exists
+       (fun e ->
+         e.Obs.Trace_buf.ev_phase = Obs.Trace_buf.Instant
+         && e.Obs.Trace_buf.ev_cat = "io"
+         && e.Obs.Trace_buf.ev_name = "submit"
+         && user_write_behind e.Obs.Trace_buf.ev_ctx)
+       (Obs.Trace_buf.events (Obs.Sink.buf obs)))
+
 (* Critical-path extraction over a hand-built causal tree: root 1 with
    children 2 and 3; 3's work finishes last, so the path is 1 -> 3. *)
 let test_critical_path () =
@@ -610,6 +655,8 @@ let tests =
       test_event_pop_counter;
     Alcotest.test_case "benchmark histograms after a paging run" `Quick
       test_benchmark_histograms;
+    Alcotest.test_case "write-behind chained to and billed by its forcer"
+      `Quick test_write_behind_chained_and_billed;
     Alcotest.test_case "critical path extraction" `Quick test_critical_path;
     Alcotest.test_case "slo watchdogs deterministic" `Quick
       test_slo_deterministic ]

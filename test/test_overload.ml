@@ -109,9 +109,8 @@ let io_rig ?(budget = 0) ?choice ~fail_times () =
   let io =
     Hw.Io_sched.create ~config ~faults ?choice
       ~now:(fun () -> Hw.Machine.now machine)
-      ~disk ~schedule:(Hw.Machine.schedule machine) ()
+      ~obs ~disk ~schedule:(Hw.Machine.schedule machine) ()
   in
-  Hw.Io_sched.set_obs io obs;
   Hw.Disk.write_record disk ~pack:0 ~record:0
     (Hw.Page_image.of_words (Array.make Hw.Addr.page_size 7));
   (machine, obs, io)
@@ -160,6 +159,38 @@ let test_backoff_jitter_inert_then_scripted () =
   let jittered = completion ~choice:(Choice.scripted [ 3 ]) () in
   check Alcotest.bool "scripted jitter pushes the retry later" true
     (jittered > plain)
+
+(* A completion the scheduler delivers from a fresh event, without an
+   arm — a write-buffer hit, a read shed at its expired deadline — runs
+   under the context of the request that submitted it, not under
+   whatever context is current when the event fires. *)
+let test_deferred_delivery_context () =
+  let machine, obs, io = io_rig ~fail_times:0 () in
+  Hw.Io_sched.submit_write io ~pack:0 ~record:1
+    (Hw.Page_image.of_words (Array.make Hw.Addr.page_size 5));
+  let hit = Obs.Sink.new_ctx obs ~parent:0 ~origin:"hit" () in
+  let late = Obs.Sink.new_ctx obs ~parent:0 ~deadline:5 ~origin:"late" () in
+  let ambient = Obs.Sink.new_ctx obs ~parent:0 ~origin:"ambient" () in
+  let seen = ref [] in
+  let read ctx record =
+    Obs.Sink.set_current obs ctx;
+    Hw.Io_sched.submit_read io ~pack:0 ~record ~done_:(fun res ->
+        seen := (record, Result.is_ok res, Obs.Sink.current obs) :: !seen)
+  in
+  (* At t=10 the buffered write is still in flight and [late]'s
+     deadline has passed. *)
+  Hw.Machine.schedule machine ~delay:10 (fun () ->
+      read hit 1;
+      read late 0;
+      Obs.Sink.set_current obs ambient);
+  Hw.Machine.run machine;
+  let st = Hw.Io_sched.stats io in
+  check Alcotest.(pair int int) "one buffer hit, one shed read" (1, 1)
+    (st.Hw.Io_sched.s_buffer_hits, st.Hw.Io_sched.s_timeouts);
+  check Alcotest.(list (triple int bool int))
+    "each delivered under its submitter's context"
+    [ (0, false, late); (1, true, hit) ]
+    (List.sort compare !seen)
 
 (* ------------------------------------------------------------------ *)
 (* Offline windows re-arm *)
@@ -516,6 +547,8 @@ let tests =
       test_retry_budget_denies;
     Alcotest.test_case "backoff jitter: inert until scripted" `Quick
       test_backoff_jitter_inert_then_scripted;
+    Alcotest.test_case "deferred delivery keeps the submitter's context"
+      `Quick test_deferred_delivery_context;
     Alcotest.test_case "offline windows re-arm" `Quick
       test_offline_windows_rearm;
     Alcotest.test_case "breakers across two outages, no damage" `Quick
