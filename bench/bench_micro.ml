@@ -187,9 +187,8 @@ let lcg seed =
     !s
 
 (* The event queue alone: fill with n pseudorandom times, drain to
-   empty.  Exercises add and pop at every depth up to n — the time
-   wheel's claim is that both stay flat where the old Map's path cost
-   grew with log n. *)
+   empty.  Exercises add and pop at every depth up to n; the heap's
+   cost per event grows with log n. *)
 let eq_fill_drain n () =
   let q = Hw.Event_queue.create () in
   let next = lcg 12345 in
@@ -206,6 +205,27 @@ let eq_fill_drain n () =
   in
   drain ();
   assert (!popped = n)
+
+(* The traffic the queue serves: a single kernel holds a handful of
+   pending events (5.4 on average at a pop in the benchmark's paging
+   workload, never more than 11), and each handler plants about one
+   more.  Keep 8 pending; each of 10,000 pops re-adds one event at a
+   delay drawn from paging's six most frequent ones, 84% of its adds:
+   0 (a dispatch), 525 ns, 800 ns, 4,525 ns, 26,927 ns and 2 ms (a
+   disk transfer). *)
+let eq_steady_8 () =
+  let delays = [| 0; 525; 800; 4_525; 26_927; 2_000_000 |] in
+  let q = Hw.Event_queue.create () in
+  let next = lcg 4242 in
+  let delay () = delays.((next () lsr 16) mod Array.length delays) in
+  for _ = 1 to 8 do
+    Hw.Event_queue.add q ~time:(delay ()) ignore
+  done;
+  for _ = 1 to 10_000 do
+    match Hw.Event_queue.pop q with
+    | Some (t, _) -> Hw.Event_queue.add q ~time:(t + delay ()) ignore
+    | None -> assert false
+  done
 
 (* The I/O scheduler alone, driven by a private event pump: n reads
    submitted against one pack, sequential or random record pattern,
@@ -264,6 +284,7 @@ let tests () =
     Test.make ~name:"eq: fill+drain 1e5" (Staged.stage (eq_fill_drain 100_000));
     Test.make ~name:"eq: fill+drain 1e6"
       (Staged.stage (eq_fill_drain 1_000_000));
+    Test.make ~name:"eq: steady 8 pending" (Staged.stage eq_steady_8);
     Test.make ~name:"io: 256 sequential reads"
       (Staged.stage (io_sched_pattern ~random_pattern:false 256));
     Test.make ~name:"io: 256 random reads"
@@ -292,6 +313,7 @@ let metric_slugs =
     ("multics eq: fill+drain 1e4", "eq_fill_drain_1e4");
     ("multics eq: fill+drain 1e5", "eq_fill_drain_1e5");
     ("multics eq: fill+drain 1e6", "eq_fill_drain_1e6");
+    ("multics eq: steady 8 pending", "eq_steady_8");
     ("multics io: 256 sequential reads", "io_sched_seq_256");
     ("multics io: 256 random reads", "io_sched_rand_256") ]
 

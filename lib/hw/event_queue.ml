@@ -1,159 +1,106 @@
-(* Hierarchical time wheel.
+(* Binary min-heap over (time, insertion seq).
 
-   The queue holds (time, handler) pairs and must pop them in (time,
-   insertion-seq) order — the tie-break every deterministic trace in
-   this repo depends on.  The previous implementation was a Map keyed
-   by (time, seq): O(log n) with a path of allocations per insert.
-   This one files events into a 13-level x 32-slot wheel: level L slot
-   S covers times whose bits [5L, 5L+5) equal S and whose bits above
-   5(L+1) equal the cursor's.  13 levels x 5 bits = 65 bits, enough to
-   cover the whole non-negative int range relative to any cursor, so
-   there is no overflow list.
+   The queue must pop events in (time, insertion-seq) order — the
+   tie-break every deterministic trace in this repo depends on.  The
+   heap keeps each event's time, seq and handler in three parallel
+   arrays, so an add allocates nothing until the arrays are full, and
+   then they double.  Slot 0 holds the earliest event, so [next_time]
+   reads it in place.
 
-   Invariants (between operations):
-   - every stored time is >= cur;
-   - level-0 slots hold events of exactly one time each, in arrival
-     order (FIFO), so equal-time pops replay insertion order;
-   - for every level L >= 1, the slot at the cursor's own position is
-     empty (see [settle]); therefore events at a level strictly
-     precede all events at higher levels, and the earliest occupied
-     slot of the lowest occupied level contains the global minimum.
-
-   The cursor only advances inside [pop] — [next_time] is pure — so a
-   caller may peek, stop, and later insert events at times between the
-   peeked value and the last popped one (Machine.run's [until] does
-   exactly this). *)
-
-let bits = 5
-let slot_count = 32
-let levels = 13
-
-type ev = { ev_time : int; ev_fn : unit -> unit }
-
-(* Amortized FIFO for a level-0 slot: push prepends to [q_in], pop
-   takes from [q_out], reversing [q_in] once when it drains. *)
-type fifo = { mutable q_in : ev list; mutable q_out : ev list }
+   The seq only grows, so a new event is later than every stored event
+   of the same time: sifting it up compares times alone. *)
 
 type t = {
-  l0 : fifo array;  (* 32 single-time FIFO slots *)
-  upper : ev list array array;  (* levels 1..12, prepend order; row 0 unused *)
-  masks : int array;  (* per-level occupancy bitmask *)
+  mutable times : int array;
+  mutable seqs : int array;
+  mutable fns : (unit -> unit) array;
+  mutable size : int;
+  mutable seq : int;  (* the next event's insertion seq *)
   mutable cur : int;  (* time of the last popped event *)
-  mutable count : int;
 }
 
+let idle () = ()
+let initial_capacity = 64
+
 let create () =
-  { l0 = Array.init slot_count (fun _ -> { q_in = []; q_out = [] });
-    upper = Array.make_matrix levels slot_count [];
-    masks = Array.make levels 0;
-    cur = 0;
-    count = 0 }
+  { times = Array.make initial_capacity 0;
+    seqs = Array.make initial_capacity 0;
+    fns = Array.make initial_capacity idle;
+    size = 0; seq = 0; cur = 0 }
 
-let is_empty t = t.count = 0
+let is_empty t = t.size = 0
+let next_time t = if t.size = 0 then None else Some t.times.(0)
 
-let high_bit_index x =
-  let x = ref x and i = ref 0 in
-  if !x lsr 32 <> 0 then (x := !x lsr 32; i := !i + 32);
-  if !x lsr 16 <> 0 then (x := !x lsr 16; i := !i + 16);
-  if !x lsr 8 <> 0 then (x := !x lsr 8; i := !i + 8);
-  if !x lsr 4 <> 0 then (x := !x lsr 4; i := !i + 4);
-  if !x lsr 2 <> 0 then (x := !x lsr 2; i := !i + 2);
-  if !x lsr 1 <> 0 then incr i;
-  !i
+let grow t =
+  let n = Array.length t.times in
+  let double a fill =
+    let b = Array.make (2 * n) fill in
+    Array.blit a 0 b 0 n;
+    b
+  in
+  t.times <- double t.times 0;
+  t.seqs <- double t.seqs 0;
+  t.fns <- double t.fns idle
 
-let lowest_bit_index m = high_bit_index (m land -m)
+let place t i time seq fn =
+  t.times.(i) <- time;
+  t.seqs.(i) <- seq;
+  t.fns.(i) <- fn
 
-(* File an event at its level relative to the current cursor.  The
-   level is the 5-bit field of the highest bit where time and cursor
-   differ; equal times file at level 0.  A filed event never lands in
-   an upper level's cursor slot: its field at the differing level is
-   strictly greater than the cursor's. *)
-let file t ev =
-  let d = ev.ev_time lxor t.cur in
-  let lvl = if d = 0 then 0 else high_bit_index d / bits in
-  let slot = (ev.ev_time lsr (lvl * bits)) land (slot_count - 1) in
-  if lvl = 0 then begin
-    let q = t.l0.(slot) in
-    q.q_in <- ev :: q.q_in
+let move t ~src ~dst = place t dst t.times.(src) t.seqs.(src) t.fns.(src)
+
+(* Move later parents down into the hole at [i]; return where the new
+   event of [time] belongs. *)
+let rec sift_up t i time =
+  let parent = (i - 1) / 2 in
+  if i > 0 && t.times.(parent) > time then begin
+    move t ~src:parent ~dst:i;
+    sift_up t parent time
   end
-  else t.upper.(lvl).(slot) <- ev :: t.upper.(lvl).(slot);
-  t.masks.(lvl) <- t.masks.(lvl) lor (1 lsl slot)
-
-(* Restore the invariant that no upper level holds events in the slot
-   the cursor currently points at, by refiling such events one level
-   (or more) down.  Must run after every cursor advance that changes a
-   field at level >= 1.  Top-down, so an event refiled from level L
-   lands at its final level in one pass; refiled lists are reversed so
-   equal-time events keep their relative (insertion) order. *)
-let settle t =
-  for lvl = levels - 1 downto 1 do
-    if t.masks.(lvl) <> 0 then begin
-      let pos = (t.cur lsr (lvl * bits)) land (slot_count - 1) in
-      if t.masks.(lvl) land (1 lsl pos) <> 0 then begin
-        let evs = t.upper.(lvl).(pos) in
-        t.upper.(lvl).(pos) <- [];
-        t.masks.(lvl) <- t.masks.(lvl) land lnot (1 lsl pos);
-        List.iter (file t) (List.rev evs)
-      end
-    end
-  done
+  else i
 
 let add t ~time fn =
   if time < t.cur then
     invalid_arg "Event_queue.add: time precedes an already-popped event";
-  file t { ev_time = time; ev_fn = fn };
-  t.count <- t.count + 1
+  if t.size = Array.length t.times then grow t;
+  place t (sift_up t t.size time) time t.seq fn;
+  t.size <- t.size + 1;
+  t.seq <- t.seq + 1
 
-let rec lowest_level t lvl =
-  if t.masks.(lvl) <> 0 then lvl else lowest_level t (lvl + 1)
+(* Slot [i] pops before the event ([time], [seq]). *)
+let earlier t i ~time ~seq =
+  t.times.(i) < time || (t.times.(i) = time && t.seqs.(i) < seq)
 
-let next_time t =
-  if t.count = 0 then None
+(* Move earlier children up into the hole at [i], among the first
+   [size] slots; return where the event ([time], [seq]) belongs. *)
+let rec sift_down t i ~size ~time ~seq =
+  let l = (2 * i) + 1 in
+  if l >= size then i
   else begin
-    let lvl = lowest_level t 0 in
-    let slot = lowest_bit_index t.masks.(lvl) in
-    if lvl = 0 then Some ((t.cur land lnot (slot_count - 1)) lor slot)
-    else
-      Some
-        (List.fold_left
-           (fun acc ev -> if ev.ev_time < acc then ev.ev_time else acc)
-           max_int t.upper.(lvl).(slot))
-  end
-
-let rec pop t =
-  if t.count = 0 then None
-  else if t.masks.(0) <> 0 then begin
-    let slot = lowest_bit_index t.masks.(0) in
-    let q = t.l0.(slot) in
-    (match q.q_out with
-    | [] ->
-        q.q_out <- List.rev q.q_in;
-        q.q_in <- []
-    | _ -> ());
-    match q.q_out with
-    | [] -> assert false
-    | ev :: rest ->
-        q.q_out <- rest;
-        if rest == [] && q.q_in == [] then
-          t.masks.(0) <- t.masks.(0) land lnot (1 lsl slot);
-        (* Same 32-tick window as the cursor, so only field 0 moves:
-           no upper-level slot becomes the cursor slot, no settle. *)
-        t.cur <- ev.ev_time;
-        t.count <- t.count - 1;
-        Some (ev.ev_time, ev.ev_fn)
-  end
-  else begin
-    let lvl = lowest_level t 1 in
-    let slot = lowest_bit_index t.masks.(lvl) in
-    (* Invariant: slot > cursor position at this level.  Jump the
-       cursor to the slot's first instant (zeroing all lower fields),
-       then settle: the slot we jumped into cascades one level down,
-       and within a bounded number of rounds the minimum reaches
-       level 0. *)
-    let below =
-      if lvl >= levels - 1 then max_int else (1 lsl ((lvl + 1) * bits)) - 1
+    let c =
+      if l + 1 < size && earlier t (l + 1) ~time:t.times.(l) ~seq:t.seqs.(l)
+      then l + 1
+      else l
     in
-    t.cur <- t.cur land lnot below lor (slot lsl (lvl * bits));
-    settle t;
-    pop t
+    if earlier t c ~time ~seq then begin
+      move t ~src:c ~dst:i;
+      sift_down t c ~size ~time ~seq
+    end
+    else i
+  end
+
+let pop t =
+  if t.size = 0 then None
+  else begin
+    let time = t.times.(0) and fn = t.fns.(0) in
+    let last = t.size - 1 in
+    t.size <- last;
+    (* Refill the root's hole with the last event; clear the vacated
+       slot so the heap holds no popped handler. *)
+    let lt = t.times.(last) and ls = t.seqs.(last) and lf = t.fns.(last) in
+    t.fns.(last) <- idle;
+    if last > 0 then
+      place t (sift_down t 0 ~size:last ~time:lt ~seq:ls) lt ls lf;
+    t.cur <- time;
+    Some (time, fn)
   end

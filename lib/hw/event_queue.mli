@@ -3,11 +3,14 @@
     Events are (time, handler) pairs; ties break in insertion order so
     simulations are deterministic.
 
-    Implemented as a hierarchical time wheel (13 levels of 32 slots):
-    insert and the common pop path are O(1) with one small allocation
-    per event, against O(log n) and a rebalanced path of nodes for the
-    previous Map.  The pop order — (time, insertion-seq) — is exactly
-    the Map's, which test/test_hw.ml pins with a property test. *)
+    Implemented as a binary min-heap over (time, insertion seq) in
+    arrays that double when full: add and pop are O(log n) array moves
+    with no allocation per event beyond [pop]'s result, and
+    [next_time] is O(1).  The queue is small in practice — a few
+    pending events per pop on a single kernel — so the log factor is a
+    handful of moves.  The pop order is exactly the (time,
+    insertion-seq) order, which test/test_hw.ml pins with a property
+    test against a Map model. *)
 
 type t
 
@@ -16,7 +19,7 @@ val is_empty : t -> bool
 
 val add : t -> time:int -> (unit -> unit) -> unit
 (** Schedule [handler] at absolute simulated [time].  [time] must not
-    precede the time of an already-popped event (the wheel's cursor);
+    precede the time of an already-popped event;
     [Machine.schedule]'s non-negative delays guarantee this.
     @raise Invalid_argument otherwise. *)
 

@@ -46,13 +46,33 @@ type req = {
 
 let is_read r = match r.op with Read _ -> true | Write _ -> false
 
+(* The scheduler's tables, keyed by record numbers, {!Disk.handle}s
+   and context ids, with an int hash and compare, not the polymorphic
+   ones. *)
+module Int_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash (x : int) = x
+end)
+
 (* One independent actuator of a pack.  Several ways share the pack's
    queue but keep their own head positions, so a sequential stream can
    keep one arm at its track while the others absorb unrelated work. *)
 type way = {
-  wid : int;
   mutable head : int;  (* record after the last one this arm served *)
   mutable w_busy : bool;
+}
+
+(* A sweep in flight on one way.  [live] goes false when the sweep is
+   settled, by its completion event, [quiesce] or [crash], whichever
+   comes first; the others then leave it alone. *)
+type sweep = {
+  batch : req list;
+  cost : int;
+  span : int;  (* async-span id *)
+  way : way;
+  mutable live : bool;
 }
 
 (* Per-pack circuit breaker: [Br_open]'s payload is the absolute
@@ -67,14 +87,13 @@ type pack_state = {
   mutable queue : req list;  (* undispatched; order irrelevant, seq decides *)
   mutable depth : int;  (* List.length queue, maintained incrementally *)
   ways : way array;
-  (* in-flight sweeps: batch, cost, live, span id, way *)
-  mutable inflight : (req list * int * bool ref * int * way) list;
+  mutable inflight : sweep list;  (* the live sweeps *)
   mutable retrying : req list;  (* failed once, waiting out a backoff *)
   mutable kick_planted : bool;  (* one dispatch event per instant *)
   (* record -> number of in-flight requests touching it.  A record with
      in-flight work is barred from new sweeps, so same-record requests
      execute in submission order even across concurrent ways. *)
-  busy_records : (int, int) Hashtbl.t;
+  busy_records : int Int_tbl.t;
 }
 
 type stats = {
@@ -106,22 +125,22 @@ type t = {
   choice : Choice.t;
   now : unit -> int;
   packs : pack_state array;
-  (* (pack, record) -> unapplied write images, newest first, so any
+  (* record handle -> unapplied write images, newest first, so any
      read — queued or immediate — observes write-behind data.  A list,
      not a single slot: read priority and concurrent ways may service
      a read between two same-record writes, and it must see the newest
      image older than itself, which a latest-only table would have
      already dropped. *)
-  pending_writes : (int * int, (int * Page_image.t) list) Hashtbl.t;
-  (* (pack, record) -> highest write seq applied to the platter.  A
+  pending_writes : (int * Page_image.t) list Int_tbl.t;
+  (* record handle -> highest write seq applied to the platter.  A
      backoff-delayed retry can land after a newer same-record write;
      the stale image must be skipped, not applied. *)
-  applied_seq : (int * int, int) Hashtbl.t;
+  applied_seq : int Int_tbl.t;
   mutable seq : int;
   st : stats;
   (* root context -> remaining retries; populated lazily, only when
      [retry_budget > 0] and the request carries a context. *)
-  budget_left : (int, int) Hashtbl.t;
+  budget_left : int Int_tbl.t;
   (* set the first time a submitted request carries a context deadline;
      the dispatch-time cancellation sweep is guarded by it so the
      deadline-free hot path pays nothing. *)
@@ -149,12 +168,12 @@ let create ?config ?(faults = Fault_inject.none)
           { id; breaker = Br_closed; consec_fails = 0; closes = 0; queue = [];
             depth = 0;
             ways =
-              Array.init config.pack_ways (fun wid ->
-                  { wid; head = 0; w_busy = false });
+              Array.init config.pack_ways (fun _ ->
+                  { head = 0; w_busy = false });
             inflight = []; retrying = [];
-            kick_planted = false; busy_records = Hashtbl.create 16 });
-    pending_writes = Hashtbl.create 64;
-    applied_seq = Hashtbl.create 64;
+            kick_planted = false; busy_records = Int_tbl.create 16 });
+    pending_writes = Int_tbl.create 64;
+    applied_seq = Int_tbl.create 64;
     seq = 0;
     st =
       { s_reads = 0; s_writes = 0; s_batches = 0; s_merges = 0;
@@ -163,7 +182,7 @@ let create ?config ?(faults = Fault_inject.none)
         s_buffer_hits = 0; s_timeouts = 0; s_fast_fails = 0;
         s_budget_denied = 0; s_breaker_opens = 0; s_breaker_probes = 0;
         s_breaker_closes = 0 };
-    budget_left = Hashtbl.create 16; has_deadlines = false;
+    budget_left = Int_tbl.create 16; has_deadlines = false;
     on_apply = (fun ~pack:_ ~record:_ ~acked:_ _ -> ());
     obs; batch_seq = 0 }
 
@@ -278,13 +297,13 @@ let budget_allows t (r : req) =
   ||
   let root = Multics_obs.Sink.ctx_root t.obs r.req_ctx in
   let left =
-    match Hashtbl.find_opt t.budget_left root with
+    match Int_tbl.find_opt t.budget_left root with
     | Some n -> n
     | None -> t.config.retry_budget
   in
   if left <= 0 then false
   else begin
-    Hashtbl.replace t.budget_left root (left - 1);
+    Int_tbl.replace t.budget_left root (left - 1);
     true
   end
 
@@ -318,7 +337,7 @@ let rec split_batch n acc rest =
    and the pending-write table keeps reordered readers coherent. *)
 let select_pool t p =
   let blocked, avail =
-    List.partition (fun r -> Hashtbl.mem p.busy_records r.record) p.queue
+    List.partition (fun r -> Int_tbl.mem p.busy_records r.record) p.queue
   in
   if avail = [] then None
   else begin
@@ -354,32 +373,22 @@ let batch_cost t ~head batch =
   !cost
 
 (* Circular forward distance from a way's head to the first record its
-   sweep would serve; 0 means the sweep continues without a seek. *)
+   sweep would serve; 0 means the sweep continues without a seek.  The
+   pool is sorted by record and never empty: the first record at or
+   past the head is the nearest, and past the last one the sweep wraps
+   to the pool's first. *)
 let way_distance t ~head sorted_pool =
-  let first_ge =
-    List.fold_left
-      (fun acc r ->
-        if r.record >= head then
-          match acc with
-          | Some b when b <= r.record -> acc
-          | _ -> Some r.record
-        else acc)
-      None sorted_pool
-  in
-  match first_ge with
-  | Some rec_ -> rec_ - head
-  | None ->
-      let mn =
-        List.fold_left (fun acc r -> min acc r.record) max_int sorted_pool
-      in
-      Disk.records_per_pack t.disk - head + mn
+  match List.find_opt (fun r -> r.record >= head) sorted_pool with
+  | Some r -> r.record - head
+  | None -> Disk.records_per_pack t.disk - head + (List.hd sorted_pool).record
 
 let drop_pending_write t pack (r : req) =
-  match Hashtbl.find_opt t.pending_writes (pack, r.record) with
+  let h = Disk.handle ~pack ~record:r.record in
+  match Int_tbl.find_opt t.pending_writes h with
   | Some imgs -> (
       match List.filter (fun (wseq, _) -> wseq <> r.seq) imgs with
-      | [] -> Hashtbl.remove t.pending_writes (pack, r.record)
-      | rest -> Hashtbl.replace t.pending_writes (pack, r.record) rest)
+      | [] -> Int_tbl.remove t.pending_writes h
+      | rest -> Int_tbl.replace t.pending_writes h rest)
   | None -> ()
 
 (* A terminal failure: a write's buffered image will never land, so no
@@ -406,14 +415,15 @@ let apply_write t pack (r : req) img ~acked =
   (* Skip a stale retried image a newer same-record write already
      superseded on the platter; the caller is still acknowledged —
      the record holds data at least as new as this image. *)
+  let h = Disk.handle ~pack ~record:r.record in
   let stale =
-    match Hashtbl.find_opt t.applied_seq (pack, r.record) with
+    match Int_tbl.find_opt t.applied_seq h with
     | Some s -> s > r.seq
     | None -> false
   in
   if not stale then begin
     Disk.write_record t.disk ~pack ~record:r.record img;
-    Hashtbl.replace t.applied_seq (pack, r.record) r.seq;
+    Int_tbl.replace t.applied_seq h r.seq;
     t.on_apply ~pack ~record:r.record ~acked img
   end
 
@@ -447,7 +457,10 @@ let rec execute_req ?(sync = false) t pack (r : req) =
           then attempt_failed t pack r ~sync
           else
             let buffered =
-              match Hashtbl.find_opt t.pending_writes (pack, r.record) with
+              match
+                Int_tbl.find_opt t.pending_writes
+                  (Disk.handle ~pack ~record:r.record)
+              with
               | Some imgs ->
                   (* Newest-first, so the first entry older than the
                      read is the image it must observe. *)
@@ -539,21 +552,38 @@ let bar_records p batch =
   List.iter
     (fun r ->
       let n =
-        match Hashtbl.find_opt p.busy_records r.record with
+        match Int_tbl.find_opt p.busy_records r.record with
         | Some n -> n
         | None -> 0
       in
-      Hashtbl.replace p.busy_records r.record (n + 1))
+      Int_tbl.replace p.busy_records r.record (n + 1))
     batch
 
 let release_records p batch =
   List.iter
     (fun r ->
-      match Hashtbl.find_opt p.busy_records r.record with
-      | Some n when n > 1 -> Hashtbl.replace p.busy_records r.record (n - 1)
-      | Some _ -> Hashtbl.remove p.busy_records r.record
+      match Int_tbl.find_opt p.busy_records r.record with
+      | Some n when n > 1 -> Int_tbl.replace p.busy_records r.record (n - 1)
+      | Some _ -> Int_tbl.remove p.busy_records r.record
       | None -> ())
     batch
+
+(* How a sweep ends: its completion event fires, [quiesce] finishes it
+   inline, or a [crash] loses it. *)
+type ending = Completed | Quiesced | Lost
+
+(* Settle a live sweep: retire it, lift its records' bar and free its
+   arm; unless it was lost, close its span and complete its requests. *)
+let settle t p s ending =
+  s.live <- false;
+  p.inflight <- List.filter (fun x -> x != s) p.inflight;
+  release_records p s.batch;
+  s.way.w_busy <- false;
+  if ending <> Lost then begin
+    Multics_obs.Sink.async_end t.obs ~tid:p.id ~cat:"io" ~name:"batch"
+      ~id:s.span ();
+    finish_batch ~sync:(ending = Quiesced) t p s.batch s.cost
+  end
 
 (* Cut a sweep for arm [w] from the sorted pool: the first [max_batch]
    requests of the circular pass from the arm's head, priced, with the
@@ -574,8 +604,8 @@ let cut_sweep t p w ~sorted ~rest =
 (* Assign as many sweeps to free arms as the queue supports.  Way
    choice is nearest-first: the free way whose head is closest (in
    forward circular distance) to the first record the sweep would
-   serve, ties to the lowest way id — a continuation always wins, so a
-   sequential stream keeps its arm. *)
+   serve, ties to the lowest-numbered way — a continuation always
+   wins, so a sequential stream keeps its arm. *)
 let rec dispatch t p =
   (* Deadline checkpoint: cancel not-yet-issued reads whose context
      deadline has passed — the requester no longer wants the answer,
@@ -609,35 +639,33 @@ let rec dispatch t p =
     | None -> ()
     | Some (pool, rest, deadline_forced) ->
         let sorted = List.sort by_record_seq pool in
-        let free =
-          Array.fold_right
-            (fun w acc -> if w.w_busy then acc else w :: acc)
-            p.ways []
-        in
+        (* One pass over the ways counts the free ones and finds the
+           nearest; a strict [<] leaves ties with the lower index. *)
+        let free = ref 0 and best = ref (-1) and best_d = ref max_int in
+        for i = 0 to Array.length p.ways - 1 do
+          let w = p.ways.(i) in
+          if not w.w_busy then begin
+            incr free;
+            let d = way_distance t ~head:w.head sorted in
+            if d < !best_d then begin
+              best := i;
+              best_d := d
+            end
+          end
+        done;
         (* Write throttle: an unexpired write-only sweep never takes
            the last free arm — one arm stays ready for the read that
            blocks a processor the moment it arrives.  Deadline sweeps
            are exempt (the starvation bound outranks read latency), as
            are single-way packs (nothing to reserve). *)
-        if
+        let throttled =
           (not deadline_forced)
           && (not (List.exists is_read sorted))
           && Array.length p.ways > 1
-          && List.length free <= 1
-        then ()
-        else
-          let best =
-            List.fold_left
-              (fun acc w ->
-                let d = way_distance t ~head:w.head sorted in
-                match acc with
-                | Some (bd, (bw : way)) when (bd, bw.wid) <= (d, w.wid) -> acc
-                | _ -> Some (d, w))
-              None free
-          in
-          match best with
-          | None -> ()
-          | Some (_, w) -> launch t p w ~sorted ~rest ~deadline_forced
+          && !free <= 1
+        in
+        if !best >= 0 && not throttled then
+          launch t p p.ways.(!best) ~sorted ~rest ~deadline_forced
   end
 
 and launch t p w ~sorted ~rest ~deadline_forced =
@@ -647,12 +675,11 @@ and launch t p w ~sorted ~rest ~deadline_forced =
     t.st.s_deadline_batches <- t.st.s_deadline_batches + 1;
   w.w_busy <- true;
   bar_records p batch;
-  let live = ref true in
-  let id = t.batch_seq in
+  let s = { batch; cost; span = t.batch_seq; way = w; live = true } in
   t.batch_seq <- t.batch_seq + 1;
-  p.inflight <- (batch, cost, live, id, w) :: p.inflight;
+  p.inflight <- s :: p.inflight;
   Multics_obs.Sink.async_begin t.obs ~tid:p.id ~arg:(List.length batch)
-    ~cat:"io" ~name:"batch" ~id ();
+    ~cat:"io" ~name:"batch" ~id:s.span ();
   (* Queue age: how long each request waited for an arm, sampled at
      dispatch under the request's own context so the I/O SLO
      watchdog blames the right requester. *)
@@ -665,17 +692,10 @@ and launch t p w ~sorted ~rest ~deadline_forced =
       Multics_obs.Sink.set_current t.obs prev)
     batch;
   t.schedule ~delay:cost (fun () ->
-      (* [live] goes false when quiesce or crash already settled
-         the sweep; the stale completion event must be a no-op. *)
-      if !live then begin
-        live := false;
-        p.inflight <-
-          List.filter (fun (_, _, l, _, _) -> l != live) p.inflight;
-        release_records p batch;
-        w.w_busy <- false;
-        Multics_obs.Sink.async_end t.obs ~tid:p.id ~cat:"io"
-          ~name:"batch" ~id ();
-        finish_batch t p batch cost;
+      (* A sweep quiesce or crash already settled makes this stale
+         completion event a no-op. *)
+      if s.live then begin
+        settle t p s Completed;
         dispatch t p
       end);
   (* More work and more arms may remain. *)
@@ -729,7 +749,7 @@ let submit_read t ~pack ~record ~done_ =
      this read must observe (every pending write predates it), and it
      is already in core — serve it without touching an arm.  Error
      paths still queue so offline/dead handling stays in one place. *)
-  match Hashtbl.find_opt t.pending_writes (pack, record) with
+  match Int_tbl.find_opt t.pending_writes (Disk.handle ~pack ~record) with
   | Some ((_, img) :: _)
     when (not (pack_is_offline t pack))
          && not (Disk.record_is_dead t.disk ~pack ~record) ->
@@ -750,13 +770,13 @@ let submit_write t ?done_ ~pack ~record img =
   end
   else
   let r = submit t ~pack ~record (Write (img, done_)) in
+  let h = Disk.handle ~pack ~record in
   let prev =
-    match Hashtbl.find_opt t.pending_writes (pack, record) with
+    match Int_tbl.find_opt t.pending_writes h with
     | Some l -> l
     | None -> []
   in
-  Hashtbl.replace t.pending_writes (pack, record)
-    ((r.seq, img) :: prev)
+  Int_tbl.replace t.pending_writes h ((r.seq, img) :: prev)
 
 let cancel_writes t ~pack ~record =
   let p = pack_state t pack in
@@ -768,9 +788,9 @@ let cancel_writes t ~pack ~record =
     | _ -> ()
   in
   List.iter cancel p.queue;
-  List.iter (fun (batch, _, _, _, _) -> List.iter cancel batch) p.inflight;
+  List.iter (fun s -> List.iter cancel s.batch) p.inflight;
   List.iter cancel p.retrying;
-  Hashtbl.remove t.pending_writes (pack, record)
+  Int_tbl.remove t.pending_writes (Disk.handle ~pack ~record)
 
 (* Inline bounded retry: a blocking shim cannot wait out a backoff, so
    it burns its attempts back to back while [fails] says the attempt
@@ -796,7 +816,7 @@ let read_now t ~pack ~record =
   if pack_is_offline t pack then Error Pack_offline
   else if Disk.record_is_dead t.disk ~pack ~record then Error Dead_record
   else
-    match Hashtbl.find_opt t.pending_writes (pack, record) with
+    match Int_tbl.find_opt t.pending_writes (Disk.handle ~pack ~record) with
     | Some ((_, img) :: _) ->
         (* Count the transfer the caller is paying for. *)
         ignore (Disk.read_record t.disk ~pack ~record);
@@ -813,25 +833,14 @@ let write_now t ~pack ~record img =
     retry_inline t ~pack ~record ~fails:Fault_inject.write_attempt_fails
       (fun () ->
         Disk.write_record t.disk ~pack ~record img;
-        Hashtbl.replace t.applied_seq (pack, record) t.seq;
+        Int_tbl.replace t.applied_seq (Disk.handle ~pack ~record) t.seq;
         t.on_apply ~pack ~record ~acked:true img)
   end
 
 let quiesce t =
   Array.iter
     (fun p ->
-      List.iter
-        (fun (batch, cost, live, id, w) ->
-          if !live then begin
-            live := false;
-            Multics_obs.Sink.async_end t.obs ~tid:p.id ~cat:"io" ~name:"batch"
-              ~id ();
-            finish_batch ~sync:true t p batch cost
-          end;
-          w.w_busy <- false)
-        p.inflight;
-      p.inflight <- [];
-      Hashtbl.reset p.busy_records;
+      List.iter (fun s -> settle t p s Quiesced) p.inflight;
       (* Backoff-parked requests can't wait out their delay either;
          finish them inline with the bounded sync retry. *)
       let parked = p.retrying in
@@ -855,8 +864,7 @@ let quiesce t =
             finish_batch ~sync:true t p batch cost;
             drain ()
       in
-      drain ();
-      Array.iter (fun w -> w.w_busy <- false) p.ways)
+      drain ())
     t.packs
 
 let crash t ~surviving_writes =
@@ -872,10 +880,7 @@ let crash t ~surviving_writes =
   Array.iter
     (fun p ->
       List.iter (collect p.id) p.queue;
-      List.iter
-        (fun (batch, _, live, _, _) ->
-          if !live then List.iter (collect p.id) batch)
-        p.inflight;
+      List.iter (fun s -> List.iter (collect p.id) s.batch) p.inflight;
       List.iter (collect p.id) p.retrying)
     t.packs;
   let ordered =
@@ -901,13 +906,10 @@ let crash t ~surviving_writes =
       p.depth <- 0;
       p.breaker <- Br_closed;
       p.consec_fails <- 0;
-      List.iter (fun (_, _, live, _, _) -> live := false) p.inflight;
-      p.inflight <- [];
-      p.retrying <- [];
-      Hashtbl.reset p.busy_records;
-      Array.iter (fun w -> w.w_busy <- false) p.ways)
+      List.iter (fun s -> settle t p s Lost) p.inflight;
+      p.retrying <- [])
     t.packs;
-  Hashtbl.reset t.pending_writes;
+  Int_tbl.reset t.pending_writes;
   List.length ordered
 
 let queue_depth t ~pack = (pack_state t pack).depth

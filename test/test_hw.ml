@@ -419,69 +419,74 @@ let test_event_order () =
   check (Alcotest.list Alcotest.int) "fifo within a tick" [ 1; 2; 3 ]
     (List.rev !log)
 
-(* The time wheel's contract: pop order is exactly (time, insertion
-   seq) — what the previous Map-based queue produced.  Drive the wheel
-   and a reference model (a sorted association list keyed by that pair)
-   through random add/pop interleavings and require identical times,
-   identical payloads, and an agreeing [next_time] at every step.
-   Deltas up to 2^21 cross several wheel levels, so cascades and the
-   epoch settle path are exercised, not just slot 0. *)
-let prop_event_queue_model =
+(* The event queue's contract: pop order is exactly (time, insertion
+   seq).  Drive the queue and a reference Map keyed by that pair
+   through an add/pop interleaving ([Some delta] adds an event [delta]
+   after the last popped instant, [None] pops) and require identical
+   times, identical payloads, and an agreeing [next_time] at every
+   step. *)
+let event_queue_matches_model ops =
   let module M = Map.Make (struct
     type t = int * int
 
     let compare = compare
   end) in
+  let q = Hw.Event_queue.create () in
+  let model = ref M.empty in
+  let cur = ref 0 in
+  let seq = ref 0 in
+  let ok = ref true in
+  let fired = ref (-1) in
+  let pop_and_compare () =
+    let expected = M.min_binding_opt !model in
+    (match (Hw.Event_queue.next_time q, expected) with
+    | Some t, Some ((mt, _), _) when t = mt -> ()
+    | None, None -> ()
+    | _ -> ok := false);
+    match (Hw.Event_queue.pop q, expected) with
+    | Some (t, h), Some (((mt, _) as key), id) ->
+        h ();
+        if t <> mt || !fired <> id then ok := false;
+        model := M.remove key !model;
+        cur := t
+    | None, None -> ()
+    | _ -> ok := false
+  in
+  List.iter
+    (fun op ->
+      if !ok then
+        match op with
+        | Some delta ->
+            let t = !cur + delta and id = !seq in
+            Hw.Event_queue.add q ~time:t (fun () -> fired := id);
+            model := M.add (t, id) id !model;
+            incr seq
+        | None -> pop_and_compare ())
+    ops;
+  (* Drain whatever the interleaving left behind. *)
+  while !ok && not (M.is_empty !model) do
+    pop_and_compare ()
+  done;
+  !ok && Hw.Event_queue.is_empty q
+
+(* Deltas up to 2^21: times spread wide, few ties. *)
+let prop_event_queue_model =
   QCheck.Test.make ~name:"event queue matches reference map model" ~count:200
     QCheck.(list (option (int_bound (1 lsl 21))))
-    (fun ops ->
-      let q = Hw.Event_queue.create () in
-      let model = ref M.empty in
-      let cur = ref 0 in
-      let seq = ref 0 in
-      let next_id = ref 0 in
-      let ok = ref true in
-      let fired = ref (-1) in
-      List.iter
-        (fun op ->
-          if !ok then
-            match op with
-            | Some delta ->
-                let t = !cur + delta in
-                let id = !next_id in
-                incr next_id;
-                Hw.Event_queue.add q ~time:t (fun () -> fired := id);
-                model := M.add (t, !seq) id !model;
-                incr seq
-            | None -> (
-                let expected = M.min_binding_opt !model in
-                (match (Hw.Event_queue.next_time q, expected) with
-                | Some t, Some ((mt, _), _) when t = mt -> ()
-                | None, None -> ()
-                | _ -> ok := false);
-                match (Hw.Event_queue.pop q, expected) with
-                | Some (t, h), Some (((mt, _) as key), mid) ->
-                    h ();
-                    if t <> mt || !fired <> mid then ok := false;
-                    model := M.remove key !model;
-                    cur := t
-                | None, None -> ()
-                | _ -> ok := false))
-        ops;
-      (* Drain whatever the interleaving left behind. *)
-      let rec drain () =
-        if !ok then
-          match (Hw.Event_queue.pop q, M.min_binding_opt !model) with
-          | Some (t, h), Some (((mt, _) as key), mid) ->
-              h ();
-              if t <> mt || !fired <> mid then ok := false;
-              model := M.remove key !model;
-              drain ()
-          | None, None -> ()
-          | _ -> ok := false
-      in
-      drain ();
-      !ok && Hw.Event_queue.is_empty q)
+    event_queue_matches_model
+
+(* The cases a heap can get wrong.  Deltas of 0-3 make most adds tie,
+   so only the insertion seq orders them; at least 200 adds before the
+   first pop grow the queue past its initial size; and a delta of 0
+   after a pop adds at exactly the last popped instant. *)
+let prop_event_queue_ties =
+  QCheck.Test.make ~name:"event queue orders ties by insertion" ~count:200
+    QCheck.(
+      pair
+        (list_of_size Gen.(200 -- 300) (int_bound 3))
+        (list (option (int_bound 3))))
+    (fun (fill, ops) ->
+      event_queue_matches_model (List.map Option.some fill @ ops))
 
 let test_event_queue_past_add () =
   let q = Hw.Event_queue.create () in
@@ -549,6 +554,7 @@ let tests =
       test_disk_fingerprint_every_word;
     Alcotest.test_case "event order" `Quick test_event_order;
     qcheck prop_event_queue_model;
+    qcheck prop_event_queue_ties;
     Alcotest.test_case "event queue rejects past add" `Quick
       test_event_queue_past_add;
     Alcotest.test_case "machine run" `Quick test_machine_run;

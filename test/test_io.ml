@@ -169,6 +169,42 @@ let test_write_coherence () =
   check Alcotest.int "disk has the final image" 222
     (w0 (Hw.Disk.read_record disk ~pack:0 ~record:7))
 
+(* The same record number on two packs names two records: the write
+   buffer, the cancellation and the applied sequence of one must never
+   reach the other. *)
+let test_packs_kept_apart () =
+  let machine, disk, io = rig () in
+  let r = 12 in
+  Hw.Io_sched.submit_write io ~pack:0 ~record:r (page [ 0xA ]);
+  Hw.Io_sched.submit_write io ~pack:1 ~record:r (page [ 0xB ]);
+  let seen = ref [] in
+  List.iter
+    (fun pack ->
+      Hw.Io_sched.submit_read io ~pack ~record:r ~done_:(fun res ->
+          seen := (pack, w0 (expect res)) :: !seen))
+    [ 0; 1 ];
+  let now pack = w0 (expect (Hw.Io_sched.read_now io ~pack ~record:r)) in
+  check Alcotest.int "read_now on pack 0 sees A" 0xA (now 0);
+  check Alcotest.int "read_now on pack 1 sees B" 0xB (now 1);
+  (match Hw.Io_sched.write_now io ~pack:1 ~record:r (page [ 0xC ]) with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "write_now: %a" Hw.Io_sched.pp_io_error e);
+  check Alcotest.int "write_now cancelled pack 1's write only" 1
+    (Hw.Io_sched.stats io).Hw.Io_sched.s_cancelled;
+  check Alcotest.int "pack 0 still buffers A" 0xA (now 0);
+  Hw.Machine.run machine;
+  check
+    Alcotest.(list (pair int int))
+    "each buffer hit saw its own pack's write"
+    [ (0, 0xA); (1, 0xB) ]
+    (List.rev !seen);
+  check Alcotest.int "two buffer hits" 2
+    (Hw.Io_sched.stats io).Hw.Io_sched.s_buffer_hits;
+  check Alcotest.int "pack 0's A landed, not stale" 0xA
+    (w0 (Hw.Disk.read_record disk ~pack:0 ~record:r));
+  check Alcotest.int "pack 1 holds C" 0xC
+    (w0 (Hw.Disk.read_record disk ~pack:1 ~record:r))
+
 let test_cancel_writes () =
   let machine, disk, io = rig () in
   Hw.Disk.write_record disk ~pack:0 ~record:3 (page [ 5 ]);
@@ -771,6 +807,7 @@ let tests =
     Alcotest.test_case "batch cost model" `Quick test_batch_cost_model;
     Alcotest.test_case "batch bounds" `Quick test_batch_bounds;
     Alcotest.test_case "write coherence" `Quick test_write_coherence;
+    Alcotest.test_case "packs kept apart" `Quick test_packs_kept_apart;
     Alcotest.test_case "cancel writes" `Quick test_cancel_writes;
     Alcotest.test_case "cancel before free ordering" `Quick
       test_cancel_before_free_ordering;
